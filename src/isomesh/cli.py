@@ -169,6 +169,20 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     return cfg.validate()
 
 
+def check_spec_config(cfg: PipelineConfig, spec) -> None:
+    """Raise ConfigError for keys that contradict the spec (gamma, projection)."""
+    if cfg.gamma is not None:
+        basis = np.array(cfg.gamma, dtype=float).reshape(2, 2, order="F")
+        if not np.allclose(basis, spec.gamma_basis, atol=1e-12):
+            raise ConfigError(
+                f"gamma {','.join(f'{x:g}' for x in cfg.gamma)} differs from the "
+                f"period basis of spec {spec.name!r}"
+            )
+    dim = 2 * spec.dim_n
+    if cfg.projection is not None and not all(0 <= i < dim for i in cfg.projection):
+        raise ConfigError(f"projection indices must lie in 0..{dim - 1} for spec {spec.name!r}")
+
+
 def chart_for(cfg: PipelineConfig, spec, n: int | None = None):
     basis = spec.gamma_basis
     if cfg.gamma is not None:
@@ -204,6 +218,7 @@ def run_pipeline(cfg: PipelineConfig, n: int | None = None) -> PipelineResult:
         spec = spec_from_name(cfg.spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    check_spec_config(cfg, spec)
 
     t0 = time.perf_counter()
     chart = chart_for(cfg, spec, n)
@@ -431,7 +446,8 @@ config file keys (key = value, one per line; defaults in parentheses):
                   flat-plane; curves: circle, figure8   (clifford)
   n               subdivision count                     (16)
   rotation        chart reference isometry angle, rad   (atan(1/2) ~ 0.46365)
-  gamma           custom period basis b11,b21,b12,b22   (from spec)
+  gamma           period basis b11,b21,b12,b22; must    (from spec)
+                  equal the spec's basis
   tol             solver residual tolerance             (1e-10)
   max_iter        solver iteration budget               (50)
   max_halvings    solver step-halving budget            (10)

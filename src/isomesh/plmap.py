@@ -14,10 +14,10 @@ Liouville integral around the triangle boundary.
 
 Topology checks are tolerance-based floating point: immersion = nondegenerate
 differentials plus pairwise star separation beyond shared simplices;
-embedding = no two non-adjacent triangle images within tol * scale, candidate
-pairs pruned with a bounding volume hierarchy over axis-aligned boxes in
-R^{2n}, exact pair distances by convex minimization over barycentric
-coordinates.
+embedding = no two non-adjacent triangle images within tol * scale.  Candidate
+pairs come from a uniform grid over the axis-aligned triangle boxes in
+R^{2n}; exact pair distances come from convex minimization over barycentric
+coordinates, solved for all candidate pairs in one batch per face pair.
 """
 
 import itertools
@@ -285,147 +285,92 @@ _TRI_FEATURES = (
 )
 
 
-def _affine_candidate(pset, qset, feas_tol=1e-9):
-    """Distance between affine hulls of the point sets if the minimizer is
-    feasible (inside both simplices); None otherwise."""
-    cols = [pset[j] - pset[0] for j in range(1, pset.shape[0])]
-    cols += [-(qset[j] - qset[0]) for j in range(1, qset.shape[0])]
-    rhs = qset[0] - pset[0]
-    if not cols:
-        return float(np.linalg.norm(rhs))
-    mat = np.stack(cols, axis=-1)
-    sol, _, _, _ = np.linalg.lstsq(mat, rhs, rcond=None)
-    np_free = pset.shape[0] - 1
-    lam = sol[:np_free]
-    nu = sol[np_free:]
-    for coeffs in (lam, nu):
-        if coeffs.size and (
-            coeffs.min() < -feas_tol or coeffs.sum() > 1.0 + feas_tol
-        ):
-            return None
-    return float(np.linalg.norm(mat @ sol - rhs))
+def _tri_tri_distances(p, q, feas_tol=1e-9) -> np.ndarray:
+    """Exact min distances between triangle pairs p[k], q[k], each (K, 3, d).
 
-
-def _tri_tri_distance(p, q) -> float:
-    """Exact min distance between two triangles in R^d (0 when they intersect).
-
-    Minimum over all pairs of faces of the unconstrained affine minimizer when
-    it is feasible; vertex-vertex pairs are always feasible, so the minimum is
-    taken over a nonempty set covering every face combination of the convex
-    program.
+    For every pair of faces, the minimum-norm least-squares minimizer between
+    the affine hulls counts when its barycentric coordinates are feasible
+    within ``feas_tol``.  Singular values at or below max(rows, cols) * eps
+    times the largest are dropped, the cutoff of ``lstsq(rcond=None)``.  The
+    distance is the minimum over all 49 face pairs.  Vertex-vertex pairs are
+    always feasible, so every face combination of the convex program is
+    covered.  Each face pair is solved for the whole batch at once.
     """
-    best = np.inf
+    best = np.full(p.shape[0], np.inf)
     for fp in _TRI_FEATURES:
         for fq in _TRI_FEATURES:
-            cand = _affine_candidate(p[list(fp)], q[list(fq)])
-            if cand is not None and cand < best:
-                best = cand
+            ps = p[:, fp]
+            qs = q[:, fq]
+            rhs = qs[:, 0] - ps[:, 0]
+            mat = np.concatenate([ps[:, 1:] - ps[:, :1], qs[:, :1] - qs[:, 1:]], axis=1)
+            mat = mat.transpose(0, 2, 1)  # (K, d, m), m = 0 for two vertices
+            rcond = np.finfo(float).eps * max(mat.shape[1:])
+            sol = np.einsum("kmd,kd->km", np.linalg.pinv(mat, rcond=rcond), rhs)
+            cand = np.linalg.norm(np.einsum("kdm,km->kd", mat, sol) - rhs, axis=-1)
+            for coeffs in (sol[:, : len(fp) - 1], sol[:, len(fp) - 1 :]):
+                if coeffs.shape[1]:
+                    infeasible = (coeffs.min(axis=1) < -feas_tol) | (
+                        coeffs.sum(axis=1) > 1.0 + feas_tol
+                    )
+                    cand[infeasible] = np.inf
+            best = np.minimum(best, cand)
     return best
 
 
-# -- bounding volume hierarchy -----------------------------------------------
+# -- uniform-grid broadphase --------------------------------------------------
 
 
-class _Bvh:
-    """Median-split BVH over axis-aligned boxes in R^d."""
+def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
+    """Index arrays (i, j), i < j, sorted, of the boxes within ``threshold``.
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, leaf_size: int = 8):
-        self.lo = lo
-        self.hi = hi
-        n = lo.shape[0]
-        self.node_lo = []
-        self.node_hi = []
-        self.node_left = []
-        self.node_right = []
-        self.node_items = []
-        order = np.arange(n)
-        centers = 0.5 * (lo + hi)
-        self._build(order, centers, leaf_size)
-        self.node_lo = np.array(self.node_lo)
-        self.node_hi = np.array(self.node_hi)
+    Boxes (rows of lo, hi in R^d) come within ``threshold`` when the norm of
+    their per-axis gap max(0, lo_i - hi_j, lo_j - hi_i) is at most it.  The
+    boxes, inflated by ``threshold``, are binned into a uniform grid whose
+    cell edge is the largest inflated extent, so each box touches at most two
+    cells per axis (three only through rounding).  Pairs that share a cell
+    are deduplicated and then filtered by the exact gap norm.
+    """
+    count, dim = lo.shape
+    if count < 2:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    glo = lo - threshold
+    ghi = hi + threshold
+    origin = glo.min(axis=0)
+    # At most 2^20 cells per axis, whatever the box sizes; 1 for point boxes.
+    reach = float((ghi.max(axis=0) - origin).max())
+    edge = max(float((ghi - glo).max()), reach * 2.0**-20) or 1.0
+    first = np.floor((glo - origin) / edge).astype(np.int64)
+    span = np.floor((ghi - origin) / edge).astype(np.int64) - first
+    boxes, cells = [], []
+    for step in itertools.product(range(int(span.max()) + 1), repeat=dim):
+        hit = np.nonzero((span >= step).all(axis=1))[0]
+        boxes.append(hit)
+        cells.append(first[hit] + np.array(step, dtype=np.int64))
+    boxes = np.concatenate(boxes)
+    cells = np.concatenate(cells)
+    order = np.lexsort(cells.T[::-1])
+    boxes = boxes[order]
+    cells = cells[order]
 
-    def _build(self, items, centers, leaf_size) -> int:
-        idx = len(self.node_left)
-        self.node_lo.append(self.lo[items].min(axis=0))
-        self.node_hi.append(self.hi[items].max(axis=0))
-        self.node_left.append(-1)
-        self.node_right.append(-1)
-        self.node_items.append(None)
-        if items.size <= leaf_size:
-            self.node_items[idx] = items
-            return idx
-        c = centers[items]
-        axis = int(np.argmax(c.max(axis=0) - c.min(axis=0)))
-        half = items.size // 2
-        part = items[np.argpartition(c[:, axis], half)]
-        left = self._build(part[:half], centers, leaf_size)
-        right = self._build(part[half:], centers, leaf_size)
-        self.node_left[idx] = left
-        self.node_right[idx] = right
-        return idx
+    # Entries are now grouped by cell; pair each with the rest of its group.
+    new_cell = np.ones(boxes.size, dtype=bool)
+    new_cell[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    starts = np.nonzero(new_cell)[0]
+    ends = np.append(starts[1:], boxes.size)
+    after = np.repeat(ends, ends - starts) - np.arange(boxes.size) - 1
+    a = np.repeat(np.arange(boxes.size), after)
+    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(after) - after, after)
+    a, b = boxes[a], boxes[b]
+    key = np.sort(np.minimum(a, b) * count + np.maximum(a, b))
+    key = key[np.diff(key, prepend=-1) != 0]
+    i, j = key // count, key % count
 
-    def _box_gap(self, i: int, j: int) -> float:
-        gap = np.maximum(
-            0.0,
-            np.maximum(
-                self.node_lo[i] - self.node_hi[j], self.node_lo[j] - self.node_hi[i]
-            ),
-        )
-        return float(np.linalg.norm(gap))
-
-    def close_pairs(self, threshold: float):
-        """All item pairs (i < j) whose boxes come within ``threshold``."""
-        pairs = []
-        stack = [(0, 0)]
-        while stack:
-            na, nb = stack.pop()
-            if self._box_gap(na, nb) > threshold:
-                continue
-            items_a = self.node_items[na]
-            items_b = self.node_items[nb]
-            if items_a is not None and items_b is not None:
-                if na == nb:
-                    combos = itertools.combinations(items_a, 2)
-                else:
-                    combos = itertools.product(items_a, items_b)
-                for i, j in combos:
-                    i, j = (i, j) if i < j else (j, i)
-                    gap = np.maximum(
-                        0.0,
-                        np.maximum(
-                            self.lo[i] - self.hi[j], self.lo[j] - self.hi[i]
-                        ),
-                    )
-                    if float(np.linalg.norm(gap)) <= threshold:
-                        pairs.append((int(i), int(j)))
-            elif items_a is not None:
-                stack.append((na, self.node_left[nb]))
-                stack.append((na, self.node_right[nb]))
-            elif items_b is not None:
-                stack.append((self.node_left[na], nb))
-                stack.append((self.node_right[na], nb))
-            else:
-                if na == nb:
-                    stack.append((self.node_left[na], self.node_left[na]))
-                    stack.append((self.node_right[na], self.node_right[na]))
-                    stack.append((self.node_left[na], self.node_right[na]))
-                else:
-                    stack.append((self.node_left[na], self.node_left[nb]))
-                    stack.append((self.node_left[na], self.node_right[nb]))
-                    stack.append((self.node_right[na], self.node_left[nb]))
-                    stack.append((self.node_right[na], self.node_right[nb]))
-        return sorted(set(pairs))
-
-
-def _box_close_pairs_brute(lo, hi, threshold):
-    """Reference all-pairs box query (for BVH order-independence checks)."""
-    n = lo.shape[0]
-    pairs = []
-    for i in range(n - 1):
-        gap = np.maximum(0.0, np.maximum(lo[i] - hi[i + 1 :], lo[i + 1 :] - hi[i]))
-        close = np.nonzero(np.linalg.norm(gap, axis=-1) <= threshold)[0]
-        pairs.extend((i, int(i + 1 + j)) for j in close)
-    return pairs
+    gap2 = np.zeros(key.size)
+    for k in range(dim):  # one axis at a time keeps the gathers small
+        gap = np.maximum(0.0, np.maximum(lo[i, k] - hi[j, k], lo[j, k] - hi[i, k]))
+        gap2 += gap * gap
+    close = np.sqrt(gap2) <= threshold
+    return i[close], j[close]
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -570,29 +515,34 @@ def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     Fails when two non-adjacent triangle images come within tol times the max
     edge length (exact convex distance), or when an adjacent pair overlaps
     beyond the shared simplex (non-shared closed faces within the same
-    threshold).  Witnesses are (triangle, triangle, distance) tuples.
+    threshold).  Candidate pairs come from a uniform-grid broadphase over the
+    triangle boxes; adjacent and non-adjacent pairs are each measured in one
+    batch.  Witnesses are (triangle, triangle, distance) tuples sorted by
+    triangle pair.
     """
-    scale_g = plm.edge_scale()
-    threshold = tol * scale_g
-    lo = plm.tri_values.min(axis=1)
-    hi = plm.tri_values.max(axis=1)
-    bvh = _Bvh(lo, hi)
+    threshold = tol * plm.edge_scale()
+    vals = plm.tri_values
     vids = plm.tri_vertex_ids
-    witnesses = []
-    for i, j in bvh.close_pairs(threshold):
-        shared = set(vids[i]) & set(vids[j])
-        if shared:
-            fa = [s for s in range(3) if vids[i][s] not in shared]
-            fb = [s for s in range(3) if vids[j][s] not in shared]
-            if not fa or not fb:
-                continue
-            p0, p1 = plm.tri_values[i][fa[0]], plm.tri_values[i][fa[-1]]
-            q0, q1 = plm.tri_values[j][fb[0]], plm.tri_values[j][fb[-1]]
-            dist = float(_seg_seg_distance(p0, p1, q0, q1))
-        else:
-            dist = _tri_tri_distance(plm.tri_values[i], plm.tri_values[j])
-        if dist < threshold:
-            witnesses.append((int(i), int(j), dist))
+    i, j = _box_close_pairs(vals.min(axis=1), vals.max(axis=1), threshold)
+    same = vids[i][:, :, None] == vids[j][:, None, :]  # (K, 3, 3)
+    free_i = ~same.any(axis=2)
+    free_j = ~same.any(axis=1)
+    adjacent = ~free_i.all(axis=1)
+    dist = np.full(i.size, np.inf)
+
+    # Adjacent pairs: the segments from the first to the last non-shared slot.
+    seg = np.nonzero(adjacent & free_i.any(axis=1) & free_j.any(axis=1))[0]
+    ends = []
+    for tri, free in ((i[seg], free_i[seg]), (j[seg], free_j[seg])):
+        ends.append(vals[tri, np.argmax(free, axis=1)])
+        ends.append(vals[tri, 2 - np.argmax(free[:, ::-1], axis=1)])
+    dist[seg] = _seg_seg_distance(*ends)
+
+    far = np.nonzero(~adjacent)[0]
+    dist[far] = _tri_tri_distances(vals[i[far]], vals[j[far]])
+    witnesses = [
+        (int(i[k]), int(j[k]), float(dist[k])) for k in np.nonzero(dist < threshold)[0]
+    ]
     return CheckResult(passed=not witnesses, witnesses=witnesses)
 
 
@@ -613,6 +563,10 @@ def export_mesh(plm: PLMap, path, projection=None) -> None:
     chart = plm.chart
     nfacets = chart.vertex_count
     verts = np.vstack([tri.corner_values, tri.apex_values])
+    if projection is not None:
+        proj = tuple(int(i) for i in projection)
+        if len(proj) != 3 or any(i < 0 or i >= verts.shape[1] for i in proj):
+            raise ValueError("projection must pick 3 valid coordinate indices")
     kc, lc = chart.all_canonical()
     cids = np.stack(
         [chart.offset_of_raw(kc + dk, lc + dl) for dk, dl in _CORNER_STEPS], axis=1
@@ -632,9 +586,6 @@ def export_mesh(plm: PLMap, path, projection=None) -> None:
         handle.write("\n".join(lines) + "\n")
 
     if projection is not None:
-        proj = tuple(int(i) for i in projection)
-        if len(proj) != 3 or any(i < 0 or i >= verts.shape[1] for i in proj):
-            raise ValueError("projection must pick 3 valid coordinate indices")
         plines = []
         for row in verts[:, proj]:
             plines.append("v " + " ".join(f"{x:.17g}" for x in row))

@@ -5,6 +5,7 @@ import numpy as np
 from isomesh import build_chart, rotation
 from isomesh.cli import DEFAULT_ROTATION
 from isomesh.density import QuadMesh
+from isomesh.plmap import _seg_seg_distance
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
 
@@ -77,3 +78,72 @@ def random_isotropic_quadrilateral(rng, dim=4):
         pts[3] = pts[3] - (2.0 * liou / gg) * grad
         if abs(liouville_polygon(pts)) < 1e-12:
             return pts
+
+
+def box_close_pairs_brute(lo, hi, threshold):
+    """Reference all-pairs box query: (i, j), i < j, with gap norm <= threshold."""
+    n = lo.shape[0]
+    pairs = []
+    for i in range(n - 1):
+        gap = np.maximum(0.0, np.maximum(lo[i] - hi[i + 1 :], lo[i + 1 :] - hi[i]))
+        close = np.nonzero(np.linalg.norm(gap, axis=-1) <= threshold)[0]
+        pairs.extend((i, int(i + 1 + j)) for j in close)
+    return pairs
+
+
+_TRI_FACES = ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0), (0, 1, 2))
+
+
+def tri_tri_distance_lstsq(p, q, feas_tol=1e-9):
+    """Reference distance of two triangles, one ``lstsq`` per pair of faces.
+
+    Minimum over face pairs of the minimum-norm least-squares distance
+    between their affine hulls, counted when the minimizer's barycentric
+    coordinates are feasible within ``feas_tol``.
+    """
+    best = np.inf
+    for fp in _TRI_FACES:
+        for fq in _TRI_FACES:
+            ps, qs = p[list(fp)], q[list(fq)]
+            rhs = qs[0] - ps[0]
+            cols = [ps[k] - ps[0] for k in range(1, len(fp))]
+            cols += [-(qs[k] - qs[0]) for k in range(1, len(fq))]
+            if not cols:
+                best = min(best, float(np.linalg.norm(rhs)))
+                continue
+            mat = np.stack(cols, axis=-1)
+            sol = np.linalg.lstsq(mat, rhs, rcond=None)[0]
+            lam, nu = sol[: len(fp) - 1], sol[len(fp) - 1 :]
+            if any(
+                c.size and (c.min() < -feas_tol or c.sum() > 1.0 + feas_tol)
+                for c in (lam, nu)
+            ):
+                continue
+            best = min(best, float(np.linalg.norm(mat @ sol - rhs)))
+    return best
+
+
+def embedding_witnesses_brute(plm, tol):
+    """All-pairs reference for ``check_embedding``: brute box query, then one
+    distance per pair (non-shared closed faces for adjacent pairs)."""
+    threshold = tol * plm.edge_scale()
+    vals = plm.tri_values
+    vids = plm.tri_vertex_ids
+    witnesses = []
+    for i, j in box_close_pairs_brute(vals.min(axis=1), vals.max(axis=1), threshold):
+        shared = set(vids[i]) & set(vids[j])
+        if shared:
+            fa = [s for s in range(3) if vids[i][s] not in shared]
+            fb = [s for s in range(3) if vids[j][s] not in shared]
+            if not fa or not fb:
+                continue
+            dist = float(
+                _seg_seg_distance(
+                    vals[i][fa[0]], vals[i][fa[-1]], vals[j][fb[0]], vals[j][fb[-1]]
+                )
+            )
+        else:
+            dist = tri_tri_distance_lstsq(vals[i], vals[j])
+        if dist < threshold:
+            witnesses.append((i, j, dist))
+    return witnesses

@@ -208,6 +208,23 @@ class TestMain:
         path.write_text("tol = 0\n")
         assert main(["sample", "--config", str(path)]) == 2
 
+    def test_gamma_mismatch_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "gamma.cfg"
+        path.write_text("spec = clifford\nn = 4\ngamma = 1,0,0,2\n")
+        assert main(["sample", "--config", str(path)]) == 2
+        assert "gamma" in capsys.readouterr().err
+        # A gamma equal to the spec's basis is accepted.
+        path.write_text("spec = clifford\nn = 4\ngamma = 1,0,0,1\n")
+        assert main(["sample", "--config", str(path)]) == 0
+
+    def test_bad_projection_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "proj.cfg"
+        path.write_text("spec = clifford\nn = 4\nprojection = 0,1,7\n")
+        out = tmp_path / "mesh.symmesh"
+        assert main(["export", "--config", str(path), "--out", str(out)]) == 2
+        assert "projection" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]  # nothing written
+
     def test_solver_failure_exit_code(self, tmp_path):
         path = tmp_path / "hard.cfg"
         path.write_text("spec = product:figure8,circle\nn = 8\nmax_iter = 0\n")

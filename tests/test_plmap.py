@@ -2,8 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import identity_chart, rotated_chart
+from helpers import (
+    box_close_pairs_brute,
+    embedding_witnesses_brute,
+    identity_chart,
+    rotated_chart,
+)
 from isomesh import (
     build_chart,
     make_clifford,
@@ -17,12 +25,12 @@ from isomesh import (
     apex_refine,
     barycentric_apexes,
 )
+from isomesh.cli import PipelineConfig, run_pipeline
 from isomesh.plmap import (
     PLMap,
-    _box_close_pairs_brute,
-    _Bvh,
+    _box_close_pairs,
     _seg_seg_distance,
-    _tri_tri_distance,
+    _tri_tri_distances,
     build_pl,
     check_embedding,
     check_immersion,
@@ -272,45 +280,126 @@ class TestGeometryPrimitives:
         t1 = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
         # Separated parallel copy.
         t2 = t1 + np.array([0, 0, 2.0, 0])
-        assert _tri_tri_distance(t1, t2) == pytest.approx(2.0)
         # Transverse intersection through the interiors (planes x12 and x34).
         t3 = np.array(
             [[0.25, 0.25, -1, -1], [0.25, 0.25, 1, 0], [0.25, 0.25, 0, 1]],
             dtype=float,
         )
-        assert _tri_tri_distance(t1, t3) == pytest.approx(0.0, abs=1e-12)
         # Vertex near edge.
         t4 = t1 + np.array([0.5, 0.5, 0.1, 0.0])
-        d = _tri_tri_distance(t1, t4)
         brute = _brute_tri_distance(t1, t4)
-        assert d == pytest.approx(brute, abs=2e-3)
+        for batch in (
+            [_tri_tri_distances(t1[None], t[None])[0] for t in (t2, t3, t4)],
+            _tri_tri_distances(np.stack([t1] * 3), np.stack([t2, t3, t4])),
+        ):
+            assert batch[0] == pytest.approx(2.0)
+            assert batch[1] == pytest.approx(0.0, abs=1e-12)
+            assert batch[2] == pytest.approx(brute, abs=2e-3)
 
     def test_tri_tri_against_brute_force(self):
         rng = np.random.default_rng(9)
-        for _ in range(25):
-            t1 = rng.standard_normal((3, 4))
-            t2 = rng.standard_normal((3, 4)) + 0.5
-            exact = _tri_tri_distance(t1, t2)
-            brute = _brute_tri_distance(t1, t2)
-            assert exact <= brute + 1e-9
-            assert exact >= brute - 2e-2  # brute grid is coarse
+        pairs = [
+            (rng.standard_normal((3, 4)), rng.standard_normal((3, 4)) + 0.5)
+            for _ in range(25)
+        ]
+        p, q = (np.stack(side) for side in zip(*pairs))
+        many = _tri_tri_distances(p, q)
+        for k in range(25):
+            one = _tri_tri_distances(p[k : k + 1], q[k : k + 1])[0]
+            brute = _brute_tri_distance(p[k], q[k])
+            for exact in (one, many[k]):
+                assert exact <= brute + 1e-9
+                assert exact >= brute - 2e-2  # brute grid is coarse
 
-    def test_bvh_matches_brute_force(self):
+    @pytest.mark.parametrize(
+        "case, want",
+        [
+            # Coplanar, overlapping: a shifted copy in the same 2-plane.
+            ("coplanar", 0.0),
+            # Edges (0,0)-(1,0) and (0,-1)-(1,-1) parallel, offset 0.5 in x3.
+            ("parallel_edges", np.sqrt(1.25)),
+            # Collinear vertices: a segment one unit above the x12 plane.
+            ("zero_area", 1.0),
+            # Triangles in R^6 separated along x5, plus a random pair.
+            ("r6", 2.0),
+            ("r6_random", None),
+        ],
+    )
+    def test_tri_tri_degenerate_inputs(self, case, want):
+        base = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+        if case == "coplanar":
+            p, q = base, base + np.array([0.2, 0.2, 0.0, 0.0])
+        elif case == "parallel_edges":
+            p = base
+            q = np.array([[0, -1, 0.5, 0], [1, -1, 0.5, 0], [0.5, -2, 0.5, 0]])
+        elif case == "zero_area":
+            p = base
+            q = np.array([[0, 0, 1, 0], [1, 0, 1, 0], [2, 0, 1, 0]], dtype=float)
+        elif case == "r6":
+            p = np.hstack([base, np.zeros((3, 2))])
+            q = p + np.array([0, 0, 0, 0, 2.0, 0])
+        else:
+            rng = np.random.default_rng(12)
+            p = rng.standard_normal((3, 6))
+            q = rng.standard_normal((3, 6)) + 0.3
+        brute = _brute_tri_distance(p, q)
+        one = _tri_tri_distances(p[None], q[None])[0]
+        many = _tri_tri_distances(np.stack([q, p, p]), np.stack([p, q, p]))
+        for exact in (one, many[0], many[1]):
+            assert exact <= brute + 1e-9
+            assert exact >= brute - 2e-2
+            if want is not None:
+                assert exact == pytest.approx(want, abs=1e-12)
+        assert many[2] == 0.0
+
+    @staticmethod
+    def _assert_broadphase(lo, hi, threshold):
+        i, j = _box_close_pairs(lo, hi, threshold)
+        got = list(zip(i.tolist(), j.tolist()))
+        assert got == sorted(set(got))  # sorted, i < j, no duplicates
+        assert all(a < b for a, b in got)
+        assert set(got) == set(box_close_pairs_brute(lo, hi, threshold))
+        return got
+
+    def test_broadphase_matches_brute_force(self):
         rng = np.random.default_rng(10)
         pts = rng.standard_normal((200, 1, 4))
         lo = pts.min(axis=1) - 0.05
         hi = pts.max(axis=1) + 0.05
         for threshold in (0.0, 0.3):
-            got = set(_Bvh(lo, hi).close_pairs(threshold))
-            want = set(_box_close_pairs_brute(lo, hi, threshold))
-            assert got == want
-        # Construction-order independence: permuting the boxes yields the
-        # same pair set after relabeling.
+            self._assert_broadphase(lo, hi, threshold)
+        # Order independence: permuting the boxes yields the same pair set
+        # after relabeling.
         perm = rng.permutation(200)
-        got = set(_Bvh(lo[perm], hi[perm]).close_pairs(0.3))
-        relabeled = {tuple(sorted((perm[i], perm[j]))) for i, j in got}
-        want = set(_box_close_pairs_brute(lo, hi, 0.3))
-        assert relabeled == want
+        i, j = _box_close_pairs(lo[perm], hi[perm], 0.3)
+        relabeled = {tuple(sorted((perm[a], perm[b]))) for a, b in zip(i, j)}
+        assert relabeled == set(box_close_pairs_brute(lo, hi, 0.3))
+
+    def test_broadphase_zero_extent_boxes(self):
+        rng = np.random.default_rng(13)
+        # Points on a coarse grid: many coincide exactly.
+        pts = rng.integers(0, 3, size=(120, 4)).astype(float)
+        for threshold in (0.0, 0.5, 1.0):
+            got = self._assert_broadphase(pts, pts, threshold)
+            assert got
+        # All boxes identical points: every pair touches.
+        same = np.ones((6, 4))
+        assert len(self._assert_broadphase(same, same, 0.0)) == 15
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_broadphase_boxes_straddling_cell_boundaries(self, dim):
+        rng = np.random.default_rng(14 + dim)
+        threshold = 0.1
+        # A unit box fixes the cell edge at 1.2 and puts a cell boundary at
+        # 1.1 on every axis; small boxes crowd around that corner.
+        centers = 1.1 + rng.uniform(-0.09, 0.09, size=(80, dim))
+        half = rng.uniform(0.0, 0.05, size=(80, dim))
+        lo = np.vstack([np.zeros(dim), centers - half])
+        hi = np.vstack([np.ones(dim), centers + half])
+        straddle = ((lo - threshold < 1.1) & (hi + threshold > 1.1)).all(axis=1)
+        assert straddle[1:].all()
+        got = self._assert_broadphase(lo, hi, threshold)
+        assert any(a > 0 for a, _ in got)
 
 
 def _brute_tri_distance(t1, t2, res=24):
@@ -371,6 +460,62 @@ class TestChecks:
         )
         verdict = check_embedding(build_pl(folded), tol=1e-3)
         assert not verdict.passed
+
+
+#: Witness pairs of ``verify --spec product:figure8,circle --n 12
+#: --embedding-check`` (default tolerances), in the order check_embedding
+#: reports them.
+FIGURE8_N12_WITNESS_PAIRS = [
+    (2, 533), (3, 530), (4, 59), (5, 60), (9, 62), (64, 118), (64, 119),
+    (65, 118), (120, 175), (122, 179), (125, 178), (180, 235), (181, 236),
+    (238, 295), (241, 294), (296, 351), (297, 352), (354, 411), (356, 410),
+    (356, 411), (357, 410), (357, 412), (414, 471), (417, 470), (472, 527),
+    (473, 528),
+]
+
+
+class TestEmbeddingWitnesses:
+    def test_figure8_n12_witness_pairs(self):
+        cfg = PipelineConfig(spec="product:figure8,circle", n=12, embedding_check=True)
+        verdict = run_pipeline(cfg).embedding_check
+        assert not verdict.passed
+        assert [(i, j) for i, j, _ in verdict.witnesses] == FIGURE8_N12_WITNESS_PAIRS
+        for i, j, dist in verdict.witnesses:
+            assert type(i) is int and type(j) is int and type(dist) is float
+
+    def test_clifford_n16_embedded(self, clifford_sweep):
+        verdict = check_embedding(clifford_sweep[16]["plm"], tol=1e-6)
+        assert verdict.passed
+        assert verdict.witnesses == []
+
+    @given(
+        dim=st.sampled_from([4, 6]),
+        n=st.integers(1, 2),
+        tol=st.sampled_from([1e-6, 0.05, 0.15, 0.4]),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_all_pairs_reference(self, dim, n, tol, data):
+        # Triangle soups: random corner and apex values (on a coarse grid, so
+        # coplanar, parallel and zero-area triangles are common) and random
+        # target periods on a small chart.
+        chart = identity_chart(n)
+        grid = st.integers(-8, 8).map(lambda k: k / 8.0)
+        shape = (2 * chart.vertex_count + 2, dim)
+        values = data.draw(arrays(float, shape, elements=grid, fill=st.nothing()))
+        tri = TriMesh(
+            chart=chart,
+            corner_values=values[: chart.vertex_count],
+            apex_values=values[chart.vertex_count : -2],
+            target_periods=values[-2:],
+        )
+        plm = build_pl(tri)
+        got = check_embedding(plm, tol=tol)
+        want = embedding_witnesses_brute(plm, tol)
+        assert [w[:2] for w in got.witnesses] == [w[:2] for w in want]
+        assert got.passed == (not want)
+        for (_, _, d_got), (_, _, d_want) in zip(got.witnesses, want):
+            assert d_got == pytest.approx(d_want, rel=1e-9, abs=1e-12)
 
 
 class TestExport:
