@@ -16,14 +16,14 @@ import sys
 from isomesh.cli import PipelineConfig, convergence_study
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--spec", default="product:figure8,circle")
     parser.add_argument("--n-list", default="8,16,32,64")
     parser.add_argument("--embedding-check", action="store_true")
     parser.add_argument("--timings", action="store_true")
     parser.add_argument("--out")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     cfg = PipelineConfig(
         spec=args.spec,
         n_list=tuple(int(x) for x in args.n_list.split(",")),

@@ -13,7 +13,7 @@ import argparse
 import pathlib
 import sys
 
-from isomesh.cli import PipelineConfig, run_pipeline
+from isomesh.cli import PipelineConfig, format_report, run_pipeline
 from isomesh.plmap import export_mesh
 
 INSTANCES = {
@@ -23,11 +23,11 @@ INSTANCES = {
 }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n", type=int, default=16)
     parser.add_argument("--outdir", default="meshes")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, spec in INSTANCES.items():
@@ -36,8 +36,6 @@ def main() -> int:
         path = outdir / f"{name}.symmesh"
         export_mesh(res.plm, path, projection=(0, 1, 2))
         with open(f"{path}.report", "w") as handle:
-            from isomesh.cli import format_report
-
             handle.write(format_report(res.report))
         rep = res.report
         print(

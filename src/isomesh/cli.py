@@ -79,6 +79,10 @@ class PipelineConfig:
     timings: bool = False
 
     def validate(self):
+        for key in ("tol", "check_tol", "iso_tol", "rotation"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
         if self.n < 1:
@@ -95,6 +99,8 @@ class PipelineConfig:
             raise ConfigError("check_tol must be positive")
         if self.iso_tol is not None and self.iso_tol <= 0:
             raise ConfigError("iso_tol must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         return self
 
 

@@ -27,32 +27,31 @@ import numpy as np
 from .lattice import CellIndex, Chart
 from .symplectic import liouville_polygon, omega  # noqa: F401  (re-export)
 
-_CORNER_STEPS = ((0, 0), (1, 0), (1, 1), (0, 1))
+#: Index steps (dk, dl) from facet f_kl to its corners v_kl, v_{k+1,l},
+#: v_{k+1,l+1}, v_{k,l+1}.  Corner c of every facet sits at entry
+#: (1 + dk, 1 + dl) of ``Chart.neighbours``.
+CORNER_STEPS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.int64)
 
 
-def _corrected_lookup(chart, values, periods, k, l):
-    """Mesh values at raw indices, shifted by the target periods across wraps.
+def _period_shifted(values, shifts, periods):
+    """Values displaced by q1 u_1 + q2 u_2 for lattice shifts (..., 2) = (q1, q2).
 
     values[o] stores the canonical representative; a raw index displaced by
     M (q1, q2) picks up the target translation q1 u_1 + q2 u_2 where u_i is
     the target period attached to gamma_i.  Periodic meshes have u_i = 0 and
-    the lookup is plain coset resolution.
+    get the values unchanged.
     """
-    x, y, q1, q2 = chart.canonical_with_shift(k, l)
-    out = values[chart.offset_xy(x, y)]
-    if periods is not None and periods.any():
-        out = out + q1[..., None] * periods[0] + q2[..., None] * periods[1]
-    return out
+    if periods is None or not periods.any():
+        return values
+    q1, q2 = shifts[..., 0, None], shifts[..., 1, None]
+    return values + q1 * periods[0] + q2 * periods[1]
 
 
 def corner_value_table(chart, values, periods=None):
     """(F, 4, d) table of facet corner values A0..A3 in canonical facet order."""
-    kc, lc = chart.all_canonical()
-    cols = [
-        _corrected_lookup(chart, values, periods, kc + dk, lc + dl)
-        for dk, dl in _CORNER_STEPS
-    ]
-    return np.stack(cols, axis=1)
+    offsets, shifts = chart.neighbours
+    i, j = 1 + CORNER_STEPS.T
+    return _period_shifted(values[offsets[:, i, j]], shifts[:, i, j], periods)
 
 
 @dataclass
@@ -89,8 +88,11 @@ class QuadMesh:
 
     def values_at(self, k, l):
         """Values at raw vertex indices (arrays broadcast)."""
-        return _corrected_lookup(
-            self.chart, self.values, self.target_periods, k, l
+        x, y, q1, q2 = self.chart.canonical_with_shift(k, l)
+        return _period_shifted(
+            self.values[self.chart.offset_xy(x, y)],
+            np.stack([q1, q2], axis=-1),
+            self.target_periods,
         )
 
     def corner_table(self):
@@ -144,18 +146,18 @@ def facet_liouville(mesh: QuadMesh) -> FacetField:
     return FacetField(mesh.chart, liouville_polygon(quads))
 
 
-_DIAG_STEPS = {"u": (1, 1), "v": (-1, 1)}
+# Entries of Chart.neighbours for T_u (k+1, l+1) and T_v (k-1, l+1).
+_DIAG_CELLS = {"u": (2, 2), "v": (0, 2)}
 
 
 def finite_difference(f: FacetField, direction: str) -> FacetField:
     """Diagonal finite difference (N/sqrt 2)(phi(T f) - phi(f)) of a facet field."""
     try:
-        dk, dl = _DIAG_STEPS[direction]
+        i, j = _DIAG_CELLS[direction]
     except KeyError:
         raise ValueError(f"direction must be 'u' or 'v', got {direction!r}") from None
     chart = f.chart
-    kc, lc = chart.all_canonical()
-    shifted = f.values[chart.offset_of_raw(kc + dk, lc + dl)]
+    shifted = f.values[chart.neighbours[0][:, i, j]]
     s = chart.N / np.sqrt(2.0)
     return FacetField(chart, s * (shifted - f.values))
 

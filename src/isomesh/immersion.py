@@ -31,25 +31,6 @@ from .lattice import Chart
 from .refine import TriMesh
 from .symplectic import omega
 
-_FD_STEP = 1e-5
-
-
-def _finite_difference_jet(eval_fn: Callable, step: float = _FD_STEP) -> Callable:
-    """Central-difference jet for maps supplied without derivatives."""
-
-    def jet(p):
-        p = np.asarray(p, dtype=float)
-        e1 = np.zeros(2)
-        e1[0] = step
-        e2 = np.zeros(2)
-        e2[1] = step
-        val = eval_fn(p)
-        ds = (eval_fn(p + e1) - eval_fn(p - e1)) / (2.0 * step)
-        dt = (eval_fn(p + e2) - eval_fn(p - e2)) / (2.0 * step)
-        return val, np.stack([ds, dt], axis=-1)
-
-    return jet
-
 
 @dataclass
 class ImmersionSpec:
@@ -57,7 +38,7 @@ class ImmersionSpec:
 
     dim_n: int
     eval: Callable
-    jet: Callable | None
+    jet: Callable
     gamma_basis: np.ndarray
     target_periods: np.ndarray | None = None
     name: str = ""
@@ -68,8 +49,6 @@ class ImmersionSpec:
             self.target_periods = np.zeros((2, 2 * self.dim_n))
         else:
             self.target_periods = np.asarray(self.target_periods, dtype=float)
-        if self.jet is None:
-            self.jet = _finite_difference_jet(self.eval)
 
 
 @dataclass(frozen=True)

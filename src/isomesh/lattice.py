@@ -17,10 +17,17 @@ On the quotient, vertices and facets are indexed by integer pairs modulo the
 sublattice M Z^2; canonical representatives are computed from the column
 Hermite normal form H = M U (U unimodular), H = [[a, 0], [b, c]] with a, c > 0
 and 0 <= b < c, which gives exactly |det M| = a c cosets.
+
+Every facet-local computation (facet corners, diagonal translates, vertex
+stars, sub-triangles) reads one table, ``Chart.neighbours``: for each
+canonical index (x, y) the canonical offsets and lattice shifts of the 3x3
+raw neighbourhood (x + i - 1, y + j - 1), i, j in {0, 1, 2}.  Only lookups
+at arbitrary raw indices reduce them on the fly.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -178,6 +185,23 @@ class Chart:
         x = np.repeat(np.arange(a, dtype=np.int64), c)
         y = np.tile(np.arange(c, dtype=np.int64), a)
         return x, y
+
+    @cached_property
+    def neighbours(self):
+        """Canonical offsets (F, 3, 3) and lattice shifts (F, 3, 3, 2) of the
+        raw indices (x + i - 1, y + j - 1) around every canonical (x, y).
+
+        Entry [f, i, j] reduces the raw neighbour as (x', y') + M (q1, q2):
+        offsets holds offset_xy(x', y') and shifts holds (q1, q2).  A facet
+        step (dk, dl) with |dk|, |dl| <= 1 is entry [f, 1 + dk, 1 + dl].
+        """
+        x, y = self.all_canonical()
+        step = np.arange(-1, 2)
+        k, l = np.broadcast_arrays(
+            x[:, None, None] + step[:, None], y[:, None, None] + step
+        )
+        cx, cy, q1, q2 = self.canonical_with_shift(k, l)
+        return self.offset_xy(cx, cy), np.stack([q1, q2], axis=-1)
 
     # -- geometry -----------------------------------------------------------
 

@@ -25,12 +25,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import _corrected_lookup, corner_value_table
+from .density import CORNER_STEPS, _period_shifted
 from .immersion import ImmersionSpec
 from .refine import TriMesh
 from .symplectic import liouville_polygon, omega
 
-_CORNER_STEPS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.int64)
+# Corner slots (A_s, A_{s+1}) of sub-triangle s; its third vertex is the apex.
+_SUB_CORNERS = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
+
+
+def _sub_triangles(corners, apexes):
+    """(4F, 3, ...) sub-triangles from (F, 4, ...) corners and (F, ...) apexes.
+
+    Row 4 f + s is sub-triangle s of facet f: (A_s, A_{s+1}, z_f).
+    """
+    nfacets = apexes.shape[0]
+    apex = np.broadcast_to(apexes[:, None, None], (nfacets, 4, 1) + apexes.shape[1:])
+    tris = np.concatenate([corners[:, _SUB_CORNERS], apex], axis=2)
+    return tris.reshape((4 * nfacets, 3) + apexes.shape[1:])
 
 
 @dataclass
@@ -48,38 +60,14 @@ class PLMap:
         chart = tri.chart
         nfacets = chart.vertex_count
         kc, lc = chart.all_canonical()
-        corners = tri.corner_table()  # (F, 4, d)
-        apexes = tri.apex_values  # (F, d)
-        dim = tri.dim
-
-        vals = np.empty((nfacets, 4, 3, dim))
-        for s in range(4):
-            vals[:, s, 0] = corners[:, s]
-            vals[:, s, 1] = corners[:, (s + 1) % 4]
-            vals[:, s, 2] = apexes
-        self.tri_values = vals.reshape(4 * nfacets, 3, dim)
-
-        csrc = np.empty((nfacets, 4, 2))
-        for j, (dk, dl) in enumerate(_CORNER_STEPS):
-            csrc[:, j] = chart.position(kc + dk, lc + dl)
-        asrc = chart.facet_center(kc, lc)
-        src = np.empty((nfacets, 4, 3, 2))
-        for s in range(4):
-            src[:, s, 0] = csrc[:, s]
-            src[:, s, 1] = csrc[:, (s + 1) % 4]
-            src[:, s, 2] = asrc
-        self.tri_source = src.reshape(4 * nfacets, 3, 2)
-
-        cids = np.empty((nfacets, 4), dtype=np.int64)
-        for j, (dk, dl) in enumerate(_CORNER_STEPS):
-            cids[:, j] = chart.offset_of_raw(kc + dk, lc + dl)
-        aid = nfacets + np.arange(nfacets)
-        vids = np.empty((nfacets, 4, 3), dtype=np.int64)
-        for s in range(4):
-            vids[:, s, 0] = cids[:, s]
-            vids[:, s, 1] = cids[:, (s + 1) % 4]
-            vids[:, s, 2] = aid
-        self.tri_vertex_ids = vids.reshape(4 * nfacets, 3)
+        steps = CORNER_STEPS.T
+        self.tri_values = _sub_triangles(tri.corner_table(), tri.apex_values)
+        self.tri_source = _sub_triangles(
+            chart.position(kc[:, None] + steps[0], lc[:, None] + steps[1]),
+            chart.facet_center(kc, lc),
+        )
+        cids = chart.neighbours[0][:, 1 + steps[0], 1 + steps[1]]
+        self.tri_vertex_ids = _sub_triangles(cids, nfacets + np.arange(nfacets))
 
         e = np.stack(
             [
@@ -145,11 +133,10 @@ def eval_pl(plm: PLMap, p) -> np.ndarray:
     """Evaluate the PL map at plane points (..., 2).
 
     Point location: the facet is the floor of N A_N^{-1} p, the sub-triangle
-    follows from sign tests against the two facet diagonals; values at raw
-    facet indices resolve through the canonical representative (plus target
+    follows from sign tests against the two facet diagonals; a raw facet
+    index reads the triangle of its canonical representative (plus target
     periods for quasi-periodic meshes), so evaluation is Gamma-equivariant.
     """
-    tri = plm.tri
     chart = plm.chart
     p = np.asarray(p, dtype=float)
     scalar_input = p.ndim == 1
@@ -166,15 +153,11 @@ def eval_pl(plm: PLMap, p) -> np.ndarray:
     sub = np.where(
         d1 <= 0.0, np.where(d2 <= 0.0, 0, 1), np.where(d2 <= 0.0, 3, 2)
     )
-    corners = corner_value_table(chart, tri.corner_values, tri.target_periods)
-    off = chart.offset_of_raw(k, l)
-    _, _, q1, q2 = chart.canonical_with_shift(k, l)
-    shift = (
-        q1[..., None] * tri.target_periods[0] + q2[..., None] * tri.target_periods[1]
-    )
-    v0 = corners[off, sub] + shift
-    v1 = corners[off, (sub + 1) % 4] + shift
-    v2 = tri.apex_values[off] + shift
+    x, y, q1, q2 = chart.canonical_with_shift(k, l)
+    per = plm.tri.target_periods
+    shift = q1[..., None] * per[0] + q2[..., None] * per[1]
+    tris = plm.tri_values[4 * chart.offset_xy(x, y) + sub] + shift[..., None, :]
+    v0, v1, v2 = np.moveaxis(tris, -2, 0)
     local = np.stack([u, v], axis=-1) - _LOCAL_CORNERS[sub]
     lam = np.einsum("...ij,...j->...i", _LOCAL_EDGE_INV[sub], local)
     out = (
@@ -396,6 +379,9 @@ _STAR_TRIS = (
     ("B", 2, ((1, 0), (0, 0), "zB")),
     ("B", 3, ((0, 0), (0, -1), "zB")),
 )
+_STAR_STEPS = np.array([_STAR_FACETS[name] for name, _, _ in _STAR_TRIS])
+_STAR_SUBS = np.array([sub for _, sub, _ in _STAR_TRIS])
+_STAR_CORNER_STEPS = _STAR_STEPS[:, None] + CORNER_STEPS[_SUB_CORNERS[_STAR_SUBS]]
 
 
 def _pair_features(ids_a, ids_b):
@@ -426,37 +412,24 @@ def _segment_of(values, slots):
 
 
 def _star_values(plm: PLMap):
-    """(F, 8, 3, d) local star triangle values and (F, 8) global triangle ids."""
+    """(F, 8, 3, d) local star triangle values and (F, 8) global triangle ids.
+
+    Star triangle t of a vertex is sub-triangle _STAR_SUBS[t] of the facet at
+    step _STAR_STEPS[t] from it; all its vertices lie in the vertex's 3x3
+    neighbourhood, so every value is one lookup in ``Chart.neighbours``.
+    """
     tri = plm.tri
-    chart = plm.chart
-    nfacets = chart.vertex_count
-    xc, yc = chart.all_canonical()
-    per = tri.target_periods
-    dim = tri.dim
-    facet_vals = {}
-    facet_apex = {}
-    facet_off = {}
-    for name, (ox, oy) in _STAR_FACETS.items():
-        k = xc + ox
-        l = yc + oy
-        cv = np.empty((nfacets, 4, dim))
-        for j, (dk, dl) in enumerate(_CORNER_STEPS):
-            cv[:, j] = _corrected_lookup(chart, tri.corner_values, per, k + dk, l + dl)
-        x, y, q1, q2 = chart.canonical_with_shift(k, l)
-        off = chart.offset_xy(x, y)
-        shift = q1[:, None] * per[0] + q2[:, None] * per[1]
-        facet_vals[name] = cv
-        facet_apex[name] = tri.apex_values[off] + shift
-        facet_off[name] = off
-    star = np.empty((nfacets, 8, 3, dim))
-    tri_ids = np.empty((nfacets, 8), dtype=np.int64)
-    for t, (fname, sub, ids) in enumerate(_STAR_TRIS):
-        cv = facet_vals[fname]
-        star[:, t, 0] = cv[:, sub]
-        star[:, t, 1] = cv[:, (sub + 1) % 4]
-        star[:, t, 2] = facet_apex[fname]
-        tri_ids[:, t] = facet_off[fname] * 4 + sub
-    return star, tri_ids
+    offsets, shifts = plm.chart.neighbours
+    fi, fj = 1 + _STAR_STEPS.T
+    ci, cj = 1 + np.moveaxis(_STAR_CORNER_STEPS, -1, 0)
+    corners = _period_shifted(
+        tri.corner_values[offsets[:, ci, cj]], shifts[:, ci, cj], tri.target_periods
+    )
+    apexes = _period_shifted(
+        tri.apex_values[offsets[:, fi, fj]], shifts[:, fi, fj], tri.target_periods
+    )
+    star = np.concatenate([corners, apexes[:, :, None]], axis=2)
+    return star, 4 * offsets[:, fi, fj] + _STAR_SUBS
 
 
 def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
@@ -560,22 +533,12 @@ def export_mesh(plm: PLMap, path, projection=None) -> None:
     next to it at ``<path>.obj``.
     """
     tri = plm.tri
-    chart = plm.chart
-    nfacets = chart.vertex_count
     verts = np.vstack([tri.corner_values, tri.apex_values])
     if projection is not None:
         proj = tuple(int(i) for i in projection)
         if len(proj) != 3 or any(i < 0 or i >= verts.shape[1] for i in proj):
             raise ValueError("projection must pick 3 valid coordinate indices")
-    kc, lc = chart.all_canonical()
-    cids = np.stack(
-        [chart.offset_of_raw(kc + dk, lc + dl) for dk, dl in _CORNER_STEPS], axis=1
-    )
-    faces = np.empty((4 * nfacets, 3), dtype=np.int64)
-    for s in range(4):
-        faces[s::4, 0] = cids[:, s]
-        faces[s::4, 1] = cids[:, (s + 1) % 4]
-        faces[s::4, 2] = nfacets + np.arange(nfacets)
+    faces = plm.tri_vertex_ids
 
     lines = [f"symmesh {verts.shape[1]} {verts.shape[0]} {faces.shape[0]}"]
     for row in verts:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import lsqr
 
-from .density import QuadMesh, _diagonal_fields, symplectic_density
+from .density import CORNER_STEPS, QuadMesh, _diagonal_fields, symplectic_density
 from .symplectic import apply_j
 
 
@@ -53,28 +53,19 @@ def mu_jacobian(mesh: QuadMesh) -> sp.csr_matrix:
     chart = mesh.chart
     nfacets = chart.vertex_count
     dim = mesh.dim
-    kc, lc = chart.all_canonical()
-    offs = [
-        chart.offset_of_raw(kc + dk, lc + dl)
-        for dk, dl in ((0, 0), (1, 0), (1, 1), (0, 1))
-    ]
+    i, j = 1 + CORNER_STEPS.T
+    offs = chart.neighbours[0][:, i, j]
     u, v = _diagonal_fields(mesh)
     s = chart.N / np.sqrt(2.0)
     ju = apply_j(u)
     jv = apply_j(v)
-    # d mu / d x_{corner}: gradient wrt U is -J V, wrt V is J U.
-    blocks = [s * jv, -s * ju, -s * jv, s * ju]
-    rows = np.repeat(np.arange(nfacets), dim)
-    data = []
-    cols = []
-    row_idx = []
-    for corner, block in enumerate(blocks):
-        base = offs[corner][:, None] * dim + np.arange(dim)[None, :]
-        cols.append(base.ravel())
-        data.append(block.ravel())
-        row_idx.append(rows)
+    # d mu / d x_{corner}: gradient wrt U is -J V, wrt V is J U.  Entries are
+    # laid out corner by corner, (4, F, 2n).
+    data = np.stack([s * jv, -s * ju, -s * jv, s * ju])
+    cols = offs.T[:, :, None] * dim + np.arange(dim)
+    rows = np.broadcast_to(np.arange(nfacets)[:, None], cols.shape)
     mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(row_idx), np.concatenate(cols))),
+        (data.ravel(), (rows.ravel(), cols.ravel())),
         shape=(nfacets, nfacets * dim),
     )
     return mat.tocsr()

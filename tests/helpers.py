@@ -5,7 +5,13 @@ import numpy as np
 from isomesh import build_chart, rotation
 from isomesh.cli import DEFAULT_ROTATION
 from isomesh.density import QuadMesh
-from isomesh.plmap import _seg_seg_distance
+from isomesh.plmap import (
+    _LOCAL_CORNERS,
+    _LOCAL_EDGE_INV,
+    _STAR_FACETS,
+    _STAR_TRIS,
+    _seg_seg_distance,
+)
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
 
@@ -147,3 +153,97 @@ def embedding_witnesses_brute(plm, tol):
         if dist < threshold:
             witnesses.append((i, j, dist))
     return witnesses
+
+
+# -- raw-index references for the facet-neighbour table ----------------------
+
+_CORNER_STEPS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def corrected_lookup(chart, values, periods, k, l):
+    """Reference lookup at raw indices: canonical value plus q1 u_1 + q2 u_2."""
+    x, y, q1, q2 = chart.canonical_with_shift(k, l)
+    out = values[chart.offset_xy(x, y)]
+    if periods is not None and periods.any():
+        out = out + q1[..., None] * periods[0] + q2[..., None] * periods[1]
+    return out
+
+
+def corner_values_reference(chart, values, periods):
+    """(F, 4, d) facet corner values, one raw lookup per corner."""
+    kc, lc = chart.all_canonical()
+    cols = [
+        corrected_lookup(chart, values, periods, kc + dk, lc + dl)
+        for dk, dl in _CORNER_STEPS
+    ]
+    return np.stack(cols, axis=1)
+
+
+def tri_vertex_ids_reference(chart):
+    """(4F, 3) sub-triangle vertex ids from raw corner offsets; apexes follow
+    the F corners."""
+    nfacets = chart.vertex_count
+    kc, lc = chart.all_canonical()
+    cids = [chart.offset_of_raw(kc + dk, lc + dl) for dk, dl in _CORNER_STEPS]
+    aid = nfacets + np.arange(nfacets)
+    vids = np.stack(
+        [np.stack([cids[s], cids[(s + 1) % 4], aid], axis=-1) for s in range(4)],
+        axis=1,
+    )
+    return vids.reshape(4 * nfacets, 3)
+
+
+def star_values_reference(plm):
+    """(F, 8, 3, d) star triangle values and (F, 8) triangle ids, looked up
+    per star facet and per corner at raw indices."""
+    tri = plm.tri
+    chart = plm.chart
+    per = tri.target_periods
+    xc, yc = chart.all_canonical()
+    facets = {}
+    for name, (ox, oy) in _STAR_FACETS.items():
+        k, l = xc + ox, yc + oy
+        corners = np.stack(
+            [
+                corrected_lookup(chart, tri.corner_values, per, k + dk, l + dl)
+                for dk, dl in _CORNER_STEPS
+            ],
+            axis=1,
+        )
+        x, y, q1, q2 = chart.canonical_with_shift(k, l)
+        off = chart.offset_xy(x, y)
+        apex = tri.apex_values[off] + q1[:, None] * per[0] + q2[:, None] * per[1]
+        facets[name] = (corners, apex, off)
+    star = np.empty((chart.vertex_count, 8, 3, tri.dim))
+    ids = np.empty((chart.vertex_count, 8), dtype=np.int64)
+    for t, (name, sub, _) in enumerate(_STAR_TRIS):
+        corners, apex, off = facets[name]
+        star[:, t, 0] = corners[:, sub]
+        star[:, t, 1] = corners[:, (sub + 1) % 4]
+        star[:, t, 2] = apex
+        ids[:, t] = 4 * off + sub
+    return star, ids
+
+
+def eval_pl_reference(plm, p):
+    """PL map at plane points (n, 2): point location, then the corner table
+    of the raw facet index plus its period translation."""
+    tri = plm.tri
+    chart = plm.chart
+    xi = chart.N * np.einsum("ij,nj->ni", np.linalg.inv(chart.a_matrix), p)
+    k = np.floor(xi[:, 0]).astype(np.int64)
+    l = np.floor(xi[:, 1]).astype(np.int64)
+    u, v = xi[:, 0] - k, xi[:, 1] - l
+    d1, d2 = v - u, u + v - 1.0
+    sub = np.where(d1 <= 0.0, np.where(d2 <= 0.0, 0, 1), np.where(d2 <= 0.0, 3, 2))
+    corners = corner_values_reference(chart, tri.corner_values, tri.target_periods)
+    per = tri.target_periods
+    x, y, q1, q2 = chart.canonical_with_shift(k, l)
+    off = chart.offset_xy(x, y)
+    shift = q1[:, None] * per[0] + q2[:, None] * per[1]
+    v0 = corners[off, sub] + shift
+    v1 = corners[off, (sub + 1) % 4] + shift
+    v2 = tri.apex_values[off] + shift
+    local = np.stack([u, v], axis=-1) - _LOCAL_CORNERS[sub]
+    lam = np.einsum("nij,nj->ni", _LOCAL_EDGE_INV[sub], local)
+    return v0 + lam[:, 0:1] * (v1 - v0) + lam[:, 1:2] * (v2 - v0)

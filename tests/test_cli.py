@@ -208,6 +208,28 @@ class TestMain:
         path.write_text("tol = 0\n")
         assert main(["sample", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "check_tol = nan",  # nan <= 0 is false: every certificate passed
+            "tol = nan",
+            "tol = inf",
+            "iso_tol = nan",
+            "rotation = nan",
+            "rotation = inf",
+            "seed = -1",
+        ],
+    )
+    def test_non_finite_or_negative_is_config_error(self, tmp_path, capsys, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"spec = product:figure8,circle\nn = 12\n{line}\n")
+        assert main(["verify", "--config", str(path), "--embedding-check"]) == 2
+        assert line.split()[0] in capsys.readouterr().err
+
+    def test_negative_seed_flag_is_config_error(self, capsys):
+        assert main(["sample", "--n", "80", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_gamma_mismatch_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "gamma.cfg"
         path.write_text("spec = clifford\nn = 4\ngamma = 1,0,0,2\n")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import hex_basis, rotated_chart
@@ -141,6 +141,35 @@ class TestCanonicalIndex:
             for l in range(-12, 13)
         }
         assert len(seen) == det
+
+
+class TestNeighbours:
+    @given(
+        st.integers(1, 12),
+        st.floats(-np.pi, np.pi),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_canonical_with_shift(self, n, theta, hexagonal):
+        basis = hex_basis() if hexagonal else np.eye(2)
+        try:
+            ch = build_chart(basis, rotation(theta), n)
+        except DegenerateLattice:
+            assume(False)
+        offsets, shifts = ch.neighbours
+        assert offsets.shape == (ch.vertex_count, 3, 3)
+        assert shifts.shape == (ch.vertex_count, 3, 3, 2)
+        kc, lc = ch.all_canonical()
+        for i in range(3):
+            for j in range(3):
+                x, y, q1, q2 = ch.canonical_with_shift(kc + i - 1, lc + j - 1)
+                assert np.array_equal(offsets[:, i, j], ch.offset_xy(x, y))
+                assert np.array_equal(shifts[:, i, j, 0], q1)
+                assert np.array_equal(shifts[:, i, j, 1], q2)
+
+    def test_computed_once(self):
+        ch = rotated_chart(6, hex_basis())
+        assert ch.neighbours is ch.neighbours
 
 
 class TestVertexPosition:

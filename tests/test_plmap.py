@@ -8,9 +8,14 @@ from hypothesis.extra.numpy import arrays
 
 from helpers import (
     box_close_pairs_brute,
+    corner_values_reference,
     embedding_witnesses_brute,
+    eval_pl_reference,
+    hex_basis,
     identity_chart,
     rotated_chart,
+    star_values_reference,
+    tri_vertex_ids_reference,
 )
 from isomesh import (
     build_chart,
@@ -26,9 +31,11 @@ from isomesh import (
     barycentric_apexes,
 )
 from isomesh.cli import PipelineConfig, run_pipeline
+from isomesh.density import corner_value_table
 from isomesh.plmap import (
     PLMap,
     _box_close_pairs,
+    _star_values,
     _seg_seg_distance,
     _tri_tri_distances,
     build_pl,
@@ -156,6 +163,59 @@ class TestEvaluation:
             up = eval_pl(plm, p + [0, eps])
             down = eval_pl(plm, p - [0, eps])
             assert np.abs(up - down).max() <= 1e-6
+
+
+class TestNeighbourTableReference:
+    """Table-driven lookups against raw-index lookups on a hex chart.
+
+    Random non-zero target periods make a wrong lattice shift visible; on
+    periodic meshes every shift is multiplied by zero.
+    """
+
+    @pytest.fixture(params=[(7, 0), (5, 1), (9, 2)], ids=lambda p: f"N{p[0]}")
+    def plm(self, request):
+        n, seed = request.param
+        rng = np.random.default_rng(seed)
+        chart = rotated_chart(n, hex_basis())
+        f = chart.vertex_count
+        return PLMap(
+            TriMesh(
+                chart=chart,
+                corner_values=rng.uniform(-1.0, 1.0, (f, 4)),
+                apex_values=rng.uniform(-1.0, 1.0, (f, 4)),
+                target_periods=rng.uniform(-1.0, 1.0, (2, 4)),
+            )
+        )
+
+    def test_corner_value_table(self, plm):
+        tri = plm.tri
+        got = corner_value_table(plm.chart, tri.corner_values, tri.target_periods)
+        want = corner_values_reference(plm.chart, tri.corner_values, tri.target_periods)
+        assert np.array_equal(got, want)
+
+    def test_tri_vertex_ids(self, plm):
+        assert np.array_equal(plm.tri_vertex_ids, tri_vertex_ids_reference(plm.chart))
+
+    def test_star_values(self, plm):
+        star, ids = _star_values(plm)
+        want_star, want_ids = star_values_reference(plm)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(star[:, :, :2], want_star[:, :, :2])
+        # Apexes add the two period terms in another order: (v + a) + b
+        # against v + (a + b).
+        assert np.abs(star[:, :, 2] - want_star[:, :, 2]).max() <= 1e-15
+
+    def test_star_values_periodic_exact(self, plm):
+        tri = plm.tri
+        periodic = PLMap(TriMesh(tri.chart, tri.corner_values, tri.apex_values))
+        star, ids = _star_values(periodic)
+        want_star, want_ids = star_values_reference(periodic)
+        assert np.array_equal(ids, want_ids)
+        assert np.array_equal(star, want_star)
+
+    def test_eval_pl(self, plm):
+        pts = np.random.default_rng(3).uniform(-2.0, 2.0, (400, 2))
+        assert np.array_equal(eval_pl(plm, pts), eval_pl_reference(plm, pts))
 
 
 class TestDifferential:
