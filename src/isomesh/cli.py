@@ -2,8 +2,9 @@
 
 The pipeline is sample -> project to the isotropic meshes -> optimal-apex
 refinement -> PL map -> certification (isotropy, immersion, optionally
-embedding) -> export.  A convergence study runs the pipeline over a list of
-subdivisions and fits log-log slopes for every norm column.
+embedding) -> export.  Stages run on first use, so a report key pulls in
+only the stages it needs.  A convergence study runs the pipeline over a list
+of subdivisions and fits log-log slopes for every norm column.
 
 Configuration is a flat key=value text file ([section] headers are allowed
 and ignored); every key can also be set programmatically and the common ones
@@ -17,6 +18,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property, wraps
 
 import numpy as np
 
@@ -196,132 +198,168 @@ def chart_for(cfg: PipelineConfig, spec, n: int | None = None):
     return build_chart(basis, rotation(cfg.rotation), n if n is not None else cfg.n)
 
 
-@dataclass
-class PipelineResult:
-    chart: object
-    spec: object
-    tau: object
-    rho: object
-    solve_report: object
-    tri: object
-    plm: object
-    report: dict
-    stage_seconds: dict = field(default_factory=dict)
-    immersion_check: object = None
-    embedding_check: object = None
+def _stage(name: str):
+    """Cached Pipeline attribute whose own work counts to stage ``name``."""
+
+    def decorate(method):
+        return cached_property(wraps(method)(lambda self: self.timed(name, method)))
+
+    return decorate
 
 
-def run_pipeline(cfg: PipelineConfig, n: int | None = None) -> PipelineResult:
-    """Run the full pipeline at one subdivision and collect a report.
+class Pipeline:
+    """The pipeline at one subdivision; each stage runs on first use, at most once.
 
-    Raises ConfigError for malformed input; solver and refinement errors
-    propagate with their stage recorded in the message.
+    ``report`` holds the keys evaluated so far.  ``stage_seconds`` holds the
+    wall time of each stage's own work, without the stages it pulled in.
     """
-    cfg.validate()
-    n = cfg.n if n is None else n
-    times = {}
-    try:
-        spec = spec_from_name(cfg.spec)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    check_spec_config(cfg, spec)
 
-    t0 = time.perf_counter()
-    chart = chart_for(cfg, spec, n)
-    tau = sample_quad(spec, chart)
-    tau_tri = sample_tri(spec, chart)
-    mu = symplectic_density(tau)
-    mu_c0 = weak_norm(mu, "C0")
-    mu_c1w = weak_norm(mu, "C1_w")
-    mu_holder = weak_norm(mu, "C0alpha_w", alpha=cfg.alpha, seed=cfg.seed)
-    liou_max = float(np.abs(facet_liouville(tau).values).max())
-    times["sample"] = time.perf_counter() - t0
+    def __init__(self, cfg: PipelineConfig, n: int | None = None):
+        self.cfg = cfg.validate()
+        self.n = cfg.n if n is None else n
+        try:
+            self.spec = spec_from_name(cfg.spec)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        check_spec_config(cfg, self.spec)
+        self.report = {}
+        self.stage_seconds = {}
+        self._nested = []  # seconds of the stages run inside each open stage
 
-    t0 = time.perf_counter()
-    rho, solve_report = project_isotropic(
-        tau, tol=cfg.tol, max_iter=cfg.max_iter, max_halvings=cfg.max_halvings
-    )
-    times["solve"] = time.perf_counter() - t0
+    def timed(self, stage: str, compute):
+        """``compute(self)``; its time less that of nested stages counts to ``stage``."""
+        self._nested.append(0.0)
+        t0 = time.perf_counter()
+        value = compute(self)
+        elapsed = time.perf_counter() - t0
+        own = elapsed - self._nested.pop()
+        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + own
+        if self._nested:
+            self._nested[-1] += elapsed
+        return value
 
-    t0 = time.perf_counter()
-    iso_tol = cfg.iso_tol if cfg.iso_tol is not None else 10.0 * cfg.tol * n * n
-    tri = apex_refine(rho, iso_tol=iso_tol)
-    hat = barycentric_apexes(rho)
-    apex_offset = float(
-        np.linalg.norm(tri.apex_values - hat.apex_values, axis=1).max()
-    )
-    tri_c0 = max(
-        float(np.linalg.norm(tri.corner_values - tau_tri.corner_values, axis=1).max()),
-        float(np.linalg.norm(tri.apex_values - tau_tri.apex_values, axis=1).max()),
-    )
-    times["refine"] = time.perf_counter() - t0
+    @_stage("sample")
+    def chart(self):
+        return chart_for(self.cfg, self.spec, self.n)
 
-    t0 = time.perf_counter()
-    plm = build_pl(tri)
-    pl_c0 = distance_c0(plm, spec, oversample=cfg.oversample)
-    pl_c1 = distance_c1(plm, spec, oversample=cfg.oversample)
-    interp = build_pl(tau_tri)
-    interp_c0 = distance_c0(interp, spec, oversample=cfg.oversample)
-    times["build"] = time.perf_counter() - t0
+    @_stage("sample")
+    def tau(self):
+        return sample_quad(self.spec, self.chart)
 
-    t0 = time.perf_counter()
-    residuals = pl_isotropy_residual(plm)
-    scale = plm.edge_scale()
-    iso_pass = bool(residuals.max() <= ISO_CERT_FACTOR * scale * scale)
-    immersion = check_immersion(plm, tol=cfg.check_tol)
-    if cfg.embedding_check:
-        embedding = check_embedding(plm, tol=cfg.check_tol)
-        embedding_text = "pass" if embedding.passed else "fail"
-    else:
-        embedding = None
-        embedding_text = "skipped"
-    times["verify"] = time.perf_counter() - t0
+    @_stage("sample")
+    def tau_tri(self):
+        return sample_tri(self.spec, self.chart)
 
-    report = {
-        "spec": spec.name,
-        "n": n,
-        "facets": chart.vertex_count,
-        "mu_c0": mu_c0,
-        "mu_c1w": mu_c1w,
-        "mu_holder": mu_holder,
-        "liouville_max": liou_max,
-        "solve_iterations": solve_report.iterations,
-        "solve_residual_c0": solve_report.residual_c0,
-        "correction_c0": solve_report.correction_c0,
-        "apex_offset_max": apex_offset,
-        "tri_c0": tri_c0,
-        "pl_c0": pl_c0,
-        "pl_c1": pl_c1,
-        "interp_c0": interp_c0,
-        "iso_residual_max": float(residuals.max()),
-        "iso_scale": scale,
-        "isotropy": "pass" if iso_pass else "fail",
-        "immersion": "pass" if immersion.passed else "fail",
-        "embedding": embedding_text,
-    }
-    return PipelineResult(
-        chart=chart,
-        spec=spec,
-        tau=tau,
-        rho=rho,
-        solve_report=solve_report,
-        tri=tri,
-        plm=plm,
-        report=report,
-        stage_seconds=times,
-        immersion_check=immersion,
-        embedding_check=embedding,
-    )
+    @_stage("sample")
+    def mu(self):
+        return symplectic_density(self.tau)
+
+    @_stage("solve")
+    def solved(self):
+        cfg = self.cfg
+        return project_isotropic(
+            self.tau, tol=cfg.tol, max_iter=cfg.max_iter, max_halvings=cfg.max_halvings
+        )
+
+    rho = property(lambda self: self.solved[0])
+    solve_report = property(lambda self: self.solved[1])
+
+    @_stage("refine")
+    def tri(self):
+        cfg, n = self.cfg, self.n
+        iso_tol = cfg.iso_tol if cfg.iso_tol is not None else 10.0 * cfg.tol * n * n
+        return apex_refine(self.rho, iso_tol=iso_tol)
+
+    @_stage("build")
+    def plm(self):
+        return build_pl(self.tri)
+
+    @_stage("verify")
+    def iso_certificate(self):
+        """(max per-triangle isotropy residual, edge scale, passed) of the PL map."""
+        residual, scale = float(pl_isotropy_residual(self.plm).max()), self.plm.edge_scale()
+        return residual, scale, residual <= ISO_CERT_FACTOR * scale * scale
+
+    @_stage("verify")
+    def immersion_check(self):
+        return check_immersion(self.plm, tol=self.cfg.check_tol)
+
+    @_stage("verify")
+    def embedding_check(self):
+        """The embedding verdict, or None unless ``embedding_check`` is set."""
+        if self.cfg.embedding_check:
+            return check_embedding(self.plm, tol=self.cfg.check_tol)
+        return None
+
+
+def _verdict(passed) -> str:
+    return "pass" if passed else "fail"
+
+
+def _sup(offsets) -> float:
+    return float(np.linalg.norm(offsets, axis=1).max())
+
+
+def _tri_c0(a, b) -> float:
+    return max(_sup(a.corner_values - b.corner_values), _sup(a.apex_values - b.apex_values))
+
+
+#: Report keys in output order -> (stage the key's own work counts to, its
+#: value computed from a Pipeline).  A key pulls in only the stages it reads.
+_REPORT_FIELDS = {
+    "spec": ("sample", lambda p: p.spec.name),
+    "n": ("sample", lambda p: p.n),
+    "facets": ("sample", lambda p: p.chart.vertex_count),
+    "mu_c0": ("sample", lambda p: weak_norm(p.mu, "C0")),
+    "mu_c1w": ("sample", lambda p: weak_norm(p.mu, "C1_w")),
+    "mu_holder": (
+        "sample", lambda p: weak_norm(p.mu, "C0alpha_w", alpha=p.cfg.alpha, seed=p.cfg.seed)
+    ),
+    "liouville_max": ("sample", lambda p: float(np.abs(facet_liouville(p.tau).values).max())),
+    "solve_iterations": ("solve", lambda p: p.solve_report.iterations),
+    "solve_residual_c0": ("solve", lambda p: p.solve_report.residual_c0),
+    "correction_c0": ("solve", lambda p: p.solve_report.correction_c0),
+    "apex_offset_max": (
+        "refine", lambda p: _sup(p.tri.apex_values - barycentric_apexes(p.rho).apex_values)
+    ),
+    "tri_c0": ("refine", lambda p: _tri_c0(p.tri, p.tau_tri)),
+    "pl_c0": ("build", lambda p: distance_c0(p.plm, p.spec, oversample=p.cfg.oversample)),
+    "pl_c1": ("build", lambda p: distance_c1(p.plm, p.spec, oversample=p.cfg.oversample)),
+    "interp_c0": (
+        "build", lambda p: distance_c0(build_pl(p.tau_tri), p.spec, oversample=p.cfg.oversample)
+    ),
+    "iso_residual_max": ("verify", lambda p: p.iso_certificate[0]),
+    "iso_scale": ("verify", lambda p: p.iso_certificate[1]),
+    "isotropy": ("verify", lambda p: _verdict(p.iso_certificate[2])),
+    "immersion": ("verify", lambda p: _verdict(p.immersion_check.passed)),
+    "embedding": (
+        "verify",
+        lambda p: "skipped" if p.embedding_check is None else _verdict(p.embedding_check.passed),
+    ),
+}
+
+
+def run_pipeline(cfg: PipelineConfig, n: int | None = None, keys=None) -> Pipeline:
+    """Evaluate ``keys`` of the report (all when None) at one subdivision.
+
+    Keys are evaluated in report order and run only the stages they need;
+    the returned Pipeline runs any other stage on first use.  Raises
+    ConfigError for malformed input; solver and refinement errors propagate
+    from the stage that raises them.
+    """
+    run = Pipeline(cfg, n)
+    for key, (stage, value) in _REPORT_FIELDS.items():
+        if keys is None or key in keys:
+            run.report[key] = run.timed(stage, value)
+    return run
+
+
+def _text(value) -> str:
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
 
 
 def format_report(report: dict) -> str:
-    lines = []
-    for key, value in report.items():
-        if isinstance(value, float):
-            lines.append(f"{key} = {value:.17g}")
-        else:
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_text(value)}\n" for key, value in report.items())
 
 
 def fit_slope(pairs) -> float:
@@ -345,28 +383,13 @@ def fit_slope(pairs) -> float:
 @dataclass
 class StudyRow:
     n: int
-    mu_c0: float | None = None
-    mu_c1w: float | None = None
-    mu_holder: float | None = None
-    correction_c0: float | None = None
-    tri_c0: float | None = None
-    pl_c0: float | None = None
-    pl_c1: float | None = None
-    immersion: str = "NA"
-    embedding: str = "NA"
+    report: dict = field(default_factory=dict)
     wall_times: dict = field(default_factory=dict)
     error: str | None = None
 
 
-_STUDY_COLUMNS = (
-    "mu_c0",
-    "mu_c1w",
-    "mu_holder",
-    "correction_c0",
-    "tri_c0",
-    "pl_c0",
-    "pl_c1",
-)
+_STUDY_COLUMNS = ("mu_c0", "mu_c1w", "mu_holder", "correction_c0", "tri_c0", "pl_c0", "pl_c1")
+_STUDY_KEYS = (*_STUDY_COLUMNS, "immersion", "embedding")
 _STAGES = ("sample", "solve", "refine", "build", "verify")
 
 
@@ -392,49 +415,31 @@ def convergence_study(cfg: PipelineConfig, n_list=None) -> StudyResult:
     rows = []
     for n in n_list:
         try:
-            res = run_pipeline(cfg, n=n)
-            rep = res.report
-            rows.append(
-                StudyRow(
-                    n=n,
-                    mu_c0=rep["mu_c0"],
-                    mu_c1w=rep["mu_c1w"],
-                    mu_holder=rep["mu_holder"],
-                    correction_c0=rep["correction_c0"],
-                    tri_c0=rep["tri_c0"],
-                    pl_c0=rep["pl_c0"],
-                    pl_c1=rep["pl_c1"],
-                    immersion=rep["immersion"],
-                    embedding=rep["embedding"],
-                    wall_times=res.stage_seconds,
-                )
-            )
+            res = run_pipeline(cfg, n=n, keys=_STUDY_KEYS)
+            rows.append(StudyRow(n=n, report=res.report, wall_times=res.stage_seconds))
         except (MaxIterExceeded, LinearSolveFailure, NotIsotropic, DegenerateLattice) as exc:
             rows.append(StudyRow(n=n, error=f"{type(exc).__name__}: {exc}"))
     slopes = {}
     for col in _STUDY_COLUMNS:
-        pairs = [(r.n, getattr(r, col)) for r in rows if r.error is None]
         try:
-            slopes[col] = fit_slope([(n, v) for n, v in pairs if v is not None])
+            slopes[col] = fit_slope([(r.n, r.report[col]) for r in rows if r.error is None])
         except (NonPositiveValue, ValueError):
             slopes[col] = None
-    header = ["n", *_STUDY_COLUMNS, "immersion", "embedding"]
+    header = ["n", *_STUDY_KEYS]
     if cfg.timings:
         header += [f"t_{stage}" for stage in _STAGES]
     lines = [",".join(header)]
     for row in rows:
         if row.error is not None:
-            cells = [str(row.n)] + ["NA"] * len(_STUDY_COLUMNS) + ["NA", "NA"]
+            cells = [str(row.n)] + ["NA"] * len(_STUDY_KEYS)
             if cfg.timings:
                 cells += ["NA"] * len(_STAGES)
             lines.append(",".join(cells))
             lines.append(f"# n={row.n} failed: {row.error}")
             continue
-        cells = [str(row.n)]
-        cells += [f"{getattr(row, col):.17g}" for col in _STUDY_COLUMNS]
-        cells += [row.immersion, row.embedding]
+        cells = [str(row.n), *(_text(row.report[key]) for key in _STUDY_KEYS)]
         if cfg.timings:
-            cells += [f"{row.wall_times.get(stage, 0.0):.3f}" for stage in _STAGES]
+            cells += [f"{row.wall_times[stage]:.3f}" for stage in _STAGES]
         lines.append(",".join(cells))
     for col in _STUDY_COLUMNS:
         value = slopes[col]
@@ -464,6 +469,9 @@ config file keys (key = value, one per line; defaults in parentheses):
   embedding_check run the all-pairs embedding test      (false)
   seed            seed for sampled-pair norms           (0)
   out             output path (mesh or table)           (none)
+                  subcommands run only the stages their printed keys
+                  need, and exit 3 only from those; with out, every
+                  stage runs, as the full report is written there
   projection      3 coordinate indices for .obj export  (none)
   n_list          study subdivisions, comma separated   (8,16,32,64)
   timings         append wall-time columns to studies   (false)
@@ -506,13 +514,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {
-        "spec": args.spec,
-        "n": args.n,
-        "tol": args.tol,
-        "out": args.out,
-        "seed": args.seed,
-    }
+    overrides = {key: getattr(args, key) for key in ("spec", "n", "tol", "out", "seed")}
     if args.embedding_check:
         overrides["embedding_check"] = True
     return load_config(args.config, overrides)
@@ -559,26 +561,23 @@ def main(argv=None) -> int:
             print("config error: export needs --out", file=sys.stderr)
             return EXIT_CONFIG
 
-        res = run_pipeline(cfg)
+        # A subcommand prints its keys; export prints, and --out writes, the full report.
         keys = _REPORT_KEYS.get(args.command)
-        report = res.report if keys is None else {k: res.report[k] for k in keys}
-        text = format_report(report)
-        sys.stdout.write(text)
+        res = run_pipeline(cfg, keys=None if cfg.out else keys)
+        printed = res.report if keys is None else {k: res.report[k] for k in keys}
+        sys.stdout.write(format_report(printed))
 
         if args.command == "export":
             export_mesh(res.plm, cfg.out, projection=cfg.projection)
-            with open(f"{cfg.out}.report", "w") as handle:
-                handle.write(format_report(res.report))
-        elif cfg.out:
-            with open(cfg.out, "w") as handle:
+        if cfg.out:
+            path = f"{cfg.out}.report" if args.command == "export" else cfg.out
+            with open(path, "w") as handle:
                 handle.write(format_report(res.report))
 
-        if args.command == "verify":
-            failed = res.report["isotropy"] != "pass" or res.report["immersion"] != "pass"
-            if cfg.embedding_check and res.report["embedding"] != "pass":
-                failed = True
-            if failed:
-                return EXIT_CERTIFICATION
+        # An embedding check that did not run reports "skipped", not "fail".
+        verdicts = ("isotropy", "immersion", "embedding")
+        if args.command == "verify" and "fail" in (res.report[k] for k in verdicts):
+            return EXIT_CERTIFICATION
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -109,8 +109,8 @@ def figure_eight() -> PlaneCurve:
 def make_clifford(r1: float, r2: float) -> ImmersionSpec:
     """Product-of-circles torus (r1 cos 2 pi s, r1 sin 2 pi s, r2 cos 2 pi t,
     r2 sin 2 pi t); embedded and isotropic, integer period lattice."""
-    if r1 <= 0 or r2 <= 0:
-        raise ValueError("radii must be positive")
+    if not (0 < r1 < np.inf and 0 < r2 < np.inf):  # false for nan too
+        raise ValueError("radii must be positive and finite")
 
     def evaluate(p):
         p = np.asarray(p, dtype=float)

@@ -1,9 +1,13 @@
 """Configuration, pipeline orchestration, studies, slope fitting, exit codes."""
 
+import time
+
 import numpy as np
 import pytest
 
+import isomesh.cli
 from isomesh.cli import (
+    _REPORT_KEYS,
     ConfigError,
     NonPositiveValue,
     PipelineConfig,
@@ -122,6 +126,63 @@ class TestRunPipeline:
         # Two code paths, one quantity: mu_c0 * N^-2 vs max |liouville|.
         assert abs(r["mu_c0"] / 64.0 - r["liouville_max"]) <= 1e-12
         assert r["embedding"] == "skipped"
+
+
+class TestLazyStages:
+    @pytest.mark.parametrize("spec", ["clifford", "product:figure8,circle"])
+    def test_printed_keys_match_full_report(self, tmp_path, capsys, spec):
+        full = run_pipeline(PipelineConfig(spec=spec, n=8)).report
+        for command, keys in _REPORT_KEYS.items():
+            assert main([command, "--spec", spec, "--n", "8"]) == 0
+            assert capsys.readouterr().out == format_report({k: full[k] for k in keys})
+        out = tmp_path / "verify.report"
+        assert main(["verify", "--spec", spec, "--n", "8", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == format_report(
+            {k: full[k] for k in _REPORT_KEYS["verify"]}
+        )
+        assert out.read_text() == format_report(full)
+
+    @pytest.mark.parametrize(
+        "command, unused",
+        [
+            (
+                "verify",
+                ("distance_c0", "distance_c1", "sample_tri", "weak_norm",
+                 "facet_liouville", "barycentric_apexes", "check_embedding"),
+            ),
+            ("sample", ("project_isotropic",)),
+        ],
+    )
+    def test_subcommand_runs_only_its_stages(self, monkeypatch, capsys, command, unused):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("stage not needed by the printed keys")
+
+        for name in unused:
+            monkeypatch.setattr(isomesh.cli, name, forbidden)
+        assert main([command, "--spec", "product:figure8,circle", "--n", "8"]) == 0
+
+    def test_stage_seconds_count_own_work_only(self):
+        cfg = PipelineConfig(spec="product:figure8,circle", n=16)
+        t0 = time.perf_counter()
+        res = run_pipeline(cfg, keys=_REPORT_KEYS["verify"])
+        wall = time.perf_counter() - t0
+        # The verify keys pull in every earlier stage; each counts once.
+        assert set(res.stage_seconds) == {"sample", "solve", "refine", "build", "verify"}
+        assert all(t >= 0.0 for t in res.stage_seconds.values())
+        assert sum(res.stage_seconds.values()) <= wall
+
+    def test_stages_run_once(self, monkeypatch):
+        calls = []
+        original = isomesh.cli.project_isotropic
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(isomesh.cli, "project_isotropic", counted)
+        res = run_pipeline(PipelineConfig(spec="product:figure8,circle", n=6))
+        assert res.rho is not None and res.solve_report.iterations >= 0
+        assert len(calls) == 1
 
 
 class TestStudy:
@@ -251,6 +312,29 @@ class TestMain:
         path = tmp_path / "hard.cfg"
         path.write_text("spec = product:figure8,circle\nn = 8\nmax_iter = 0\n")
         assert main(["solve", "--config", str(path)]) == 3
+
+    @pytest.mark.parametrize(
+        "spec", ["clifford:nan,1", "clifford:1,nan", "clifford:inf,1", "clifford:1e400,1"]
+    )
+    def test_non_finite_radii_are_config_error(self, capsys, spec):
+        assert main(["verify", "--spec", spec, "--n", "6"]) == 2
+        assert "radii" in capsys.readouterr().err
+
+    def test_sample_needs_no_solver(self, tmp_path, capsys):
+        path = tmp_path / "hard.cfg"
+        path.write_text("spec = product:figure8,circle\nn = 8\nmax_iter = 0\n")
+        assert main(["sample", "--config", str(path)]) == 0
+        assert "mu_c0 = " in capsys.readouterr().out
+
+    def test_solve_needs_no_refinement(self, capsys):
+        argv = ["--spec", "product:figure8,circle", "--n", "8", "--tol", "1e-4"]
+        assert main(["solve", *argv]) == 0
+        out = capsys.readouterr().out
+        residual = float(out.split("solve_residual_c0 = ")[1].split()[0])
+        assert residual <= 1e-4
+        # Refinement's isotropy gate rejects this loose solve.
+        assert main(["refine", *argv]) == 3
+        assert "NotIsotropic" in capsys.readouterr().err
 
     def test_certification_failure_exit_code(self, tmp_path):
         # The figure-eight torus self-intersects: embedding check fails.

@@ -50,3 +50,16 @@ def test_convergence_study(tmp_path, capsys, to_file):
     )
     assert [line.split(",")[0] for line in lines[1:4]] == ["4", "6", "8"]
     assert sum(line.startswith("# slope ") for line in lines) == 7
+
+
+def test_convergence_study_timings(capsys):
+    study = load_script("convergence_study")
+    assert study.main(["--n-list", "4,6,8", "--timings"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    stages = [i for i, name in enumerate(header) if name.startswith("t_")]
+    assert [header[i] for i in stages] == ["t_sample", "t_solve", "t_refine", "t_build", "t_verify"]
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    assert len(rows) == 3
+    for cells in rows:
+        assert all(float(cells[i]) >= 0.0 for i in stages)
