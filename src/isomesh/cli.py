@@ -17,6 +17,7 @@ import argparse
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property, wraps
 
@@ -65,11 +66,9 @@ class PipelineConfig:
     spec: str = "clifford"
     n: int = 16
     rotation: float = DEFAULT_ROTATION
-    gamma: tuple[float, float, float, float] | None = None
     tol: float = 1e-10
     max_iter: int = 50
     max_halvings: int = 10
-    iso_tol: float | None = None
     oversample: int = 4
     alpha: float = 0.5
     check_tol: float = 1e-6
@@ -81,14 +80,16 @@ class PipelineConfig:
     timings: bool = False
 
     def validate(self):
-        for key in ("tol", "check_tol", "iso_tol", "rotation"):
+        for key in ("tol", "check_tol", "rotation"):
             value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
         if self.n < 1:
             raise ConfigError("n must be a positive integer")
+        if any(n < 1 for n in self.n_list):
+            raise ConfigError("n_list entries must be positive integers")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
         if self.max_halvings < 0:
@@ -99,8 +100,6 @@ class PipelineConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         if self.check_tol <= 0:
             raise ConfigError("check_tol must be positive")
-        if self.iso_tol is not None and self.iso_tol <= 0:
-            raise ConfigError("iso_tol must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self
@@ -120,11 +119,9 @@ _CONFIG_PARSERS = {
     "spec": str,
     "n": int,
     "rotation": float,
-    "gamma": lambda s: tuple(float(x) for x in s.split(",")),
     "tol": float,
     "max_iter": int,
     "max_halvings": int,
-    "iso_tol": float,
     "oversample": int,
     "alpha": float,
     "check_tol": float,
@@ -170,32 +167,20 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
         cfg = replace(cfg, **{key: value})
-    if cfg.gamma is not None and len(cfg.gamma) != 4:
-        raise ConfigError("gamma must be 4 comma-separated floats b11,b21,b12,b22")
     if cfg.projection is not None and len(cfg.projection) != 3:
         raise ConfigError("projection must be 3 comma-separated coordinate indices")
     return cfg.validate()
 
 
 def check_spec_config(cfg: PipelineConfig, spec) -> None:
-    """Raise ConfigError for keys that contradict the spec (gamma, projection)."""
-    if cfg.gamma is not None:
-        basis = np.array(cfg.gamma, dtype=float).reshape(2, 2, order="F")
-        if not np.allclose(basis, spec.gamma_basis, atol=1e-12):
-            raise ConfigError(
-                f"gamma {','.join(f'{x:g}' for x in cfg.gamma)} differs from the "
-                f"period basis of spec {spec.name!r}"
-            )
+    """Raise ConfigError for projection indices outside the spec's dimension."""
     dim = 2 * spec.dim_n
     if cfg.projection is not None and not all(0 <= i < dim for i in cfg.projection):
         raise ConfigError(f"projection indices must lie in 0..{dim - 1} for spec {spec.name!r}")
 
 
 def chart_for(cfg: PipelineConfig, spec, n: int | None = None):
-    basis = spec.gamma_basis
-    if cfg.gamma is not None:
-        basis = np.array(cfg.gamma, dtype=float).reshape(2, 2, order="F")
-    return build_chart(basis, rotation(cfg.rotation), n if n is not None else cfg.n)
+    return build_chart(spec.gamma_basis, rotation(cfg.rotation), cfg.n if n is None else n)
 
 
 def _stage(name: str):
@@ -266,9 +251,7 @@ class Pipeline:
 
     @_stage("refine")
     def tri(self):
-        cfg, n = self.cfg, self.n
-        iso_tol = cfg.iso_tol if cfg.iso_tol is not None else 10.0 * cfg.tol * n * n
-        return apex_refine(self.rho, iso_tol=iso_tol)
+        return apex_refine(self.rho)
 
     @_stage("build")
     def plm(self):
@@ -457,12 +440,9 @@ config file keys (key = value, one per line; defaults in parentheses):
                   flat-plane; curves: circle, figure8   (clifford)
   n               subdivision count                     (16)
   rotation        chart reference isometry angle, rad   (atan(1/2) ~ 0.46365)
-  gamma           period basis b11,b21,b12,b22; must    (from spec)
-                  equal the spec's basis
   tol             solver residual tolerance             (1e-10)
   max_iter        solver iteration budget               (50)
   max_halvings    solver step-halving budget            (10)
-  iso_tol         refine isotropy precondition          (10 * tol * n^2)
   oversample      distance sample grid per triangle     (4)
   alpha           Hoelder exponent for weak norms       (0.5)
   check_tol       immersion/embedding tolerance         (1e-6)
@@ -539,6 +519,16 @@ _REPORT_KEYS = {
 }
 
 
+@contextmanager
+def _writing(path):
+    """Report an OSError raised while writing ``path`` as a ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        target = exc.filename or path
+        raise ConfigError(f"cannot write {target}: {exc.strerror or exc}") from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
@@ -551,7 +541,7 @@ def main(argv=None) -> int:
         if args.command == "study":
             result = convergence_study(cfg)
             if cfg.out:
-                with open(cfg.out, "w") as handle:
+                with _writing(cfg.out), open(cfg.out, "w") as handle:
                     handle.write(result.table)
             else:
                 sys.stdout.write(result.table)
@@ -568,10 +558,11 @@ def main(argv=None) -> int:
         sys.stdout.write(format_report(printed))
 
         if args.command == "export":
-            export_mesh(res.plm, cfg.out, projection=cfg.projection)
+            with _writing(cfg.out):
+                export_mesh(res.plm, cfg.out, projection=cfg.projection)
         if cfg.out:
             path = f"{cfg.out}.report" if args.command == "export" else cfg.out
-            with open(path, "w") as handle:
+            with _writing(path), open(path, "w") as handle:
                 handle.write(format_report(res.report))
 
         # An embedding check that did not run reports "skipped", not "fail".

@@ -21,7 +21,7 @@ Built-in instances:
 * flat-plane              -- the affine isotropic map (s, 0, t, 0).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -111,41 +111,8 @@ def make_clifford(r1: float, r2: float) -> ImmersionSpec:
     r2 sin 2 pi t); embedded and isotropic, integer period lattice."""
     if not (0 < r1 < np.inf and 0 < r2 < np.inf):  # false for nan too
         raise ValueError("radii must be positive and finite")
-
-    def evaluate(p):
-        p = np.asarray(p, dtype=float)
-        ws = 2.0 * np.pi * p[..., 0]
-        wt = 2.0 * np.pi * p[..., 1]
-        return np.stack(
-            [r1 * np.cos(ws), r1 * np.sin(ws), r2 * np.cos(wt), r2 * np.sin(wt)],
-            axis=-1,
-        )
-
-    def jet(p):
-        p = np.asarray(p, dtype=float)
-        ws = 2.0 * np.pi * p[..., 0]
-        wt = 2.0 * np.pi * p[..., 1]
-        val = np.stack(
-            [r1 * np.cos(ws), r1 * np.sin(ws), r2 * np.cos(wt), r2 * np.sin(wt)],
-            axis=-1,
-        )
-        zero = np.zeros_like(ws)
-        ds = np.stack(
-            [-2.0 * np.pi * r1 * np.sin(ws), 2.0 * np.pi * r1 * np.cos(ws), zero, zero],
-            axis=-1,
-        )
-        dt = np.stack(
-            [zero, zero, -2.0 * np.pi * r2 * np.sin(wt), 2.0 * np.pi * r2 * np.cos(wt)],
-            axis=-1,
-        )
-        return val, np.stack([ds, dt], axis=-1)
-
-    return ImmersionSpec(
-        dim_n=2,
-        eval=evaluate,
-        jet=jet,
-        gamma_basis=np.eye(2),
-        name=f"clifford:{r1:g},{r2:g}",
+    return replace(
+        make_product_torus(circle(r1), circle(r2)), name=f"clifford:{r1:g},{r2:g}"
     )
 
 

@@ -109,20 +109,15 @@ def _edge_scale(quads):
     return np.linalg.norm(edges, axis=-1).max(axis=-1)
 
 
-def _optimal_apexes(quads, iso_tol, facet_labels=None):
-    """Batched optimal apexes for (..., 4, 2n) quadrilaterals."""
+def _optimal_apexes(quads, facet_labels=None):
+    """Batched optimal apexes for (..., 4, 2n) quadrilaterals.
+
+    The one isotropy gate: every apex-triangle residual r_i must stay within
+    a limit scaled by the edge length.  It bounds the Liouville integral L as
+    well, since the r_i sum to 2L, so max |r_i| >= |L| / 2.
+    """
     quads = np.asarray(quads, dtype=float)
-    liou = np.atleast_1d(liouville_polygon(quads))
     flat = quads.reshape(-1, 4, quads.shape[-1])
-    bad = np.nonzero(np.abs(liou.ravel()) > iso_tol)[0]
-    if bad.size:
-        i = int(bad[0])
-        label = facet_labels[i] if facet_labels is not None else i
-        raise NotIsotropic(
-            f"facet {label}: |liouville| = {abs(liou.ravel()[i]):.3e} exceeds "
-            f"iso_tol = {iso_tol:.3e}",
-            facet=label,
-        )
     g = flat.mean(axis=1)
     rows, rhs = apex_constraints(flat)
     shifted = rhs - np.einsum("fij,fj->fi", rows, g)
@@ -140,57 +135,53 @@ def _optimal_apexes(quads, iso_tol, facet_labels=None):
         i = int(bad[0])
         label = facet_labels[i] if facet_labels is not None else i
         raise NotIsotropic(
-            f"facet {label}: apex system inconsistent, residual "
-            f"{resid[i]:.3e} > {limit[i]:.3e}",
+            f"facet {label}: isotropy residual {resid[i]:.3e} exceeds its limit "
+            f"{limit[i]:.3e} (liouville integral {liouville_polygon(flat[i]):.3e})",
             facet=label,
         )
     return apex.reshape(quads.shape[:-2] + (quads.shape[-1],))
 
 
-def optimal_apex(a0, a1, a2, a3, iso_tol: float = 1e-9) -> np.ndarray:
+def optimal_apex(a0, a1, a2, a3) -> np.ndarray:
     """Apex closest to the barycenter making all four pyramid faces isotropic.
 
-    Requires the quadrilateral to be isotropic within ``iso_tol`` (Liouville
-    integral of the boundary); a planar isotropic parallelogram returns its
-    barycenter exactly, a fully degenerate quadrilateral returns the repeated
-    point.
+    Raises NotIsotropic unless the quadrilateral is isotropic (Liouville
+    integral of the boundary zero); a planar isotropic parallelogram returns
+    its barycenter exactly, a fully degenerate quadrilateral returns the
+    repeated point.
     """
     quad = np.stack(
         [np.asarray(p, dtype=float) for p in (a0, a1, a2, a3)], axis=0
     )
-    return _optimal_apexes(quad[None], iso_tol)[0]
+    return _optimal_apexes(quad[None])[0]
 
 
-def quad_dimension(a0, a1, a2, a3, rank_tol: float = 1e-10) -> int:
+def quad_dimension(a0, a1, a2, a3) -> int:
     """Dimension of the affine span of the quadrilateral (0 to 3).
 
     Numerical rank of the three edge vectors from A0; singular values below
-    rank_tol times the largest count as zero.  For isotropic quadrilaterals
-    this equals the codimension of the isotropic-apex solution space.
+    the apex solve's SVD cutoff times the largest count as zero.  For
+    isotropic quadrilaterals this equals the codimension of the isotropic-apex
+    solution space.
     """
     pts = np.stack([np.asarray(p, dtype=float) for p in (a0, a1, a2, a3)])
     edges = pts[1:] - pts[0]
     s = np.linalg.svd(edges, compute_uv=False)
     if s[0] <= 0.0:
         return 0
-    return int(np.sum(s > rank_tol * s[0]))
+    return int(np.sum(s > _SVD_CUTOFF * s[0]))
 
 
-def apex_refine(mesh: QuadMesh, iso_tol: float | None = None) -> TriMesh:
+def apex_refine(mesh: QuadMesh) -> TriMesh:
     """Optimal-apex triangular refinement of an isotropic quadrangular mesh.
 
-    ``iso_tol`` bounds the per-facet Liouville integral; the default
-    10 * 1e-10 * N^2 matches a solver residual tolerance of 1e-10 on the
-    density (the Liouville integral is N^{-2} mu).  Raises NotIsotropic with
-    the offending facet index when a quadrilateral fails the compatibility
-    condition.
+    Raises NotIsotropic with the offending facet index when a quadrilateral
+    fails the compatibility condition.
     """
-    if iso_tol is None:
-        iso_tol = 10.0 * 1e-10 * mesh.chart.N**2
     quads = mesh.corner_table()
     kc, lc = mesh.chart.all_canonical()
     labels = [(int(k), int(l)) for k, l in zip(kc, lc)]
-    apexes = _optimal_apexes(quads, iso_tol, facet_labels=labels)
+    apexes = _optimal_apexes(quads, facet_labels=labels)
     return TriMesh(
         chart=mesh.chart,
         corner_values=mesh.values.copy(),

@@ -26,6 +26,9 @@ from scipy.sparse.linalg import lsqr
 from .density import CORNER_STEPS, QuadMesh, _diagonal_fields, symplectic_density
 from .symplectic import apply_j
 
+#: LSQR stopping tolerance (atol and btol) of each inner least-squares solve.
+_LSQR_TOL = 1e-12
+
 
 class MaxIterExceeded(RuntimeError):
     """Residual above tolerance after the iteration budget."""
@@ -75,7 +78,6 @@ def project_isotropic(
     tau0: QuadMesh,
     tol: float = 1e-10,
     max_iter: int = 50,
-    inner_tol: float = 1e-12,
     max_halvings: int = 10,
 ) -> tuple[QuadMesh, SolveReport]:
     """Project a quadrangular mesh onto the isotropic meshes, min-norm steps.
@@ -106,7 +108,7 @@ def project_isotropic(
             )
         jac = mu_jacobian(mesh)
         rhs = -(mu - mu.mean())
-        result = lsqr(jac, rhs, atol=inner_tol, btol=inner_tol, iter_lim=iter_lim)
+        result = lsqr(jac, rhs, atol=_LSQR_TOL, btol=_LSQR_TOL, iter_lim=iter_lim)
         delta, istop = result[0], result[1]
         if istop not in (0, 1, 2, 4, 5):
             raise LinearSolveFailure(f"lsqr stopped with istop={istop}")

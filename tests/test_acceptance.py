@@ -213,13 +213,13 @@ def test_c06_apex_correctness():
     # Planar isotropic parallelograms return their barycenter.
     for _ in range(20):
         pts = random_isotropic_plane_parallelogram(rng)
-        apex = optimal_apex(*pts, iso_tol=1e-9)
+        apex = optimal_apex(*pts)
         scale = max(1.0, float(np.abs(pts).max()))
         ok &= float(np.abs(apex - pts.mean(axis=0)).max()) <= 1e-12 * scale
     # Random non-planar isotropic quadrilaterals.
     for _ in range(100):
         pts = random_isotropic_quadrilateral(rng)
-        apex = optimal_apex(*pts, iso_tol=1e-9)
+        apex = optimal_apex(*pts)
         rows, rhs = apex_constraints(pts)
         ok &= float(np.abs(rows @ apex - rhs).max()) <= 1e-11
         g = pts.mean(axis=0)

@@ -1,5 +1,6 @@
 """Configuration, pipeline orchestration, studies, slope fitting, exit codes."""
 
+import re
 import time
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 import isomesh.cli
 from isomesh.cli import (
+    _CONFIG_HELP,
+    _CONFIG_PARSERS,
     _REPORT_KEYS,
     ConfigError,
     NonPositiveValue,
@@ -96,6 +99,15 @@ class TestConfig:
             path.write_text(text)
             with pytest.raises(ConfigError):
                 load_config(str(path))
+
+    def test_keys_agree_across_fields_parsers_and_help(self):
+        fields = set(PipelineConfig.__dataclass_fields__)
+        helped = {
+            line.split()[0]
+            for line in _CONFIG_HELP.splitlines()
+            if line.startswith("  ") and not line[2].isspace()
+        }
+        assert fields == set(_CONFIG_PARSERS) == helped
 
     def test_unknown_spec_is_config_error(self):
         cfg = PipelineConfig(spec="moebius")
@@ -279,6 +291,7 @@ class TestMain:
             "rotation = nan",
             "rotation = inf",
             "seed = -1",
+            "n_list = 0,4,8",
         ],
     )
     def test_non_finite_or_negative_is_config_error(self, tmp_path, capsys, line):
@@ -296,9 +309,10 @@ class TestMain:
         path.write_text("spec = clifford\nn = 4\ngamma = 1,0,0,2\n")
         assert main(["sample", "--config", str(path)]) == 2
         assert "gamma" in capsys.readouterr().err
-        # A gamma equal to the spec's basis is accepted.
+        # gamma is no config key: even the spec's own basis is rejected.
         path.write_text("spec = clifford\nn = 4\ngamma = 1,0,0,1\n")
-        assert main(["sample", "--config", str(path)]) == 0
+        assert main(["sample", "--config", str(path)]) == 2
+        assert "unknown config key 'gamma'" in capsys.readouterr().err
 
     def test_bad_projection_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "proj.cfg"
@@ -334,7 +348,20 @@ class TestMain:
         assert residual <= 1e-4
         # Refinement's isotropy gate rejects this loose solve.
         assert main(["refine", *argv]) == 3
-        assert "NotIsotropic" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "NotIsotropic" in err
+        assert re.search(r"isotropy residual \S+ exceeds its limit \S+", err)
+        assert re.search(r"\(liouville integral \S+\)", err)
+
+    @pytest.mark.parametrize(
+        "command, extra", [("export", ""), ("verify", ""), ("study", "n_list = 2,3,4\n")]
+    )
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys, command, extra):
+        path = tmp_path / "out.cfg"
+        path.write_text(f"spec = flat-plane\nn = 4\n{extra}")
+        assert main([command, "--config", str(path), "--out", "/nonexistent/d/x"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write /nonexistent/d/")
 
     def test_certification_failure_exit_code(self, tmp_path):
         # The figure-eight torus self-intersects: embedding check fails.

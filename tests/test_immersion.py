@@ -92,12 +92,27 @@ def test_non_isotropic_defect_value():
 
 
 class TestProductTorus:
-    def test_circle_circle_matches_clifford(self):
-        prod = make_product_torus(circle(1.0), circle(1.0))
-        cliff = make_clifford(1.0, 1.0)
+    @pytest.mark.parametrize("radii", [(1.0, 1.0), (1.0, 2.0), (0.3, 5.5)])
+    def test_circle_circle_matches_clifford(self, radii):
+        prod = make_product_torus(circle(radii[0]), circle(radii[1]))
+        cliff = make_clifford(*radii)
         rng = np.random.default_rng(0)
         pts = rng.uniform(-2, 2, size=(50, 2))
-        assert np.abs(prod.eval(pts) - cliff.eval(pts)).max() <= 1e-14
+        assert np.array_equal(prod.eval(pts), cliff.eval(pts))
+        for got, want in zip(cliff.jet(pts), prod.jet(pts)):
+            assert np.array_equal(got, want)
+        # The closed form (r1 cos 2 pi s, r1 sin 2 pi s, r2 cos 2 pi t, r2 sin 2 pi t).
+        (r1, r2), (ws, wt) = radii, 2.0 * np.pi * pts.T
+        zero = np.zeros_like(ws)
+        value = np.stack(
+            [r1 * np.cos(ws), r1 * np.sin(ws), r2 * np.cos(wt), r2 * np.sin(wt)], axis=-1
+        )
+        ds = [-2.0 * np.pi * r1 * np.sin(ws), 2.0 * np.pi * r1 * np.cos(ws), zero, zero]
+        dt = [zero, zero, -2.0 * np.pi * r2 * np.sin(wt), 2.0 * np.pi * r2 * np.cos(wt)]
+        deriv = np.stack([np.stack(ds, axis=-1), np.stack(dt, axis=-1)], axis=-1)
+        assert np.array_equal(cliff.eval(pts), value)
+        assert np.array_equal(cliff.jet(pts)[0], value)
+        assert np.array_equal(cliff.jet(pts)[1], deriv)
 
     def test_always_isotropic(self):
         assert smooth_isotropy_defect(

@@ -63,28 +63,28 @@ class TestOptimalApex:
         pts = np.array(
             [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 0]], dtype=float
         )
-        apex = optimal_apex(*pts, iso_tol=1e-12)
+        apex = optimal_apex(*pts)
         assert np.abs(apex - pts.mean(axis=0)).max() <= 1e-12
 
     def test_random_parallelograms(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             pts = random_isotropic_plane_parallelogram(rng)
-            apex = optimal_apex(*pts, iso_tol=1e-9)
+            apex = optimal_apex(*pts)
             assert np.abs(apex - pts.mean(axis=0)).max() <= 1e-12 * max(
                 1.0, np.abs(pts).max()
             )
 
     def test_degenerate_point(self):
         q = np.array([0.3, -1.2, 0.7, 2.0])
-        apex = optimal_apex(q, q, q, q, iso_tol=1e-12)
+        apex = optimal_apex(q, q, q, q)
         assert np.allclose(apex, q)
 
     def test_random_isotropic_quadrilaterals(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             pts = random_isotropic_quadrilateral(rng)
-            apex = optimal_apex(*pts, iso_tol=1e-9)
+            apex = optimal_apex(*pts)
             rows, rhs = apex_constraints(pts)
             # All four constraints hold.
             assert np.abs(rows @ apex - rhs).max() <= 1e-11
@@ -104,12 +104,12 @@ class TestOptimalApex:
     def test_equivariance(self):
         rng = np.random.default_rng(3)
         pts = random_isotropic_quadrilateral(rng)
-        apex = optimal_apex(*pts, iso_tol=1e-9)
+        apex = optimal_apex(*pts)
         for _ in range(5):
             a = random_unitary_symplectic(2, rng)
             c = rng.standard_normal(4)
             mapped = pts @ a.T + c
-            mapped_apex = optimal_apex(*mapped, iso_tol=1e-9)
+            mapped_apex = optimal_apex(*mapped)
             assert np.abs(mapped_apex - (a @ apex + c)).max() <= 1e-10
 
     def test_non_isotropic_raises(self):
@@ -120,7 +120,7 @@ class TestOptimalApex:
             if abs(liou) < 1e-3:
                 continue
             with pytest.raises(NotIsotropic):
-                optimal_apex(*pts, iso_tol=1e-6)
+                optimal_apex(*pts)
             # Feasibility <=> isotropy: the least-squares residual of the
             # apex system is bounded below by |liouville| / 2 in sup norm
             # (the four residuals always sum to 2x the Liouville integral).
@@ -181,7 +181,7 @@ class TestApexRefine:
         rng = np.random.default_rng(6)
         mesh = random_mesh(identity_chart(4), rng)
         with pytest.raises(NotIsotropic) as err:
-            apex_refine(mesh, iso_tol=1e-9)
+            apex_refine(mesh)
         assert err.value.facet is not None
 
     def test_counts(self):
