@@ -15,6 +15,7 @@ emitted only when explicitly enabled).
 
 import argparse
 import math
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -90,6 +91,8 @@ class PipelineConfig:
             raise ConfigError("n must be a positive integer")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be positive integers")
+        if len(self.n_list) < 3 or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
+            raise ConfigError("n_list needs at least 3 strictly increasing entries")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
         if self.max_halvings < 0:
@@ -387,16 +390,12 @@ def convergence_study(cfg: PipelineConfig, n_list=None) -> StudyResult:
     """Run the pipeline per N, fit log-log slopes, emit a CSV table.
 
     Slope lines are appended as a ``#``-prefixed summary block; per-N
-    failures produce NA rows with a failure marker comment.  Needs at least
-    3 subdivisions.
+    failures produce NA rows with a failure marker comment.  An explicit
+    ``n_list`` replaces ``cfg.n_list`` and is validated like it.
     """
-    n_list = tuple(cfg.n_list if n_list is None else n_list)
-    if len(n_list) < 3:
-        raise ConfigError("n_list needs at least 3 entries")
-    if any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ConfigError("n_list must be strictly increasing")
+    cfg = replace(cfg, n_list=tuple(cfg.n_list if n_list is None else n_list)).validate()
     rows = []
-    for n in n_list:
+    for n in cfg.n_list:
         try:
             res = run_pipeline(cfg, n=n, keys=_STUDY_KEYS)
             rows.append(StudyRow(n=n, report=res.report, wall_times=res.stage_seconds))
@@ -538,6 +537,17 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     try:
+        # Probe every output path before any stage runs; drop files the probe creates.
+        outputs = [cfg.out] if cfg.out else []
+        if outputs and args.command == "export":
+            outputs += [f"{cfg.out}.report"] + [f"{cfg.out}.obj"] * (cfg.projection is not None)
+        for path in outputs:
+            existed = os.path.lexists(path)
+            with _writing(path), open(path, "a"):
+                pass
+            if not existed:
+                os.remove(path)
+
         if args.command == "study":
             result = convergence_study(cfg)
             if cfg.out:

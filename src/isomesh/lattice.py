@@ -18,8 +18,8 @@ sublattice M Z^2; canonical representatives are computed from the column
 Hermite normal form H = M U (U unimodular), H = [[a, 0], [b, c]] with a, c > 0
 and 0 <= b < c, which gives exactly |det M| = a c cosets.
 
-Every facet-local computation (facet corners, diagonal translates, vertex
-stars, sub-triangles) reads one table, ``Chart.neighbours``: for each
+Every facet-local computation (facet corners, diagonal translates,
+sub-triangle vertex ids) reads one table, ``Chart.neighbours``: for each
 canonical index (x, y) the canonical offsets and lattice shifts of the 3x3
 raw neighbourhood (x + i - 1, y + j - 1), i, j in {0, 1, 2}.  Only lookups
 at arbitrary raw indices reduce them on the fly.

@@ -12,12 +12,12 @@ are constant, so PL isotropy is the finite list of residuals
 |omega(B - A, C - A)| over triangles, which equals exactly twice the
 Liouville integral around the triangle boundary.
 
-Topology checks are tolerance-based floating point: immersion = nondegenerate
-differentials plus pairwise star separation beyond shared simplices;
-embedding = no two non-adjacent triangle images within tol * scale.  Candidate
-pairs come from a uniform grid over the axis-aligned triangle boxes in
-R^{2n}; exact pair distances come from convex minimization over barycentric
-coordinates, solved for all candidate pairs in one batch per face pair.
+Topology checks are tolerance-based floating point, against tol * scale.
+One predicate, ``_adjacent_distances``, judges pairs of triangles that share
+a vertex id: all of them (from sorting ``tri_vertex_ids``) for immersion, the
+adjacent candidates of a uniform-grid broadphase over the triangle boxes for
+embedding.  Other candidates get exact convex distances over barycentric
+coordinates, solved in one batch per face pair.
 """
 
 import itertools
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import CORNER_STEPS, _period_shifted
+from .density import CORNER_STEPS
 from .immersion import ImmersionSpec
 from .refine import TriMesh
 from .symplectic import liouville_polygon, omega
@@ -104,9 +104,6 @@ class PLMap:
     def dim(self) -> int:
         return self.tri.dim
 
-    def triangle_source_centers(self) -> np.ndarray:
-        return self.tri_source.mean(axis=1)
-
     def edge_scale(self) -> float:
         """Max image edge length, the geometric scale for tolerance tests."""
         edges = np.roll(self.tri_values, -1, axis=1) - self.tri_values
@@ -166,11 +163,6 @@ def eval_pl(plm: PLMap, p) -> np.ndarray:
         + lam[..., 1:2] * (v2 - v0)
     )
     return out[0] if scalar_input else out
-
-
-def facet_differential(plm: PLMap, triangle) -> np.ndarray:
-    """Constant differential of the affine piece, w.r.t. flat chart coordinates."""
-    return plm.differentials[triangle]
 
 
 def _triangle_grid(oversample: int) -> np.ndarray:
@@ -365,157 +357,188 @@ class CheckResult:
     witnesses: list
 
 
-# Star of a quadrangulation vertex: the 8 incident triangles, described in a
-# local frame where the vertex sits at index offset (0, 0).  Each entry is
-# (facet offset, sub-triangle, symbolic vertex ids); apex ids are per facet.
-_STAR_FACETS = {"A": (-1, -1), "B": (0, -1), "C": (-1, 0), "D": (0, 0)}
-_STAR_TRIS = (
-    ("D", 0, ((0, 0), (1, 0), "zD")),
-    ("D", 3, ((0, 1), (0, 0), "zD")),
-    ("C", 0, ((-1, 0), (0, 0), "zC")),
-    ("C", 1, ((0, 0), (0, 1), "zC")),
-    ("A", 1, ((0, -1), (0, 0), "zA")),
-    ("A", 2, ((0, 0), (-1, 0), "zA")),
-    ("B", 2, ((1, 0), (0, 0), "zB")),
-    ("B", 3, ((0, 0), (0, -1), "zB")),
-)
-_STAR_STEPS = np.array([_STAR_FACETS[name] for name, _, _ in _STAR_TRIS])
-_STAR_SUBS = np.array([sub for _, sub, _ in _STAR_TRIS])
-_STAR_CORNER_STEPS = _STAR_STEPS[:, None] + CORNER_STEPS[_SUB_CORNERS[_STAR_SUBS]]
+def _dot(a, b):
+    return np.einsum("kd,kd->k", a, b)
 
 
-def _pair_features(ids_a, ids_b):
-    """Slots of the non-shared closed faces of two triangles given vertex ids."""
-    shared = set(ids_a) & set(ids_b)
-    fa = [s for s in range(3) if ids_a[s] not in shared]
-    fb = [s for s in range(3) if ids_b[s] not in shared]
-    return fa, fb
+def _vertex_pairs(vids):
+    """(v, i, j): every pair i < j of triangles that share a vertex id, once,
+    with v the smallest id they share.  The (id, triangle) incidences are
+    sorted on the id, and step k pairs each with the one k places on while
+    the id holds; a pair that also shares a smaller id (an edge) is left to
+    that id."""
+    flat = vids.ravel()
+    slots = np.argsort(flat, kind="stable")
+    ids, tris = flat[slots], slots // 3
+    # A triangle that holds an id twice (N <= 2) keeps one incidence of it.
+    once = np.append(True, (np.diff(ids) != 0) | (np.diff(tris) != 0))
+    ids, tris, slots = ids[once], tris[once], slots[once]
+    x1, x2 = (flat[3 * tris + (slots + step) % 3] for step in (1, 2))  # the other ids
+    pairs = [(ids[:0],) * 3]
+    for k in range(1, ids.size):
+        e = np.nonzero(ids[k:] == ids[:-k])[0]
+        if not e.size:
+            break
+        f = e + k
+        lower = np.zeros(e.size, dtype=bool)
+        for x in (x1[e], x2[e]):
+            lower |= (x < ids[e]) & ((x == x1[f]) | (x == x2[f]))
+        pairs.append((ids[e[~lower]], tris[e[~lower]], tris[f[~lower]]))
+    return [np.concatenate(column) for column in zip(*pairs)]
 
 
-_STAR_PAIRS = []
-for _i, _j in itertools.combinations(range(len(_STAR_TRIS)), 2):
-    _fa, _fb = _pair_features(_STAR_TRIS[_i][2], _STAR_TRIS[_j][2])
-    _STAR_PAIRS.append((_i, _j, _fa, _fb))
+def _far_side_distances(x, e, gx, ge, m, edge, threshold):
+    """Distances from the far side of T1 = (0, x1, x2), the segment x1 x2 or
+    (where ``edge`` holds) the point x2, to T2 = (0, e1, e2).
 
-_APEX_TRIS = tuple((s, ((s, "c"), ((s + 1) % 4, "c"), "z")) for s in range(4))
-_APEX_PAIRS = []
-for _i, _j in itertools.combinations(range(4), 2):
-    _fa, _fb = _pair_features(_APEX_TRIS[_i][1], _APEX_TRIS[_j][1])
-    _APEX_PAIRS.append((_i, _j, _fa, _fb))
-
-
-def _segment_of(values, slots):
-    """Closed face spanned by the given slots as a (possibly degenerate) segment."""
-    p0 = values[:, slots[0]]
-    p1 = values[:, slots[-1]]
-    return p0, p1
-
-
-def _star_values(plm: PLMap):
-    """(F, 8, 3, d) local star triangle values and (F, 8) global triangle ids.
-
-    Star triangle t of a vertex is sub-triangle _STAR_SUBS[t] of the facet at
-    step _STAR_STEPS[t] from it; all its vertices lie in the vertex's 3x3
-    neighbourhood, so every value is one lookup in ``Chart.neighbours``.
+    gx = (x1.x1, x1.x2, x2.x2) and ge are the Gram entries, m[k][l] =
+    x_k . e_l.  They give the distance to T2's plane, a lower bound whose
+    square is off by at most ``slack`` ~ eps (tr^2 / det) |x|^2.  Rows below
+    ``threshold`` within the slack get the exact distance: the plane distance
+    where its foot lies in T2, else the least to T2's edges.  Also returns a
+    lower bound on the plane distance.
     """
-    tri = plm.tri
-    offsets, shifts = plm.chart.neighbours
-    fi, fj = 1 + _STAR_STEPS.T
-    ci, cj = 1 + np.moveaxis(_STAR_CORNER_STEPS, -1, 0)
-    corners = _period_shifted(
-        tri.corner_values[offsets[:, ci, cj]], shifts[:, ci, cj], tri.target_periods
+    g11, g12, g22 = ge
+    det = g11 * g22 - g12 * g12
+    inv = 1.0 / np.where(det > 0.0, det, 1.0)
+    # Plane coordinates G^-1 c of y0 = x1 (x2 on edges) and y1 = x2.
+    c = [[np.where(edge, m[1][k], m[0][k]) for k in (0, 1)], m[1]]
+    lam = [((g22 * c1 - g12 * c2) * inv, (g11 * c2 - g12 * c1) * inv) for c1, c2 in c]
+    yy = np.where(edge, gx[2], gx[0]), np.where(edge, gx[2], gx[1]), gx[2]
+    # Off-plane |r0|^2, r0.r1, |r1|^2; then min of |r0 + s (r1 - r0)|^2, s in [0, 1].
+    n00, n01, n11 = (
+        yy[k] - lam[p][0] * c[q][0] - lam[p][1] * c[q][1]
+        for k, (p, q) in enumerate(((0, 0), (0, 1), (1, 1)))
     )
-    apexes = _period_shifted(
-        tri.apex_values[offsets[:, fi, fj]], shifts[:, fi, fj], tri.target_periods
-    )
-    star = np.concatenate([corners, apexes[:, :, None]], axis=2)
-    return star, 4 * offsets[:, fi, fj] + _STAR_SUBS
+    dd = n00 - 2.0 * n01 + n11
+    s = np.clip((n00 - n01) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+    gap2 = n00 - 2.0 * s * (n00 - n01) + s * s * dd
+    slack = 64.0 * np.finfo(float).eps * (g11 + g22) ** 2 * inv * (yy[0] + yy[2])
+    slack[det <= 0.0] = np.inf
+    dist = np.sqrt(np.maximum(gap2, 0.0))
+    near = np.nonzero(gap2 < threshold * threshold + slack)[0]
+    if near.size:
+        e1, e2, y1 = e[0][near], e[1][near], x[1][near]
+        y0 = np.where(edge[near, None], y1, x[0][near])
+        r0, r1 = (y - a[near, None] * e1 - b[near, None] * e2 for y, (a, b) in zip((y0, y1), lam))
+        diff = r1 - r0
+        t = np.clip(-_dot(r0, diff) / np.maximum(_dot(diff, diff), np.finfo(float).tiny), 0.0, 1.0)
+        gap = r0 + t[:, None] * diff
+        la, mu = ((1.0 - t) * a[near] + t * b[near] for a, b in zip(*lam))
+        inside = (det[near] > 0.0) & (la >= 0.0) & (mu >= 0.0) & (la + mu <= 1.0)
+        zero = np.zeros_like(e1)
+        edges = [_seg_seg_distance(y0, y1, p, q) for p, q in ((zero, e1), (e1, e2), (e2, zero))]
+        dist[near] = np.where(inside, np.sqrt(_dot(gap, gap)), np.min(edges, axis=0))
+    return dist, np.sqrt(np.maximum(gap2 - slack, 0.0))
+
+
+#: Adjacent pairs measured at once; bounds the temporaries of the predicate.
+_PAIR_BLOCK = 1 << 14
+
+
+def _adjacent_distances(vals, vids, i, j, threshold):
+    """Distances between triangles i[k], j[k] beyond their shared simplex;
+    exact below ``threshold``, lower bounds at or above it.
+
+    u is the smallest vertex id the two share, w the next if any, each read
+    at its first slot; both triangles are taken relative to their own value
+    at u, which puts them in one lift.  A vertex-sharing pair (u, a, b),
+    (u, c, d) scores min(dist(ab, T2), dist(cd, T1)): a ray from u through a
+    common point leaves the intersection on ab or cd.  An edge-sharing pair
+    (u, w, a), (u, w, c) scores min(dist(a, T2), dist(c, T1), dist(ua, wc),
+    dist(wa, uc)): such triangles meet beyond uw only folded onto one side of
+    it in a common plane.  Both scores are zero exactly when the pair meets.
+    """
+    flat = vals.reshape(-1, vals.shape[-1])  # one row per (triangle, slot)
+    big = np.iinfo(vids.dtype).max
+    out = np.empty(i.size)
+    for lo in range(0, i.size, _PAIR_BLOCK):
+        tris = i[lo : lo + _PAIR_BLOCK], j[lo : lo + _PAIR_BLOCK]
+        ids = [np.take(vids, t, axis=0).T.copy() for t in tris]
+        shared = [np.where((c == ids[1]).any(axis=0), c, big) for c in ids[0]]
+        u = np.minimum.reduce(shared)
+        w = np.minimum.reduce([np.where(c > u, c, big) for c in shared])
+        edge = w < big
+        a, b = [], []  # values at the slot of w (or the next) and the last one, less u
+        for t, (c0, c1, _), rel in zip(tris, ids, (a, b)):
+            su, sw = (np.where(c0 == x, 0, np.where(c1 == x, 1, 2)) for x in (u, w))
+            sw = np.where(edge, sw, (su + 1) % 3)
+            base = np.take(flat, 3 * t + su, axis=0)
+            rel += [np.take(flat, 3 * t + k, axis=0) - base for k in (sw, 3 - su - sw)]
+        ga, gb = ((_dot(x[0], x[0]), _dot(x[0], x[1]), _dot(x[1], x[1])) for x in (a, b))
+        m = [[_dot(x, y) for y in b] for x in a]
+        (dist, ha), (dist_b, hc) = (
+            _far_side_distances(a, b, ga, gb, m, edge, threshold),
+            _far_side_distances(b, a, gb, ga, [list(col) for col in zip(*m)], edge, threshold),
+        )
+        np.minimum(dist, dist_b, out=dist)
+        # Edge pairs also test ua against wc and wa against uc.  For p, q on
+        # them at fractions s, t from u or w, |p - q| >= s h_a, t h_c (plane
+        # distances; u, w lie in both planes when the values at w agree) and
+        # >= |w - u| - s l_a - t l_c, l_a = 2 |a - u| + |w - u|.  So both
+        # terms clear the threshold where |w - u| > threshold (1 + l_a / h_a
+        # + l_c / h_c); the other edge pairs are measured.
+        e = np.nonzero(edge)[0]
+        span, ha, hc = np.sqrt(ga[0][e]), ha[e], hc[e]
+        la, lc = 2.0 * np.sqrt(ga[2][e]) + span, 2.0 * np.sqrt(gb[2][e]) + span
+        clear = span * ha * hc > 2.0 * threshold * (ha * hc + la * hc + lc * ha)
+        e = e[~clear | (a[0][e] != b[0][e]).any(axis=1)]
+        zero = np.zeros((e.size, vals.shape[-1]))
+        ends = ((zero, a[0][e]), (a[1][e],) * 2, (b[0][e], zero), (b[1][e],) * 2)
+        cross = _seg_seg_distance(*(np.concatenate(pair) for pair in ends))
+        dist[e] = np.minimum(dist[e], np.minimum(cross[: e.size], cross[e.size :]))
+        out[lo : lo + _PAIR_BLOCK] = dist
+    return out
 
 
 def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     """Local injectivity verdict for the PL map.
 
-    Passes iff (a) every triangle differential has two singular values above
-    tol times the largest differential singular value, and (b) around every
-    vertex (quadrangulation vertices and apexes) the star triangles stay
-    separated beyond their shared simplices: the non-shared closed faces of
-    each pair keep distance above tol times the max image edge length.
-    Witnesses identify offending triangles / vertex stars.
+    Passes iff every triangle differential has two singular values above tol
+    times the largest, and every pair of triangles that shares a vertex keeps
+    its distance beyond the shared simplex (``_adjacent_distances``) at or
+    above tol times the max image edge length.  A pair is aligned at v, the
+    smallest vertex id it shares: each triangle is measured relative to its
+    own value at v.  Witnesses: ``("degenerate_triangle", t)``, then
+    ``("vertex_star", v, t1, t2, dist)`` sorted by (t1, t2), v numbered as
+    in ``tri_vertex_ids``.
     """
-    witnesses = []
-    sv = np.linalg.svd(plm.differentials, compute_uv=False)
-    scale_d = float(sv[:, 0].max())
-    degen = np.nonzero(sv[:, 1] <= tol * scale_d)[0]
-    witnesses.extend(("degenerate_triangle", int(t)) for t in degen)
-
-    scale_g = plm.edge_scale()
-    threshold = tol * scale_g
-
-    star, tri_ids = _star_values(plm)
-    for i, j, fa, fb in _STAR_PAIRS:
-        p0, p1 = _segment_of(star[:, i], fa)
-        q0, q1 = _segment_of(star[:, j], fb)
-        dist = _seg_seg_distance(p0, p1, q0, q1)
-        bad = np.nonzero(dist < threshold)[0]
-        for v in bad:
-            witnesses.append(
-                (
-                    "vertex_star",
-                    int(v),
-                    int(tri_ids[v, i]),
-                    int(tri_ids[v, j]),
-                    float(dist[v]),
-                )
-            )
-
-    nfacets = plm.chart.vertex_count
-    corners = plm.tri_values.reshape(nfacets, 4, 3, plm.dim)
-    for i, j, fa, fb in _APEX_PAIRS:
-        p0, p1 = _segment_of(corners[:, i], fa)
-        q0, q1 = _segment_of(corners[:, j], fb)
-        dist = _seg_seg_distance(p0, p1, q0, q1)
-        bad = np.nonzero(dist < threshold)[0]
-        for f in bad:
-            witnesses.append(
-                ("apex_star", int(f), int(f * 4 + i), int(f * 4 + j), float(dist[f]))
-            )
+    # Closed-form singular values of each [x y]: s_max^2 is the larger Gram
+    # eigenvalue and s_max s_min = |x ^ y|, the root sum of squared minors,
+    # so s_min <= tol max(s_max) reads |x ^ y| <= tol max(s_max) s_max.
+    x, y = np.moveaxis(plm.differentials, -1, 0)
+    xx, yy, xy = _dot(x, x), _dot(y, y), _dot(x, y)
+    a, b = np.triu_indices(plm.dim, 1)
+    big = np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy)))
+    area = np.linalg.norm(x[:, a] * y[:, b] - x[:, b] * y[:, a], axis=-1)
+    degen = np.nonzero(area <= tol * big.max() * big)[0]
+    witnesses = [("degenerate_triangle", int(t)) for t in degen]
+    threshold = tol * plm.edge_scale()
+    v, i, j = _vertex_pairs(plm.tri_vertex_ids)
+    dist = _adjacent_distances(plm.tri_values, plm.tri_vertex_ids, i, j, threshold)
+    bad = np.nonzero(dist < threshold)[0]
+    for k in bad[np.lexsort((j[bad], i[bad]))]:
+        witnesses.append(("vertex_star", int(v[k]), int(i[k]), int(j[k]), float(dist[k])))
     return CheckResult(passed=not witnesses, witnesses=witnesses)
 
 
 def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     """Global injectivity verdict (requires a map that passes check_immersion).
 
-    Fails when two non-adjacent triangle images come within tol times the max
-    edge length (exact convex distance), or when an adjacent pair overlaps
-    beyond the shared simplex (non-shared closed faces within the same
-    threshold).  Candidate pairs come from a uniform-grid broadphase over the
-    triangle boxes; adjacent and non-adjacent pairs are each measured in one
-    batch.  Witnesses are (triangle, triangle, distance) tuples sorted by
-    triangle pair.
+    Fails when two triangle images come within tol times the max edge length:
+    beyond their shared simplex for pairs that share a vertex
+    (``_adjacent_distances``), by exact convex distance for the others.
+    Candidate pairs come from a uniform-grid broadphase over the triangle
+    boxes.  Witnesses are (triangle, triangle, distance), sorted by pair.
     """
     threshold = tol * plm.edge_scale()
-    vals = plm.tri_values
-    vids = plm.tri_vertex_ids
+    vals, vids = plm.tri_values, plm.tri_vertex_ids
     i, j = _box_close_pairs(vals.min(axis=1), vals.max(axis=1), threshold)
-    same = vids[i][:, :, None] == vids[j][:, None, :]  # (K, 3, 3)
-    free_i = ~same.any(axis=2)
-    free_j = ~same.any(axis=1)
-    adjacent = ~free_i.all(axis=1)
-    dist = np.full(i.size, np.inf)
-
-    # Adjacent pairs: the segments from the first to the last non-shared slot.
-    seg = np.nonzero(adjacent & free_i.any(axis=1) & free_j.any(axis=1))[0]
-    ends = []
-    for tri, free in ((i[seg], free_i[seg]), (j[seg], free_j[seg])):
-        ends.append(vals[tri, np.argmax(free, axis=1)])
-        ends.append(vals[tri, 2 - np.argmax(free[:, ::-1], axis=1)])
-    dist[seg] = _seg_seg_distance(*ends)
-
-    far = np.nonzero(~adjacent)[0]
-    dist[far] = _tri_tri_distances(vals[i[far]], vals[j[far]])
-    witnesses = [
-        (int(i[k]), int(j[k]), float(dist[k])) for k in np.nonzero(dist < threshold)[0]
-    ]
+    adjacent = (vids[i][:, :, None] == vids[j][:, None, :]).any(axis=(1, 2))
+    dist = np.empty(i.size)
+    dist[adjacent] = _adjacent_distances(vals, vids, i[adjacent], j[adjacent], threshold)
+    dist[~adjacent] = _tri_tri_distances(vals[i[~adjacent]], vals[j[~adjacent]])
+    witnesses = [(int(i[k]), int(j[k]), float(dist[k])) for k in np.nonzero(dist < threshold)[0]]
     return CheckResult(passed=not witnesses, witnesses=witnesses)
 
 
@@ -556,38 +579,3 @@ def export_mesh(plm: PLMap, path, projection=None) -> None:
             plines.append(f"f {a} {b} {c}")
         with open(f"{path}.obj", "w") as handle:
             handle.write("\n".join(plines) + "\n")
-
-
-def load_mesh(path):
-    """Parse a symmesh file (or plain v/f triangle file) back into arrays.
-
-    Returns (dim, vertices, faces) with 0-based face indices; validates the
-    header counts and face index ranges.
-    """
-    verts = []
-    faces = []
-    dim = None
-    counts = None
-    with open(path) as handle:
-        for line in handle:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "symmesh":
-                dim = int(parts[1])
-                counts = (int(parts[2]), int(parts[3]))
-            elif parts[0] == "v":
-                verts.append([float(x) for x in parts[1:]])
-            elif parts[0] == "f":
-                faces.append([int(x) - 1 for x in parts[1:]])
-    verts = np.array(verts)
-    faces = np.array(faces, dtype=np.int64)
-    if dim is None:
-        dim = verts.shape[1] if verts.size else 0
-    if verts.size and verts.shape[1] != dim:
-        raise ValueError("vertex line width disagrees with header")
-    if counts is not None and (verts.shape[0], faces.shape[0]) != counts:
-        raise ValueError("header counts disagree with records")
-    if faces.size and (faces.min() < 0 or faces.max() >= verts.shape[0]):
-        raise ValueError("face indices out of range")
-    return dim, verts, faces

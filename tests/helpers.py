@@ -5,13 +5,7 @@ import numpy as np
 from isomesh import build_chart, rotation
 from isomesh.cli import DEFAULT_ROTATION
 from isomesh.density import QuadMesh
-from isomesh.plmap import (
-    _LOCAL_CORNERS,
-    _LOCAL_EDGE_INV,
-    _STAR_FACETS,
-    _STAR_TRIS,
-    _seg_seg_distance,
-)
+from isomesh.plmap import _LOCAL_CORNERS, _LOCAL_EDGE_INV
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
 
@@ -100,16 +94,28 @@ def box_close_pairs_brute(lo, hi, threshold):
 _TRI_FACES = ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0), (0, 1, 2))
 
 
+def _distinct_faces(tri):
+    faces, seen = [], set()
+    for face in _TRI_FACES:
+        points = frozenset(tuple(tri[k]) for k in face)
+        if points not in seen:
+            seen.add(points)
+            faces.append(face)
+    return faces
+
+
 def tri_tri_distance_lstsq(p, q, feas_tol=1e-9):
     """Reference distance of two triangles, one ``lstsq`` per pair of faces.
 
     Minimum over face pairs of the minimum-norm least-squares distance
     between their affine hulls, counted when the minimizer's barycentric
-    coordinates are feasible within ``feas_tol``.
+    coordinates are feasible within ``feas_tol``.  Faces with the same
+    vertex set as an earlier one are skipped, so (a, b, b) is the segment ab
+    and (a, a, a) the point a.
     """
     best = np.inf
-    for fp in _TRI_FACES:
-        for fq in _TRI_FACES:
+    for fp in _distinct_faces(p):
+        for fq in _distinct_faces(q):
             ps, qs = p[list(fp)], q[list(fq)]
             rhs = qs[0] - ps[0]
             cols = [ps[k] - ps[0] for k in range(1, len(fp))]
@@ -129,30 +135,111 @@ def tri_tri_distance_lstsq(p, q, feas_tol=1e-9):
     return best
 
 
+def adjacent_distance_lstsq(vals, vids, i, j):
+    """Reference distance of triangles i and j beyond their shared simplex.
+
+    u is the smallest shared vertex id and w the next one, each read at its
+    first slot; both triangles are taken relative to their value at u.  A
+    vertex-sharing pair (u, a, b), (u, c, d) scores min(dist(ab, T2),
+    dist(cd, T1)); an edge-sharing pair (u, w, a), (u, w, c) scores
+    min(dist(a, T2), dist(c, T1), dist(ua, wc), dist(wa, uc)).  Every term is
+    one ``tri_tri_distance_lstsq`` call, with (a, b, b) for the segment ab and
+    (a, a, a) for the point a.
+    """
+    shared = sorted(set(vids[i].tolist()) & set(vids[j].tolist()))
+    rel = []
+    for t in (i, j):
+        ids = vids[t].tolist()
+        su = ids.index(shared[0])
+        sw = ids.index(shared[1]) if len(shared) > 1 else (su + 1) % 3
+        rel.append([vals[t][s] - vals[t][su] for s in (su, sw, 3 - su - sw)])
+    (o, a1, a2), (_, b1, b2) = rel
+    dist = tri_tri_distance_lstsq
+    if len(shared) == 1:
+        return min(
+            dist(np.stack([a1, a2, a2]), np.stack([o, b1, b2])),
+            dist(np.stack([b1, b2, b2]), np.stack([o, a1, a2])),
+        )
+    return min(
+        dist(np.stack([a2, a2, a2]), np.stack([o, b1, b2])),
+        dist(np.stack([b2, b2, b2]), np.stack([o, a1, a2])),
+        dist(np.stack([o, a2, a2]), np.stack([b1, b2, b2])),
+        dist(np.stack([a1, a2, a2]), np.stack([o, b2, b2])),
+    )
+
+
+def immersion_witnesses_brute(plm, tol):
+    """All-pairs reference for the pair witnesses of ``check_immersion``:
+    every pair of triangles that shares a vertex id, scored by
+    ``adjacent_distance_lstsq``, as ("vertex_star", v, i, j, dist) with v the
+    smallest shared id."""
+    threshold = tol * plm.edge_scale()
+    vals = plm.tri_values
+    vids = plm.tri_vertex_ids
+    witnesses = []
+    for i in range(len(vids)):
+        for j in range(i + 1, len(vids)):
+            shared = set(vids[i].tolist()) & set(vids[j].tolist())
+            if shared:
+                dist = adjacent_distance_lstsq(vals, vids, i, j)
+                if dist < threshold:
+                    witnesses.append(("vertex_star", min(shared), i, j, dist))
+    return witnesses
+
+
 def embedding_witnesses_brute(plm, tol):
     """All-pairs reference for ``check_embedding``: brute box query, then one
-    distance per pair (non-shared closed faces for adjacent pairs)."""
+    distance per pair (``adjacent_distance_lstsq`` for pairs sharing an id)."""
     threshold = tol * plm.edge_scale()
     vals = plm.tri_values
     vids = plm.tri_vertex_ids
     witnesses = []
     for i, j in box_close_pairs_brute(vals.min(axis=1), vals.max(axis=1), threshold):
-        shared = set(vids[i]) & set(vids[j])
-        if shared:
-            fa = [s for s in range(3) if vids[i][s] not in shared]
-            fb = [s for s in range(3) if vids[j][s] not in shared]
-            if not fa or not fb:
-                continue
-            dist = float(
-                _seg_seg_distance(
-                    vals[i][fa[0]], vals[i][fa[-1]], vals[j][fb[0]], vals[j][fb[-1]]
-                )
-            )
+        if set(vids[i].tolist()) & set(vids[j].tolist()):
+            dist = adjacent_distance_lstsq(vals, vids, i, j)
         else:
             dist = tri_tri_distance_lstsq(vals[i], vals[j])
         if dist < threshold:
             witnesses.append((i, j, dist))
     return witnesses
+
+
+# -- symmesh reader for export round trips --------------------------------
+
+
+def load_mesh(path):
+    """Parse a symmesh file (or plain v/f triangle file) back into arrays.
+
+    Returns (dim, vertices, faces) with 0-based face indices; validates the
+    header counts and face index ranges.
+    """
+    verts = []
+    faces = []
+    dim = None
+    counts = None
+    with open(path) as handle:
+        for line in handle:
+            parts = line.split()
+            if not parts:
+                continue
+            if parts[0] == "symmesh":
+                dim = int(parts[1])
+                counts = (int(parts[2]), int(parts[3]))
+            elif parts[0] == "v":
+                verts.append([float(x) for x in parts[1:]])
+            elif parts[0] == "f":
+                faces.append([int(x) - 1 for x in parts[1:]])
+    verts = np.array(verts)
+    faces = np.array(faces, dtype=np.int64)
+    if dim is None:
+        dim = verts.shape[1] if verts.size else 0
+    if verts.size and verts.shape[1] != dim:
+        raise ValueError("vertex line width disagrees with header")
+    if counts is not None and (verts.shape[0], faces.shape[0]) != counts:
+        raise ValueError("header counts disagree with records")
+    if faces.size and (faces.min() < 0 or faces.max() >= verts.shape[0]):
+        raise ValueError("face indices out of range")
+    return dim, verts, faces
 
 
 # -- raw-index references for the facet-neighbour table ----------------------
@@ -191,38 +278,6 @@ def tri_vertex_ids_reference(chart):
         axis=1,
     )
     return vids.reshape(4 * nfacets, 3)
-
-
-def star_values_reference(plm):
-    """(F, 8, 3, d) star triangle values and (F, 8) triangle ids, looked up
-    per star facet and per corner at raw indices."""
-    tri = plm.tri
-    chart = plm.chart
-    per = tri.target_periods
-    xc, yc = chart.all_canonical()
-    facets = {}
-    for name, (ox, oy) in _STAR_FACETS.items():
-        k, l = xc + ox, yc + oy
-        corners = np.stack(
-            [
-                corrected_lookup(chart, tri.corner_values, per, k + dk, l + dl)
-                for dk, dl in _CORNER_STEPS
-            ],
-            axis=1,
-        )
-        x, y, q1, q2 = chart.canonical_with_shift(k, l)
-        off = chart.offset_xy(x, y)
-        apex = tri.apex_values[off] + q1[:, None] * per[0] + q2[:, None] * per[1]
-        facets[name] = (corners, apex, off)
-    star = np.empty((chart.vertex_count, 8, 3, tri.dim))
-    ids = np.empty((chart.vertex_count, 8), dtype=np.int64)
-    for t, (name, sub, _) in enumerate(_STAR_TRIS):
-        corners, apex, off = facets[name]
-        star[:, t, 0] = corners[:, sub]
-        star[:, t, 1] = corners[:, (sub + 1) % 4]
-        star[:, t, 2] = apex
-        ids[:, t] = 4 * off + sub
-    return star, ids
 
 
 def eval_pl_reference(plm, p):

@@ -282,7 +282,7 @@ def test_c10_topology_verdicts(clifford_sweep, figure8_sweep):
     ok &= not emb.passed and len(emb.witnesses) > 0
     # Reported pairs cluster near the self-intersection circle: the first
     # parameter of both triangles sits within 2/N of a node parameter.
-    centers = f8.triangle_source_centers()
+    centers = f8.tri_source.mean(axis=1)
     deviation = 0.0
     for i, j, _dist in emb.witnesses:
         for t in (i, j):

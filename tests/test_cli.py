@@ -205,6 +205,9 @@ class TestStudy:
         cfg = PipelineConfig(spec="flat-plane", n_list=(8, 4, 16))
         with pytest.raises(ConfigError):
             convergence_study(cfg)
+        # An explicit n_list is validated like the configured one.
+        with pytest.raises(ConfigError, match="n_list entries"):
+            convergence_study(PipelineConfig(spec="flat-plane"), n_list=(0, 4, 8))
 
     def test_figure8_study_rows_and_slopes(self):
         cfg = PipelineConfig(spec="product:figure8,circle", n_list=(4, 8, 16))
@@ -360,8 +363,22 @@ class TestMain:
         path = tmp_path / "out.cfg"
         path.write_text(f"spec = flat-plane\nn = 4\n{extra}")
         assert main([command, "--config", str(path), "--out", "/nonexistent/d/x"]) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("config error: cannot write /nonexistent/d/")
+        assert out == ""  # checked before any stage runs or prints
+
+    def test_unwritable_export_obj_stops_before_any_stage(self, tmp_path, capsys):
+        # With a projection, export also writes <out>.obj, here a directory.
+        # Nothing runs or prints, and the probe leaves no file behind.
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("spec = flat-plane\nn = 4\nprojection = 0,1,2\n")
+        out = tmp_path / "m.symmesh"
+        (tmp_path / "m.symmesh.obj").mkdir()
+        assert main(["export", "--config", str(cfg), "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err.startswith(f"config error: cannot write {out}.obj")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["e.cfg", "m.symmesh.obj"]
 
     def test_certification_failure_exit_code(self, tmp_path):
         # The figure-eight torus self-intersects: embedding check fails.

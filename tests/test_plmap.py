@@ -13,8 +13,9 @@ from helpers import (
     eval_pl_reference,
     hex_basis,
     identity_chart,
+    immersion_witnesses_brute,
+    load_mesh,
     rotated_chart,
-    star_values_reference,
     tri_vertex_ids_reference,
 )
 from isomesh import (
@@ -35,9 +36,9 @@ from isomesh.density import corner_value_table
 from isomesh.plmap import (
     PLMap,
     _box_close_pairs,
-    _star_values,
     _seg_seg_distance,
     _tri_tri_distances,
+    _vertex_pairs,
     build_pl,
     check_embedding,
     check_immersion,
@@ -45,8 +46,6 @@ from isomesh.plmap import (
     distance_c1,
     eval_pl,
     export_mesh,
-    facet_differential,
-    load_mesh,
     pl_isotropy_residual,
     triangle_liouville,
 )
@@ -196,23 +195,6 @@ class TestNeighbourTableReference:
     def test_tri_vertex_ids(self, plm):
         assert np.array_equal(plm.tri_vertex_ids, tri_vertex_ids_reference(plm.chart))
 
-    def test_star_values(self, plm):
-        star, ids = _star_values(plm)
-        want_star, want_ids = star_values_reference(plm)
-        assert np.array_equal(ids, want_ids)
-        assert np.array_equal(star[:, :, :2], want_star[:, :, :2])
-        # Apexes add the two period terms in another order: (v + a) + b
-        # against v + (a + b).
-        assert np.abs(star[:, :, 2] - want_star[:, :, 2]).max() <= 1e-15
-
-    def test_star_values_periodic_exact(self, plm):
-        tri = plm.tri
-        periodic = PLMap(TriMesh(tri.chart, tri.corner_values, tri.apex_values))
-        star, ids = _star_values(periodic)
-        want_star, want_ids = star_values_reference(periodic)
-        assert np.array_equal(ids, want_ids)
-        assert np.array_equal(star, want_star)
-
     def test_eval_pl(self, plm):
         pts = np.random.default_rng(3).uniform(-2.0, 2.0, (400, 2))
         assert np.array_equal(eval_pl(plm, pts), eval_pl_reference(plm, pts))
@@ -247,7 +229,7 @@ class TestDifferential:
         t = 4 * ch.offset_of_raw(1, 1) + 0
         lam = np.array([0.5, 0.3, 0.2])
         p = lam @ plm.tri_source[t]
-        d = facet_differential(plm, t)
+        d = plm.differentials[t]
         h = 1e-7
         for axis in range(2):
             e = np.zeros(2)
@@ -474,6 +456,34 @@ def _brute_tri_distance(t1, t2, res=24):
     return float(d.min())
 
 
+class TestAdjacentPairs:
+    @pytest.mark.parametrize(
+        "chart",
+        [
+            identity_chart(1),
+            identity_chart(2),
+            identity_chart(3),
+            build_chart(hex_basis(), np.eye(2), 3),
+            rotated_chart(5, hex_basis()),
+        ],
+        ids=["N1", "N2", "N3", "hex3", "rotated-hex5"],
+    )
+    def test_vertex_pairs_against_all_pairs(self, chart):
+        # Every pair that shares an id appears once, under its smallest id;
+        # at N <= 2 ids repeat within a triangle and across edges.
+        vids = PLMap(random_trimesh(chart, np.random.default_rng(0))).tri_vertex_ids
+        want = {}
+        for i in range(len(vids)):
+            for j in range(i + 1, len(vids)):
+                shared = set(vids[i].tolist()) & set(vids[j].tolist())
+                if shared:
+                    want[i, j] = min(shared)
+        v, i, j = _vertex_pairs(vids)
+        got = {(int(a), int(b)): int(c) for c, a, b in zip(v, i, j)}
+        assert len(got) == v.size
+        assert got == want
+
+
 class TestChecks:
     def test_constant_map_fails_immersion(self):
         ch = identity_chart(4)
@@ -501,6 +511,88 @@ class TestChecks:
         plm = build_pl(apex_refine(rho))
         assert check_immersion(plm, tol=1e-6).passed
         assert check_embedding(plm, tol=1e-6).passed
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_degenerate_triangles_match_svd(self, dim):
+        # The closed-form singular values decide like LAPACK: apexes moved
+        # onto a corner (rank one) or an edge midpoint (collinear), among
+        # random triangles that fall on both sides of the larger tolerances.
+        chart = identity_chart(4)
+        tri = random_trimesh(chart, np.random.default_rng(dim), dim)
+        corners = tri.corner_table()
+        tri.apex_values[0] = corners[0, 0]
+        tri.apex_values[5] = 0.5 * (corners[5, 1] + corners[5, 2])
+        plm = build_pl(tri)
+        sv = np.linalg.svd(plm.differentials, compute_uv=False)
+        for tol in (1e-6, 0.05, 0.3):
+            want = np.nonzero(sv[:, 1] <= tol * sv[:, 0].max())[0].tolist()
+            got = check_immersion(plm, tol=tol).witnesses
+            assert [w[1] for w in got if w[0] == "degenerate_triangle"] == want
+            assert {0, 3, 21} <= set(want)
+
+    def test_apex_fold_fails_immersion(self):
+        # Moving the apex of facet (1, 1) by -0.14 in x2 flips one of its
+        # triangles (det -0.12) onto its neighbours.  Every overlapping pair
+        # shares a vertex, so the local certificate must see it.
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        apex = tri.apex_values.copy()
+        apex[chart.offset_of_raw(1, 1), 2] -= 0.14
+        plm = build_pl(TriMesh(chart, tri.corner_values, apex, tri.target_periods))
+        verdict = check_immersion(plm, tol=1e-6)
+        assert not verdict.passed
+        want = immersion_witnesses_brute(plm, 1e-6)
+        assert want
+        assert [w[:4] for w in verdict.witnesses] == [w[:4] for w in want]
+        assert not check_embedding(plm, tol=1e-6).passed
+
+    @given(
+        hex_chart=st.booleans(),
+        dim=st.sampled_from([4, 6]),
+        tol=st.sampled_from([1e-6, 0.02, 0.1]),
+        lift=st.sampled_from([0.0, 1e-3, 0.3]),
+        moves=st.lists(
+            st.tuples(st.integers(0, 8), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+            min_size=1,
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_immersion_matches_all_pairs_reference(
+        self, hex_chart, dim, tol, lift, moves, seed
+    ):
+        # An isometric plane in R^dim over a 9-facet chart, with a few apexes
+        # moved by up to one grid step in the plane (folds) and by ``lift``
+        # grid steps out of it (near misses).
+        chart = build_chart(hex_basis() if hex_chart else np.eye(2), np.eye(2), 3)
+        rng = np.random.default_rng(seed)
+        frame = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        plane, normal = frame[:, :2], frame[:, 2:]
+        kc, lc = chart.all_canonical()
+        centers = chart.facet_center(kc, lc)
+        offsets = np.zeros((chart.vertex_count, dim))
+        for f, dx, dy in moves:
+            out = normal @ rng.uniform(-1.0, 1.0, dim - 2)
+            offsets[f] += plane @ chart.position(dx, dy) + lift * out / chart.N
+        plm = build_pl(
+            TriMesh(
+                chart,
+                chart.position(kc, lc) @ plane.T,
+                centers @ plane.T + offsets,
+                target_periods=(plane @ chart.gamma_basis).T,
+            )
+        )
+        got = check_immersion(plm, tol=tol)
+        want = immersion_witnesses_brute(plm, tol)
+        pairs = [w for w in got.witnesses if w[0] == "vertex_star"]
+        assert [w[:4] for w in pairs] == [w[:4] for w in want]
+        sv = np.linalg.svd(plm.differentials, compute_uv=False)
+        degenerate = np.nonzero(sv[:, 1] <= tol * sv[:, 0].max())[0].tolist()
+        assert [w[1] for w in got.witnesses if w[0] == "degenerate_triangle"] == degenerate
+        assert got.passed == (not want and not degenerate)
+        for w_got, w_want in zip(pairs, want):
+            assert w_got[4] == pytest.approx(w_want[4], rel=1e-9, abs=1e-12)
 
     def test_folded_mesh_fails(self):
         # Degenerate fold: both triangle fans of one facet collapse onto one

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from isomesh.plmap import load_mesh
+from helpers import load_mesh
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
