@@ -17,7 +17,8 @@ One predicate, ``_adjacent_distances``, judges pairs of triangles that share
 a vertex id: all of them (from sorting ``tri_vertex_ids``) for immersion, the
 adjacent candidates of a uniform-grid broadphase over the triangle boxes for
 embedding.  Other candidates get exact convex distances over barycentric
-coordinates, solved in one batch per face pair.
+coordinates, one batched thin QR per number of unknowns (not the normal
+equations, which misjudge nearly parallel crossing edges).  NaN fails.
 """
 
 import itertools
@@ -105,9 +106,10 @@ class PLMap:
         return self.tri.dim
 
     def edge_scale(self) -> float:
-        """Max image edge length, the geometric scale for tolerance tests."""
+        """Max finite image edge length, the geometric scale for tolerance tests."""
         edges = np.roll(self.tri_values, -1, axis=1) - self.tri_values
-        return float(np.linalg.norm(edges, axis=-1).max())
+        lengths = np.linalg.norm(edges, axis=-1)
+        return float(lengths.max(initial=0.0, where=np.isfinite(lengths)))
 
 
 def build_pl(tri: TriMesh) -> PLMap:
@@ -249,46 +251,67 @@ def _seg_seg_distance(p0, p1, q0, q1):
 
 # -- triangle/triangle distance ----------------------------------------------
 
-_TRI_FEATURES = (
-    (0,),
-    (1,),
-    (2,),
-    (0, 1),
-    (1, 2),
-    (2, 0),
-    (0, 1, 2),
-)
+
+def _dot(a, b):
+    return np.einsum("...d,...d->...", a, b)
+
+
+_TRI_FEATURES = ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0), (0, 1, 2))
+
+# Face pairs (fp, fq) by unknown count m = (|fp| - 1) + (|fq| - 1), 9, 18, 15,
+# 6 and 1 of them: tables (m + 1, G) of the columns p_k - p_0, q_0 - q_k and
+# the right-hand side q_0 - p_0 (last), v_a - v_b stored as 6 a + b over the
+# stacked vertices v = (p_0, p_1, p_2, q_0, q_1, q_2).
+_FACE_PAIRS = [[] for _ in range(5)]
+for _fp, _fq in itertools.product(_TRI_FEATURES, repeat=2):
+    _p0, _q0 = _fp[0], 3 + _fq[0]
+    _cols = [6 * k + _p0 for k in _fp[1:]] + [6 * _q0 + 3 + k for k in _fq[1:]]
+    _FACE_PAIRS[len(_cols)].append(_cols + [6 * _q0 + _p0])
+_FACE_PAIRS = [np.array(group).T for group in _FACE_PAIRS]
 
 
 def _tri_tri_distances(p, q, feas_tol=1e-9) -> np.ndarray:
     """Exact min distances between triangle pairs p[k], q[k], each (K, 3, d).
 
-    For every pair of faces, the minimum-norm least-squares minimizer between
-    the affine hulls counts when its barycentric coordinates are feasible
-    within ``feas_tol``.  Singular values at or below max(rows, cols) * eps
-    times the largest are dropped, the cutoff of ``lstsq(rcond=None)``.  The
-    distance is the minimum over all 49 face pairs.  Vertex-vertex pairs are
-    always feasible, so every face combination of the convex program is
-    covered.  Each face pair is solved for the whole batch at once.
+    For every pair of faces, the least-squares minimizer between the affine
+    hulls counts when its barycentric coordinates are feasible within
+    ``feas_tol``; the distance is the least over the 49 face pairs.
+    Vertex-vertex pairs are plain norms.  The face pairs with m >= 1
+    unknowns are solved together by one thin QR of [columns | right-hand
+    side], modified Gram-Schmidt with the columns reorthogonalised once:
+    back-substitution gives the coordinates, the norm of the projected
+    right-hand side the distance.  A face pair with a column whose projected
+    norm is at most max(d, m) eps times the largest column norm (the
+    relative cutoff of ``lstsq(rcond=None)``) is rank-deficient and dropped:
+    an extreme point of the closest-pair set lies on a full-rank face pair.
+    A pair with a non-finite value comes out NaN.
     """
-    best = np.full(p.shape[0], np.inf)
-    for fp in _TRI_FEATURES:
-        for fq in _TRI_FEATURES:
-            ps = p[:, fp]
-            qs = q[:, fq]
-            rhs = qs[:, 0] - ps[:, 0]
-            mat = np.concatenate([ps[:, 1:] - ps[:, :1], qs[:, :1] - qs[:, 1:]], axis=1)
-            mat = mat.transpose(0, 2, 1)  # (K, d, m), m = 0 for two vertices
-            rcond = np.finfo(float).eps * max(mat.shape[1:])
-            sol = np.einsum("kmd,kd->km", np.linalg.pinv(mat, rcond=rcond), rhs)
-            cand = np.linalg.norm(np.einsum("kdm,km->kd", mat, sol) - rhs, axis=-1)
-            for coeffs in (sol[:, : len(fp) - 1], sol[:, len(fp) - 1 :]):
-                if coeffs.shape[1]:
-                    infeasible = (coeffs.min(axis=1) < -feas_tol) | (
-                        coeffs.sum(axis=1) > 1.0 + feas_tol
-                    )
-                    cand[infeasible] = np.inf
-            best = np.minimum(best, cand)
+    verts = np.concatenate([p, q], axis=1).transpose(1, 0, 2)  # (6, K, d)
+    diffs = (verts[:, None] - verts[None]).reshape((36,) + verts.shape[1:])
+    lens = np.sqrt(_dot(diffs, diffs))
+    best = lens[_FACE_PAIRS[0][0]].min(axis=0)
+    for m, group in enumerate(_FACE_PAIRS[1:], start=1):
+        cols = diffs[group]  # (m + 1, G, K, d), overwritten by Q
+        cutoff = max(p.shape[-1], m) * np.finfo(float).eps * lens[group[:m]].max(axis=0)
+        r = np.zeros((m + 1,) + cols.shape[:3])
+        for j in range(m + 1):
+            for _ in range(1 + (j < m)):
+                for i in range(j):
+                    c = _dot(cols[i], cols[j])
+                    cols[j] -= c[..., None] * cols[i]
+                    r[i, j] += c
+            r[j, j] = np.sqrt(_dot(cols[j], cols[j]))
+            cols[j] /= np.where(r[j, j] > 0.0, r[j, j], 1.0)[..., None]
+        diag = r[range(m), range(m)]
+        x = np.zeros((m,) + diag.shape[1:])
+        for j in reversed(range(m)):
+            x[j] = r[j, m] - np.einsum("i...,i...->...", r[j, j + 1 : m], x[j + 1 :])
+            x[j] /= np.where(diag[j] > 0.0, diag[j], 1.0)
+        on_p = group[:m, :, None] < 18  # columns p_k - p_0: 6 a + b with a < 3
+        drop = (diag <= cutoff).any(axis=0) | (x.min(axis=0) < -feas_tol)
+        for side in (on_p, ~on_p):
+            drop |= (x * side).sum(axis=0) > 1.0 + feas_tol
+        best = np.minimum(best, np.where(drop, np.inf, r[m, m]).min(axis=0))
     return best
 
 
@@ -355,10 +378,6 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
 class CheckResult:
     passed: bool
     witnesses: list
-
-
-def _dot(a, b):
-    return np.einsum("kd,kd->k", a, b)
 
 
 def _vertex_pairs(vids):
@@ -511,12 +530,13 @@ def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     a, b = np.triu_indices(plm.dim, 1)
     big = np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy)))
     area = np.linalg.norm(x[:, a] * y[:, b] - x[:, b] * y[:, a], axis=-1)
-    degen = np.nonzero(area <= tol * big.max() * big)[0]
+    top = big.max(initial=0.0, where=np.isfinite(big))
+    degen = np.nonzero(~(area > tol * top * big))[0]  # NaN fails
     witnesses = [("degenerate_triangle", int(t)) for t in degen]
     threshold = tol * plm.edge_scale()
     v, i, j = _vertex_pairs(plm.tri_vertex_ids)
     dist = _adjacent_distances(plm.tri_values, plm.tri_vertex_ids, i, j, threshold)
-    bad = np.nonzero(dist < threshold)[0]
+    bad = np.nonzero(~(dist >= threshold))[0]
     for k in bad[np.lexsort((j[bad], i[bad]))]:
         witnesses.append(("vertex_star", int(v[k]), int(i[k]), int(j[k]), float(dist[k])))
     return CheckResult(passed=not witnesses, witnesses=witnesses)
@@ -529,17 +549,23 @@ def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     beyond their shared simplex for pairs that share a vertex
     (``_adjacent_distances``), by exact convex distance for the others.
     Candidate pairs come from a uniform-grid broadphase over the triangle
-    boxes.  Witnesses are (triangle, triangle, distance), sorted by pair.
+    boxes.  Witnesses are (triangle, triangle, distance), sorted by pair; a
+    triangle t with a non-finite value cannot be placed and is (t, t, nan).
     """
     threshold = tol * plm.edge_scale()
     vals, vids = plm.tri_values, plm.tri_vertex_ids
-    i, j = _box_close_pairs(vals.min(axis=1), vals.max(axis=1), threshold)
+    finite = np.isfinite(vals).all(axis=(1, 2))
+    keep = np.nonzero(finite)[0]
+    lo, hi = vals[keep].min(axis=1), vals[keep].max(axis=1)
+    i, j = (keep[k] for k in _box_close_pairs(lo, hi, threshold))
     adjacent = (vids[i][:, :, None] == vids[j][:, None, :]).any(axis=(1, 2))
     dist = np.empty(i.size)
     dist[adjacent] = _adjacent_distances(vals, vids, i[adjacent], j[adjacent], threshold)
     dist[~adjacent] = _tri_tri_distances(vals[i[~adjacent]], vals[j[~adjacent]])
-    witnesses = [(int(i[k]), int(j[k]), float(dist[k])) for k in np.nonzero(dist < threshold)[0]]
-    return CheckResult(passed=not witnesses, witnesses=witnesses)
+    bad = np.nonzero(~(dist >= threshold))[0]  # NaN fails
+    witnesses = [(int(i[k]), int(j[k]), float(dist[k])) for k in bad]
+    witnesses += [(int(t), int(t), np.nan) for t in np.nonzero(~finite)[0]]
+    return CheckResult(passed=not witnesses, witnesses=sorted(witnesses))
 
 
 # -- export -------------------------------------------------------------------

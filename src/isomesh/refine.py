@@ -121,7 +121,8 @@ def _optimal_apexes(quads, facet_labels=None):
     g = flat.mean(axis=1)
     rows, rhs = apex_constraints(flat)
     shifted = rhs - np.einsum("fij,fj->fi", rows, g)
-    u, s, vt = np.linalg.svd(rows, full_matrices=False)
+    # Non-finite rows are zeroed for the SVD; their residuals come out NaN.
+    u, s, vt = np.linalg.svd(np.where(np.isfinite(rows), rows, 0.0), full_matrices=False)
     keep = s > _SVD_CUTOFF * s[:, :1]
     sinv = np.where(keep, 1.0 / np.where(s > 0, s, 1.0), 0.0)
     coeff = sinv * np.einsum("fij,fi->fj", u, shifted)
@@ -130,7 +131,7 @@ def _optimal_apexes(quads, facet_labels=None):
     resid = np.abs(np.einsum("fij,fj->fi", rows, apex) - rhs).max(axis=1)
     scale = _edge_scale(flat)
     limit = _RESIDUAL_TOL * scale + 1e-14 * (1.0 + np.abs(rhs).max(axis=1))
-    bad = np.nonzero(resid > limit)[0]
+    bad = np.nonzero(~(resid <= limit))[0]  # NaN fails
     if bad.size:
         i = int(bad[0])
         label = facet_labels[i] if facet_labels is not None else i

@@ -101,7 +101,9 @@ def project_isotropic(
     iterations = 0
     nfacets = chart.vertex_count
     iter_lim = max(1000, 4 * nfacets)
-    while res > tol:
+    while not res <= tol:  # a NaN residual fails
+        if not np.isfinite(res):
+            raise LinearSolveFailure(f"non-finite density residual {res}")
         if iterations >= max_iter:
             raise MaxIterExceeded(
                 f"residual {res:.3e} > tol {tol:.3e} after {iterations} iterations"

@@ -337,6 +337,16 @@ class TestMain:
         assert main(["verify", "--spec", spec, "--n", "6"]) == 2
         assert "radii" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "build", "verify"])
+    def test_non_finite_density_is_pipeline_error(self, capsys, command):
+        # Radius 1e155 passes the config check, but the density overflows to NaN.
+        argv = [command, "--spec", "clifford:1e155,1", "--n", "6", "--embedding-check"]
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert main(argv) == 3
+        out, err = capsys.readouterr()
+        assert "pipeline error [LinearSolveFailure]" in err
+        assert "pass" not in out
+
     def test_sample_needs_no_solver(self, tmp_path, capsys):
         path = tmp_path / "hard.cfg"
         path.write_text("spec = product:figure8,circle\nn = 8\nmax_iter = 0\n")

@@ -16,6 +16,7 @@ from helpers import (
     immersion_witnesses_brute,
     load_mesh,
     rotated_chart,
+    tri_tri_distance_lstsq,
     tri_vertex_ids_reference,
 )
 from isomesh import (
@@ -348,10 +349,9 @@ class TestGeometryPrimitives:
         many = _tri_tri_distances(p, q)
         for k in range(25):
             one = _tri_tri_distances(p[k : k + 1], q[k : k + 1])[0]
-            brute = _brute_tri_distance(p[k], q[k])
+            want = tri_tri_distance_lstsq(p[k], q[k])
             for exact in (one, many[k]):
-                assert exact <= brute + 1e-9
-                assert exact >= brute - 2e-2  # brute grid is coarse
+                assert exact == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize(
         "case, want",
@@ -384,15 +384,56 @@ class TestGeometryPrimitives:
             rng = np.random.default_rng(12)
             p = rng.standard_normal((3, 6))
             q = rng.standard_normal((3, 6)) + 0.3
-        brute = _brute_tri_distance(p, q)
+        ref = tri_tri_distance_lstsq(p, q)
         one = _tri_tri_distances(p[None], q[None])[0]
         many = _tri_tri_distances(np.stack([q, p, p]), np.stack([p, q, p]))
         for exact in (one, many[0], many[1]):
-            assert exact <= brute + 1e-9
-            assert exact >= brute - 2e-2
+            assert exact == pytest.approx(ref, rel=1e-9, abs=1e-12)
             if want is not None:
                 assert exact == pytest.approx(want, abs=1e-12)
         assert many[2] == 0.0
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_tri_tri_crossing_edges(self, dim):
+        # Edges of length 2 crossing at angle theta = 10^-k, the third
+        # vertices off in two other directions, under random orthogonal
+        # maps: the distance is 0.  A solve through the normal equations
+        # squares the conditioning of the edge-edge pair and misses the zero
+        # by far more than 1e-12 once theta is small.
+        rng = np.random.default_rng(dim)
+        p, q = np.zeros((2, 13, 3, dim))
+        for row, k in enumerate(range(2, 15)):
+            c, s = np.cos(10.0**-k), np.sin(10.0**-k)
+            p[row, :2, 0] = -1.0, 1.0
+            p[row, 2, 2] = 1.0
+            q[row, :2, :2] = [[-c, -s], [c, s]]
+            q[row, 2, 3] = 1.0
+            rot = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+            p[row], q[row] = p[row] @ rot.T, q[row] @ rot.T
+        assert _tri_tri_distances(p, q).max() <= 1e-12 * 2.0
+
+    @given(dim=st.sampled_from([4, 6]), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_tri_tri_matches_lstsq_reference(self, dim, data):
+        # Values on a coarse grid, so coplanar, parallel and zero-area pairs
+        # are common.
+        grid = st.integers(-2, 2).map(lambda k: k / 2.0)
+        pairs = data.draw(arrays(float, (6, 2, 3, dim), elements=grid, fill=st.nothing()))
+        got = _tri_tri_distances(pairs[:, 0], pairs[:, 1])
+        for k, (p, q) in enumerate(pairs):
+            assert got[k] == pytest.approx(tri_tri_distance_lstsq(p, q), rel=1e-9, abs=1e-12)
+
+    def test_tri_tri_empty_and_non_finite(self):
+        assert _tri_tri_distances(np.empty((0, 3, 4)), np.empty((0, 3, 4))).shape == (0,)
+        base = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
+        p = np.stack([base] * 3)
+        q = p + np.array([0, 0, 2.0, 0])
+        q[0, 1, 3] = np.nan
+        q[1, 2, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            dist = _tri_tri_distances(p, q)
+        assert np.isnan(dist[:2]).all()
+        assert dist[2] == pytest.approx(2.0)
 
     @staticmethod
     def _assert_broadphase(lo, hi, threshold):
@@ -593,6 +634,29 @@ class TestChecks:
         assert got.passed == (not want and not degenerate)
         for w_got, w_want in zip(pairs, want):
             assert w_got[4] == pytest.approx(w_want[4], rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_fails_closed(self, bad):
+        # A non-finite apex: every adjacent pair touching its four triangles
+        # reads NaN and is an immersion witness; check_embedding reports each
+        # of them as (t, t, nan).
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        facet = chart.offset_of_raw(1, 1)
+        tri.apex_values[facet, 2] = bad
+        spoiled = {4 * facet + s for s in range(4)}
+        with np.errstate(invalid="ignore", over="ignore"):
+            plm = build_pl(tri)
+            immersion = check_immersion(plm, tol=1e-6)
+            embedding = check_embedding(plm, tol=1e-6)
+        _, i, j = _vertex_pairs(plm.tri_vertex_ids)
+        touching = {(a, b) for a, b in zip(i.tolist(), j.tolist()) if {a, b} & spoiled}
+        pairs = [w for w in immersion.witnesses if w[0] == "vertex_star"]
+        assert {w[2:4] for w in pairs} == touching
+        assert all(np.isnan(w[4]) for w in pairs)
+        assert not embedding.passed
+        assert [w[:2] for w in embedding.witnesses] == [(t, t) for t in sorted(spoiled)]
+        assert all(np.isnan(w[2]) for w in embedding.witnesses)
 
     def test_folded_mesh_fails(self):
         # Degenerate fold: both triangle fans of one facet collapse onto one

@@ -177,6 +177,17 @@ class TestApexRefine:
             worst = max(worst, np.abs(omega(a - p, b - p)).max())
         assert worst <= 1e-9 * scale**2
 
+    def test_non_finite_raises(self):
+        # An overflowing (x 1e155) or NaN quadrilateral has NaN residuals,
+        # which must fail the gate, not pass it.
+        quad = random_isotropic_quadrilateral(np.random.default_rng(7))
+        spoiled = quad.copy()
+        spoiled[1, 2] = np.nan
+        for bad in (1e155 * quad, spoiled):
+            with np.errstate(invalid="ignore", over="ignore"):
+                with pytest.raises(NotIsotropic):
+                    optimal_apex(*bad)
+
     def test_not_isotropic_propagates_facet(self):
         rng = np.random.default_rng(6)
         mesh = random_mesh(identity_chart(4), rng)

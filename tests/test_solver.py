@@ -6,6 +6,7 @@ from scipy.sparse.linalg import lsqr
 
 from helpers import identity_chart, random_mesh, random_unitary_symplectic, rotated_chart
 from isomesh import (
+    LinearSolveFailure,
     MaxIterExceeded,
     make_clifford,
     make_flat_plane,
@@ -150,6 +151,15 @@ class TestProjectIsotropic:
         rho, rep = project_isotropic(mesh, tol=1e-10, max_iter=50)
         assert rep.converged
         assert np.abs(symplectic_density(rho).values).max() <= 1e-10
+
+    @pytest.mark.parametrize("max_iter", [0, 50])
+    def test_non_finite_density_fails(self, max_iter):
+        # Radius 1e155 overflows the density to NaN; "NaN > tol" is false, so
+        # the loop must be written to fail closed.
+        tau = sample_quad(make_clifford(1e155, 1.0), rotated_chart(6))
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(LinearSolveFailure, match="non-finite"):
+                project_isotropic(tau, max_iter=max_iter)
 
     def test_bad_tol(self):
         mesh = sample_quad(make_flat_plane(), identity_chart(4))
