@@ -28,6 +28,7 @@ import numpy as np
 
 from .density import CORNER_STEPS
 from .immersion import ImmersionSpec
+from .linalg import back_substitute, dot, thin_qr
 from .refine import TriMesh
 from .symplectic import liouville_polygon, omega
 
@@ -91,7 +92,7 @@ class PLMap:
         inv[:, 1, 0] = -e[:, 1, 0]
         inv[:, 1, 1] = e[:, 0, 0]
         inv /= det[:, None, None]
-        self.differentials = np.einsum("tdj,tjk->tdk", w, inv)
+        self.differentials = w @ inv
 
     @property
     def chart(self):
@@ -195,16 +196,23 @@ def distance_c0(plm: PLMap, spec: ImmersionSpec, oversample: int = 4) -> float:
     return float(np.linalg.norm(smooth - vals, axis=-1).max())
 
 
+def _operator_norm(mat) -> np.ndarray:
+    """Largest singular values of (..., d, 2) matrices [x y], in closed form:
+    the root of the larger eigenvalue of the Gram matrix [[xx, xy], [xy, yy]]."""
+    x, y = mat[..., 0], mat[..., 1]
+    xx, yy, xy = dot(x, x), dot(y, y), dot(x, y)
+    return np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy)))
+
+
 def distance_c1(plm: PLMap, spec: ImmersionSpec, oversample: int = 4) -> float:
-    """C1 distance: distance_c0 plus the sup operator norm of d ell - d ell_N."""
+    """C1 distance: distance_c0 plus the sup operator norm of d ell - d ell_N,
+    over the same sample grids.  A non-finite value gives NaN."""
     if oversample < 1:
         raise ValueError("oversample must be at least 1")
     pts, vals = _sample_points(plm, oversample)
     smooth, deriv = spec.jet(pts)
     c0 = float(np.linalg.norm(smooth - vals, axis=-1).max())
-    diff = deriv - plm.differentials[:, None, :, :]
-    sv = np.linalg.svd(diff, compute_uv=False)
-    return c0 + float(sv[..., 0].max())
+    return c0 + float(_operator_norm(deriv - plm.differentials[:, None]).max())
 
 
 def pl_isotropy_residual(plm: PLMap) -> np.ndarray:
@@ -231,11 +239,11 @@ def _seg_seg_distance(p0, p1, q0, q1):
     d1 = p1 - p0
     d2 = q1 - q0
     r = p0 - q0
-    a = np.einsum("...i,...i->...", d1, d1)
-    e = np.einsum("...i,...i->...", d2, d2)
-    f = np.einsum("...i,...i->...", d2, r)
-    c = np.einsum("...i,...i->...", d1, r)
-    b = np.einsum("...i,...i->...", d1, d2)
+    a = dot(d1, d1)
+    e = dot(d2, d2)
+    f = dot(d2, r)
+    c = dot(d1, r)
+    b = dot(d1, d2)
     denom = a * e - b * b
     safe_denom = np.where(denom > 0.0, denom, 1.0)
     s = np.where(denom > 0.0, np.clip((b * f - c * e) / safe_denom, 0.0, 1.0), 0.0)
@@ -250,10 +258,6 @@ def _seg_seg_distance(p0, p1, q0, q1):
 
 
 # -- triangle/triangle distance ----------------------------------------------
-
-
-def _dot(a, b):
-    return np.einsum("...d,...d->...", a, b)
 
 
 _TRI_FEATURES = ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0), (0, 1, 2))
@@ -277,10 +281,9 @@ def _tri_tri_distances(p, q, feas_tol=1e-9) -> np.ndarray:
     hulls counts when its barycentric coordinates are feasible within
     ``feas_tol``; the distance is the least over the 49 face pairs.
     Vertex-vertex pairs are plain norms.  The face pairs with m >= 1
-    unknowns are solved together by one thin QR of [columns | right-hand
-    side], modified Gram-Schmidt with the columns reorthogonalised once:
-    back-substitution gives the coordinates, the norm of the projected
-    right-hand side the distance.  A face pair with a column whose projected
+    unknowns are solved together by one ``thin_qr`` of [columns | right-hand
+    side]: back-substitution gives the coordinates, the norm of the
+    projected right-hand side the distance.  A face pair with a column whose projected
     norm is at most max(d, m) eps times the largest column norm (the
     relative cutoff of ``lstsq(rcond=None)``) is rank-deficient and dropped:
     an extreme point of the closest-pair set lies on a full-rank face pair.
@@ -288,30 +291,19 @@ def _tri_tri_distances(p, q, feas_tol=1e-9) -> np.ndarray:
     """
     verts = np.concatenate([p, q], axis=1).transpose(1, 0, 2)  # (6, K, d)
     diffs = (verts[:, None] - verts[None]).reshape((36,) + verts.shape[1:])
-    lens = np.sqrt(_dot(diffs, diffs))
+    lens = np.sqrt(dot(diffs, diffs))
     best = lens[_FACE_PAIRS[0][0]].min(axis=0)
     for m, group in enumerate(_FACE_PAIRS[1:], start=1):
         cols = diffs[group]  # (m + 1, G, K, d), overwritten by Q
         cutoff = max(p.shape[-1], m) * np.finfo(float).eps * lens[group[:m]].max(axis=0)
-        r = np.zeros((m + 1,) + cols.shape[:3])
-        for j in range(m + 1):
-            for _ in range(1 + (j < m)):
-                for i in range(j):
-                    c = _dot(cols[i], cols[j])
-                    cols[j] -= c[..., None] * cols[i]
-                    r[i, j] += c
-            r[j, j] = np.sqrt(_dot(cols[j], cols[j]))
-            cols[j] /= np.where(r[j, j] > 0.0, r[j, j], 1.0)[..., None]
-        diag = r[range(m), range(m)]
-        x = np.zeros((m,) + diag.shape[1:])
-        for j in reversed(range(m)):
-            x[j] = r[j, m] - np.einsum("i...,i...->...", r[j, j + 1 : m], x[j + 1 :])
-            x[j] /= np.where(diag[j] > 0.0, diag[j], 1.0)
+        r = thin_qr(cols, m, cutoff)
+        x = back_substitute(r, m)
         on_p = group[:m, :, None] < 18  # columns p_k - p_0: 6 a + b with a < 3
-        drop = (diag <= cutoff).any(axis=0) | (x.min(axis=0) < -feas_tol)
+        drop = (r[range(m), range(m)] == 0.0).any(axis=0) | (x.min(axis=0) < -feas_tol)
         for side in (on_p, ~on_p):
             drop |= (x * side).sum(axis=0) > 1.0 + feas_tol
-        best = np.minimum(best, np.where(drop, np.inf, r[m, m]).min(axis=0))
+        dist = np.sqrt(dot(cols[m], cols[m]))
+        best = np.minimum(best, np.where(drop, np.inf, dist).min(axis=0))
     return best
 
 
@@ -441,13 +433,13 @@ def _far_side_distances(x, e, gx, ge, m, edge, threshold):
         y0 = np.where(edge[near, None], y1, x[0][near])
         r0, r1 = (y - a[near, None] * e1 - b[near, None] * e2 for y, (a, b) in zip((y0, y1), lam))
         diff = r1 - r0
-        t = np.clip(-_dot(r0, diff) / np.maximum(_dot(diff, diff), np.finfo(float).tiny), 0.0, 1.0)
+        t = np.clip(-dot(r0, diff) / np.maximum(dot(diff, diff), np.finfo(float).tiny), 0.0, 1.0)
         gap = r0 + t[:, None] * diff
         la, mu = ((1.0 - t) * a[near] + t * b[near] for a, b in zip(*lam))
         inside = (det[near] > 0.0) & (la >= 0.0) & (mu >= 0.0) & (la + mu <= 1.0)
         zero = np.zeros_like(e1)
         edges = [_seg_seg_distance(y0, y1, p, q) for p, q in ((zero, e1), (e1, e2), (e2, zero))]
-        dist[near] = np.where(inside, np.sqrt(_dot(gap, gap)), np.min(edges, axis=0))
+        dist[near] = np.where(inside, np.sqrt(dot(gap, gap)), np.min(edges, axis=0))
     return dist, np.sqrt(np.maximum(gap2 - slack, 0.0))
 
 
@@ -484,8 +476,8 @@ def _adjacent_distances(vals, vids, i, j, threshold):
             sw = np.where(edge, sw, (su + 1) % 3)
             base = np.take(flat, 3 * t + su, axis=0)
             rel += [np.take(flat, 3 * t + k, axis=0) - base for k in (sw, 3 - su - sw)]
-        ga, gb = ((_dot(x[0], x[0]), _dot(x[0], x[1]), _dot(x[1], x[1])) for x in (a, b))
-        m = [[_dot(x, y) for y in b] for x in a]
+        ga, gb = ((dot(x[0], x[0]), dot(x[0], x[1]), dot(x[1], x[1])) for x in (a, b))
+        m = [[dot(x, y) for y in b] for x in a]
         (dist, ha), (dist_b, hc) = (
             _far_side_distances(a, b, ga, gb, m, edge, threshold),
             _far_side_distances(b, a, gb, ga, [list(col) for col in zip(*m)], edge, threshold),
@@ -510,6 +502,13 @@ def _adjacent_distances(vals, vids, i, j, threshold):
     return out
 
 
+def _threshold(plm: PLMap, tol: float) -> float:
+    """The certificates' distance threshold, tol times the max edge length."""
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
+    return tol * plm.edge_scale()
+
+
 def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     """Local injectivity verdict for the PL map.
 
@@ -522,18 +521,17 @@ def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     ``("vertex_star", v, t1, t2, dist)`` sorted by (t1, t2), v numbered as
     in ``tri_vertex_ids``.
     """
-    # Closed-form singular values of each [x y]: s_max^2 is the larger Gram
-    # eigenvalue and s_max s_min = |x ^ y|, the root sum of squared minors,
-    # so s_min <= tol max(s_max) reads |x ^ y| <= tol max(s_max) s_max.
+    threshold = _threshold(plm, tol)
+    # Closed-form singular values of each [x y]: s_max from _operator_norm,
+    # and s_max s_min = |x ^ y|, the root sum of squared minors, so
+    # s_min <= tol max(s_max) reads |x ^ y| <= tol max(s_max) s_max.
     x, y = np.moveaxis(plm.differentials, -1, 0)
-    xx, yy, xy = _dot(x, x), _dot(y, y), _dot(x, y)
     a, b = np.triu_indices(plm.dim, 1)
-    big = np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy)))
+    big = _operator_norm(plm.differentials)
     area = np.linalg.norm(x[:, a] * y[:, b] - x[:, b] * y[:, a], axis=-1)
     top = big.max(initial=0.0, where=np.isfinite(big))
     degen = np.nonzero(~(area > tol * top * big))[0]  # NaN fails
     witnesses = [("degenerate_triangle", int(t)) for t in degen]
-    threshold = tol * plm.edge_scale()
     v, i, j = _vertex_pairs(plm.tri_vertex_ids)
     dist = _adjacent_distances(plm.tri_values, plm.tri_vertex_ids, i, j, threshold)
     bad = np.nonzero(~(dist >= threshold))[0]
@@ -552,7 +550,7 @@ def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     boxes.  Witnesses are (triangle, triangle, distance), sorted by pair; a
     triangle t with a non-finite value cannot be placed and is (t, t, nan).
     """
-    threshold = tol * plm.edge_scale()
+    threshold = _threshold(plm, tol)
     vals, vids = plm.tri_values, plm.tri_vertex_ids
     finite = np.isfinite(vals).all(axis=(1, 2))
     keep = np.nonzero(finite)[0]

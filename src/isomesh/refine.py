@@ -12,10 +12,14 @@ triangle i is the single linear equation
 and the four equations (whose rows sum to zero, the edges closing up) are
 solvable exactly when the quadrilateral itself is isotropic.  The affine
 solution space has codimension equal to the dimension of the quadrilateral's
-affine span, so the minimum-distance apex is computed as G plus the
-minimum-norm least-squares solution in the shifted variable, via SVD with a
-relative singular value cutoff, which covers flat and degenerate
-quadrilaterals uniformly.
+affine span, so the minimum-distance apex is G plus the minimum-norm
+least-squares solution in the shifted variable.  The rows are J applied to
+the edges, so that solution is J E^+ applied to the shifted right-hand side,
+E the edge matrix.  A thin QR of the edges e0, e1, e2 drops every edge whose
+projected norm is at most a relative cutoff times the longest edge; this
+gives an orthonormal basis Q of the span and its rank, and E = C Q^T with C
+of full column rank, so E^+ = Q C^+ is a second thin QR of the 4 x rank
+edge coordinates C.  Flat and degenerate quadrilaterals need no special case.
 """
 
 from dataclasses import dataclass
@@ -24,9 +28,10 @@ import numpy as np
 
 from .density import QuadMesh, corner_value_table
 from .lattice import Chart
+from .linalg import back_substitute, dot, thin_qr
 from .symplectic import apply_j, liouville_polygon, omega
 
-_SVD_CUTOFF = 1e-10
+_RANK_CUTOFF = 1e-10
 _RESIDUAL_TOL = 1e-10
 
 
@@ -104,37 +109,41 @@ def apex_constraints(quads):
     return rows, rhs
 
 
-def _edge_scale(quads):
+def _edge_qr(quads):
+    """Edges (..., 4, 2n) of (..., 4, 2n) quadrilaterals, the thin QR of
+    e0, e1, e2 (Q in q, shape (3, ..., 2n), and r) with the rank cutoff, and
+    the longest edge length."""
     edges = np.roll(quads, -1, axis=-2) - quads
-    return np.linalg.norm(edges, axis=-1).max(axis=-1)
+    scale = np.linalg.norm(edges, axis=-1).max(axis=-1)
+    q = np.moveaxis(edges[..., :3, :], -2, 0).copy()
+    r = thin_qr(q, 3, _RANK_CUTOFF * scale)
+    return edges, q, r, scale
 
 
-def _optimal_apexes(quads, facet_labels=None):
+def _optimal_apexes(quads, facet_label=int):
     """Batched optimal apexes for (..., 4, 2n) quadrilaterals.
 
     The one isotropy gate: every apex-triangle residual r_i must stay within
     a limit scaled by the edge length.  It bounds the Liouville integral L as
-    well, since the r_i sum to 2L, so max |r_i| >= |L| / 2.
+    well, since the r_i sum to 2L, so max |r_i| >= |L| / 2.  The first
+    failing facet i is named by ``facet_label(i)``.
     """
     quads = np.asarray(quads, dtype=float)
     flat = quads.reshape(-1, 4, quads.shape[-1])
     g = flat.mean(axis=1)
     rows, rhs = apex_constraints(flat)
     shifted = rhs - np.einsum("fij,fj->fi", rows, g)
-    # Non-finite rows are zeroed for the SVD; their residuals come out NaN.
-    u, s, vt = np.linalg.svd(np.where(np.isfinite(rows), rows, 0.0), full_matrices=False)
-    keep = s > _SVD_CUTOFF * s[:, :1]
-    sinv = np.where(keep, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    coeff = sinv * np.einsum("fij,fi->fj", u, shifted)
-    q = np.einsum("fij,fi->fj", vt, coeff)
-    apex = g + q
+    # Columns of C = E Q, then the right-hand side; a NaN spreads to the apex.
+    edges, q, _, scale = _edge_qr(flat)
+    coords = np.concatenate([dot(edges, q[:, :, None]), shifted[None]])
+    coeff = back_substitute(thin_qr(coords, 3, 0.0), 3)
+    apex = g + apply_j((coeff[..., None] * q).sum(axis=0))
     resid = np.abs(np.einsum("fij,fj->fi", rows, apex) - rhs).max(axis=1)
-    scale = _edge_scale(flat)
     limit = _RESIDUAL_TOL * scale + 1e-14 * (1.0 + np.abs(rhs).max(axis=1))
     bad = np.nonzero(~(resid <= limit))[0]  # NaN fails
     if bad.size:
         i = int(bad[0])
-        label = facet_labels[i] if facet_labels is not None else i
+        label = facet_label(i)
         raise NotIsotropic(
             f"facet {label}: isotropy residual {resid[i]:.3e} exceeds its limit "
             f"{limit[i]:.3e} (liouville integral {liouville_polygon(flat[i]):.3e})",
@@ -160,17 +169,14 @@ def optimal_apex(a0, a1, a2, a3) -> np.ndarray:
 def quad_dimension(a0, a1, a2, a3) -> int:
     """Dimension of the affine span of the quadrilateral (0 to 3).
 
-    Numerical rank of the three edge vectors from A0; singular values below
-    the apex solve's SVD cutoff times the largest count as zero.  For
-    isotropic quadrilaterals this equals the codimension of the isotropic-apex
-    solution space.
+    The rank the apex solve uses: the edges e0, e1, e2 kept by its thin QR,
+    which drops an edge whose projected norm is at most the rank cutoff
+    times the longest edge.  For isotropic quadrilaterals this equals the
+    codimension of the isotropic-apex solution space.
     """
-    pts = np.stack([np.asarray(p, dtype=float) for p in (a0, a1, a2, a3)])
-    edges = pts[1:] - pts[0]
-    s = np.linalg.svd(edges, compute_uv=False)
-    if s[0] <= 0.0:
-        return 0
-    return int(np.sum(s > _SVD_CUTOFF * s[0]))
+    quad = np.stack([np.asarray(p, dtype=float) for p in (a0, a1, a2, a3)])
+    _, _, r, _ = _edge_qr(quad)
+    return int(np.count_nonzero(r[range(3), range(3)]))
 
 
 def apex_refine(mesh: QuadMesh) -> TriMesh:
@@ -181,8 +187,7 @@ def apex_refine(mesh: QuadMesh) -> TriMesh:
     """
     quads = mesh.corner_table()
     kc, lc = mesh.chart.all_canonical()
-    labels = [(int(k), int(l)) for k, l in zip(kc, lc)]
-    apexes = _optimal_apexes(quads, facet_labels=labels)
+    apexes = _optimal_apexes(quads, facet_label=lambda i: (int(kc[i]), int(lc[i])))
     return TriMesh(
         chart=mesh.chart,
         corner_values=mesh.values.copy(),

@@ -6,6 +6,7 @@ from isomesh import build_chart, rotation
 from isomesh.cli import DEFAULT_ROTATION
 from isomesh.density import QuadMesh
 from isomesh.plmap import _LOCAL_CORNERS, _LOCAL_EDGE_INV
+from isomesh.refine import apex_constraints
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
 
@@ -78,6 +79,42 @@ def random_isotropic_quadrilateral(rng, dim=4):
         pts[3] = pts[3] - (2.0 * liou / gg) * grad
         if abs(liouville_polygon(pts)) < 1e-12:
             return pts
+
+
+def optimal_apexes_svd(quads):
+    """Reference optimal apexes of (F, 4, 2n) quadrilaterals and the refine
+    gate's verdicts, one SVD per facet.
+
+    The apex is the barycenter plus the minimum-norm least-squares solution
+    of the shifted apex system, singular values at most 1e-10 times the
+    largest dropped; the gate is the refine stage's residual limit.
+    """
+    quads = np.asarray(quads, dtype=float)
+    g = quads.mean(axis=1)
+    rows, rhs = apex_constraints(quads)
+    shifted = rhs - np.einsum("fij,fj->fi", rows, g)
+    u, s, vt = np.linalg.svd(rows, full_matrices=False)
+    keep = s > 1e-10 * s[:, :1]
+    sinv = np.where(keep, 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    apex = g + np.einsum("fij,fi->fj", vt, sinv * np.einsum("fij,fi->fj", u, shifted))
+    resid = np.abs(np.einsum("fij,fj->fi", rows, apex) - rhs).max(axis=1)
+    scale = np.linalg.norm(np.roll(quads, -1, axis=1) - quads, axis=-1).max(axis=1)
+    limit = 1e-10 * scale + 1e-14 * (1.0 + np.abs(rhs).max(axis=1))
+    return apex, resid <= limit
+
+
+def random_isotropic_quad_of_rank(rng, rank, dim=4):
+    """Isotropic quadrilateral whose affine span has dimension ``rank``: a
+    repeated point (0), four points on a line (1), a parallelogram in an
+    isotropic plane (2) or a generic one (3)."""
+    base = rng.standard_normal(dim)
+    if rank == 0:
+        return np.tile(base, (4, 1))
+    if rank == 1:
+        return base + rng.standard_normal((4, 1)) * rng.standard_normal(dim)
+    if rank == 2:
+        return random_isotropic_plane_parallelogram(rng, dim)
+    return random_isotropic_quadrilateral(rng, dim)
 
 
 def box_close_pairs_brute(lo, hi, threshold):

@@ -37,6 +37,7 @@ from isomesh.density import corner_value_table
 from isomesh.plmap import (
     PLMap,
     _box_close_pairs,
+    _operator_norm,
     _seg_seg_distance,
     _tri_tri_distances,
     _vertex_pairs,
@@ -262,6 +263,34 @@ class TestDistances:
         spec, plm = solved_plmap("clifford", n=8)
         with pytest.raises(ValueError):
             distance_c0(plm, spec, oversample=0)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.sampled_from([2, 3, 4, 6]),
+        rank=st.integers(0, 2),
+        exponent=st.integers(-100, 100),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_operator_norm_matches_svd(self, seed, dim, rank, exponent):
+        rng = np.random.default_rng(seed)
+        mats = rng.standard_normal((32, dim, 2))
+        if rank == 1:  # one column a multiple of the other, or zero
+            mats[..., 1] = mats[..., 0] * rng.choice([0.0, -1.0, 3.0], (32, 1))
+        if rank == 0:
+            mats[:16] = 0.0
+        mats *= 10.0**exponent
+        want = np.linalg.svd(mats, compute_uv=False)[..., 0]
+        np.testing.assert_allclose(_operator_norm(mats), want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_value_gives_nan(self, bad):
+        spec = make_flat_plane()
+        chart = identity_chart(4)
+        tri = sample_tri(spec, chart)
+        tri.apex_values[chart.offset_of_raw(1, 1), 2] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            plm = build_pl(tri)
+            assert np.isnan(distance_c1(plm, spec))
 
     def test_differential_gap_first_order(self, clifford_sweep):
         # The facet-differential gap between the optimal PL map and the plain
@@ -657,6 +686,14 @@ class TestChecks:
         assert not embedding.passed
         assert [w[:2] for w in embedding.witnesses] == [(t, t) for t in sorted(spoiled)]
         assert all(np.isnan(w[2]) for w in embedding.witnesses)
+
+    @pytest.mark.parametrize("check", [check_immersion, check_embedding])
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_tol_must_be_finite_and_non_negative(self, check, tol):
+        plm = build_pl(sample_tri(make_flat_plane(), identity_chart(4)))
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            check(plm, tol=tol)
+        assert check(plm, tol=0.0).passed
 
     def test_folded_mesh_fails(self):
         # Degenerate fold: both triangle fans of one facet collapse onto one

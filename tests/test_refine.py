@@ -1,11 +1,17 @@
 """Barycentric and optimal apexes, quadrilateral dimension, refinement."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     identity_chart,
+    optimal_apexes_svd,
     random_isotropic_plane_parallelogram,
+    random_isotropic_quad_of_rank,
     random_isotropic_quadrilateral,
     random_mesh,
     random_unitary_symplectic,
@@ -129,6 +135,61 @@ class TestOptimalApex:
             assert np.abs(rows @ sol - rhs).max() >= abs(liou) / 2.0 - 1e-12
 
 
+class TestApexAgainstSvd:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(0, 3),
+        dim=st.sampled_from([4, 6]),
+        exponent=st.integers(-6, 6),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_isotropic_quads(self, seed, rank, dim, exponent):
+        # The QR apex is the SVD apex within rounding of the conditioned
+        # solve, and passes the gate wherever the SVD apex does.  (Beyond
+        # 1e4 the gate's limit, linear plus 1e-14 times quadratic in the
+        # scale, sits at the rounding of rank-1 to rank-3 residuals: both
+        # may reject there, and the SVD apex, the less accurate, more often.)
+        rng = np.random.default_rng(seed)
+        quads = 10.0**exponent * np.stack(
+            [random_isotropic_quad_of_rank(rng, rank, dim) for _ in range(4)]
+        )
+        ref, ref_passed = optimal_apexes_svd(quads)
+        eps = np.finfo(float).eps
+        for quad, want, want_passed in zip(quads, ref, ref_passed):
+            assert quad_dimension(*quad) == rank
+            try:
+                got = optimal_apex(*quad)
+            except NotIsotropic:
+                assert not want_passed
+                continue
+            s = np.linalg.svd(apex_constraints(quad)[0], compute_uv=False)
+            cond = s[0] / s[rank - 1] if rank else 1.0
+            assert np.abs(got - want).max() <= 64 * eps * cond * np.abs(quad).max()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rank=st.integers(0, 3),
+        dim=st.sampled_from([4, 6]),
+        exponent=st.integers(-6, 6),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_spoiled_quads_same_verdict(self, seed, rank, dim, exponent):
+        # Off isotropy by a Liouville integral far above rounding, the two
+        # least-squares apexes give the same gate verdict.
+        rng = np.random.default_rng(seed)
+        quad = random_isotropic_quad_of_rank(rng, rank, dim)
+        quad = quad + 0.5 * rng.standard_normal(quad.shape)
+        assume(abs(liouville_polygon(quad)) > 1e-2)
+        quad *= 10.0**exponent
+        _, (want_passed,) = optimal_apexes_svd(quad[None])
+        try:
+            optimal_apex(*quad)
+            passed = True
+        except NotIsotropic:
+            passed = False
+        assert passed == want_passed
+
+
 class TestQuadDimension:
     def test_unit_square(self):
         assert quad_dimension(*UNIT_SQUARE) == 2
@@ -194,6 +255,30 @@ class TestApexRefine:
         with pytest.raises(NotIsotropic) as err:
             apex_refine(mesh)
         assert err.value.facet is not None
+
+    def test_not_isotropic_names_first_bad_facet(self):
+        # Lifting one vertex of a flat isotropic mesh out of its plane
+        # spoils the four facets around it; the error names the first in
+        # canonical order as (k, l), with its residual, limit and Liouville
+        # integral.
+        chart = rotated_chart(4)
+        rho, _ = project_isotropic(sample_quad(make_flat_plane(), chart), tol=1e-10)
+        values = rho.values.copy()
+        values[5] += [0.0, 0.3, -0.2, 0.0]
+        mesh = QuadMesh(chart, values, target_periods=rho.target_periods)
+        _, passed = optimal_apexes_svd(mesh.corner_table())
+        first = int(np.nonzero(~passed)[0][0])
+        kc, lc = chart.all_canonical()
+        with pytest.raises(NotIsotropic) as err:
+            apex_refine(mesh)
+        facet = err.value.facet
+        assert facet == (kc[first], lc[first])
+        assert all(type(x) is int for x in facet)
+        pattern = (
+            rf"facet \({facet[0]}, {facet[1]}\): isotropy residual \S+e[+-]\d\d "
+            r"exceeds its limit \S+e[+-]\d\d \(liouville integral \S+e[+-]\d\d\)"
+        )
+        assert re.fullmatch(pattern, str(err.value))
 
     def test_counts(self):
         mesh = sample_quad(make_flat_plane(), identity_chart(3))
