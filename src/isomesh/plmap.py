@@ -13,12 +13,18 @@ are constant, so PL isotropy is the finite list of residuals
 Liouville integral around the triangle boundary.
 
 Topology checks are tolerance-based floating point, against tol * scale.
-One predicate, ``_adjacent_distances``, judges pairs of triangles that share
-a vertex id: all of them (from sorting ``tri_vertex_ids``) for immersion, the
-adjacent candidates of a uniform-grid broadphase over the triangle boxes for
-embedding.  Other candidates get exact convex distances over barycentric
-coordinates, one batched thin QR per number of unknowns (not the normal
-equations, which misjudge nearly parallel crossing edges).  NaN fails.
+One predicate, ``adjacent._adjacent_distances``, judges pairs of triangles
+that share a vertex id: all of them (from sorting ``tri_vertex_ids``) for
+immersion, the adjacent candidates of a uniform-grid broadphase over the
+triangle boxes for embedding.  A sound screen goes first and clears, at one
+dot product each, the pairs whose distance two lower bounds put at or above
+the threshold: the angle between the vertex cones of a pair that shares a
+vertex, and the dihedral opening of a pair that shares an edge (the
+predicate's docstring proves both, with their rounding slack); only the
+other pairs are measured, so witnesses and distances are those of the
+predicate alone.  Other candidates get exact convex distances over
+barycentric coordinates, one batched thin QR per number of unknowns (not the
+normal equations, which misjudge nearly parallel crossing edges).  NaN fails.
 """
 
 import itertools
@@ -26,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .adjacent import _PAIR_BLOCK, _Screen, _pair_codes, _vertex_pairs
 from .density import CORNER_STEPS
 from .immersion import ImmersionSpec
 from .linalg import back_substitute, dot, thin_qr
@@ -56,6 +63,7 @@ class PLMap:
     tri_source: np.ndarray = field(init=False, repr=False)
     tri_vertex_ids: np.ndarray = field(init=False, repr=False)
     differentials: np.ndarray = field(init=False, repr=False)
+    _edge_scale: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tri = self.tri
@@ -107,10 +115,14 @@ class PLMap:
         return self.tri.dim
 
     def edge_scale(self) -> float:
-        """Max finite image edge length, the geometric scale for tolerance tests."""
-        edges = np.roll(self.tri_values, -1, axis=1) - self.tri_values
-        lengths = np.linalg.norm(edges, axis=-1)
-        return float(lengths.max(initial=0.0, where=np.isfinite(lengths)))
+        """Max finite image edge length, the geometric scale for tolerance
+        tests: the root of the largest finite squared length, computed once."""
+        if self._edge_scale is None:
+            edges = np.roll(self.tri_values, -1, axis=1) - self.tri_values
+            squares = np.add.reduce(edges * edges, axis=-1)
+            top = squares.max(initial=0.0, where=np.isfinite(squares))
+            self._edge_scale = float(np.sqrt(top))
+        return self._edge_scale
 
 
 def build_pl(tri: TriMesh) -> PLMap:
@@ -228,35 +240,6 @@ def triangle_liouville(plm: PLMap) -> np.ndarray:
     return liouville_polygon(plm.tri_values)
 
 
-# -- batched segment/segment distance ----------------------------------------
-
-
-def _seg_seg_distance(p0, p1, q0, q1):
-    """Min distance between segments [p0,p1] and [q0,q1], batched, any dim.
-
-    Degenerate segments (coincident endpoints) reduce to points.
-    """
-    d1 = p1 - p0
-    d2 = q1 - q0
-    r = p0 - q0
-    a = dot(d1, d1)
-    e = dot(d2, d2)
-    f = dot(d2, r)
-    c = dot(d1, r)
-    b = dot(d1, d2)
-    denom = a * e - b * b
-    safe_denom = np.where(denom > 0.0, denom, 1.0)
-    s = np.where(denom > 0.0, np.clip((b * f - c * e) / safe_denom, 0.0, 1.0), 0.0)
-    safe_e = np.where(e > 0.0, e, 1.0)
-    t = np.where(e > 0.0, (b * s + f) / safe_e, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    safe_a = np.where(a > 0.0, a, 1.0)
-    s = np.where(a > 0.0, np.clip((b * t - c) / safe_a, 0.0, 1.0), 0.0)
-    closest1 = p0 + s[..., None] * d1
-    closest2 = q0 + t[..., None] * d2
-    return np.linalg.norm(closest1 - closest2, axis=-1)
-
-
 # -- triangle/triangle distance ----------------------------------------------
 
 
@@ -317,8 +300,10 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
     their per-axis gap max(0, lo_i - hi_j, lo_j - hi_i) is at most it.  The
     boxes, inflated by ``threshold``, are binned into a uniform grid whose
     cell edge is the largest inflated extent, so each box touches at most two
-    cells per axis (three only through rounding).  Pairs that share a cell
-    are deduplicated and then filtered by the exact gap norm.
+    cells per axis (three only through rounding).  A pair is taken once, in
+    the first cell the two boxes share (on each axis one of the two is in
+    its first cell there), and filtered by the exact gap norm; the pairs of
+    the cells are made in chunks of about ``_PAIR_BLOCK``.
     """
     count, dim = lo.shape
     if count < 2:
@@ -331,36 +316,47 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
     edge = max(float((ghi - glo).max()), reach * 2.0**-20) or 1.0
     first = np.floor((glo - origin) / edge).astype(np.int64)
     span = np.floor((ghi - origin) / edge).astype(np.int64) - first
-    boxes, cells = [], []
+    boxes, cells, later = [], [], []  # later: bit k set past the first cell on axis k
     for step in itertools.product(range(int(span.max()) + 1), repeat=dim):
         hit = np.nonzero((span >= step).all(axis=1))[0]
         boxes.append(hit)
         cells.append(first[hit] + np.array(step, dtype=np.int64))
+        later.append(np.full(hit.size, sum(1 << k for k, s in enumerate(step) if s)))
     boxes = np.concatenate(boxes)
     cells = np.concatenate(cells)
     order = np.lexsort(cells.T[::-1])
     boxes = boxes[order]
     cells = cells[order]
+    later = np.concatenate(later)[order]
 
-    # Entries are now grouped by cell; pair each with the rest of its group.
+    # Entries are now grouped by cell; pair each with the rest of its group,
+    # whole entries at a time.
     new_cell = np.ones(boxes.size, dtype=bool)
     new_cell[1:] = (cells[1:] != cells[:-1]).any(axis=1)
     starts = np.nonzero(new_cell)[0]
     ends = np.append(starts[1:], boxes.size)
     after = np.repeat(ends, ends - starts) - np.arange(boxes.size) - 1
-    a = np.repeat(np.arange(boxes.size), after)
-    b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(after) - after, after)
-    a, b = boxes[a], boxes[b]
-    key = np.sort(np.minimum(a, b) * count + np.maximum(a, b))
-    key = key[np.diff(key, prepend=-1) != 0]
-    i, j = key // count, key % count
-
-    gap2 = np.zeros(key.size)
-    for k in range(dim):  # one axis at a time keeps the gathers small
-        gap = np.maximum(0.0, np.maximum(lo[i, k] - hi[j, k], lo[j, k] - hi[i, k]))
-        gap2 += gap * gap
-    close = np.sqrt(gap2) <= threshold
-    return i[close], j[close]
+    total = np.cumsum(after)
+    keys = [np.empty(0, dtype=np.int64)]
+    start = 0
+    while start < boxes.size:
+        end = total[start] - after[start] + _PAIR_BLOCK
+        stop = max(np.searchsorted(total, end, "right"), start + 1)
+        rep = after[start:stop]
+        a = np.repeat(np.arange(start, stop), rep)
+        b = a + 1 + np.arange(a.size) - np.repeat(np.cumsum(rep) - rep, rep)
+        own = (later[a] & later[b]) == 0
+        a, b = boxes[a[own]], boxes[b[own]]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        gap2 = np.zeros(i.size)
+        for k in range(dim):  # one axis at a time keeps the gathers small
+            gap = np.maximum(0.0, np.maximum(lo[i, k] - hi[j, k], lo[j, k] - hi[i, k]))
+            gap2 += gap * gap
+        close = np.sqrt(gap2) <= threshold
+        keys.append(i[close] * count + j[close])
+        start = stop
+    key = np.sort(np.concatenate(keys))
+    return key // count, key % count
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -370,136 +366,6 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
 class CheckResult:
     passed: bool
     witnesses: list
-
-
-def _vertex_pairs(vids):
-    """(v, i, j): every pair i < j of triangles that share a vertex id, once,
-    with v the smallest id they share.  The (id, triangle) incidences are
-    sorted on the id, and step k pairs each with the one k places on while
-    the id holds; a pair that also shares a smaller id (an edge) is left to
-    that id."""
-    flat = vids.ravel()
-    slots = np.argsort(flat, kind="stable")
-    ids, tris = flat[slots], slots // 3
-    # A triangle that holds an id twice (N <= 2) keeps one incidence of it.
-    once = np.append(True, (np.diff(ids) != 0) | (np.diff(tris) != 0))
-    ids, tris, slots = ids[once], tris[once], slots[once]
-    x1, x2 = (flat[3 * tris + (slots + step) % 3] for step in (1, 2))  # the other ids
-    pairs = [(ids[:0],) * 3]
-    for k in range(1, ids.size):
-        e = np.nonzero(ids[k:] == ids[:-k])[0]
-        if not e.size:
-            break
-        f = e + k
-        lower = np.zeros(e.size, dtype=bool)
-        for x in (x1[e], x2[e]):
-            lower |= (x < ids[e]) & ((x == x1[f]) | (x == x2[f]))
-        pairs.append((ids[e[~lower]], tris[e[~lower]], tris[f[~lower]]))
-    return [np.concatenate(column) for column in zip(*pairs)]
-
-
-def _far_side_distances(x, e, gx, ge, m, edge, threshold):
-    """Distances from the far side of T1 = (0, x1, x2), the segment x1 x2 or
-    (where ``edge`` holds) the point x2, to T2 = (0, e1, e2).
-
-    gx = (x1.x1, x1.x2, x2.x2) and ge are the Gram entries, m[k][l] =
-    x_k . e_l.  They give the distance to T2's plane, a lower bound whose
-    square is off by at most ``slack`` ~ eps (tr^2 / det) |x|^2.  Rows below
-    ``threshold`` within the slack get the exact distance: the plane distance
-    where its foot lies in T2, else the least to T2's edges.  Also returns a
-    lower bound on the plane distance.
-    """
-    g11, g12, g22 = ge
-    det = g11 * g22 - g12 * g12
-    inv = 1.0 / np.where(det > 0.0, det, 1.0)
-    # Plane coordinates G^-1 c of y0 = x1 (x2 on edges) and y1 = x2.
-    c = [[np.where(edge, m[1][k], m[0][k]) for k in (0, 1)], m[1]]
-    lam = [((g22 * c1 - g12 * c2) * inv, (g11 * c2 - g12 * c1) * inv) for c1, c2 in c]
-    yy = np.where(edge, gx[2], gx[0]), np.where(edge, gx[2], gx[1]), gx[2]
-    # Off-plane |r0|^2, r0.r1, |r1|^2; then min of |r0 + s (r1 - r0)|^2, s in [0, 1].
-    n00, n01, n11 = (
-        yy[k] - lam[p][0] * c[q][0] - lam[p][1] * c[q][1]
-        for k, (p, q) in enumerate(((0, 0), (0, 1), (1, 1)))
-    )
-    dd = n00 - 2.0 * n01 + n11
-    s = np.clip((n00 - n01) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
-    gap2 = n00 - 2.0 * s * (n00 - n01) + s * s * dd
-    slack = 64.0 * np.finfo(float).eps * (g11 + g22) ** 2 * inv * (yy[0] + yy[2])
-    slack[det <= 0.0] = np.inf
-    dist = np.sqrt(np.maximum(gap2, 0.0))
-    near = np.nonzero(gap2 < threshold * threshold + slack)[0]
-    if near.size:
-        e1, e2, y1 = e[0][near], e[1][near], x[1][near]
-        y0 = np.where(edge[near, None], y1, x[0][near])
-        r0, r1 = (y - a[near, None] * e1 - b[near, None] * e2 for y, (a, b) in zip((y0, y1), lam))
-        diff = r1 - r0
-        t = np.clip(-dot(r0, diff) / np.maximum(dot(diff, diff), np.finfo(float).tiny), 0.0, 1.0)
-        gap = r0 + t[:, None] * diff
-        la, mu = ((1.0 - t) * a[near] + t * b[near] for a, b in zip(*lam))
-        inside = (det[near] > 0.0) & (la >= 0.0) & (mu >= 0.0) & (la + mu <= 1.0)
-        zero = np.zeros_like(e1)
-        edges = [_seg_seg_distance(y0, y1, p, q) for p, q in ((zero, e1), (e1, e2), (e2, zero))]
-        dist[near] = np.where(inside, np.sqrt(dot(gap, gap)), np.min(edges, axis=0))
-    return dist, np.sqrt(np.maximum(gap2 - slack, 0.0))
-
-
-#: Adjacent pairs measured at once; bounds the temporaries of the predicate.
-_PAIR_BLOCK = 1 << 14
-
-
-def _adjacent_distances(vals, vids, i, j, threshold):
-    """Distances between triangles i[k], j[k] beyond their shared simplex;
-    exact below ``threshold``, lower bounds at or above it.
-
-    u is the smallest vertex id the two share, w the next if any, each read
-    at its first slot; both triangles are taken relative to their own value
-    at u, which puts them in one lift.  A vertex-sharing pair (u, a, b),
-    (u, c, d) scores min(dist(ab, T2), dist(cd, T1)): a ray from u through a
-    common point leaves the intersection on ab or cd.  An edge-sharing pair
-    (u, w, a), (u, w, c) scores min(dist(a, T2), dist(c, T1), dist(ua, wc),
-    dist(wa, uc)): such triangles meet beyond uw only folded onto one side of
-    it in a common plane.  Both scores are zero exactly when the pair meets.
-    """
-    flat = vals.reshape(-1, vals.shape[-1])  # one row per (triangle, slot)
-    big = np.iinfo(vids.dtype).max
-    out = np.empty(i.size)
-    for lo in range(0, i.size, _PAIR_BLOCK):
-        tris = i[lo : lo + _PAIR_BLOCK], j[lo : lo + _PAIR_BLOCK]
-        ids = [np.take(vids, t, axis=0).T.copy() for t in tris]
-        shared = [np.where((c == ids[1]).any(axis=0), c, big) for c in ids[0]]
-        u = np.minimum.reduce(shared)
-        w = np.minimum.reduce([np.where(c > u, c, big) for c in shared])
-        edge = w < big
-        a, b = [], []  # values at the slot of w (or the next) and the last one, less u
-        for t, (c0, c1, _), rel in zip(tris, ids, (a, b)):
-            su, sw = (np.where(c0 == x, 0, np.where(c1 == x, 1, 2)) for x in (u, w))
-            sw = np.where(edge, sw, (su + 1) % 3)
-            base = np.take(flat, 3 * t + su, axis=0)
-            rel += [np.take(flat, 3 * t + k, axis=0) - base for k in (sw, 3 - su - sw)]
-        ga, gb = ((dot(x[0], x[0]), dot(x[0], x[1]), dot(x[1], x[1])) for x in (a, b))
-        m = [[dot(x, y) for y in b] for x in a]
-        (dist, ha), (dist_b, hc) = (
-            _far_side_distances(a, b, ga, gb, m, edge, threshold),
-            _far_side_distances(b, a, gb, ga, [list(col) for col in zip(*m)], edge, threshold),
-        )
-        np.minimum(dist, dist_b, out=dist)
-        # Edge pairs also test ua against wc and wa against uc.  For p, q on
-        # them at fractions s, t from u or w, |p - q| >= s h_a, t h_c (plane
-        # distances; u, w lie in both planes when the values at w agree) and
-        # >= |w - u| - s l_a - t l_c, l_a = 2 |a - u| + |w - u|.  So both
-        # terms clear the threshold where |w - u| > threshold (1 + l_a / h_a
-        # + l_c / h_c); the other edge pairs are measured.
-        e = np.nonzero(edge)[0]
-        span, ha, hc = np.sqrt(ga[0][e]), ha[e], hc[e]
-        la, lc = 2.0 * np.sqrt(ga[2][e]) + span, 2.0 * np.sqrt(gb[2][e]) + span
-        clear = span * ha * hc > 2.0 * threshold * (ha * hc + la * hc + lc * ha)
-        e = e[~clear | (a[0][e] != b[0][e]).any(axis=1)]
-        zero = np.zeros((e.size, vals.shape[-1]))
-        ends = ((zero, a[0][e]), (a[1][e],) * 2, (b[0][e], zero), (b[1][e],) * 2)
-        cross = _seg_seg_distance(*(np.concatenate(pair) for pair in ends))
-        dist[e] = np.minimum(dist[e], np.minimum(cross[: e.size], cross[e.size :]))
-        out[lo : lo + _PAIR_BLOCK] = dist
-    return out
 
 
 def _threshold(plm: PLMap, tol: float) -> float:
@@ -532,10 +398,16 @@ def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     top = big.max(initial=0.0, where=np.isfinite(big))
     degen = np.nonzero(~(area > tol * top * big))[0]  # NaN fails
     witnesses = [("degenerate_triangle", int(t)) for t in degen]
-    v, i, j = _vertex_pairs(plm.tri_vertex_ids)
-    dist = _adjacent_distances(plm.tri_values, plm.tri_vertex_ids, i, j, threshold)
-    bad = np.nonzero(~(dist >= threshold))[0]
-    for k in bad[np.lexsort((j[bad], i[bad]))]:
+    screen = _Screen(plm.tri_values, threshold, plm.edge_scale())
+    found = [(np.empty((2, 0), dtype=np.int32), np.empty(0))]
+    for u, w in _vertex_pairs(plm.tri_vertex_ids):
+        rows, dist = screen.distances(u, w)
+        bad = ~(dist >= threshold)
+        found.append((u[:, rows[bad]], dist[bad]))
+    u, dist = (np.concatenate(part, axis=-1) for part in zip(*found))
+    v = plm.tri_vertex_ids.ravel()[u[0]]
+    i, j = u // 3
+    for k in np.lexsort((j, i)):
         witnesses.append(("vertex_star", int(v[k]), int(i[k]), int(j[k]), float(dist[k])))
     return CheckResult(passed=not witnesses, witnesses=witnesses)
 
@@ -556,12 +428,16 @@ def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     keep = np.nonzero(finite)[0]
     lo, hi = vals[keep].min(axis=1), vals[keep].max(axis=1)
     i, j = (keep[k] for k in _box_close_pairs(lo, hi, threshold))
-    adjacent = (vids[i][:, :, None] == vids[j][:, None, :]).any(axis=(1, 2))
-    dist = np.empty(i.size)
-    dist[adjacent] = _adjacent_distances(vals, vids, i[adjacent], j[adjacent], threshold)
-    dist[~adjacent] = _tri_tri_distances(vals[i[~adjacent]], vals[j[~adjacent]])
+    u, w = _pair_codes(vids, i, j)
+    far = np.nonzero(u[0] < 0)[0]
+    far_dist = _tri_tri_distances(vals[i[far]], vals[j[far]])
+    adjacent = np.nonzero(u[0] >= 0)[0]
+    screen = _Screen(vals, threshold, plm.edge_scale())
+    rows, near_dist = screen.distances(u[:, adjacent], w[:, adjacent])
+    pairs = np.concatenate([adjacent[rows], far])
+    dist = np.concatenate([near_dist, far_dist])
     bad = np.nonzero(~(dist >= threshold))[0]  # NaN fails
-    witnesses = [(int(i[k]), int(j[k]), float(dist[k])) for k in bad]
+    witnesses = [(int(i[pairs[k]]), int(j[pairs[k]]), float(dist[k])) for k in bad]
     witnesses += [(int(t), int(t), np.nan) for t in np.nonzero(~finite)[0]]
     return CheckResult(passed=not witnesses, witnesses=sorted(witnesses))
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    adjacent_distance_lstsq,
     box_close_pairs_brute,
     corner_values_reference,
     embedding_witnesses_brute,
@@ -33,14 +34,14 @@ from isomesh import (
     barycentric_apexes,
 )
 from isomesh.cli import PipelineConfig, run_pipeline
-from isomesh.density import corner_value_table
+from isomesh import adjacent
+from isomesh.adjacent import _Screen, _adjacent_distances, _seg_seg_distance, _vertex_pairs
+from isomesh.density import CORNER_STEPS, corner_value_table
 from isomesh.plmap import (
     PLMap,
     _box_close_pairs,
     _operator_norm,
-    _seg_seg_distance,
     _tri_tri_distances,
-    _vertex_pairs,
     build_pl,
     check_embedding,
     check_immersion,
@@ -548,10 +549,205 @@ class TestAdjacentPairs:
                 shared = set(vids[i].tolist()) & set(vids[j].tolist())
                 if shared:
                     want[i, j] = min(shared)
-        v, i, j = _vertex_pairs(vids)
+        u, w = (np.concatenate(part, axis=1) for part in zip(*_vertex_pairs(vids)))
+        v, (i, j) = vids.ravel()[u[0]], u // 3
         got = {(int(a), int(b)): int(c) for c, a, b in zip(v, i, j)}
         assert len(got) == v.size
         assert got == want
+        # u and w sit at the first slot of the smallest and the next shared id.
+        for col in range(v.size):
+            shared = sorted(set(vids[i[col]].tolist()) & set(vids[j[col]].tolist()))
+            for row, t in enumerate((i[col], j[col])):
+                ids = vids[t].tolist()
+                assert u[row, col] == 3 * t + ids.index(shared[0])
+                assert w[row, col] == (3 * t + ids.index(shared[1]) if len(shared) > 1 else -1)
+
+
+def _screened(plm, tol):
+    """(u, w, cleared, threshold) over every pair that shares a vertex id."""
+    threshold = tol * plm.edge_scale()
+    u, w = (np.concatenate(part, axis=1) for part in zip(*_vertex_pairs(plm.tri_vertex_ids)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        return u, w, _Screen(plm.tri_values, threshold, plm.edge_scale()).cleared(u, w), threshold
+
+
+def _assert_screen_sound(plm, tol, references=12):
+    """Every pair the screen clears is at or above the threshold by the exact
+    predicate; the tightest ones also by the lstsq reference."""
+    u, w, cleared, threshold = _screened(plm, tol)
+    rows = np.nonzero(cleared)[0]
+    exact = _adjacent_distances(plm.tri_values, u[:, rows], w[:, rows], threshold)
+    assert (exact >= threshold).all()
+    for k in rows[np.argsort(exact)[:references]]:
+        i, j = (int(c) // 3 for c in u[:, k])
+        assert adjacent_distance_lstsq(plm.tri_values, plm.tri_vertex_ids, i, j) >= threshold
+    return u, w, cleared, threshold
+
+
+def _plane_mesh(chart, dim, rng, moves=(), lift=0.0):
+    """An isometric plane in R^dim over ``chart`` (quasi-periodic: its target
+    periods are the images of the lattice periods), with the apexes of
+    ``moves`` = [(facet, chart point)] moved and every apex lifted off the
+    plane by up to ``lift`` grid steps."""
+    frame = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    plane, normal = frame[:, :2], frame[:, 2:]
+    kc, lc = chart.all_canonical()
+    apexes = chart.facet_center(kc, lc)
+    for f, point in moves:
+        apexes[f] = point
+    offsets = lift / chart.N * rng.uniform(-1.0, 1.0, (chart.vertex_count, dim - 2)) @ normal.T
+    return build_pl(
+        TriMesh(
+            chart,
+            chart.position(kc, lc) @ plane.T,
+            apexes @ plane.T + offsets,
+            target_periods=(plane @ chart.gamma_basis).T,
+        )
+    )
+
+
+class TestScreen:
+    """The screen in front of the adjacent-pair predicate never clears a pair
+    the predicate would fail."""
+
+    @given(
+        hex_chart=st.booleans(),
+        n=st.integers(2, 3),
+        dim=st.sampled_from([4, 6]),
+        tol=st.sampled_from([1e-6, 0.02, 0.1, 0.3]),
+        lift=st.sampled_from([0.0, 1e-3, 0.3]),
+        moves=st.lists(
+            st.tuples(
+                st.integers(0, 8),
+                st.integers(0, 3),
+                st.floats(0.0, 1.0),
+                st.sampled_from([0.0, 1e-9, 1e-4, 0.3, 1.0]),
+            ),
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_sound_on_planes(self, hex_chart, n, dim, tol, lift, moves, seed):
+        # Coplanar fans (lift 0), near misses off the plane, and apexes moved
+        # to a point of a facet edge, then by a fraction of the way to the
+        # center towards it (odd sides) or away from it (even sides):
+        # slivers with H at or below the threshold, degenerate triangles and
+        # folds past the edge.
+        chart = build_chart(hex_basis() if hex_chart else np.eye(2), np.eye(2), n)
+        kc, lc = chart.all_canonical()
+        dk, dl = CORNER_STEPS.T
+        corners = chart.position(kc[:, None] + dk, lc[:, None] + dl)
+        centers = chart.facet_center(kc, lc)
+        placed = []
+        for f, s, along, back in moves:
+            f %= chart.vertex_count
+            point = (1.0 - along) * corners[f, s] + along * corners[f, (s + 1) % 4]
+            placed.append((f, point + back * (centers[f] - point) * (1 if s % 2 else -1)))
+        plm = _plane_mesh(chart, dim, np.random.default_rng(seed), placed, lift)
+        _assert_screen_sound(plm, tol)
+
+    @given(
+        dim=st.sampled_from([4, 6]),
+        n=st.integers(1, 2),
+        tol=st.sampled_from([1e-6, 0.05, 0.2]),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sound_on_lifted_soups(self, dim, n, tol, data):
+        # Grid values and random target periods on tiny charts: ids repeat
+        # within a triangle, and the two triangles of a pair often read their
+        # shared vertices in different lifts (values at w that differ).
+        chart = identity_chart(n)
+        grid = st.integers(-4, 4).map(lambda k: k / 4.0)
+        shape = (2 * chart.vertex_count + 2, dim)
+        values = data.draw(arrays(float, shape, elements=grid, fill=st.nothing()))
+        count = chart.vertex_count
+        plm = build_pl(
+            TriMesh(
+                chart,
+                values[:count],
+                values[count : 2 * count],
+                target_periods=values[2 * count :],
+            )
+        )
+        _assert_screen_sound(plm, tol)
+
+    def test_sound_when_values_at_w_differ(self):
+        # Found by a random search over lifted soups: an edge pair whose
+        # values at w differ by a period meets its neighbour, and only the
+        # difference, added to the reach, keeps the screen from clearing it.
+        values = np.array([
+            [-1.0, 1.0, -0.5, -0.5], [-1.0, 1.0, -0.5, -0.5], [-0.75, 0.0, 0.75, -0.25],
+            [-0.5, 0.0, 0.25, 0.75], [0.25, 1.0, -1.0, 0.75], [-1.0, -0.25, -0.25, 0.75],
+            [-0.5, 0.5, -0.25, -1.0], [-0.5, -1.0, 1.0, 0.75], [-1.0, 0.0, 0.5, -0.5],
+            [0.5, -0.75, 1.0, 0.5],
+        ])
+        tri = TriMesh(identity_chart(2), values[:4], values[4:8], target_periods=values[8:])
+        plm = build_pl(tri)
+        _assert_screen_sound(plm, 1e-6)
+        assert not check_immersion(plm, tol=1e-6).passed
+
+    def test_sound_on_apex_fold(self):
+        # The fold of test_apex_fold_fails_immersion: its witnesses stay on
+        # the exact path.
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        tri.apex_values[chart.offset_of_raw(1, 1), 2] -= 0.14
+        plm = build_pl(tri)
+        u, _, cleared, _ = _assert_screen_sound(plm, 1e-6)
+        witnesses = {w[2:4] for w in check_immersion(plm, tol=1e-6).witnesses}
+        assert witnesses
+        assert not {(int(a) // 3, int(b) // 3) for a, b in u[:, cleared].T} & witnesses
+
+    def test_sliver_below_threshold_is_measured(self):
+        # An apex a quarter threshold from a facet edge: the triangle on that
+        # edge has H there below the threshold, and the pairs it forms with
+        # the opposite triangles of the facet are true witnesses.
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        facet = chart.offset_of_raw(1, 1)
+        plm = build_pl(tri)
+        threshold = 0.05 * plm.edge_scale()
+        corner = tri.corner_table()[facet]
+        off_edge = 0.25 * threshold * np.array([0.0, 0.0, 1.0, 0.0])
+        tri.apex_values[facet] = 0.5 * (corner[0] + corner[1]) + off_edge
+        plm = build_pl(tri)
+        u, _, cleared, _ = _assert_screen_sound(plm, 0.05)
+        got = check_immersion(plm, tol=0.05)
+        want = immersion_witnesses_brute(plm, 0.05)
+        assert [w[:4] for w in got.witnesses if w[0] == "vertex_star"] == [w[:4] for w in want]
+        assert {(4 * facet, 4 * facet + 2)} <= {w[2:4] for w in want}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_never_cleared(self, bad):
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        facet = chart.offset_of_raw(2, 1)
+        tri.apex_values[facet, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            plm = build_pl(tri)
+        u, _, cleared, _ = _screened(plm, 1e-6)
+        spoiled = np.isin(u // 3, 4 * facet + np.arange(4)).any(axis=0)
+        assert spoiled.any() and not (cleared & spoiled).any()
+        assert cleared[~spoiled].all()
+
+    @pytest.mark.parametrize("spec", ["product:figure8,circle", "flat-plane"])
+    def test_few_pairs_reach_the_exact_path(self, spec, monkeypatch):
+        # Timing-free: on a curved and on a flat mesh at N = 96, fewer than
+        # 1% of the vertex-sharing pairs go through the exact predicate.
+        plm = run_pipeline(PipelineConfig(spec=spec), n=96, keys=["iso_scale"]).plm
+        measured = []
+
+        def counted(vals, u, w, threshold):
+            measured.append(u.shape[1])
+            return _adjacent_distances(vals, u, w, threshold)
+
+        monkeypatch.setattr(adjacent, "_adjacent_distances", counted)
+        assert check_immersion(plm, tol=1e-6).passed
+        pairs = sum(u.shape[1] for u, _ in _vertex_pairs(plm.tri_vertex_ids))
+        assert pairs > 250_000
+        assert sum(measured) < 0.01 * pairs
 
 
 class TestChecks:
@@ -678,7 +874,7 @@ class TestChecks:
             plm = build_pl(tri)
             immersion = check_immersion(plm, tol=1e-6)
             embedding = check_embedding(plm, tol=1e-6)
-        _, i, j = _vertex_pairs(plm.tri_vertex_ids)
+        i, j = np.concatenate([u for u, _ in _vertex_pairs(plm.tri_vertex_ids)], axis=1) // 3
         touching = {(a, b) for a, b in zip(i.tolist(), j.tolist()) if {a, b} & spoiled}
         pairs = [w for w in immersion.witnesses if w[0] == "vertex_star"]
         assert {w[2:4] for w in pairs} == touching
