@@ -12,10 +12,7 @@ from .lattice import (
     Chart,
     DegenerateLattice,
     build_chart,
-    canonical_index,
     rotation,
-    translate,
-    vertex_position,
 )
 from .symplectic import apply_j, liouville_polygon, omega
 from .density import (

@@ -16,7 +16,8 @@ from .linalg import dot
 
 #: Pairs handled at once (half as many in the screen, and a third as many
 #: triangles, so as many incidences, for the cone table); bounds the
-#: temporaries of the broadphase, the adjacent-pair predicate and its screen.
+#: temporaries of the broadphase, its shared-id mask, the adjacent-pair
+#: predicate and its screen.
 _PAIR_BLOCK = 1 << 14
 
 
@@ -148,24 +149,6 @@ def _far_side_distances(x, e, gx, ge, m, edge, threshold):
     return dist, np.sqrt(np.maximum(gap2 - slack, 0.0))
 
 
-def _pair_codes(vids, i, j):
-    """(u, w) incidence codes as ``_vertex_pairs`` gives them, for pairs
-    i[k], j[k] of triangles; u is -1 where the two share no vertex id."""
-    big = np.iinfo(vids.dtype).max
-    u, w = np.full((2, 2, i.size), -1, dtype=np.int32)
-    for lo in range(0, i.size, _PAIR_BLOCK):
-        tris = i[lo : lo + _PAIR_BLOCK], j[lo : lo + _PAIR_BLOCK]
-        ids = [np.take(vids, t, axis=0).T for t in tris]
-        shared = [np.where((c == ids[1]).any(axis=0), c, big) for c in ids[0]]
-        first = np.minimum.reduce(shared)
-        second = np.minimum.reduce([np.where(c > first, c, big) for c in shared])
-        for x, out in ((first, u), (second, w)):
-            for row, t, (c0, c1, _) in zip(out, tris, ids):
-                slot = np.where(c0 == x, 0, np.where(c1 == x, 1, 2))
-                row[lo : lo + _PAIR_BLOCK] = np.where(x < big, 3 * t + slot, -1)
-    return u, w
-
-
 def _adjacent_distances(vals, u, w, threshold):
     """Distances between triangles sharing a vertex beyond their shared
     simplex; exact below ``threshold``, lower bounds at or above it.  The
@@ -181,7 +164,7 @@ def _adjacent_distances(vals, u, w, threshold):
     dist(wa, uc)): such triangles meet beyond uw only folded onto one side of
     it in a common plane.  Both scores are zero exactly when the pair meets.
 
-    The certificates call it only for the pairs that ``_Screen`` cannot
+    ``check_immersion`` calls it only for the pairs that ``_Screen`` cannot
     prove at or above the threshold t by one of two bounds:
 
     - vertex pairs: every point of T1 - u lies within the half-aperture

@@ -272,9 +272,10 @@ class Pipeline:
 
     @_stage("verify")
     def embedding_check(self):
-        """The embedding verdict, or None unless ``embedding_check`` is set."""
+        """The embedding verdict, or None unless ``embedding_check`` is set;
+        it adds the far pairs to the cached immersion verdict."""
         if self.cfg.embedding_check:
-            return check_embedding(self.plm, tol=self.cfg.check_tol)
+            return check_embedding(self.plm, self.immersion_check, tol=self.cfg.check_tol)
         return None
 
 
@@ -445,7 +446,9 @@ config file keys (key = value, one per line; defaults in parentheses):
   oversample      distance sample grid per triangle     (4)
   alpha           Hoelder exponent for weak norms       (0.5)
   check_tol       immersion/embedding tolerance         (1e-6)
-  embedding_check run the all-pairs embedding test      (false)
+  embedding_check certify embedding: the immersion      (false)
+                  verdict plus the broadphase pairs
+                  that share no vertex id
   seed            seed for sampled-pair norms           (0)
   out             output path (mesh or table)           (none)
                   subcommands run only the stages their printed keys
@@ -465,7 +468,8 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", help="output path")
     parser.add_argument(
         "--embedding-check", action="store_true", default=None,
-        help="enable the all-pairs embedding certification",
+        help="enable the embedding certification: the immersion verdict plus "
+        "the broadphase pairs that share no vertex",
     )
     parser.add_argument("--seed", type=int, help="seed for sampled-pair norms")
 

@@ -270,35 +270,3 @@ def build_chart(gamma_basis, reference_isometry, N: int) -> Chart:
         raise DegenerateLattice(f"rounded lattice matrix singular at N={N}")
     a = b @ np.linalg.inv(m.astype(float) / N)
     return Chart(N=int(N), gamma_basis=b, m_matrix=m, a_matrix=a)
-
-
-def canonical_index(chart: Chart, raw: CellIndex) -> CellIndex:
-    """Unique canonical representative of the coset of ``raw`` modulo M Z^2."""
-    x, y = chart.canonical(int(raw[0]), int(raw[1]))
-    return CellIndex(int(x), int(y))
-
-
-def vertex_position(chart: Chart, v: CellIndex) -> np.ndarray:
-    """Plane position A_N (k/N, l/N) of the vertex v = (k, l)."""
-    return chart.position(int(v[0]), int(v[1]))
-
-
-_TRANSLATIONS = {
-    "u": (1, 1),
-    "v": (-1, 1),
-    "e1": (1, 0),
-    "e2": (0, 1),
-}
-
-
-def translate(cell: CellIndex, direction: str, steps: int = 1) -> CellIndex:
-    """Translate a cell index along a diagonal or axis direction.
-
-    ``direction`` is one of "u" (k, l) -> (k+s, l+s), "v" (k, l) -> (k-s, l+s)
-    (so that the v-translate of v_{k+1,l} is v_{k,l+1}), "e1" or "e2".
-    """
-    try:
-        dk, dl = _TRANSLATIONS[direction]
-    except KeyError:
-        raise ValueError(f"unknown direction {direction!r}") from None
-    return CellIndex(int(cell[0]) + dk * steps, int(cell[1]) + dl * steps)

@@ -13,18 +13,19 @@ are constant, so PL isotropy is the finite list of residuals
 Liouville integral around the triangle boundary.
 
 Topology checks are tolerance-based floating point, against tol * scale.
-One predicate, ``adjacent._adjacent_distances``, judges pairs of triangles
-that share a vertex id: all of them (from sorting ``tri_vertex_ids``) for
-immersion, the adjacent candidates of a uniform-grid broadphase over the
-triangle boxes for embedding.  A sound screen goes first and clears, at one
-dot product each, the pairs whose distance two lower bounds put at or above
-the threshold: the angle between the vertex cones of a pair that shares a
-vertex, and the dihedral opening of a pair that shares an edge (the
+Immersion judges every pair of triangles that shares a vertex id (from
+sorting ``tri_vertex_ids``) with one predicate,
+``adjacent._adjacent_distances``.  A sound screen goes first and clears, at
+one dot product each, the pairs whose distance two lower bounds put at or
+above the threshold: the angle between the vertex cones of a pair that
+shares a vertex, and the dihedral opening of a pair that shares an edge (the
 predicate's docstring proves both, with their rounding slack); only the
 other pairs are measured, so witnesses and distances are those of the
-predicate alone.  Other candidates get exact convex distances over
-barycentric coordinates, one batched thin QR per number of unknowns (not the
-normal equations, which misjudge nearly parallel crossing edges).  NaN fails.
+predicate alone.  Embedding is the immersion verdict plus the pairs that
+share no vertex id: a uniform-grid broadphase over the triangle boxes, then
+exact convex distances over barycentric coordinates, one batched thin QR per
+number of unknowns (not the normal equations, which misjudge nearly parallel
+crossing edges).  NaN fails.
 """
 
 import itertools
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjacent import _PAIR_BLOCK, _Screen, _pair_codes, _vertex_pairs
+from .adjacent import _PAIR_BLOCK, _Screen, _vertex_pairs
 from .density import CORNER_STEPS
 from .immersion import ImmersionSpec
 from .linalg import back_substitute, dot, thin_qr
@@ -412,15 +413,16 @@ def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     return CheckResult(passed=not witnesses, witnesses=witnesses)
 
 
-def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
-    """Global injectivity verdict (requires a map that passes check_immersion).
+def check_embedding(plm: PLMap, immersion: CheckResult, tol: float = 1e-6) -> CheckResult:
+    """Global injectivity verdict: the immersion verdict plus the far pairs.
 
-    Fails when two triangle images come within tol times the max edge length:
-    beyond their shared simplex for pairs that share a vertex
-    (``_adjacent_distances``), by exact convex distance for the others.
-    Candidate pairs come from a uniform-grid broadphase over the triangle
-    boxes.  Witnesses are (triangle, triangle, distance), sorted by pair; a
-    triangle t with a non-finite value cannot be placed and is (t, t, nan).
+    ``immersion`` is the ``check_immersion`` result at the same ``tol``; it
+    has judged every pair of triangles that shares a vertex id.  Passes iff
+    it passed and no two triangles that share no vertex id come within tol
+    times the max edge length, by exact convex distance.  Candidate pairs
+    come from a uniform-grid broadphase over the triangle boxes.  Witnesses
+    are the far pairs (triangle, triangle, distance), sorted; a triangle t
+    with a non-finite value cannot be placed and is (t, t, nan).
     """
     threshold = _threshold(plm, tol)
     vals, vids = plm.tri_values, plm.tri_vertex_ids
@@ -428,18 +430,17 @@ def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     keep = np.nonzero(finite)[0]
     lo, hi = vals[keep].min(axis=1), vals[keep].max(axis=1)
     i, j = (keep[k] for k in _box_close_pairs(lo, hi, threshold))
-    u, w = _pair_codes(vids, i, j)
-    far = np.nonzero(u[0] < 0)[0]
-    far_dist = _tri_tri_distances(vals[i[far]], vals[j[far]])
-    adjacent = np.nonzero(u[0] >= 0)[0]
-    screen = _Screen(vals, threshold, plm.edge_scale())
-    rows, near_dist = screen.distances(u[:, adjacent], w[:, adjacent])
-    pairs = np.concatenate([adjacent[rows], far])
-    dist = np.concatenate([near_dist, far_dist])
+    far = np.empty(i.size, dtype=bool)
+    for start in range(0, i.size, _PAIR_BLOCK):
+        block = slice(start, start + _PAIR_BLOCK)
+        shared = vids[i[block], :, None] == vids[j[block], None, :]
+        far[block] = ~shared.any(axis=(1, 2))
+    i, j = i[far], j[far]
+    dist = _tri_tri_distances(vals[i], vals[j])
     bad = np.nonzero(~(dist >= threshold))[0]  # NaN fails
-    witnesses = [(int(i[pairs[k]]), int(j[pairs[k]]), float(dist[k])) for k in bad]
+    witnesses = [(int(i[k]), int(j[k]), float(dist[k])) for k in bad]
     witnesses += [(int(t), int(t), np.nan) for t in np.nonzero(~finite)[0]]
-    return CheckResult(passed=not witnesses, witnesses=sorted(witnesses))
+    return CheckResult(passed=immersion.passed and not witnesses, witnesses=sorted(witnesses))
 
 
 # -- export -------------------------------------------------------------------

@@ -181,7 +181,9 @@ def adjacent_distance_lstsq(vals, vids, i, j):
     dist(cd, T1)); an edge-sharing pair (u, w, a), (u, w, c) scores
     min(dist(a, T2), dist(c, T1), dist(ua, wc), dist(wa, uc)).  Every term is
     one ``tri_tri_distance_lstsq`` call, with (a, b, b) for the segment ab and
-    (a, a, a) for the point a.
+    (a, a, a) for the point a, and minimizers counted when feasible within
+    1e-12: with the default 1e-9, a minimizer up to 1e-9 outside a face
+    counts, so a vertex 2.4e-11 outside a triangle reads as inside it.
     """
     shared = sorted(set(vids[i].tolist()) & set(vids[j].tolist()))
     rel = []
@@ -191,7 +193,9 @@ def adjacent_distance_lstsq(vals, vids, i, j):
         sw = ids.index(shared[1]) if len(shared) > 1 else (su + 1) % 3
         rel.append([vals[t][s] - vals[t][su] for s in (su, sw, 3 - su - sw)])
     (o, a1, a2), (_, b1, b2) = rel
-    dist = tri_tri_distance_lstsq
+    def dist(p, q):
+        return tri_tri_distance_lstsq(p, q, feas_tol=1e-12)
+
     if len(shared) == 1:
         return min(
             dist(np.stack([a1, a2, a2]), np.stack([o, b1, b2])),
@@ -225,17 +229,17 @@ def immersion_witnesses_brute(plm, tol):
 
 
 def embedding_witnesses_brute(plm, tol):
-    """All-pairs reference for ``check_embedding``: brute box query, then one
-    distance per pair (``adjacent_distance_lstsq`` for pairs sharing an id)."""
+    """All-pairs reference for the witnesses of ``check_embedding``: brute box
+    query, then ``tri_tri_distance_lstsq`` for each pair that shares no id
+    (the others are ``check_immersion``'s)."""
     threshold = tol * plm.edge_scale()
     vals = plm.tri_values
     vids = plm.tri_vertex_ids
     witnesses = []
     for i, j in box_close_pairs_brute(vals.min(axis=1), vals.max(axis=1), threshold):
         if set(vids[i].tolist()) & set(vids[j].tolist()):
-            dist = adjacent_distance_lstsq(vals, vids, i, j)
-        else:
-            dist = tri_tri_distance_lstsq(vals[i], vals[j])
+            continue
+        dist = tri_tri_distance_lstsq(vals[i], vals[j])
         if dist < threshold:
             witnesses.append((i, j, dist))
     return witnesses

@@ -274,11 +274,13 @@ def test_c10_topology_verdicts(clifford_sweep, figure8_sweep):
     t0 = time.perf_counter()
     tol = 1e-6
     cl = clifford_sweep[16]["plm"]
-    ok = check_immersion(cl, tol=tol).passed
-    ok &= check_embedding(cl, tol=tol).passed
+    immersion = check_immersion(cl, tol=tol)
+    ok = immersion.passed
+    ok &= check_embedding(cl, immersion, tol=tol).passed
     f8 = figure8_sweep[16]["plm"]
-    ok &= check_immersion(f8, tol=tol).passed
-    emb = check_embedding(f8, tol=tol)
+    immersion = check_immersion(f8, tol=tol)
+    ok &= immersion.passed
+    emb = check_embedding(f8, immersion, tol=tol)
     ok &= not emb.passed and len(emb.witnesses) > 0
     # Reported pairs cluster near the self-intersection circle: the first
     # parameter of both triangles sits within 2/N of a node parameter.

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+import isomesh.adjacent
 import isomesh.cli
 from isomesh.cli import (
     _CONFIG_HELP,
@@ -172,6 +173,23 @@ class TestLazyStages:
         for name in unused:
             monkeypatch.setattr(isomesh.cli, name, forbidden)
         assert main([command, "--spec", "product:figure8,circle", "--n", "8"]) == 0
+
+    def test_embedding_check_reuses_the_immersion_verdict(self, monkeypatch, capsys):
+        # The adjacent pairs are judged once, by check_immersion: one cone
+        # table per run of verify --embedding-check.
+        built = []
+        original = isomesh.adjacent._cone_table
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(isomesh.adjacent, "_cone_table", counted)
+        argv = ["verify", "--spec", "product:figure8,circle", "--n", "8", "--embedding-check"]
+        assert main(argv) == 4
+        out = capsys.readouterr().out
+        assert "immersion = pass" in out and "embedding = fail" in out
+        assert len(built) == 1
 
     def test_stage_seconds_count_own_work_only(self):
         cfg = PipelineConfig(spec="product:figure8,circle", n=16)

@@ -1,4 +1,4 @@
-"""Charts, coset reduction, diagonal translations."""
+"""Charts, coset reduction, vertex positions."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import hex_basis, rotated_chart
-from isomesh import (
-    CellIndex,
-    Chart,
-    DegenerateLattice,
-    build_chart,
-    canonical_index,
-    rotation,
-    translate,
-    vertex_position,
-)
+from isomesh import Chart, DegenerateLattice, build_chart, rotation
 
 
 class TestBuildChart:
@@ -72,8 +63,8 @@ class TestBuildChart:
 class TestCanonicalIndex:
     def test_modular_reduction(self):
         ch = build_chart(np.eye(2), np.eye(2), 8)
-        assert canonical_index(ch, CellIndex(9, -1)) == CellIndex(1, 7)
-        assert canonical_index(ch, CellIndex(8, 8)) == CellIndex(0, 0)
+        assert ch.canonical(9, -1) == (1, 7)
+        assert ch.canonical(8, 8) == (0, 0)
 
     def test_coset_against_brute_force(self):
         m = np.array([[10, 5], [0, 9]])
@@ -88,13 +79,13 @@ class TestCanonicalIndex:
             return np.allclose(coeff, np.round(coeff), atol=1e-9)
 
         assert same_coset((11, 10), (6, 1))
-        a = canonical_index(ch, CellIndex(11, 10))
-        b = canonical_index(ch, CellIndex(6, 1))
+        a = ch.canonical(11, 10)
+        b = ch.canonical(6, 1)
         assert a == b
         assert same_coset((11, 10), tuple(a))
         # Exactly |det M| distinct canonical representatives.
         seen = {
-            canonical_index(ch, CellIndex(k, l))
+            ch.canonical(k, l)
             for k in range(-15, 25)
             for l in range(-15, 25)
         }
@@ -111,18 +102,17 @@ class TestCanonicalIndex:
     def test_reduction_properties(self, mvals, k, l):
         m = np.array([[mvals[0], mvals[1]], [mvals[2], mvals[3]]])
         ch = Chart(N=4, gamma_basis=np.eye(2), m_matrix=m, a_matrix=np.eye(2))
-        raw = CellIndex(k, l)
-        canon = canonical_index(ch, raw)
+        x, y = ch.canonical(k, l)
         # Idempotent retraction.
-        assert canonical_index(ch, canon) == canon
+        assert ch.canonical(x, y) == (x, y)
         # Difference lies in the integer column span of M.
-        coeff = np.linalg.solve(m.astype(float), [k - canon.k, l - canon.l])
+        coeff = np.linalg.solve(m.astype(float), [k - x, l - y])
         assert np.allclose(coeff, np.round(coeff), atol=1e-9)
         # canonical_with_shift reconstructs the raw index exactly.
-        x, y, q1, q2 = ch.canonical_with_shift(k, l)
-        assert (x, y) == tuple(canon)
-        assert k == canon.k + m[0, 0] * q1 + m[0, 1] * q2
-        assert l == canon.l + m[1, 0] * q1 + m[1, 1] * q2
+        cx, cy, q1, q2 = ch.canonical_with_shift(k, l)
+        assert (cx, cy) == (x, y)
+        assert k == x + m[0, 0] * q1 + m[0, 1] * q2
+        assert l == y + m[1, 0] * q1 + m[1, 1] * q2
 
     @given(
         st.tuples(*(st.integers(-5, 5) for _ in range(4))).filter(
@@ -136,7 +126,7 @@ class TestCanonicalIndex:
         ch = Chart(N=4, gamma_basis=np.eye(2), m_matrix=m, a_matrix=np.eye(2))
         assert ch.vertex_count == det
         seen = {
-            canonical_index(ch, CellIndex(k, l))
+            ch.canonical(k, l)
             for k in range(-12, 13)
             for l in range(-12, 13)
         }
@@ -175,48 +165,17 @@ class TestNeighbours:
 class TestVertexPosition:
     def test_scaling(self):
         ch = build_chart(np.eye(2), np.eye(2), 8)
-        assert np.allclose(vertex_position(ch, CellIndex(2, 3)), [0.25, 0.375])
+        assert np.allclose(ch.position(2, 3), [0.25, 0.375])
 
     def test_periodicity(self):
         ch = build_chart(np.eye(2), np.eye(2), 8)
         for k, l in ((0, 0), (3, 5)):
-            shift = vertex_position(ch, CellIndex(k + 8, l)) - vertex_position(
-                ch, CellIndex(k, l)
-            )
+            shift = ch.position(k + 8, l) - ch.position(k, l)
             assert np.allclose(shift, ch.gamma_basis[:, 0], atol=1e-14)
 
     def test_hexagonal_period_vertex(self):
         ch = build_chart(hex_basis(), np.eye(2), 10)
-        assert np.abs(
-            vertex_position(ch, CellIndex(5, 9)) - hex_basis()[:, 1]
-        ).max() <= 1e-14
-
-
-class TestTranslate:
-    def test_definitions(self):
-        assert translate(CellIndex(0, 0), "u", 1) == CellIndex(1, 1)
-        assert translate(CellIndex(1, 0), "v", 1) == CellIndex(0, 1)
-        assert translate(CellIndex(2, 5), "e1", 3) == CellIndex(5, 5)
-        assert translate(CellIndex(2, 5), "e2", -2) == CellIndex(2, 3)
-
-    def test_composition(self):
-        # T_u then T_v doubles the second coordinate: e2 applied twice.
-        for k, l in ((0, 0), (4, -7), (13, 2)):
-            cell = CellIndex(k, l)
-            out = translate(translate(cell, "v", 1), "u", 1)
-            assert out == translate(cell, "e2", 2) == CellIndex(k, l + 2)
-
-    @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-5, 5))
-    @settings(max_examples=50, deadline=None)
-    def test_parity_preserved(self, k, l, s):
-        cell = CellIndex(k, l)
-        for d in ("u", "v"):
-            out = translate(cell, d, s)
-            assert (out.k + out.l) % 2 == (k + l) % 2
-
-    def test_unknown_direction(self):
-        with pytest.raises(ValueError):
-            translate(CellIndex(0, 0), "e3", 1)
+        assert np.abs(ch.position(5, 9) - hex_basis()[:, 1]).max() <= 1e-14
 
 
 def test_rotated_chart_rate():

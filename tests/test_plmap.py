@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -775,8 +775,9 @@ class TestChecks:
         tau = sample_quad(spec, identity_chart(4))
         rho, _ = project_isotropic(tau, tol=1e-10)
         plm = build_pl(apex_refine(rho))
-        assert check_immersion(plm, tol=1e-6).passed
-        assert check_embedding(plm, tol=1e-6).passed
+        immersion = check_immersion(plm, tol=1e-6)
+        assert immersion.passed
+        assert check_embedding(plm, immersion, tol=1e-6).passed
 
     @pytest.mark.parametrize("dim", [4, 6])
     def test_degenerate_triangles_match_svd(self, dim):
@@ -810,7 +811,25 @@ class TestChecks:
         want = immersion_witnesses_brute(plm, 1e-6)
         assert want
         assert [w[:4] for w in verdict.witnesses] == [w[:4] for w in want]
-        assert not check_embedding(plm, tol=1e-6).passed
+        assert not check_embedding(plm, verdict, tol=1e-6).passed
+
+    def test_degenerate_triangle_fails_embedding(self):
+        # The apex of facet (0, 0) moved onto its corner (0, 0): two of its
+        # triangles degenerate and meet their neighbours, which
+        # check_immersion reports.  The other facets at that corner lie a
+        # period away in the values, so no pair that shares no vertex id
+        # comes close: the embedding check fails on the immersion verdict
+        # alone, with no witness of its own.
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        facet = chart.offset_of_raw(0, 0)
+        tri.apex_values[facet] = tri.corner_table()[facet, 0]
+        plm = build_pl(tri)
+        immersion = check_immersion(plm, tol=1e-6)
+        degenerate = [w[1] for w in immersion.witnesses if w[0] == "degenerate_triangle"]
+        assert degenerate == [4 * facet, 4 * facet + 3]
+        embedding = check_embedding(plm, immersion, tol=1e-6)
+        assert not embedding.passed and embedding.witnesses == []
 
     @given(
         hex_chart=st.booleans(),
@@ -825,6 +844,10 @@ class TestChecks:
         seed=st.integers(0, 2**16),
     )
     @settings(max_examples=20, deadline=None)
+    # Facet 0's apex moved one grid step, to 1e-10 / 3 from the apex of
+    # facet (1, 0), which then lies 2.357e-11 outside triangle 0; the
+    # reference must not read it as inside.
+    @example(hex_chart=False, dim=4, tol=1e-6, lift=0.0, moves=[(0, 1.0, 1e-10)], seed=0)
     def test_immersion_matches_all_pairs_reference(
         self, hex_chart, dim, tol, lift, moves, seed
     ):
@@ -864,7 +887,7 @@ class TestChecks:
     def test_non_finite_value_fails_closed(self, bad):
         # A non-finite apex: every adjacent pair touching its four triangles
         # reads NaN and is an immersion witness; check_embedding reports each
-        # of them as (t, t, nan).
+        # of the triangles as (t, t, nan).
         chart = identity_chart(4)
         tri = sample_tri(make_flat_plane(), chart)
         facet = chart.offset_of_raw(1, 1)
@@ -873,7 +896,7 @@ class TestChecks:
         with np.errstate(invalid="ignore", over="ignore"):
             plm = build_pl(tri)
             immersion = check_immersion(plm, tol=1e-6)
-            embedding = check_embedding(plm, tol=1e-6)
+            embedding = check_embedding(plm, immersion, tol=1e-6)
         i, j = np.concatenate([u for u, _ in _vertex_pairs(plm.tri_vertex_ids)], axis=1) // 3
         touching = {(a, b) for a, b in zip(i.tolist(), j.tolist()) if {a, b} & spoiled}
         pairs = [w for w in immersion.witnesses if w[0] == "vertex_star"]
@@ -883,7 +906,14 @@ class TestChecks:
         assert [w[:2] for w in embedding.witnesses] == [(t, t) for t in sorted(spoiled)]
         assert all(np.isnan(w[2]) for w in embedding.witnesses)
 
-    @pytest.mark.parametrize("check", [check_immersion, check_embedding])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            check_immersion,
+            lambda plm, tol: check_embedding(plm, check_immersion(plm, tol=0.0), tol=tol),
+        ],
+        ids=["check_immersion", "check_embedding"],
+    )
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
     def test_tol_must_be_finite_and_non_negative(self, check, tol):
         plm = build_pl(sample_tri(make_flat_plane(), identity_chart(4)))
@@ -907,7 +937,8 @@ class TestChecks:
             apex_values=tri.apex_values.copy(),
             target_periods=tri.target_periods,
         )
-        verdict = check_embedding(build_pl(folded), tol=1e-3)
+        plm = build_pl(folded)
+        verdict = check_embedding(plm, check_immersion(plm, tol=1e-3), tol=1e-3)
         assert not verdict.passed
 
 
@@ -933,7 +964,8 @@ class TestEmbeddingWitnesses:
             assert type(i) is int and type(j) is int and type(dist) is float
 
     def test_clifford_n16_embedded(self, clifford_sweep):
-        verdict = check_embedding(clifford_sweep[16]["plm"], tol=1e-6)
+        plm = clifford_sweep[16]["plm"]
+        verdict = check_embedding(plm, check_immersion(plm, tol=1e-6), tol=1e-6)
         assert verdict.passed
         assert verdict.witnesses == []
 
@@ -959,10 +991,11 @@ class TestEmbeddingWitnesses:
             target_periods=values[-2:],
         )
         plm = build_pl(tri)
-        got = check_embedding(plm, tol=tol)
+        immersion = check_immersion(plm, tol=tol)
+        got = check_embedding(plm, immersion, tol=tol)
         want = embedding_witnesses_brute(plm, tol)
         assert [w[:2] for w in got.witnesses] == [w[:2] for w in want]
-        assert got.passed == (not want)
+        assert got.passed == (not want and immersion.passed)
         for (_, _, d_got), (_, _, d_want) in zip(got.witnesses, want):
             assert d_got == pytest.approx(d_want, rel=1e-9, abs=1e-12)
 
