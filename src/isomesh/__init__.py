@@ -8,7 +8,6 @@ immersion/embedding and the C0/C1 convergence rates.
 """
 
 from .lattice import (
-    CellIndex,
     Chart,
     DegenerateLattice,
     build_chart,
@@ -18,8 +17,6 @@ from .symplectic import apply_j, liouville_polygon, omega
 from .density import (
     FacetField,
     QuadMesh,
-    diagonal_parity_classes,
-    diagonals,
     facet_liouville,
     finite_difference,
     symplectic_density,
@@ -36,7 +33,6 @@ from .immersion import (
     make_product_torus,
     sample_quad,
     sample_tri,
-    smooth_isotropy_defect,
     spec_from_name,
 )
 from .solver import (
@@ -52,8 +48,7 @@ from .refine import (
     apex_constraints,
     apex_refine,
     barycentric_apexes,
-    optimal_apex,
-    quad_dimension,
+    optimal_apexes,
 )
 
 __version__ = "0.1.0"

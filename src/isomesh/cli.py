@@ -59,7 +59,7 @@ class ConfigError(ValueError):
 
 
 class NonPositiveValue(ValueError):
-    """Slope fit received a value <= 0."""
+    """Slope fit received a value that is not finite and positive."""
 
 
 @dataclass
@@ -273,9 +273,9 @@ class Pipeline:
     @_stage("verify")
     def embedding_check(self):
         """The embedding verdict, or None unless ``embedding_check`` is set;
-        it adds the far pairs to the cached immersion verdict."""
+        it adds the far pairs to the immersion verdict memoized on the map."""
         if self.cfg.embedding_check:
-            return check_embedding(self.plm, self.immersion_check, tol=self.cfg.check_tol)
+            return check_embedding(self.plm, tol=self.cfg.check_tol)
         return None
 
 
@@ -352,15 +352,16 @@ def format_report(report: dict) -> str:
 def fit_slope(pairs) -> float:
     """Least-squares slope of log(value) against log(N).
 
-    Raises NonPositiveValue when any value is <= 0 (the log is undefined).
+    Raises NonPositiveValue when any value is not finite and positive (zero,
+    negative, NaN or inf: the log is undefined or infinite).
     """
     pairs = list(pairs)
     if len(pairs) < 2:
         raise ValueError("need at least 2 pairs")
     ns = np.array([float(n) for n, _ in pairs])
     vs = np.array([float(v) for _, v in pairs])
-    if np.any(vs <= 0.0):
-        raise NonPositiveValue("slope fit needs positive values")
+    if not np.all((vs > 0.0) & (vs < np.inf)):
+        raise NonPositiveValue("slope fit needs finite positive values")
     x = np.log(ns)
     y = np.log(vs)
     x = x - x.mean()

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import CellIndex, Chart
+from .lattice import Chart
 from .symplectic import liouville_polygon, omega  # noqa: F401  (re-export)
 
 #: Index steps (dk, dl) from facet f_kl to its corners v_kl, v_{k+1,l},
@@ -54,14 +54,31 @@ def corner_value_table(chart, values, periods=None):
     return _period_shifted(values[offsets[:, i, j]], shifts[:, i, j], periods)
 
 
+def _mesh_arrays(chart, values, periods):
+    """Vertex values (F, 2n) and target periods (2, 2n) as float arrays,
+    zero periods for None; ValueError unless F is |det M| and 2n is even."""
+    values = np.asarray(values, dtype=float)
+    f = chart.vertex_count
+    if values.ndim != 2 or values.shape[0] != f:
+        raise ValueError(f"expected {f} vertex values, got {values.shape}")
+    if values.shape[1] % 2 != 0:
+        raise ValueError("target dimension must be even")
+    if periods is None:
+        return values, np.zeros((2, values.shape[1]))
+    periods = np.asarray(periods, dtype=float)
+    if periods.shape != (2, values.shape[1]):
+        raise ValueError("target_periods must have shape (2, 2n)")
+    return values, periods
+
+
 @dataclass
 class QuadMesh:
     """R^{2n} value per canonical vertex of the quotient quadrangulation.
 
     ``target_periods`` (2, 2n) holds the target translation gained per period
-    gamma_i; zero for genuinely periodic meshes.  Lookups at arbitrary raw
-    indices resolve through the canonical coset representative plus that
-    translation, so the stored table always has exactly |det M| rows.
+    gamma_i; zero for genuinely periodic meshes.  A raw vertex index reads
+    its canonical coset representative plus that translation (see
+    ``corner_value_table``), so the stored table has exactly |det M| rows.
     """
 
     chart: Chart
@@ -69,31 +86,13 @@ class QuadMesh:
     target_periods: np.ndarray | None = None
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        f = self.chart.vertex_count
-        if self.values.ndim != 2 or self.values.shape[0] != f:
-            raise ValueError(f"expected {f} vertex values, got {self.values.shape}")
-        if self.values.shape[1] % 2 != 0:
-            raise ValueError("target dimension must be even")
-        if self.target_periods is None:
-            self.target_periods = np.zeros((2, self.values.shape[1]))
-        else:
-            self.target_periods = np.asarray(self.target_periods, dtype=float)
-            if self.target_periods.shape != (2, self.values.shape[1]):
-                raise ValueError("target_periods must have shape (2, 2n)")
+        self.values, self.target_periods = _mesh_arrays(
+            self.chart, self.values, self.target_periods
+        )
 
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def values_at(self, k, l):
-        """Values at raw vertex indices (arrays broadcast)."""
-        x, y, q1, q2 = self.chart.canonical_with_shift(k, l)
-        return _period_shifted(
-            self.values[self.chart.offset_xy(x, y)],
-            np.stack([q1, q2], axis=-1),
-            self.target_periods,
-        )
 
     def corner_table(self):
         return corner_value_table(self.chart, self.values, self.target_periods)
@@ -112,9 +111,6 @@ class FacetField:
         if self.values.shape[0] != f:
             raise ValueError(f"expected {f} facet values, got {self.values.shape}")
 
-    def values_at(self, k, l):
-        return self.values[self.chart.offset_of_raw(k, l)]
-
 
 def _diagonal_fields(mesh: QuadMesh):
     """Renormalized diagonal fields U, V as (F, 2n) arrays."""
@@ -122,15 +118,6 @@ def _diagonal_fields(mesh: QuadMesh):
     s = mesh.chart.N / np.sqrt(2.0)
     u = s * (quads[:, 2] - quads[:, 0])
     v = s * (quads[:, 3] - quads[:, 1])
-    return u, v
-
-
-def diagonals(mesh: QuadMesh, f: CellIndex):
-    """Renormalized diagonals (U, V) of the quadrilateral along facet f."""
-    k, l = int(f[0]), int(f[1])
-    s = mesh.chart.N / np.sqrt(2.0)
-    u = s * (mesh.values_at(k + 1, l + 1) - mesh.values_at(k, l))
-    v = s * (mesh.values_at(k, l + 1) - mesh.values_at(k + 1, l))
     return u, v
 
 
@@ -162,7 +149,7 @@ def finite_difference(f: FacetField, direction: str) -> FacetField:
     return FacetField(chart, s * (shifted - f.values))
 
 
-def diagonal_parity_classes(chart: Chart):
+def _diagonal_parity_classes(chart: Chart):
     """Facet offsets grouped by diagonal reachability.
 
     The diagonal translations span the even-coordinate-sum sublattice, so
@@ -184,21 +171,16 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
     return np.linalg.norm(values, axis=-1)
 
 
-def _facet_distance_table(chart: Chart) -> np.ndarray:
-    """Quotient distance between facet centers, indexed by the canonical
-    representative of the index difference (center offsets cancel)."""
-    kc, lc = chart.all_canonical()
-    return chart.torus_distance(kc, lc)
-
-
 def _holder_seminorm(f: FacetField, alpha, exact_pair_limit, sample_pairs, seed):
     chart = f.chart
     nfacets = chart.vertex_count
     kc, lc = chart.all_canonical()
-    table = _facet_distance_table(chart)
+    # Quotient distance between facet centers, indexed by the canonical
+    # representative of the index difference (center offsets cancel).
+    table = chart.torus_distance(kc, lc)
     vals = f.values
     best = 0.0
-    for cls in diagonal_parity_classes(chart):
+    for cls in _diagonal_parity_classes(chart):
         if cls.size < 2:
             continue
         if nfacets <= exact_pair_limit:

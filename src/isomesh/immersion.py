@@ -29,7 +29,6 @@ import numpy as np
 from .density import QuadMesh
 from .lattice import Chart
 from .refine import TriMesh
-from .symplectic import omega
 
 
 @dataclass
@@ -211,19 +210,6 @@ def spec_from_name(name: str) -> ImmersionSpec:
             curves.append(_CURVES[token]())
         return make_product_torus(*curves)
     raise ValueError(f"unknown spec {name!r}")
-
-
-def smooth_isotropy_defect(spec: ImmersionSpec, grid_res: int) -> float:
-    """Max of |omega(d ell/ds, d ell/dt)| over a grid of the fundamental domain."""
-    if grid_res < 2:
-        raise ValueError("grid_res must be at least 2")
-    frac = np.arange(grid_res) / grid_res
-    ss, tt = np.meshgrid(frac, frac, indexing="ij")
-    uv = np.stack([ss, tt], axis=-1)
-    pts = np.einsum("ij,...j->...i", spec.gamma_basis, uv)
-    _, deriv = spec.jet(pts)
-    defect = np.abs(omega(deriv[..., 0], deriv[..., 1]))
-    return float(defect.max())
 
 
 def _check_same_lattice(spec: ImmersionSpec, chart: Chart):

@@ -28,20 +28,12 @@ at arbitrary raw indices reduce them on the fly.
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 
 class DegenerateLattice(ValueError):
     """The rounded integer matrix M is singular; retry with a larger N."""
-
-
-class CellIndex(NamedTuple):
-    """Vertex or facet coordinates (k, l) in the grid index plane."""
-
-    k: int
-    l: int
 
 
 def rotation(theta: float) -> np.ndarray:

@@ -21,11 +21,12 @@ above the threshold: the angle between the vertex cones of a pair that
 shares a vertex, and the dihedral opening of a pair that shares an edge (the
 predicate's docstring proves both, with their rounding slack); only the
 other pairs are measured, so witnesses and distances are those of the
-predicate alone.  Embedding is the immersion verdict plus the pairs that
-share no vertex id: a uniform-grid broadphase over the triangle boxes, then
-exact convex distances over barycentric coordinates, one batched thin QR per
-number of unknowns (not the normal equations, which misjudge nearly parallel
-crossing edges).  NaN fails.
+predicate alone.  Embedding is the map's own immersion verdict, memoized on
+the map per tol so that the adjacent pairs are judged once, plus the pairs
+that share no vertex id: a uniform-grid broadphase over the triangle boxes,
+then exact convex distances over barycentric coordinates, one batched thin
+QR per number of unknowns (not the normal equations, which misjudge nearly
+parallel crossing edges).  NaN fails.
 """
 
 import itertools
@@ -38,7 +39,7 @@ from .density import CORNER_STEPS
 from .immersion import ImmersionSpec
 from .linalg import back_substitute, dot, thin_qr
 from .refine import TriMesh
-from .symplectic import liouville_polygon, omega
+from .symplectic import omega
 
 # Corner slots (A_s, A_{s+1}) of sub-triangle s; its third vertex is the apex.
 _SUB_CORNERS = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
@@ -65,6 +66,7 @@ class PLMap:
     tri_vertex_ids: np.ndarray = field(init=False, repr=False)
     differentials: np.ndarray = field(init=False, repr=False)
     _edge_scale: float | None = field(default=None, init=False, repr=False, compare=False)
+    _immersion: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tri = self.tri
@@ -108,10 +110,6 @@ class PLMap:
         return self.tri.chart
 
     @property
-    def triangle_count(self) -> int:
-        return self.tri_values.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.tri.dim
 
@@ -129,56 +127,6 @@ class PLMap:
 def build_pl(tri: TriMesh) -> PLMap:
     """PL map whose restriction to each chart triangle interpolates the mesh."""
     return PLMap(tri)
-
-
-# Local geometry of the four sub-triangles of the unit square facet:
-# corners (0,0),(1,0),(1,1),(0,1) and center (1/2,1/2).
-_LOCAL_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-_LOCAL_EDGE_INV = np.empty((4, 2, 2))
-for _s in range(4):
-    _c0 = _LOCAL_CORNERS[_s]
-    _c1 = _LOCAL_CORNERS[(_s + 1) % 4]
-    _mat = np.stack([_c1 - _c0, np.array([0.5, 0.5]) - _c0], axis=-1)
-    _LOCAL_EDGE_INV[_s] = np.linalg.inv(_mat)
-
-
-def eval_pl(plm: PLMap, p) -> np.ndarray:
-    """Evaluate the PL map at plane points (..., 2).
-
-    Point location: the facet is the floor of N A_N^{-1} p, the sub-triangle
-    follows from sign tests against the two facet diagonals; a raw facet
-    index reads the triangle of its canonical representative (plus target
-    periods for quasi-periodic meshes), so evaluation is Gamma-equivariant.
-    """
-    chart = plm.chart
-    p = np.asarray(p, dtype=float)
-    scalar_input = p.ndim == 1
-    pts = np.atleast_2d(p)
-    xi = chart.N * np.einsum(
-        "ij,...j->...i", np.linalg.inv(chart.a_matrix), pts
-    )
-    k = np.floor(xi[..., 0]).astype(np.int64)
-    l = np.floor(xi[..., 1]).astype(np.int64)
-    u = xi[..., 0] - k
-    v = xi[..., 1] - l
-    d1 = v - u
-    d2 = u + v - 1.0
-    sub = np.where(
-        d1 <= 0.0, np.where(d2 <= 0.0, 0, 1), np.where(d2 <= 0.0, 3, 2)
-    )
-    x, y, q1, q2 = chart.canonical_with_shift(k, l)
-    per = plm.tri.target_periods
-    shift = q1[..., None] * per[0] + q2[..., None] * per[1]
-    tris = plm.tri_values[4 * chart.offset_xy(x, y) + sub] + shift[..., None, :]
-    v0, v1, v2 = np.moveaxis(tris, -2, 0)
-    local = np.stack([u, v], axis=-1) - _LOCAL_CORNERS[sub]
-    lam = np.einsum("...ij,...j->...i", _LOCAL_EDGE_INV[sub], local)
-    out = (
-        v0
-        + lam[..., 0:1] * (v1 - v0)
-        + lam[..., 1:2] * (v2 - v0)
-    )
-    return out[0] if scalar_input else out
 
 
 def _triangle_grid(oversample: int) -> np.ndarray:
@@ -234,11 +182,6 @@ def pl_isotropy_residual(plm: PLMap) -> np.ndarray:
     b = plm.tri_values[:, 1]
     c = plm.tri_values[:, 2]
     return np.abs(omega(b - a, c - a))
-
-
-def triangle_liouville(plm: PLMap) -> np.ndarray:
-    """Liouville integral around every triangle boundary (= residual / 2)."""
-    return liouville_polygon(plm.tri_values)
 
 
 # -- triangle/triangle distance ----------------------------------------------
@@ -363,7 +306,7 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
 # -- verdicts -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     passed: bool
     witnesses: list
@@ -386,9 +329,12 @@ def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     smallest vertex id it shares: each triangle is measured relative to its
     own value at v.  Witnesses: ``("degenerate_triangle", t)``, then
     ``("vertex_star", v, t1, t2, dist)`` sorted by (t1, t2), v numbered as
-    in ``tri_vertex_ids``.
+    in ``tri_vertex_ids``.  The verdict is computed once per map and
+    ``tol``, after ``tol`` is validated, and memoized on the map.
     """
     threshold = _threshold(plm, tol)
+    if tol in plm._immersion:
+        return plm._immersion[tol]
     # Closed-form singular values of each [x y]: s_max from _operator_norm,
     # and s_max s_min = |x ^ y|, the root sum of squared minors, so
     # s_min <= tol max(s_max) reads |x ^ y| <= tol max(s_max) s_max.
@@ -410,19 +356,20 @@ def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     i, j = u // 3
     for k in np.lexsort((j, i)):
         witnesses.append(("vertex_star", int(v[k]), int(i[k]), int(j[k]), float(dist[k])))
-    return CheckResult(passed=not witnesses, witnesses=witnesses)
+    plm._immersion[tol] = CheckResult(passed=not witnesses, witnesses=witnesses)
+    return plm._immersion[tol]
 
 
-def check_embedding(plm: PLMap, immersion: CheckResult, tol: float = 1e-6) -> CheckResult:
+def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     """Global injectivity verdict: the immersion verdict plus the far pairs.
 
-    ``immersion`` is the ``check_immersion`` result at the same ``tol``; it
-    has judged every pair of triangles that shares a vertex id.  Passes iff
-    it passed and no two triangles that share no vertex id come within tol
-    times the max edge length, by exact convex distance.  Candidate pairs
-    come from a uniform-grid broadphase over the triangle boxes.  Witnesses
-    are the far pairs (triangle, triangle, distance), sorted; a triangle t
-    with a non-finite value cannot be placed and is (t, t, nan).
+    Passes iff ``check_immersion(plm, tol)`` passes (it judges every pair of
+    triangles that shares a vertex id, and is memoized on the map) and no
+    two triangles that share no vertex id come within tol times the max
+    edge length, by exact convex distance.  Candidate pairs come from a
+    uniform-grid broadphase over the triangle boxes.  Witnesses are the far
+    pairs (triangle, triangle, distance), sorted; a triangle t with a
+    non-finite value cannot be placed and is (t, t, nan).
     """
     threshold = _threshold(plm, tol)
     vals, vids = plm.tri_values, plm.tri_vertex_ids
@@ -440,7 +387,8 @@ def check_embedding(plm: PLMap, immersion: CheckResult, tol: float = 1e-6) -> Ch
     bad = np.nonzero(~(dist >= threshold))[0]  # NaN fails
     witnesses = [(int(i[k]), int(j[k]), float(dist[k])) for k in bad]
     witnesses += [(int(t), int(t), np.nan) for t in np.nonzero(~finite)[0]]
-    return CheckResult(passed=immersion.passed and not witnesses, witnesses=sorted(witnesses))
+    passed = check_immersion(plm, tol).passed and not witnesses
+    return CheckResult(passed=passed, witnesses=sorted(witnesses))
 
 
 # -- export -------------------------------------------------------------------

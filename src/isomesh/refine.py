@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import QuadMesh, corner_value_table
+from .density import QuadMesh, corner_value_table, _mesh_arrays
 from .lattice import Chart
 from .linalg import back_substitute, dot, thin_qr
 from .symplectic import apply_j, liouville_polygon, omega
@@ -58,25 +58,16 @@ class TriMesh:
     target_periods: np.ndarray | None = None
 
     def __post_init__(self):
-        self.corner_values = np.asarray(self.corner_values, dtype=float)
+        self.corner_values, self.target_periods = _mesh_arrays(
+            self.chart, self.corner_values, self.target_periods
+        )
         self.apex_values = np.asarray(self.apex_values, dtype=float)
-        f = self.chart.vertex_count
-        if self.corner_values.shape[0] != f or self.apex_values.shape[0] != f:
-            raise ValueError("corner and apex tables must each have |det M| rows")
         if self.corner_values.shape != self.apex_values.shape:
             raise ValueError("corner and apex tables must have matching shapes")
-        if self.target_periods is None:
-            self.target_periods = np.zeros((2, self.corner_values.shape[1]))
-        else:
-            self.target_periods = np.asarray(self.target_periods, dtype=float)
 
     @property
     def dim(self) -> int:
         return self.corner_values.shape[1]
-
-    @property
-    def triangle_count(self) -> int:
-        return 4 * self.chart.vertex_count
 
     def corner_table(self):
         return corner_value_table(self.chart, self.corner_values, self.target_periods)
@@ -120,13 +111,15 @@ def _edge_qr(quads):
     return edges, q, r, scale
 
 
-def _optimal_apexes(quads, facet_label=int):
-    """Batched optimal apexes for (..., 4, 2n) quadrilaterals.
+def optimal_apexes(quads, facet_label=int):
+    """Optimal apexes of (..., 4, 2n) quadrilaterals, shape (..., 2n).
 
-    The one isotropy gate: every apex-triangle residual r_i must stay within
-    a limit scaled by the edge length.  It bounds the Liouville integral L as
-    well, since the r_i sum to 2L, so max |r_i| >= |L| / 2.  The first
-    failing facet i is named by ``facet_label(i)``.
+    A planar isotropic parallelogram gets its barycenter, a repeated point
+    itself.  The one isotropy gate: every apex-triangle residual r_i must
+    stay within a limit scaled by the edge length.  It bounds the Liouville
+    integral L as well, since the r_i sum to 2L, so max |r_i| >= |L| / 2.
+    NotIsotropic names the first failing quadrilateral, i in row-major
+    order, by ``facet_label(i)``.
     """
     quads = np.asarray(quads, dtype=float)
     flat = quads.reshape(-1, 4, quads.shape[-1])
@@ -152,33 +145,6 @@ def _optimal_apexes(quads, facet_label=int):
     return apex.reshape(quads.shape[:-2] + (quads.shape[-1],))
 
 
-def optimal_apex(a0, a1, a2, a3) -> np.ndarray:
-    """Apex closest to the barycenter making all four pyramid faces isotropic.
-
-    Raises NotIsotropic unless the quadrilateral is isotropic (Liouville
-    integral of the boundary zero); a planar isotropic parallelogram returns
-    its barycenter exactly, a fully degenerate quadrilateral returns the
-    repeated point.
-    """
-    quad = np.stack(
-        [np.asarray(p, dtype=float) for p in (a0, a1, a2, a3)], axis=0
-    )
-    return _optimal_apexes(quad[None])[0]
-
-
-def quad_dimension(a0, a1, a2, a3) -> int:
-    """Dimension of the affine span of the quadrilateral (0 to 3).
-
-    The rank the apex solve uses: the edges e0, e1, e2 kept by its thin QR,
-    which drops an edge whose projected norm is at most the rank cutoff
-    times the longest edge.  For isotropic quadrilaterals this equals the
-    codimension of the isotropic-apex solution space.
-    """
-    quad = np.stack([np.asarray(p, dtype=float) for p in (a0, a1, a2, a3)])
-    _, _, r, _ = _edge_qr(quad)
-    return int(np.count_nonzero(r[range(3), range(3)]))
-
-
 def apex_refine(mesh: QuadMesh) -> TriMesh:
     """Optimal-apex triangular refinement of an isotropic quadrangular mesh.
 
@@ -187,7 +153,7 @@ def apex_refine(mesh: QuadMesh) -> TriMesh:
     """
     quads = mesh.corner_table()
     kc, lc = mesh.chart.all_canonical()
-    apexes = _optimal_apexes(quads, facet_label=lambda i: (int(kc[i]), int(lc[i])))
+    apexes = optimal_apexes(quads, facet_label=lambda i: (int(kc[i]), int(lc[i])))
     return TriMesh(
         chart=mesh.chart,
         corner_values=mesh.values.copy(),

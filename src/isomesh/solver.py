@@ -43,7 +43,6 @@ class SolveReport:
     iterations: int
     residual_c0: float
     correction_c0: float
-    converged: bool
 
 
 def mu_jacobian(mesh: QuadMesh) -> sp.csr_matrix:
@@ -138,6 +137,5 @@ def project_isotropic(
         iterations=iterations,
         residual_c0=res,
         correction_c0=correction,
-        converged=True,
     )
     return QuadMesh(chart, values, periods), report

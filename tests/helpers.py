@@ -5,8 +5,7 @@ import numpy as np
 from isomesh import build_chart, rotation
 from isomesh.cli import DEFAULT_ROTATION
 from isomesh.density import QuadMesh
-from isomesh.plmap import _LOCAL_CORNERS, _LOCAL_EDGE_INV
-from isomesh.refine import apex_constraints
+from isomesh.refine import _edge_qr, apex_constraints
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
 
@@ -101,6 +100,25 @@ def optimal_apexes_svd(quads):
     scale = np.linalg.norm(np.roll(quads, -1, axis=1) - quads, axis=-1).max(axis=1)
     limit = 1e-10 * scale + 1e-14 * (1.0 + np.abs(rhs).max(axis=1))
     return apex, resid <= limit
+
+
+def quad_rank(quad):
+    """Dimension of the affine span of a (4, 2n) quadrilateral as the apex
+    solve sees it: the edges e0, e1, e2 its thin QR keeps."""
+    _, _, r, _ = _edge_qr(np.asarray(quad, dtype=float))
+    return int(np.count_nonzero(r[range(3), range(3)]))
+
+
+def smooth_isotropy_defect(spec, grid_res):
+    """Max of |omega(d ell/ds, d ell/dt)| over a grid of the fundamental domain."""
+    if grid_res < 2:
+        raise ValueError("grid_res must be at least 2")
+    frac = np.arange(grid_res) / grid_res
+    ss, tt = np.meshgrid(frac, frac, indexing="ij")
+    uv = np.stack([ss, tt], axis=-1)
+    pts = np.einsum("ij,...j->...i", spec.gamma_basis, uv)
+    _, deriv = spec.jet(pts)
+    return float(np.abs(omega(deriv[..., 0], deriv[..., 1])).max())
 
 
 def random_isotropic_quad_of_rank(rng, rank, dim=4):
@@ -321,11 +339,21 @@ def tri_vertex_ids_reference(chart):
     return vids.reshape(4 * nfacets, 3)
 
 
+# Local geometry of the four sub-triangles of the unit square facet:
+# corners (0,0),(1,0),(1,1),(0,1) and center (1/2,1/2).
+_LOCAL_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+_LOCAL_EDGE_INV = np.linalg.inv(
+    np.stack([np.roll(_LOCAL_CORNERS, -1, axis=0), np.full((4, 2), 0.5)], axis=-1)
+    - _LOCAL_CORNERS[:, :, None]
+)
+
+
 def eval_pl_reference(plm, p):
-    """PL map at plane points (n, 2): point location, then the corner table
-    of the raw facet index plus its period translation."""
+    """PL map at plane points (n, 2) or one point (2,): point location, then
+    the corner table of the raw facet index plus its period translation."""
     tri = plm.tri
     chart = plm.chart
+    p = np.atleast_2d(p)
     xi = chart.N * np.einsum("ij,nj->ni", np.linalg.inv(chart.a_matrix), p)
     k = np.floor(xi[:, 0]).astype(np.int64)
     l = np.floor(xi[:, 1]).astype(np.int64)

@@ -20,6 +20,7 @@ import pytest
 from helpers import (
     hex_basis,
     identity_chart,
+    quad_rank,
     random_isotropic_plane_parallelogram,
     random_isotropic_quadrilateral,
     random_mesh,
@@ -28,8 +29,7 @@ from helpers import (
 from isomesh import (
     build_chart,
     make_clifford,
-    optimal_apex,
-    quad_dimension,
+    optimal_apexes,
     sample_quad,
     symplectic_density,
     weak_norm,
@@ -37,8 +37,9 @@ from isomesh import (
 from isomesh.cli import NonPositiveValue, PipelineConfig, fit_slope, run_pipeline
 from isomesh.density import FacetField, QuadMesh
 from isomesh.immersion import FIGURE_EIGHT_NODE_PARAMS
-from isomesh.plmap import check_embedding, check_immersion, triangle_liouville, pl_isotropy_residual
+from isomesh.plmap import check_embedding, check_immersion, pl_isotropy_residual
 from isomesh.refine import apex_constraints
+from isomesh.symplectic import liouville_polygon
 
 NS = (8, 16, 32, 64)
 RATE2 = (-2.3, -1.7)
@@ -213,20 +214,20 @@ def test_c06_apex_correctness():
     # Planar isotropic parallelograms return their barycenter.
     for _ in range(20):
         pts = random_isotropic_plane_parallelogram(rng)
-        apex = optimal_apex(*pts)
+        apex = optimal_apexes(pts)
         scale = max(1.0, float(np.abs(pts).max()))
         ok &= float(np.abs(apex - pts.mean(axis=0)).max()) <= 1e-12 * scale
     # Random non-planar isotropic quadrilaterals.
     for _ in range(100):
         pts = random_isotropic_quadrilateral(rng)
-        apex = optimal_apex(*pts)
+        apex = optimal_apexes(pts)
         rows, rhs = apex_constraints(pts)
         ok &= float(np.abs(rows @ apex - rhs).max()) <= 1e-11
         g = pts.mean(axis=0)
         oracle = g + np.linalg.pinv(rows, rcond=1e-12) @ (rhs - rows @ g)
         ok &= float(np.abs(apex - oracle).max()) <= 1e-9
         rank = np.linalg.matrix_rank(rows, tol=1e-10)
-        ok &= quad_dimension(*pts) == rank
+        ok &= quad_rank(pts) == rank
     _report("06", "apex-correctness", ok,
             "barycenter/KKT/pseudoinverse/rank checks over 120 quadrilaterals")
     assert ok
@@ -261,7 +262,7 @@ def test_c09_isotropy_certification(clifford_sweep, figure8_sweep):
             res = pl_isotropy_residual(plm)
             scale = plm.edge_scale()
             worst_res = max(worst_res, float(res.max()) / (1e-9 * scale**2))
-            liou = triangle_liouville(plm)
+            liou = liouville_polygon(plm.tri_values)
             gap = float(np.abs(res - 2.0 * np.abs(liou)).max())
             worst_gap = max(worst_gap, gap)
     ok = worst_res <= 1.0 and worst_gap <= 1e-12
@@ -276,11 +277,11 @@ def test_c10_topology_verdicts(clifford_sweep, figure8_sweep):
     cl = clifford_sweep[16]["plm"]
     immersion = check_immersion(cl, tol=tol)
     ok = immersion.passed
-    ok &= check_embedding(cl, immersion, tol=tol).passed
+    ok &= check_embedding(cl, tol=tol).passed
     f8 = figure8_sweep[16]["plm"]
     immersion = check_immersion(f8, tol=tol)
     ok &= immersion.passed
-    emb = check_embedding(f8, immersion, tol=tol)
+    emb = check_embedding(f8, tol=tol)
     ok &= not emb.passed and len(emb.witnesses) > 0
     # Reported pairs cluster near the self-intersection circle: the first
     # parameter of both triangles sits within 2/N of a node parameter.

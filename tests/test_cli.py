@@ -45,6 +45,9 @@ class TestFitSlope:
             fit_slope([(8, 1.0), (16, 0.0)])
         with pytest.raises(NonPositiveValue):
             fit_slope([(8, 1.0), (16, -2.0)])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NonPositiveValue):
+                fit_slope([(8, bad), (16, 1.0), (32, 0.5)])
 
     def test_too_few(self):
         with pytest.raises(ValueError):

@@ -6,15 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    corrected_lookup,
     identity_chart,
     random_mesh,
     random_symplectic,
     rotated_chart,
 )
 from isomesh import (
-    CellIndex,
     build_chart,
-    diagonals,
     make_clifford,
     make_flat_plane,
     sample_quad,
@@ -24,7 +23,8 @@ from isomesh import (
 from isomesh.density import (
     FacetField,
     QuadMesh,
-    diagonal_parity_classes,
+    _diagonal_fields,
+    _diagonal_parity_classes,
     facet_liouville,
     finite_difference,
 )
@@ -41,16 +41,23 @@ def unit_square_mesh():
     return ch, QuadMesh(ch, values)
 
 
+def diagonals(mesh, k, l):
+    """Renormalized diagonals (U, V) of facet (k, l)."""
+    u, v = _diagonal_fields(mesh)
+    f = mesh.chart.offset_of_raw(k, l)
+    return u[f], v[f]
+
+
 class TestDiagonals:
     def test_constant_mesh(self):
         ch = identity_chart(4)
         mesh = QuadMesh(ch, np.tile([1.0, 2.0, 3.0, 4.0], (16, 1)))
-        u, v = diagonals(mesh, CellIndex(1, 2))
+        u, v = diagonals(mesh, 1, 2)
         assert np.allclose(u, 0) and np.allclose(v, 0)
 
     def test_unit_square(self):
         _, mesh = unit_square_mesh()
-        u, v = diagonals(mesh, CellIndex(0, 0))
+        u, v = diagonals(mesh, 0, 0)
         s = 1 / np.sqrt(2)
         assert np.allclose(u, [s, s, 0, 0])
         assert np.allclose(v, [-s, s, 0, 0])
@@ -58,7 +65,7 @@ class TestDiagonals:
     def test_flat_plane_diagonals(self):
         ch = identity_chart(4)
         mesh = sample_quad(make_flat_plane(), ch)
-        u, v = diagonals(mesh, CellIndex(1, 1))
+        u, v = diagonals(mesh, 1, 1)
         s = 1 / np.sqrt(2)
         assert np.allclose(u, [s, 0, s, 0], atol=1e-14)
         assert np.allclose(v, [-s, 0, s, 0], atol=1e-14)
@@ -260,13 +267,13 @@ class TestWeakNorm:
 class TestParityClasses:
     def test_even_chart_splits(self):
         ch = identity_chart(8)
-        classes = diagonal_parity_classes(ch)
+        classes = _diagonal_parity_classes(ch)
         assert len(classes) == 2
         assert sum(c.size for c in classes) == 64
 
     def test_odd_chart_single_class(self):
         ch = identity_chart(5)
-        classes = diagonal_parity_classes(ch)
+        classes = _diagonal_parity_classes(ch)
         assert len(classes) == 1
         assert classes[0].size == 25
 
@@ -287,14 +294,16 @@ class TestQuadMesh:
         m = ch.m_matrix
         raw_k = kc + m[0, 0] * 3 - m[0, 1]
         raw_l = lc + m[1, 0] * 3 - m[1, 1]
-        assert np.array_equal(mesh.values_at(raw_k, raw_l), mesh.values)
+        got = corrected_lookup(ch, mesh.values, mesh.target_periods, raw_k, raw_l)
+        assert np.array_equal(got, mesh.values)
 
     def test_quasi_periodic_lookup(self):
         ch = identity_chart(4)
         mesh = sample_quad(make_flat_plane(), ch)
         # One period over in k: values shift by the first target period.
-        got = mesh.values_at(4, 0)
-        assert np.allclose(got, mesh.values_at(0, 0) + [1, 0, 0, 0], atol=1e-15)
+        got = corrected_lookup(ch, mesh.values, mesh.target_periods, 4, 0)
+        want = corrected_lookup(ch, mesh.values, mesh.target_periods, 0, 0) + [1, 0, 0, 0]
+        assert np.allclose(got, want, atol=1e-15)
 
     def test_mu_paper_rate_instance_is_degenerate(self):
         # Product-of-circles samples are exactly isotropic on linear charts:

@@ -47,12 +47,11 @@ from isomesh.plmap import (
     check_immersion,
     distance_c0,
     distance_c1,
-    eval_pl,
     export_mesh,
     pl_isotropy_residual,
-    triangle_liouville,
 )
 from isomesh.refine import TriMesh
+from isomesh.symplectic import liouville_polygon
 
 
 def random_trimesh(chart, rng, dim=4):
@@ -80,10 +79,10 @@ class TestEvaluation:
         plm = build_pl(tri)
         kc, lc = ch.all_canonical()
         verts = ch.position(kc, lc)
-        got = eval_pl(plm, verts)
+        got = eval_pl_reference(plm, verts)
         assert np.abs(got - tri.corner_values).max() <= 1e-12
         centers = ch.facet_center(kc, lc)
-        got = eval_pl(plm, centers)
+        got = eval_pl_reference(plm, centers)
         assert np.abs(got - tri.apex_values).max() <= 1e-12
 
     def test_edge_midpoint_average(self):
@@ -97,7 +96,7 @@ class TestEvaluation:
             tri.corner_values[ch.offset_of_raw(0, 0)]
             + tri.apex_values[ch.offset_of_raw(0, 0)]
         )
-        assert np.abs(eval_pl(plm, p) - expected).max() <= 1e-12
+        assert np.abs(eval_pl_reference(plm, p) - expected).max() <= 1e-12
 
     def test_affine_reproduction(self):
         spec = make_flat_plane()
@@ -107,14 +106,15 @@ class TestEvaluation:
             plm = build_pl(apex_refine(rho))
             rng = np.random.default_rng(2)
             pts = rng.uniform(-1.5, 2.5, size=(200, 2))
-            assert np.abs(eval_pl(plm, pts) - spec.eval(pts)).max() <= 1e-12
+            assert np.abs(eval_pl_reference(plm, pts) - spec.eval(pts)).max() <= 1e-12
 
     def test_periodicity(self):
         spec, plm = solved_plmap(n=8)
         rng = np.random.default_rng(3)
         pts = rng.uniform(0, 1, size=(50, 2))
+        base = eval_pl_reference(plm, pts)
         for gamma in plm.chart.gamma_basis.T:
-            assert np.abs(eval_pl(plm, pts + gamma) - eval_pl(plm, pts)).max() <= 1e-12
+            assert np.abs(eval_pl_reference(plm, pts + gamma) - base).max() <= 1e-12
 
     def test_continuity_across_edges(self):
         # Random points on interior edges evaluated from both incident
@@ -127,7 +127,7 @@ class TestEvaluation:
         vals = plm.tri_values
         vids = plm.tri_vertex_ids
         edge_map = {}
-        for t in range(plm.triangle_count):
+        for t in range(len(vids)):
             for a in range(3):
                 b = (a + 1) % 3
                 key = tuple(sorted((vids[t, a], vids[t, b])))
@@ -162,8 +162,8 @@ class TestEvaluation:
             t = rng.uniform(0.05, 0.45)
             p = np.array([(k + t) / 4.0, (l + t) / 4.0])
             eps = 1e-9
-            up = eval_pl(plm, p + [0, eps])
-            down = eval_pl(plm, p - [0, eps])
+            up = eval_pl_reference(plm, p + [0, eps])
+            down = eval_pl_reference(plm, p - [0, eps])
             assert np.abs(up - down).max() <= 1e-6
 
 
@@ -199,8 +199,12 @@ class TestNeighbourTableReference:
         assert np.array_equal(plm.tri_vertex_ids, tri_vertex_ids_reference(plm.chart))
 
     def test_eval_pl(self, plm):
-        pts = np.random.default_rng(3).uniform(-2.0, 2.0, (400, 2))
-        assert np.array_equal(eval_pl(plm, pts), eval_pl_reference(plm, pts))
+        # The triangle tables interpolate like the raw-lookup PL map at an
+        # interior point of every triangle.
+        lam = np.array([0.6, 0.25, 0.15])
+        pts = np.einsum("k,tkx->tx", lam, plm.tri_source)
+        want = np.einsum("k,tkd->td", lam, plm.tri_values)
+        assert np.abs(eval_pl_reference(plm, pts) - want).max() <= 1e-12
 
 
 class TestDifferential:
@@ -237,7 +241,7 @@ class TestDifferential:
         for axis in range(2):
             e = np.zeros(2)
             e[axis] = h
-            fd = (eval_pl(plm, p + e) - eval_pl(plm, p - e)) / (2 * h)
+            fd = (eval_pl_reference(plm, p + e) - eval_pl_reference(plm, p - e)) / (2 * h)
             assert np.abs(fd - d[:, axis]).max() <= 1e-10 * max(
                 1.0, np.abs(d).max()
             )
@@ -257,7 +261,7 @@ class TestDistances:
         bound = distance_c0(plm, spec, oversample=4)
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1, size=(1000, 2))
-        worst = np.linalg.norm(spec.eval(pts) - eval_pl(plm, pts), axis=-1).max()
+        worst = np.linalg.norm(spec.eval(pts) - eval_pl_reference(plm, pts), axis=-1).max()
         assert worst <= 1.5 * bound + 1e-12
 
     def test_oversample_validation(self):
@@ -331,7 +335,7 @@ class TestIsotropyResidual:
         rng = np.random.default_rng(8)
         plm = build_pl(random_trimesh(identity_chart(4), rng))
         res = pl_isotropy_residual(plm)
-        liou = triangle_liouville(plm)
+        liou = liouville_polygon(plm.tri_values)
         assert np.abs(res - 2.0 * np.abs(liou)).max() <= 1e-12
 
 
@@ -777,7 +781,7 @@ class TestChecks:
         plm = build_pl(apex_refine(rho))
         immersion = check_immersion(plm, tol=1e-6)
         assert immersion.passed
-        assert check_embedding(plm, immersion, tol=1e-6).passed
+        assert check_embedding(plm, tol=1e-6).passed
 
     @pytest.mark.parametrize("dim", [4, 6])
     def test_degenerate_triangles_match_svd(self, dim):
@@ -811,7 +815,17 @@ class TestChecks:
         want = immersion_witnesses_brute(plm, 1e-6)
         assert want
         assert [w[:4] for w in verdict.witnesses] == [w[:4] for w in want]
-        assert not check_embedding(plm, verdict, tol=1e-6).passed
+        assert not check_embedding(plm, tol=1e-6).passed
+
+    @staticmethod
+    def apex_near_corner(offset):
+        # Flat-plane N=4 map with the apex of facet (0, 0) moved to ``offset``
+        # (in the plane, towards the center) from its corner (0, 0).
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        facet = chart.offset_of_raw(0, 0)
+        tri.apex_values[facet] = tri.corner_table()[facet, 0] + [offset, 0.0, offset, 0.0]
+        return build_pl(tri)
 
     def test_degenerate_triangle_fails_embedding(self):
         # The apex of facet (0, 0) moved onto its corner (0, 0): two of its
@@ -820,16 +834,35 @@ class TestChecks:
         # period away in the values, so no pair that shares no vertex id
         # comes close: the embedding check fails on the immersion verdict
         # alone, with no witness of its own.
-        chart = identity_chart(4)
-        tri = sample_tri(make_flat_plane(), chart)
-        facet = chart.offset_of_raw(0, 0)
-        tri.apex_values[facet] = tri.corner_table()[facet, 0]
-        plm = build_pl(tri)
+        plm = self.apex_near_corner(0.0)
+        facet = plm.chart.offset_of_raw(0, 0)
         immersion = check_immersion(plm, tol=1e-6)
         degenerate = [w[1] for w in immersion.witnesses if w[0] == "degenerate_triangle"]
         assert degenerate == [4 * facet, 4 * facet + 3]
-        embedding = check_embedding(plm, immersion, tol=1e-6)
+        embedding = check_embedding(plm, tol=1e-6)
         assert not embedding.passed and embedding.witnesses == []
+
+    def test_embedding_ignores_a_verdict_on_another_map(self):
+        good = build_pl(sample_tri(make_flat_plane(), identity_chart(4)))
+        bad = self.apex_near_corner(0.0)
+        assert check_immersion(good, tol=1e-6).passed
+        assert not check_embedding(bad, tol=1e-6).passed
+        assert not check_immersion(bad, tol=1e-6).passed
+
+    def test_embedding_uses_the_verdict_at_its_own_tol(self):
+        bad = self.apex_near_corner(1e-9)
+        assert check_immersion(bad, tol=0.0).passed
+        assert not check_embedding(bad, tol=1e-6).passed
+        assert check_embedding(bad, tol=0.0).passed
+
+    def test_immersion_verdict_memoized_per_tol(self):
+        plm = self.apex_near_corner(1e-9)
+        verdict = check_immersion(plm, tol=1e-6)
+        assert check_immersion(plm, tol=1e-6) is verdict
+        assert check_immersion(plm, tol=0.0) is not verdict
+        for check in (check_immersion, check_embedding):
+            with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+                check(plm, tol=np.nan)
 
     @given(
         hex_chart=st.booleans(),
@@ -896,7 +929,7 @@ class TestChecks:
         with np.errstate(invalid="ignore", over="ignore"):
             plm = build_pl(tri)
             immersion = check_immersion(plm, tol=1e-6)
-            embedding = check_embedding(plm, immersion, tol=1e-6)
+            embedding = check_embedding(plm, tol=1e-6)
         i, j = np.concatenate([u for u, _ in _vertex_pairs(plm.tri_vertex_ids)], axis=1) // 3
         touching = {(a, b) for a, b in zip(i.tolist(), j.tolist()) if {a, b} & spoiled}
         pairs = [w for w in immersion.witnesses if w[0] == "vertex_star"]
@@ -908,10 +941,7 @@ class TestChecks:
 
     @pytest.mark.parametrize(
         "check",
-        [
-            check_immersion,
-            lambda plm, tol: check_embedding(plm, check_immersion(plm, tol=0.0), tol=tol),
-        ],
+        [check_immersion, check_embedding],
         ids=["check_immersion", "check_embedding"],
     )
     @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
@@ -938,7 +968,7 @@ class TestChecks:
             target_periods=tri.target_periods,
         )
         plm = build_pl(folded)
-        verdict = check_embedding(plm, check_immersion(plm, tol=1e-3), tol=1e-3)
+        verdict = check_embedding(plm, tol=1e-3)
         assert not verdict.passed
 
 
@@ -965,7 +995,7 @@ class TestEmbeddingWitnesses:
 
     def test_clifford_n16_embedded(self, clifford_sweep):
         plm = clifford_sweep[16]["plm"]
-        verdict = check_embedding(plm, check_immersion(plm, tol=1e-6), tol=1e-6)
+        verdict = check_embedding(plm, tol=1e-6)
         assert verdict.passed
         assert verdict.witnesses == []
 
@@ -992,7 +1022,7 @@ class TestEmbeddingWitnesses:
         )
         plm = build_pl(tri)
         immersion = check_immersion(plm, tol=tol)
-        got = check_embedding(plm, immersion, tol=tol)
+        got = check_embedding(plm, tol=tol)
         want = embedding_witnesses_brute(plm, tol)
         assert [w[:2] for w in got.witnesses] == [w[:2] for w in want]
         assert got.passed == (not want and immersion.passed)

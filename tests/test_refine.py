@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     identity_chart,
     optimal_apexes_svd,
+    quad_rank,
     random_isotropic_plane_parallelogram,
     random_isotropic_quad_of_rank,
     random_isotropic_quadrilateral,
@@ -19,18 +20,19 @@ from helpers import (
 )
 from isomesh import (
     NotIsotropic,
+    TriMesh,
     apex_refine,
     barycentric_apexes,
     make_flat_plane,
     make_product_torus,
     circle,
     figure_eight,
-    optimal_apex,
+    optimal_apexes,
     project_isotropic,
-    quad_dimension,
     sample_quad,
 )
 from isomesh.density import QuadMesh
+from isomesh.plmap import build_pl
 from isomesh.refine import apex_constraints
 from isomesh.symplectic import liouville_polygon, omega
 
@@ -69,28 +71,28 @@ class TestOptimalApex:
         pts = np.array(
             [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 1, 0], [0, 0, 1, 0]], dtype=float
         )
-        apex = optimal_apex(*pts)
+        apex = optimal_apexes(pts)
         assert np.abs(apex - pts.mean(axis=0)).max() <= 1e-12
 
     def test_random_parallelograms(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             pts = random_isotropic_plane_parallelogram(rng)
-            apex = optimal_apex(*pts)
+            apex = optimal_apexes(pts)
             assert np.abs(apex - pts.mean(axis=0)).max() <= 1e-12 * max(
                 1.0, np.abs(pts).max()
             )
 
     def test_degenerate_point(self):
         q = np.array([0.3, -1.2, 0.7, 2.0])
-        apex = optimal_apex(q, q, q, q)
+        apex = optimal_apexes([q, q, q, q])
         assert np.allclose(apex, q)
 
     def test_random_isotropic_quadrilaterals(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             pts = random_isotropic_quadrilateral(rng)
-            apex = optimal_apex(*pts)
+            apex = optimal_apexes(pts)
             rows, rhs = apex_constraints(pts)
             # All four constraints hold.
             assert np.abs(rows @ apex - rhs).max() <= 1e-11
@@ -110,12 +112,12 @@ class TestOptimalApex:
     def test_equivariance(self):
         rng = np.random.default_rng(3)
         pts = random_isotropic_quadrilateral(rng)
-        apex = optimal_apex(*pts)
+        apex = optimal_apexes(pts)
         for _ in range(5):
             a = random_unitary_symplectic(2, rng)
             c = rng.standard_normal(4)
             mapped = pts @ a.T + c
-            mapped_apex = optimal_apex(*mapped)
+            mapped_apex = optimal_apexes(mapped)
             assert np.abs(mapped_apex - (a @ apex + c)).max() <= 1e-10
 
     def test_non_isotropic_raises(self):
@@ -126,7 +128,7 @@ class TestOptimalApex:
             if abs(liou) < 1e-3:
                 continue
             with pytest.raises(NotIsotropic):
-                optimal_apex(*pts)
+                optimal_apexes(pts)
             # Feasibility <=> isotropy: the least-squares residual of the
             # apex system is bounded below by |liouville| / 2 in sup norm
             # (the four residuals always sum to 2x the Liouville integral).
@@ -156,9 +158,9 @@ class TestApexAgainstSvd:
         ref, ref_passed = optimal_apexes_svd(quads)
         eps = np.finfo(float).eps
         for quad, want, want_passed in zip(quads, ref, ref_passed):
-            assert quad_dimension(*quad) == rank
+            assert quad_rank(quad) == rank
             try:
-                got = optimal_apex(*quad)
+                got = optimal_apexes(quad)
             except NotIsotropic:
                 assert not want_passed
                 continue
@@ -183,7 +185,7 @@ class TestApexAgainstSvd:
         quad *= 10.0**exponent
         _, (want_passed,) = optimal_apexes_svd(quad[None])
         try:
-            optimal_apex(*quad)
+            optimal_apexes(quad)
             passed = True
         except NotIsotropic:
             passed = False
@@ -192,22 +194,22 @@ class TestApexAgainstSvd:
 
 class TestQuadDimension:
     def test_unit_square(self):
-        assert quad_dimension(*UNIT_SQUARE) == 2
+        assert quad_rank(UNIT_SQUARE) == 2
 
     def test_repeated_point(self):
         q = np.ones(4)
-        assert quad_dimension(q, q, q, q) == 0
+        assert quad_rank([q, q, q, q]) == 0
 
     def test_segment(self):
         a = np.zeros(4)
         b = np.array([1.0, 0, 0, 0])
-        assert quad_dimension(a, b, a, b) == 1
+        assert quad_rank([a, b, a, b]) == 1
 
     def test_generic_isotropic_rank_match(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             pts = random_isotropic_quadrilateral(rng)
-            dim = quad_dimension(*pts)
+            dim = quad_rank(pts)
             rows, _ = apex_constraints(pts)
             rank = np.linalg.matrix_rank(rows, tol=1e-10)
             assert dim == 3
@@ -247,7 +249,7 @@ class TestApexRefine:
         for bad in (1e155 * quad, spoiled):
             with np.errstate(invalid="ignore", over="ignore"):
                 with pytest.raises(NotIsotropic):
-                    optimal_apex(*bad)
+                    optimal_apexes(bad)
 
     def test_not_isotropic_propagates_facet(self):
         rng = np.random.default_rng(6)
@@ -286,7 +288,7 @@ class TestApexRefine:
         tri = apex_refine(rho)
         assert tri.corner_values.shape == (9, 4)
         assert tri.apex_values.shape == (9, 4)
-        assert tri.triangle_count == 36
+        assert build_pl(tri).tri_values.shape[0] == 36
 
     def test_apex_stays_near_barycenter(self, clifford_sweep):
         # Optimal apexes deviate from the barycenters at second order.
@@ -301,3 +303,33 @@ class TestApexRefine:
                 (n, float(np.linalg.norm(tri.apex_values - hat.apex_values, axis=1).max()))
             )
         assert -2.4 <= fit_slope(vals) <= -1.6
+
+
+class TestMeshValidation:
+    # QuadMesh and TriMesh share one rule: values (F, 2n) with 2n even,
+    # target periods (2, 2n).
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda chart, values, periods: QuadMesh(chart, values, periods),
+            lambda chart, values, periods: TriMesh(chart, values, values, periods),
+        ],
+        ids=["QuadMesh", "TriMesh"],
+    )
+    @pytest.mark.parametrize(
+        "shape, periods_shape, message",
+        [
+            ((15, 4), None, "expected 16 vertex values"),
+            ((16, 3), None, "target dimension must be even"),
+            ((16, 4), (3, 4), "target_periods must have shape"),
+            ((16, 4), (2, 6), "target_periods must have shape"),
+        ],
+    )
+    def test_rejects(self, make, shape, periods_shape, message):
+        periods = None if periods_shape is None else np.zeros(periods_shape)
+        with pytest.raises(ValueError, match=message):
+            make(identity_chart(4), np.zeros(shape), periods)
+
+    def test_tri_apex_table_matches_corners(self):
+        with pytest.raises(ValueError, match="matching shapes"):
+            TriMesh(identity_chart(4), np.zeros((16, 4)), np.zeros((16, 6)))
