@@ -1,50 +1,86 @@
-"""Pairs of triangles that share a vertex: their enumeration, their distance
-beyond the shared simplex, and the screen in front of that distance.
+"""Exact triangle distances, and the pairs of triangles that share a vertex:
+their enumeration, their distance beyond the shared simplex, and the screen
+in front of that distance.
 
 Triangles are rows of a (T, 3, d) value array with a (T, 3) table of vertex
-ids; a pair is given by incidence codes 3 t + slot.  ``_vertex_pairs`` lists
-every pair that shares an id, ``_adjacent_distances`` measures a pair
-beyond its shared vertex or edge, and ``_Screen`` clears, at one dot product
-each, the pairs that two lower bounds put at or above the threshold, so that
-only the others are measured.
+ids; a pair is given by incidence codes 3 t + slot.  ``_tri_tri_distances``
+is the one exact distance of both topology certificates.  ``_vertex_pairs``
+lists every pair that shares an id, ``_adjacent_distances`` measures a pair
+beyond its shared vertex or edge by that kernel on degenerate triangles, and
+``_Screen`` clears, at one dot product each, the pairs that two lower bounds
+put at or above the threshold, so that only the others are measured.
 """
+
+import itertools
 
 import numpy as np
 
-from .linalg import dot
+from .linalg import back_substitute, dot, thin_qr
 
 
-#: Pairs handled at once (half as many in the screen, and a third as many
-#: triangles, so as many incidences, for the cone table); bounds the
+#: Pairs handled at once (half as many in the screen and in the adjacent-pair
+#: predicate, whose pairs make two or four kernel rows each, and a third as
+#: many triangles, so as many incidences, for the cone table); bounds the
 #: temporaries of the broadphase, its shared-id mask, the adjacent-pair
 #: predicate and its screen.
 _PAIR_BLOCK = 1 << 14
 
 
-def _seg_seg_distance(p0, p1, q0, q1):
-    """Min distance between segments [p0,p1] and [q0,q1], batched, any dim.
+# -- triangle/triangle distance ----------------------------------------------
 
-    Degenerate segments (coincident endpoints) reduce to points.
+
+_TRI_FEATURES = ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0), (0, 1, 2))
+
+# Face pairs (fp, fq) by unknown count m = (|fp| - 1) + (|fq| - 1), 9, 18, 15,
+# 6 and 1 of them: tables (m + 1, G) of the columns p_k - p_0, q_0 - q_k and
+# the right-hand side q_0 - p_0 (last), v_a - v_b stored as 6 a + b over the
+# stacked vertices v = (p_0, p_1, p_2, q_0, q_1, q_2).
+_FACE_PAIRS = [[] for _ in range(5)]
+for _fp, _fq in itertools.product(_TRI_FEATURES, repeat=2):
+    _p0, _q0 = _fp[0], 3 + _fq[0]
+    _cols = [6 * k + _p0 for k in _fp[1:]] + [6 * _q0 + 3 + k for k in _fq[1:]]
+    _FACE_PAIRS[len(_cols)].append(_cols + [6 * _q0 + _p0])
+_FACE_PAIRS = [np.array(group).T for group in _FACE_PAIRS]
+
+
+def _tri_tri_distances(p, q) -> np.ndarray:
+    """Exact min distances between triangle pairs p[k], q[k], each (K, 3, d).
+
+    For every pair of faces, the least-squares minimizer between the affine
+    hulls counts when its barycentric coordinates are feasible exactly: none
+    negative, and neither triangle's sum above 1.  A minimizer on the
+    boundary of a face pair is one of a lower-dimensional face pair, and
+    those are always enumerated; the distance is the least over the 49 face
+    pairs.  Vertex-vertex pairs are plain norms.  The face pairs with m >= 1
+    unknowns are solved together by one ``thin_qr`` of [columns | right-hand
+    side]: back-substitution gives the coordinates, the norm of the
+    projected right-hand side the distance.  A face pair with a column whose
+    projected norm is at most max(d, m) eps times the largest column norm
+    (the relative cutoff of ``lstsq(rcond=None)``) is rank-deficient and
+    dropped: an extreme point of the closest-pair set lies on a full-rank
+    face pair.  So a repeated vertex drops every face it spans twice, and
+    (a, b, b) is the segment ab, (a, a, a) the point a.  A pair with a
+    non-finite value comes out NaN.
     """
-    d1 = p1 - p0
-    d2 = q1 - q0
-    r = p0 - q0
-    a = dot(d1, d1)
-    e = dot(d2, d2)
-    f = dot(d2, r)
-    c = dot(d1, r)
-    b = dot(d1, d2)
-    denom = a * e - b * b
-    safe_denom = np.where(denom > 0.0, denom, 1.0)
-    s = np.where(denom > 0.0, np.clip((b * f - c * e) / safe_denom, 0.0, 1.0), 0.0)
-    safe_e = np.where(e > 0.0, e, 1.0)
-    t = np.where(e > 0.0, (b * s + f) / safe_e, 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    safe_a = np.where(a > 0.0, a, 1.0)
-    s = np.where(a > 0.0, np.clip((b * t - c) / safe_a, 0.0, 1.0), 0.0)
-    closest1 = p0 + s[..., None] * d1
-    closest2 = q0 + t[..., None] * d2
-    return np.linalg.norm(closest1 - closest2, axis=-1)
+    verts = np.concatenate([p, q], axis=1).transpose(1, 0, 2)  # (6, K, d)
+    diffs = (verts[:, None] - verts[None]).reshape((36,) + verts.shape[1:])
+    lens = np.sqrt(dot(diffs, diffs))
+    best = lens[_FACE_PAIRS[0][0]].min(axis=0)
+    for m, group in enumerate(_FACE_PAIRS[1:], start=1):
+        cols = diffs[group]  # (m + 1, G, K, d), overwritten by Q
+        cutoff = max(p.shape[-1], m) * np.finfo(float).eps * lens[group[:m]].max(axis=0)
+        r = thin_qr(cols, m, cutoff)
+        x = back_substitute(r, m)
+        on_p = group[:m, :, None] < 18  # columns p_k - p_0: 6 a + b with a < 3
+        drop = (r[range(m), range(m)] == 0.0).any(axis=0) | (x.min(axis=0) < 0.0)
+        for side in (on_p, ~on_p):
+            drop |= (x * side).sum(axis=0) > 1.0
+        dist = np.sqrt(dot(cols[m], cols[m]))
+        best = np.minimum(best, np.where(drop, np.inf, dist).min(axis=0))
+    return best
+
+
+# -- pairs that share a vertex ------------------------------------------------
 
 
 def _slot_after(codes, step):
@@ -104,56 +140,35 @@ def _vertex_pairs_at(ids, codes, others, k):
     return u, w
 
 
-def _far_side_distances(x, e, gx, ge, m, edge, threshold):
-    """Distances from the far side of T1 = (0, x1, x2), the segment x1 x2 or
-    (where ``edge`` holds) the point x2, to T2 = (0, e1, e2).
-
-    gx = (x1.x1, x1.x2, x2.x2) and ge are the Gram entries, m[k][l] =
-    x_k . e_l.  They give the distance to T2's plane, a lower bound whose
-    square is off by at most ``slack`` ~ eps (tr^2 / det) |x|^2.  Rows below
-    ``threshold`` within the slack get the exact distance: the plane distance
-    where its foot lies in T2, else the least to T2's edges.  Also returns a
-    lower bound on the plane distance.
-    """
-    g11, g12, g22 = ge
-    det = g11 * g22 - g12 * g12
-    inv = 1.0 / np.where(det > 0.0, det, 1.0)
-    # Plane coordinates G^-1 c of y0 = x1 (x2 on edges) and y1 = x2.
-    c = [[np.where(edge, m[1][k], m[0][k]) for k in (0, 1)], m[1]]
-    lam = [((g22 * c1 - g12 * c2) * inv, (g11 * c2 - g12 * c1) * inv) for c1, c2 in c]
-    yy = np.where(edge, gx[2], gx[0]), np.where(edge, gx[2], gx[1]), gx[2]
-    # Off-plane |r0|^2, r0.r1, |r1|^2; then min of |r0 + s (r1 - r0)|^2, s in [0, 1].
-    n00, n01, n11 = (
-        yy[k] - lam[p][0] * c[q][0] - lam[p][1] * c[q][1]
-        for k, (p, q) in enumerate(((0, 0), (0, 1), (1, 1)))
-    )
-    dd = n00 - 2.0 * n01 + n11
-    s = np.clip((n00 - n01) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
-    gap2 = n00 - 2.0 * s * (n00 - n01) + s * s * dd
-    slack = 64.0 * np.finfo(float).eps * (g11 + g22) ** 2 * inv * (yy[0] + yy[2])
-    slack[det <= 0.0] = np.inf
-    dist = np.sqrt(np.maximum(gap2, 0.0))
-    near = np.nonzero(gap2 < threshold * threshold + slack)[0]
-    if near.size:
-        e1, e2, y1 = e[0][near], e[1][near], x[1][near]
-        y0 = np.where(edge[near, None], y1, x[0][near])
-        r0, r1 = (y - a[near, None] * e1 - b[near, None] * e2 for y, (a, b) in zip((y0, y1), lam))
-        diff = r1 - r0
-        t = np.clip(-dot(r0, diff) / np.maximum(dot(diff, diff), np.finfo(float).tiny), 0.0, 1.0)
-        gap = r0 + t[:, None] * diff
-        la, mu = ((1.0 - t) * a[near] + t * b[near] for a, b in zip(*lam))
-        inside = (det[near] > 0.0) & (la >= 0.0) & (mu >= 0.0) & (la + mu <= 1.0)
-        zero = np.zeros_like(e1)
-        edges = [_seg_seg_distance(y0, y1, p, q) for p, q in ((zero, e1), (e1, e2), (e2, zero))]
-        dist[near] = np.where(inside, np.sqrt(dot(gap, gap)), np.min(edges, axis=0))
-    return dist, np.sqrt(np.maximum(gap2 - slack, 0.0))
+def _far_points(flat, c, d):
+    """Values at the incidences d and at the third slot of their triangles,
+    less the values at the incidences c, from the (3T, dim) values ``flat``."""
+    origin = np.take(flat, c, axis=0)
+    return [np.take(flat, x, axis=0) - origin for x in (d, 3 * (c - c % 3) + 3 - c - d)]
 
 
-def _adjacent_distances(vals, u, w, threshold):
-    """Distances between triangles sharing a vertex beyond their shared
-    simplex; exact below ``threshold``, lower bounds at or above it.  The
-    pairs are given by incidence codes (u, w) as ``_vertex_pairs`` gives
-    them.
+#: The terms of ``_adjacent_distances`` as triangle pairs (P, Q) of indices
+#: into a pair's points (u, w, a) of T1 and (u, w, c) of T2, w the slot after
+#: u in a vertex pair; a repeated index makes a segment or a point.  Vertex
+#: pairs: dist(wa, T2), dist(wc, T1); edge pairs: dist(a, T2), dist(c, T1),
+#: dist(ua, wc), dist(wa, uc).
+_TERMS = (
+    np.array([[[1, 2, 2], [3, 4, 5]], [[4, 5, 5], [0, 1, 2]]]),
+    np.array(
+        [
+            [[2, 2, 2], [3, 4, 5]],
+            [[5, 5, 5], [0, 1, 2]],
+            [[0, 2, 2], [4, 5, 5]],
+            [[1, 2, 2], [3, 5, 5]],
+        ]
+    ),
+)
+
+
+def _adjacent_distances(vals, u, w):
+    """Exact distances between triangles sharing a vertex beyond their
+    shared simplex, for the pairs given by incidence codes (u, w) as
+    ``_vertex_pairs`` gives them.
 
     u is the smallest vertex id the two share, w the next if any, each read
     at its first slot; both triangles are taken relative to their own value
@@ -163,83 +178,39 @@ def _adjacent_distances(vals, u, w, threshold):
     (u, w, a), (u, w, c) scores min(dist(a, T2), dist(c, T1), dist(ua, wc),
     dist(wa, uc)): such triangles meet beyond uw only folded onto one side of
     it in a common plane.  Both scores are zero exactly when the pair meets.
-
-    ``check_immersion`` calls it only for the pairs that ``_Screen`` cannot
-    prove at or above the threshold t by one of two bounds:
-
-    - vertex pairs: every point of T1 - u lies within the half-aperture
-      alpha1 of the unit bisector n1 of its cone at u, and every point of ab
-      is at least H1 = dist(u, line ab) from u.  So a point p of ab and any
-      q of T2 are theta >= angle(n1, n2) - alpha1 - alpha2 apart as seen
-      from u (spherical triangle inequality), and |p - q| >= H1 sin(min(
-      theta, pi / 2)); likewise for cd.  The score is at least
-      min(H1, H2) sin(min(theta, pi / 2)), which exceeds t when both H
-      exceed t and angle(n1, n2) > gamma1 + gamma2, gamma = alpha +
-      asin(t / H).  The screen takes each gamma below pi / 2, so the test
-      reads n1.n2 < cos(gamma1 + gamma2) in cosines.
-    - edge pairs, with e = w - u in T1: let nu be the unit normal of uw in a
-      triangle's plane, towards its third vertex, and h that vertex's
-      distance from line uw.  A point s e + r nu1 of T1 is at least r
-      sin(phi) from the half-plane of T2 (r when nu1.nu2 <= 0), phi =
-      angle(nu1, nu2).  With these heights h' = h sin(phi) in place of the
-      plane distances, dist(a, T2) >= h'_a, dist(c, T1) >= h'_c, and the
-      cross terms clear as in the exact path below, by |w - u| h'_a h'_c >
-      2 t (h'_a h'_c + l_a h'_c + l_c h'_a), which also gives h' > 2 t.
-      When T2's value at w differs (a lift), T2 is measured with T1's: that
-      moves no point of T2 by more than the difference, which t gains.
-
-    Rounding: t is raised by delta = 2^-36 (t + L), L the largest edge
-    length of the map, and every H and h is lowered by delta.  That covers
-    the rounding of this function, which measures distances between
-    computed points (never more than a few eps L below the true ones), and
-    of the screen's own lengths.  Cosine comparisons carry a slack of
-    2^-30.  An incidence is screened only when it is well conditioned: at a
-    vertex cos(alpha), sin(alpha) >= 2^-8, H >= 2^-8 times its longer edge
-    and t / H <= 1 - 2^-8; at an edge h >= 2^-8 l.  Then every computed unit
-    vector, cosine, sine and height is within about 2^12 eps (times the
-    lengths) of its exact value, far inside both slacks.  A NaN or inf value
-    never clears.
+    Every term is one row of ``_tri_tri_distances``, with (a, b, b) for the
+    segment ab and (a, a, a) for the point a; the terms of ``_PAIR_BLOCK``
+    / 2 pairs go to it at once.  A pair with a non-finite value scores NaN.
     """
     flat = vals.reshape(-1, vals.shape[-1])  # one row per (triangle, slot)
     out = np.empty(u.shape[1])
-    for lo in range(0, u.shape[1], _PAIR_BLOCK):
-        cu, cw = u[:, lo : lo + _PAIR_BLOCK], w[:, lo : lo + _PAIR_BLOCK]
+    step = _PAIR_BLOCK // 2
+    for lo in range(0, u.shape[1], step):
+        cu, cw = u[:, lo : lo + step], w[:, lo : lo + step]
         edge = cw[0] >= 0
-        a, b = [], []  # values at the slot of w (or the next) and the last one, less u
-        for c, d, rel in zip(cu, cw, (a, b)):
-            base = c - c % 3
-            d = np.where(edge, d, base + (c - base + 1) % 3)
-            origin = np.take(flat, c, axis=0)
-            rel += [np.take(flat, x, axis=0) - origin for x in (d, 3 * base + 3 - c - d)]
-        ga, gb = ((dot(x[0], x[0]), dot(x[0], x[1]), dot(x[1], x[1])) for x in (a, b))
-        m = [[dot(x, y) for y in b] for x in a]
-        (dist, ha), (dist_b, hc) = (
-            _far_side_distances(a, b, ga, gb, m, edge, threshold),
-            _far_side_distances(b, a, gb, ga, [list(col) for col in zip(*m)], edge, threshold),
+        points = []
+        for c, d in zip(cu, cw):
+            far = _far_points(flat, c, np.where(edge, d, _slot_after(c, 1)))
+            points += [np.zeros_like(far[0])] + far
+        points = np.stack(points, axis=1)  # (K, 6, dim)
+        kinds = (~edge, edge)
+        tris = np.concatenate(
+            [points[k][:, t].reshape(-1, 2, 3, flat.shape[-1]) for k, t in zip(kinds, _TERMS)]
         )
-        np.minimum(dist, dist_b, out=dist)
-        # Edge pairs also test ua against wc and wa against uc.  For p, q on
-        # them at fractions s, t from u or w, |p - q| >= s h_a, t h_c (plane
-        # distances; u, w lie in both planes when the values at w agree) and
-        # >= |w - u| - s l_a - t l_c, l_a = 2 |a - u| + |w - u|.  So both
-        # terms clear the threshold where |w - u| > threshold (1 + l_a / h_a
-        # + l_c / h_c); the other edge pairs are measured.
-        e = np.nonzero(edge)[0]
-        span, ha, hc = np.sqrt(ga[0][e]), ha[e], hc[e]
-        la, lc = 2.0 * np.sqrt(ga[2][e]) + span, 2.0 * np.sqrt(gb[2][e]) + span
-        clear = span * ha * hc > 2.0 * threshold * (ha * hc + la * hc + lc * ha)
-        e = e[~clear | (a[0][e] != b[0][e]).any(axis=1)]
-        zero = np.zeros((e.size, vals.shape[-1]))
-        ends = ((zero, a[0][e]), (a[1][e],) * 2, (b[0][e], zero), (b[1][e],) * 2)
-        cross = _seg_seg_distance(*(np.concatenate(pair) for pair in ends))
-        dist[e] = np.minimum(dist[e], np.minimum(cross[: e.size], cross[e.size :]))
-        out[lo : lo + _PAIR_BLOCK] = dist
+        dist = _tri_tri_distances(tris[:, 0], tris[:, 1])
+        split = 2 * np.count_nonzero(~edge)
+        block = out[lo : lo + step]
+        block[~edge] = dist[:split].reshape(-1, 2).min(axis=1)
+        block[edge] = dist[split:].reshape(-1, 4).min(axis=1)
     return out
 
 
-#: The screen's rounding allowances (``_adjacent_distances`` gives the
-#: bounds): slack on cosines, relative slack on lengths, and the margin of
-#: conditioning an incidence needs to be screened at all.
+# -- the screen ---------------------------------------------------------------
+
+
+#: The screen's rounding allowances (``_Screen`` gives the bounds): slack on
+#: cosines, relative slack on lengths, and the margin of conditioning an
+#: incidence needs to be screened at all.
 _COS_SLACK = 2.0**-30
 _LEN_SLACK = 2.0**-36
 _MARGIN = 2.0**-8
@@ -283,12 +254,26 @@ def _cone_table(vals, reach, slack):
 
 
 def _edges_cleared(flat, u, w, reach, slack):
-    """Mask of the edge pairs (codes u, w) the half-plane bound clears."""
-    rel = []
-    for c, d in zip(u, w):
-        origin = np.take(flat, c, axis=0)
-        rel += [np.take(flat, x, axis=0) - origin for x in (d, 3 * (c - c % 3) + 3 - c - d)]
-    e, a, e2, c = rel
+    """Mask of the edge pairs (codes u, w) the half-plane bound clears.
+
+    With e = w - u in T1, let nu be the unit normal of uw in a triangle's
+    plane, towards its third vertex (a in T1, c in T2), and h that vertex's
+    distance from line uw.  A point s e + r nu1 of T1 is at least r sin(phi)
+    from the half-plane of T2 (r when nu1.nu2 <= 0), phi = angle(nu1, nu2).
+    With these heights h' = h sin(phi), dist(a, T2) >= h'_a and dist(c, T1)
+    >= h'_c.  For the cross terms, take p on ua (or wa) and q on wc (or uc)
+    at fractions s and r from u or w: |p - q| >= s h'_a and >= r h'_c (each
+    is that far from the other's half-plane), and >= |w - u| - s l_a - r
+    l_c, where l_a = 2 |a - u| + |w - u| bounds both edges at a, and l_c
+    likewise.  So |p - q| >= t wherever |w - u| > t (1 + l_a / h'_a + l_c /
+    h'_c); the mask asks |w - u| h'_a h'_c > 2 t (h'_a h'_c + l_a h'_c + l_c
+    h'_a), which also gives h' > 2 t, so that all four terms of
+    ``_adjacent_distances`` are at or above t.  When T2's value at w
+    differs (a lift), T2 is measured with T1's: that moves no point of T2 by
+    more than the difference, which the reach t gains.  ``_Screen`` gives
+    the rounding slack, with which each h is lowered.
+    """
+    (e, a), (e2, c) = (_far_points(flat, *codes) for codes in zip(u, w))
     ee, ae, ce = dot(e, e), dot(a, e), dot(c, e)
     span = np.sqrt(ee)
     aa, cc = dot(a, a), dot(c, c)
@@ -304,14 +289,42 @@ def _edges_cleared(flat, u, w, reach, slack):
 
 
 class _Screen:
-    """The screen in front of ``_adjacent_distances`` (which gives its bounds)
-    for triangle values ``vals``, a threshold and the largest edge length
-    ``scale``: the cone table is built once, and a vertex pair then costs one
-    dot product of two of its rows."""
+    """The screen in front of ``_adjacent_distances`` for triangle values
+    ``vals``, a threshold t and the largest edge length ``scale`` L: the
+    cone table is built once, and a vertex pair then costs one dot product
+    of two of its rows.  A pair clears when its score is proven at or above
+    t by one of two bounds:
+
+    - vertex pairs: every point of T1 - u lies within the half-aperture
+      alpha1 of the unit bisector n1 of its cone at u, and every point of ab
+      is at least H1 = dist(u, line ab) from u.  So a point p of ab and any
+      q of T2 are theta >= angle(n1, n2) - alpha1 - alpha2 apart as seen
+      from u (spherical triangle inequality), and |p - q| >= H1 sin(min(
+      theta, pi / 2)); likewise for cd.  The score is at least
+      min(H1, H2) sin(min(theta, pi / 2)), which exceeds t when both H
+      exceed t and angle(n1, n2) > gamma1 + gamma2, gamma = alpha +
+      asin(t / H).  The screen takes each gamma below pi / 2, so the test
+      reads n1.n2 < cos(gamma1 + gamma2) in cosines.
+    - edge pairs: the heights of the third vertices over the two half-planes
+      at the shared edge, as ``_edges_cleared`` proves.
+
+    Rounding: t is raised by delta = 2^-36 (t + L), and every H and h is
+    lowered by delta.  That covers the screen's own lengths and the
+    rounding of ``_tri_tri_distances``.  That kernel reads a distance as the
+    norm of a right-hand side projected by twice-orthogonalised Gram-Schmidt,
+    which is backward stable: it is the residual of columns and right-hand
+    side moved by a few eps L (the points of a pair lie within 2 L of u), at
+    coordinates checked feasible, so never more than a few eps L below the
+    true distance.  Cosine comparisons carry a slack of 2^-30.  An incidence
+    is screened only when it is well conditioned: at a vertex cos(alpha),
+    sin(alpha) >= 2^-8, H >= 2^-8 times its longer edge and t / H <= 1 -
+    2^-8; at an edge h >= 2^-8 l.  Then every computed unit vector, cosine,
+    sine and height is within about 2^12 eps (times the lengths) of its
+    exact value, far inside both slacks.  A NaN or inf value never clears.
+    """
 
     def __init__(self, vals, threshold: float, scale: float):
         self.vals = vals
-        self.threshold = threshold
         self.slack = _LEN_SLACK * (threshold + scale)
         self.reach = threshold + self.slack
         self.cones = _cone_table(self.vals, self.reach, self.slack)
@@ -333,8 +346,3 @@ class _Screen:
                 rows = edge[lo : lo + _PAIR_BLOCK // 2]
                 clear[rows] = _edges_cleared(flat, u[:, rows], w[:, rows], self.reach, self.slack)
         return clear
-
-    def distances(self, u, w):
-        """(rows, dist): ``_adjacent_distances`` of the pairs not cleared."""
-        rows = np.nonzero(~self.cleared(u, w))[0]
-        return rows, _adjacent_distances(self.vals, u[:, rows], w[:, rows], self.threshold)

@@ -69,7 +69,6 @@ class PipelineConfig:
     rotation: float = DEFAULT_ROTATION
     tol: float = 1e-10
     max_iter: int = 50
-    max_halvings: int = 10
     oversample: int = 4
     alpha: float = 0.5
     check_tol: float = 1e-6
@@ -95,8 +94,6 @@ class PipelineConfig:
             raise ConfigError("n_list needs at least 3 strictly increasing entries")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
-        if self.max_halvings < 0:
-            raise ConfigError("max_halvings must be nonnegative")
         if self.oversample < 1:
             raise ConfigError("oversample must be at least 1")
         if not 0.0 < self.alpha < 1.0:
@@ -124,7 +121,6 @@ _CONFIG_PARSERS = {
     "rotation": float,
     "tol": float,
     "max_iter": int,
-    "max_halvings": int,
     "oversample": int,
     "alpha": float,
     "check_tol": float,
@@ -245,9 +241,7 @@ class Pipeline:
     @_stage("solve")
     def solved(self):
         cfg = self.cfg
-        return project_isotropic(
-            self.tau, tol=cfg.tol, max_iter=cfg.max_iter, max_halvings=cfg.max_halvings
-        )
+        return project_isotropic(self.tau, tol=cfg.tol, max_iter=cfg.max_iter)
 
     rho = property(lambda self: self.solved[0])
     solve_report = property(lambda self: self.solved[1])
@@ -443,7 +437,6 @@ config file keys (key = value, one per line; defaults in parentheses):
   rotation        chart reference isometry angle, rad   (atan(1/2) ~ 0.46365)
   tol             solver residual tolerance             (1e-10)
   max_iter        solver iteration budget               (50)
-  max_halvings    solver step-halving budget            (10)
   oversample      distance sample grid per triangle     (4)
   alpha           Hoelder exponent for weak norms       (0.5)
   check_tol       immersion/embedding tolerance         (1e-6)

@@ -127,7 +127,6 @@ class Chart:
         det = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
         if det == 0:
             raise DegenerateLattice("det M = 0; increase N")
-        self._det = det
         self._hnf, self._unimodular = _column_hnf(m)
 
     @property

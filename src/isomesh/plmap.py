@@ -12,21 +12,23 @@ are constant, so PL isotropy is the finite list of residuals
 |omega(B - A, C - A)| over triangles, which equals exactly twice the
 Liouville integral around the triangle boundary.
 
-Topology checks are tolerance-based floating point, against tol * scale.
+Topology checks are tolerance-based floating point, against tol * scale,
+and measure by one exact distance, ``adjacent._tri_tri_distances``: the 49
+face pairs of a triangle pair, one batched thin QR per number of unknowns
+(not the normal equations, which misjudge nearly parallel crossing edges).
 Immersion judges every pair of triangles that shares a vertex id (from
 sorting ``tri_vertex_ids``) with one predicate,
-``adjacent._adjacent_distances``.  A sound screen goes first and clears, at
-one dot product each, the pairs whose distance two lower bounds put at or
-above the threshold: the angle between the vertex cones of a pair that
-shares a vertex, and the dihedral opening of a pair that shares an edge (the
-predicate's docstring proves both, with their rounding slack); only the
-other pairs are measured, so witnesses and distances are those of the
-predicate alone.  Embedding is the map's own immersion verdict, memoized on
-the map per tol so that the adjacent pairs are judged once, plus the pairs
-that share no vertex id: a uniform-grid broadphase over the triangle boxes,
-then exact convex distances over barycentric coordinates, one batched thin
-QR per number of unknowns (not the normal equations, which misjudge nearly
-parallel crossing edges).  NaN fails.
+``adjacent._adjacent_distances``, that kernel on the far sub-simplices of
+the pair.  A sound screen goes first and clears, at one dot product each,
+the pairs whose distance two lower bounds put at or above the threshold:
+the angle between the vertex cones of a pair that shares a vertex, and the
+dihedral opening of a pair that shares an edge (``adjacent._Screen`` proves
+both, with their rounding slack); the other pairs are gathered into one
+predicate call, so witnesses and distances are those of the predicate
+alone.  Embedding is the map's own immersion verdict, memoized on the map
+per tol so that the adjacent pairs are judged once, plus the pairs that
+share no vertex id: a uniform-grid broadphase over the triangle boxes, then
+the kernel on the candidates.  NaN fails.
 """
 
 import itertools
@@ -34,10 +36,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adjacent import _PAIR_BLOCK, _Screen, _vertex_pairs
+from .adjacent import (
+    _PAIR_BLOCK,
+    _Screen,
+    _adjacent_distances,
+    _tri_tri_distances,
+    _vertex_pairs,
+)
 from .density import CORNER_STEPS
 from .immersion import ImmersionSpec
-from .linalg import back_substitute, dot, thin_qr
+from .linalg import dot
 from .refine import TriMesh
 from .symplectic import omega
 
@@ -184,56 +192,6 @@ def pl_isotropy_residual(plm: PLMap) -> np.ndarray:
     return np.abs(omega(b - a, c - a))
 
 
-# -- triangle/triangle distance ----------------------------------------------
-
-
-_TRI_FEATURES = ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0), (0, 1, 2))
-
-# Face pairs (fp, fq) by unknown count m = (|fp| - 1) + (|fq| - 1), 9, 18, 15,
-# 6 and 1 of them: tables (m + 1, G) of the columns p_k - p_0, q_0 - q_k and
-# the right-hand side q_0 - p_0 (last), v_a - v_b stored as 6 a + b over the
-# stacked vertices v = (p_0, p_1, p_2, q_0, q_1, q_2).
-_FACE_PAIRS = [[] for _ in range(5)]
-for _fp, _fq in itertools.product(_TRI_FEATURES, repeat=2):
-    _p0, _q0 = _fp[0], 3 + _fq[0]
-    _cols = [6 * k + _p0 for k in _fp[1:]] + [6 * _q0 + 3 + k for k in _fq[1:]]
-    _FACE_PAIRS[len(_cols)].append(_cols + [6 * _q0 + _p0])
-_FACE_PAIRS = [np.array(group).T for group in _FACE_PAIRS]
-
-
-def _tri_tri_distances(p, q, feas_tol=1e-9) -> np.ndarray:
-    """Exact min distances between triangle pairs p[k], q[k], each (K, 3, d).
-
-    For every pair of faces, the least-squares minimizer between the affine
-    hulls counts when its barycentric coordinates are feasible within
-    ``feas_tol``; the distance is the least over the 49 face pairs.
-    Vertex-vertex pairs are plain norms.  The face pairs with m >= 1
-    unknowns are solved together by one ``thin_qr`` of [columns | right-hand
-    side]: back-substitution gives the coordinates, the norm of the
-    projected right-hand side the distance.  A face pair with a column whose projected
-    norm is at most max(d, m) eps times the largest column norm (the
-    relative cutoff of ``lstsq(rcond=None)``) is rank-deficient and dropped:
-    an extreme point of the closest-pair set lies on a full-rank face pair.
-    A pair with a non-finite value comes out NaN.
-    """
-    verts = np.concatenate([p, q], axis=1).transpose(1, 0, 2)  # (6, K, d)
-    diffs = (verts[:, None] - verts[None]).reshape((36,) + verts.shape[1:])
-    lens = np.sqrt(dot(diffs, diffs))
-    best = lens[_FACE_PAIRS[0][0]].min(axis=0)
-    for m, group in enumerate(_FACE_PAIRS[1:], start=1):
-        cols = diffs[group]  # (m + 1, G, K, d), overwritten by Q
-        cutoff = max(p.shape[-1], m) * np.finfo(float).eps * lens[group[:m]].max(axis=0)
-        r = thin_qr(cols, m, cutoff)
-        x = back_substitute(r, m)
-        on_p = group[:m, :, None] < 18  # columns p_k - p_0: 6 a + b with a < 3
-        drop = (r[range(m), range(m)] == 0.0).any(axis=0) | (x.min(axis=0) < -feas_tol)
-        for side in (on_p, ~on_p):
-            drop |= (x * side).sum(axis=0) > 1.0 + feas_tol
-        dist = np.sqrt(dot(cols[m], cols[m]))
-        best = np.minimum(best, np.where(drop, np.inf, dist).min(axis=0))
-    return best
-
-
 # -- uniform-grid broadphase --------------------------------------------------
 
 
@@ -346,12 +304,13 @@ def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     degen = np.nonzero(~(area > tol * top * big))[0]  # NaN fails
     witnesses = [("degenerate_triangle", int(t)) for t in degen]
     screen = _Screen(plm.tri_values, threshold, plm.edge_scale())
-    found = [(np.empty((2, 0), dtype=np.int32), np.empty(0))]
+    kept = [np.empty((2, 2, 0), dtype=np.int32)]
     for u, w in _vertex_pairs(plm.tri_vertex_ids):
-        rows, dist = screen.distances(u, w)
-        bad = ~(dist >= threshold)
-        found.append((u[:, rows[bad]], dist[bad]))
-    u, dist = (np.concatenate(part, axis=-1) for part in zip(*found))
+        kept.append(np.stack([u, w])[..., ~screen.cleared(u, w)])
+    u, w = np.concatenate(kept, axis=-1)
+    dist = _adjacent_distances(plm.tri_values, u, w)
+    bad = ~(dist >= threshold)  # NaN fails
+    u, dist = u[:, bad], dist[bad]
     v = plm.tri_vertex_ids.ravel()[u[0]]
     i, j = u // 3
     for k in np.lexsort((j, i)):

@@ -28,6 +28,8 @@ from .symplectic import apply_j
 
 #: LSQR stopping tolerance (atol and btol) of each inner least-squares solve.
 _LSQR_TOL = 1e-12
+#: Step halvings the line search tries before a Gauss-Newton step fails.
+_MAX_HALVINGS = 10
 
 
 class MaxIterExceeded(RuntimeError):
@@ -77,7 +79,6 @@ def project_isotropic(
     tau0: QuadMesh,
     tol: float = 1e-10,
     max_iter: int = 50,
-    max_halvings: int = 10,
 ) -> tuple[QuadMesh, SolveReport]:
     """Project a quadrangular mesh onto the isotropic meshes, min-norm steps.
 
@@ -116,7 +117,7 @@ def project_isotropic(
         delta = delta.reshape(nfacets, dim)
         step = 1.0
         accepted = False
-        for _ in range(max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial_values = values + step * delta
             trial = QuadMesh(chart, trial_values, periods)
             trial_mu = symplectic_density(trial).values
@@ -127,7 +128,7 @@ def project_isotropic(
             step *= 0.5
         if not accepted:
             raise LinearSolveFailure(
-                f"no residual decrease after {max_halvings} halvings "
+                f"no residual decrease after {_MAX_HALVINGS} halvings "
                 f"(residual {res:.3e})"
             )
         values, mesh, mu, res = trial_values, trial, trial_mu, trial_res

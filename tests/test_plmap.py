@@ -34,14 +34,13 @@ from isomesh import (
     barycentric_apexes,
 )
 from isomesh.cli import PipelineConfig, run_pipeline
-from isomesh import adjacent
-from isomesh.adjacent import _Screen, _adjacent_distances, _seg_seg_distance, _vertex_pairs
+from isomesh import plmap
+from isomesh.adjacent import _Screen, _adjacent_distances, _tri_tri_distances, _vertex_pairs
 from isomesh.density import CORNER_STEPS, corner_value_table
 from isomesh.plmap import (
     PLMap,
     _box_close_pairs,
     _operator_norm,
-    _tri_tri_distances,
     build_pl,
     check_embedding,
     check_immersion,
@@ -341,17 +340,22 @@ class TestIsotropyResidual:
 
 class TestGeometryPrimitives:
     def test_seg_seg_known(self):
+        # Segments and points as degenerate triangles (a, b, b) and (a, a, a).
+        def seg_seg(p0, p1, q0, q1):
+            p, q = np.stack([p0, p1, p1]), np.stack([q0, q1, q1])
+            return _tri_tri_distances(p[None], q[None])[0]
+
         p0 = np.array([0.0, 0.0, 0.0, 0.0])
         p1 = np.array([1.0, 0.0, 0.0, 0.0])
         q0 = np.array([0.0, 1.0, 0.0, 0.0])
         q1 = np.array([1.0, 1.0, 0.0, 0.0])
-        assert _seg_seg_distance(p0, p1, q0, q1) == pytest.approx(1.0)
+        assert seg_seg(p0, p1, q0, q1) == pytest.approx(1.0)
         # Degenerate: points.
-        assert _seg_seg_distance(p0, p0, q0, q0) == pytest.approx(1.0)
+        assert seg_seg(p0, p0, q0, q0) == pytest.approx(1.0)
         # Crossing segments in a plane.
         a = np.array([[-1.0, -1.0, 0, 0], [1.0, 1.0, 0, 0]])
         b = np.array([[-1.0, 1.0, 0, 0], [1.0, -1.0, 0, 0]])
-        assert _seg_seg_distance(a[0], a[1], b[0], b[1]) == pytest.approx(0.0)
+        assert seg_seg(a[0], a[1], b[0], b[1]) == pytest.approx(0.0)
 
     def test_tri_tri_distance_cases(self):
         t1 = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
@@ -567,6 +571,65 @@ class TestAdjacentPairs:
                 assert w[row, col] == (3 * t + ids.index(shared[1]) if len(shared) > 1 else -1)
 
 
+def _sliver_pair(rng, dim, edge, ratio, delta):
+    """Values and ids of two triangles that share a vertex (or, with
+    ``edge``, an edge), slots shuffled: T1 a sliver whose edge matrix has
+    singular values 1 and ``ratio``, T2 with a vertex ``delta`` off T1's
+    plane over a point inside T1."""
+    frame = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+    turn = rng.uniform(0.0, np.pi)
+    c, s = np.cos(turn), np.sin(turn)
+    x1, x2 = (frame[:, :2] @ np.diag([1.0, ratio]) @ np.array([[c, s], [-s, c]])).T
+    lam = rng.dirichlet(np.ones(3))
+    near = lam[1] * x1 + lam[2] * x2 + delta * frame[:, 2 + rng.integers(dim - 2)]
+    second = x1 if edge else rng.standard_normal(dim)
+    tris = np.array([[np.zeros(dim), x1, x2], [np.zeros(dim), second, near]])
+    vids = np.array([[0, 1, 2], [0, 1, 3] if edge else [0, 3, 4]])
+    for t in range(2):
+        order = rng.permutation(3)
+        tris[t], vids[t] = tris[t][order], vids[t][order]
+    return tris + rng.standard_normal(dim), vids
+
+
+# The far vertices of a vertex pair whose first triangle is a sliver, each
+# triangle relative to the shared vertex.
+_SLIVER_FAR = np.array([
+    [0.7345590945422051, -0.9679661095446565, -0.3611509241934368, -0.48313442255536915],
+    [0.6587005019745127, -0.8680010224618088, -0.3238561633155417, -0.43324402921580285],
+    [0.29103850218370997, -0.3835159652527124, -0.1430916272886712, -0.19142310362041529],
+    [0.07151509546576287, 1.4986206267404472, -2.0168903729818712, -0.4342181704697933],
+])
+
+
+class TestAdjacentDistances:
+    def test_sliver_pair_is_measured_exactly(self):
+        # The distance beyond the shared vertex is about 2e-7, below a
+        # threshold of 1e-6, though read through T2's plane coordinates it
+        # comes out at 1.4e-5.
+        vals = np.insert(_SLIVER_FAR.reshape(2, 2, 4), 0, 0.0, axis=1)
+        vids = np.array([[0, 1, 2], [0, 3, 4]])
+        u, w = np.array([[0], [3]]), np.array([[-1], [-1]])
+        got = _adjacent_distances(vals, u, w)[0]
+        assert got < 1e-6
+        assert got == pytest.approx(adjacent_distance_lstsq(vals, vids, 0, 1), rel=1e-9, abs=1e-13)
+
+    @given(
+        dim=st.sampled_from([4, 6]),
+        edge=st.booleans(),
+        ratio=st.floats(-9.0, -1.0).map(lambda k: 10.0**k),
+        delta=st.floats(-6.0, -1.0).map(lambda k: 10.0**k),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lstsq_reference_on_slivers(self, dim, edge, ratio, delta, seed):
+        vals, vids = _sliver_pair(np.random.default_rng(seed), dim, edge, ratio, delta)
+        u, w = next(_vertex_pairs(vids))
+        assert (w[0] >= 0) == edge
+        got = _adjacent_distances(vals, u, w)[0]
+        want = adjacent_distance_lstsq(vals, vids, 0, 1)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-13)
+
+
 def _screened(plm, tol):
     """(u, w, cleared, threshold) over every pair that shares a vertex id."""
     threshold = tol * plm.edge_scale()
@@ -580,7 +643,7 @@ def _assert_screen_sound(plm, tol, references=12):
     predicate; the tightest ones also by the lstsq reference."""
     u, w, cleared, threshold = _screened(plm, tol)
     rows = np.nonzero(cleared)[0]
-    exact = _adjacent_distances(plm.tri_values, u[:, rows], w[:, rows], threshold)
+    exact = _adjacent_distances(plm.tri_values, u[:, rows], w[:, rows])
     assert (exact >= threshold).all()
     for k in rows[np.argsort(exact)[:references]]:
         i, j = (int(c) // 3 for c in u[:, k])
@@ -743,12 +806,13 @@ class TestScreen:
         plm = run_pipeline(PipelineConfig(spec=spec), n=96, keys=["iso_scale"]).plm
         measured = []
 
-        def counted(vals, u, w, threshold):
+        def counted(vals, u, w):
             measured.append(u.shape[1])
-            return _adjacent_distances(vals, u, w, threshold)
+            return _adjacent_distances(vals, u, w)
 
-        monkeypatch.setattr(adjacent, "_adjacent_distances", counted)
+        monkeypatch.setattr(plmap, "_adjacent_distances", counted)
         assert check_immersion(plm, tol=1e-6).passed
+        assert len(measured) == 1  # one predicate call per map
         pairs = sum(u.shape[1] for u, _ in _vertex_pairs(plm.tri_vertex_ids))
         assert pairs > 250_000
         assert sum(measured) < 0.01 * pairs
