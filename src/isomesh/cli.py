@@ -36,7 +36,7 @@ from .plmap import (
     export_mesh,
     pl_isotropy_residual,
 )
-from .refine import NotIsotropic, apex_refine, barycentric_apexes
+from .refine import ISO_CERT_FACTOR, NotIsotropic, apex_refine, barycentric_apexes
 from .solver import LinearSolveFailure, MaxIterExceeded, project_isotropic
 
 #: Reference isometry angle used by default.  A generic rotation keeps the
@@ -49,10 +49,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFICATION = 4
-
-#: Per-triangle isotropy certificate: |omega pullback| <= this times scale^2.
-ISO_CERT_FACTOR = 1e-9
-
 
 class ConfigError(ValueError):
     """Malformed configuration."""
@@ -69,8 +65,6 @@ class PipelineConfig:
     rotation: float = DEFAULT_ROTATION
     tol: float = 1e-10
     max_iter: int = 50
-    oversample: int = 4
-    alpha: float = 0.5
     check_tol: float = 1e-6
     embedding_check: bool = False
     seed: int = 0
@@ -94,10 +88,6 @@ class PipelineConfig:
             raise ConfigError("n_list needs at least 3 strictly increasing entries")
         if self.max_iter < 0:
             raise ConfigError("max_iter must be nonnegative")
-        if self.oversample < 1:
-            raise ConfigError("oversample must be at least 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
         if self.check_tol <= 0:
             raise ConfigError("check_tol must be positive")
         if self.seed < 0:
@@ -121,8 +111,6 @@ _CONFIG_PARSERS = {
     "rotation": float,
     "tol": float,
     "max_iter": int,
-    "oversample": int,
-    "alpha": float,
     "check_tol": float,
     "embedding_check": _parse_bool,
     "seed": int,
@@ -293,9 +281,7 @@ _REPORT_FIELDS = {
     "facets": ("sample", lambda p: p.chart.vertex_count),
     "mu_c0": ("sample", lambda p: weak_norm(p.mu, "C0")),
     "mu_c1w": ("sample", lambda p: weak_norm(p.mu, "C1_w")),
-    "mu_holder": (
-        "sample", lambda p: weak_norm(p.mu, "C0alpha_w", alpha=p.cfg.alpha, seed=p.cfg.seed)
-    ),
+    "mu_holder": ("sample", lambda p: weak_norm(p.mu, "C0alpha_w", seed=p.cfg.seed)),
     "liouville_max": ("sample", lambda p: float(np.abs(facet_liouville(p.tau).values).max())),
     "solve_iterations": ("solve", lambda p: p.solve_report.iterations),
     "solve_residual_c0": ("solve", lambda p: p.solve_report.residual_c0),
@@ -304,11 +290,9 @@ _REPORT_FIELDS = {
         "refine", lambda p: _sup(p.tri.apex_values - barycentric_apexes(p.rho).apex_values)
     ),
     "tri_c0": ("refine", lambda p: _tri_c0(p.tri, p.tau_tri)),
-    "pl_c0": ("build", lambda p: distance_c0(p.plm, p.spec, oversample=p.cfg.oversample)),
-    "pl_c1": ("build", lambda p: distance_c1(p.plm, p.spec, oversample=p.cfg.oversample)),
-    "interp_c0": (
-        "build", lambda p: distance_c0(build_pl(p.tau_tri), p.spec, oversample=p.cfg.oversample)
-    ),
+    "pl_c0": ("build", lambda p: distance_c0(p.plm, p.spec)),
+    "pl_c1": ("build", lambda p: distance_c1(p.plm, p.spec)),
+    "interp_c0": ("build", lambda p: distance_c0(build_pl(p.tau_tri), p.spec)),
     "iso_residual_max": ("verify", lambda p: p.iso_certificate[0]),
     "iso_scale": ("verify", lambda p: p.iso_certificate[1]),
     "isotropy": ("verify", lambda p: _verdict(p.iso_certificate[2])),
@@ -437,8 +421,6 @@ config file keys (key = value, one per line; defaults in parentheses):
   rotation        chart reference isometry angle, rad   (atan(1/2) ~ 0.46365)
   tol             solver residual tolerance             (1e-10)
   max_iter        solver iteration budget               (50)
-  oversample      distance sample grid per triangle     (4)
-  alpha           Hoelder exponent for weak norms       (0.5)
   check_tol       immersion/embedding tolerance         (1e-6)
   embedding_check certify embedding: the immersion      (false)
                   verdict plus the broadphase pairs

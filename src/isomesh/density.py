@@ -171,7 +171,14 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
     return np.linalg.norm(values, axis=-1)
 
 
-def _holder_seminorm(f: FacetField, alpha, exact_pair_limit, sample_pairs, seed):
+#: Hoelder exponent of the C0alpha_w norm; the exact double loop runs up to
+#: _EXACT_PAIR_LIMIT facets, and beyond it _SAMPLE_PAIRS seeded random pairs.
+_ALPHA = 0.5
+_EXACT_PAIR_LIMIT = 4096
+_SAMPLE_PAIRS = 100_000
+
+
+def _holder_seminorm(f: FacetField, seed):
     chart = f.chart
     nfacets = chart.vertex_count
     kc, lc = chart.all_canonical()
@@ -183,50 +190,43 @@ def _holder_seminorm(f: FacetField, alpha, exact_pair_limit, sample_pairs, seed)
     for cls in _diagonal_parity_classes(chart):
         if cls.size < 2:
             continue
-        if nfacets <= exact_pair_limit:
+        if nfacets <= _EXACT_PAIR_LIMIT:
             for a in range(cls.size - 1):
                 i = cls[a]
                 rest = cls[a + 1 :]
                 off = chart.offset_of_raw(kc[i] - kc[rest], lc[i] - lc[rest])
                 d = table[off]
                 gap = _magnitudes(vals[i] - vals[rest])
-                ratio = gap / d**alpha
+                ratio = gap / d**_ALPHA
                 if ratio.size:
                     best = max(best, float(ratio.max()))
         else:
             rng = np.random.default_rng(seed)
-            i = cls[rng.integers(0, cls.size, size=sample_pairs)]
-            j = cls[rng.integers(0, cls.size, size=sample_pairs)]
+            i = cls[rng.integers(0, cls.size, size=_SAMPLE_PAIRS)]
+            j = cls[rng.integers(0, cls.size, size=_SAMPLE_PAIRS)]
             keep = i != j
             i, j = i[keep], j[keep]
             off = chart.offset_of_raw(kc[i] - kc[j], lc[i] - lc[j])
             d = table[off]
             gap = _magnitudes(vals[i] - vals[j])
-            ratio = gap / d**alpha
+            ratio = gap / d**_ALPHA
             if ratio.size:
                 best = max(best, float(ratio.max()))
     return best
 
 
-def weak_norm(
-    f: FacetField,
-    kind: str,
-    alpha: float = 0.5,
-    exact_pair_limit: int = 4096,
-    sample_pairs: int = 100_000,
-    seed: int = 0,
-) -> float:
+def weak_norm(f: FacetField, kind: str, seed: int = 0) -> float:
     """Weak discrete norms of a facet field.
 
     kind = "C0":          max |phi|.
     kind = "C1_w":        C0 plus the larger C0 norm of the two diagonal
                           finite-difference fields.
     kind = "C0alpha_w":   C0 plus the Hoelder quotient sup |phi(f1)-phi(f2)| /
-                          d(f1,f2)^alpha over pairs of facets in the same
-                          diagonal parity class, with d the flat quotient
-                          distance of the facet centers.  Exact double loop up
-                          to ``exact_pair_limit`` facets, seeded random pairs
-                          beyond that.
+                          d(f1,f2)^alpha, alpha = 1/2, over pairs of facets in
+                          the same diagonal parity class, with d the flat
+                          quotient distance of the facet centers.  Exact
+                          double loop up to 4096 facets, 100000 random pairs
+                          drawn with ``seed`` beyond that.
     """
     mags = _magnitudes(f.values)
     c0 = float(mags.max())
@@ -239,7 +239,5 @@ def weak_norm(
             float(_magnitudes(du.values).max()), float(_magnitudes(dv.values).max())
         )
     if kind == "C0alpha_w":
-        if not 0.0 < alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-        return c0 + _holder_seminorm(f, alpha, exact_pair_limit, sample_pairs, seed)
+        return c0 + _holder_seminorm(f, seed)
     raise ValueError(f"unknown norm kind {kind!r}")

@@ -28,7 +28,7 @@ predicate call, so witnesses and distances are those of the predicate
 alone.  Embedding is the map's own immersion verdict, memoized on the map
 per tol so that the adjacent pairs are judged once, plus the pairs that
 share no vertex id: a uniform-grid broadphase over the triangle boxes, then
-the kernel on the candidates.  NaN fails.
+the kernel on the far candidates, block by block.  NaN fails.
 """
 
 import itertools
@@ -137,9 +137,13 @@ def build_pl(tri: TriMesh) -> PLMap:
     return PLMap(tri)
 
 
-def _triangle_grid(oversample: int) -> np.ndarray:
-    """Barycentric sample weights, an oversample^2 grid folded into the triangle."""
-    step = (np.arange(oversample) + 0.5) / oversample
+#: Distance sample grid: _OVERSAMPLE^2 points per triangle.
+_OVERSAMPLE = 4
+
+
+def _triangle_grid() -> np.ndarray:
+    """Barycentric sample weights, an _OVERSAMPLE^2 grid folded into the triangle."""
+    step = (np.arange(_OVERSAMPLE) + 0.5) / _OVERSAMPLE
     a, b = np.meshgrid(step, step, indexing="ij")
     a = a.ravel()
     b = b.ravel()
@@ -149,18 +153,16 @@ def _triangle_grid(oversample: int) -> np.ndarray:
     return np.stack([1.0 - a - b, a, b], axis=-1)  # (m^2, 3)
 
 
-def _sample_points(plm: PLMap, oversample: int):
-    lam = _triangle_grid(oversample)
+def _sample_points(plm: PLMap):
+    lam = _triangle_grid()
     pts = np.einsum("gk,tkx->tgx", lam, plm.tri_source)
     vals = np.einsum("gk,tkd->tgd", lam, plm.tri_values)
     return pts, vals
 
 
-def distance_c0(plm: PLMap, spec: ImmersionSpec, oversample: int = 4) -> float:
+def distance_c0(plm: PLMap, spec: ImmersionSpec) -> float:
     """Sup distance max_p ||ell(p) - ell_N(p)|| over per-triangle sample grids."""
-    if oversample < 1:
-        raise ValueError("oversample must be at least 1")
-    pts, vals = _sample_points(plm, oversample)
+    pts, vals = _sample_points(plm)
     smooth = spec.eval(pts)
     return float(np.linalg.norm(smooth - vals, axis=-1).max())
 
@@ -173,12 +175,10 @@ def _operator_norm(mat) -> np.ndarray:
     return np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy)))
 
 
-def distance_c1(plm: PLMap, spec: ImmersionSpec, oversample: int = 4) -> float:
+def distance_c1(plm: PLMap, spec: ImmersionSpec) -> float:
     """C1 distance: distance_c0 plus the sup operator norm of d ell - d ell_N,
     over the same sample grids.  A non-finite value gives NaN."""
-    if oversample < 1:
-        raise ValueError("oversample must be at least 1")
-    pts, vals = _sample_points(plm, oversample)
+    pts, vals = _sample_points(plm)
     smooth, deriv = spec.jet(pts)
     c0 = float(np.linalg.norm(smooth - vals, axis=-1).max())
     return c0 + float(_operator_norm(deriv - plm.differentials[:, None]).max())
@@ -326,26 +326,27 @@ def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     triangles that shares a vertex id, and is memoized on the map) and no
     two triangles that share no vertex id come within tol times the max
     edge length, by exact convex distance.  Candidate pairs come from a
-    uniform-grid broadphase over the triangle boxes.  Witnesses are the far
-    pairs (triangle, triangle, distance), sorted; a triangle t with a
-    non-finite value cannot be placed and is (t, t, nan).
+    uniform-grid broadphase over the triangle boxes; they are split into far
+    and adjacent, and the far ones measured, in blocks of ``_PAIR_BLOCK``
+    candidates, so the kernel's memory does not grow with their count.
+    Witnesses are the far pairs (triangle, triangle, distance), sorted; a
+    triangle t with a non-finite value cannot be placed and is (t, t, nan).
     """
     threshold = _threshold(plm, tol)
     vals, vids = plm.tri_values, plm.tri_vertex_ids
     finite = np.isfinite(vals).all(axis=(1, 2))
     keep = np.nonzero(finite)[0]
     lo, hi = vals[keep].min(axis=1), vals[keep].max(axis=1)
-    i, j = (keep[k] for k in _box_close_pairs(lo, hi, threshold))
-    far = np.empty(i.size, dtype=bool)
-    for start in range(0, i.size, _PAIR_BLOCK):
+    pairs_i, pairs_j = (keep[k] for k in _box_close_pairs(lo, hi, threshold))
+    witnesses = [(int(t), int(t), np.nan) for t in np.nonzero(~finite)[0]]
+    for start in range(0, pairs_i.size, _PAIR_BLOCK):
         block = slice(start, start + _PAIR_BLOCK)
-        shared = vids[i[block], :, None] == vids[j[block], None, :]
-        far[block] = ~shared.any(axis=(1, 2))
-    i, j = i[far], j[far]
-    dist = _tri_tri_distances(vals[i], vals[j])
-    bad = np.nonzero(~(dist >= threshold))[0]  # NaN fails
-    witnesses = [(int(i[k]), int(j[k]), float(dist[k])) for k in bad]
-    witnesses += [(int(t), int(t), np.nan) for t in np.nonzero(~finite)[0]]
+        i, j = pairs_i[block], pairs_j[block]
+        far = ~(vids[i, :, None] == vids[j, None, :]).any(axis=(1, 2))
+        i, j = i[far], j[far]
+        dist = _tri_tri_distances(vals[i], vals[j])
+        bad = np.nonzero(~(dist >= threshold))[0]  # NaN fails
+        witnesses += [(int(i[k]), int(j[k]), float(dist[k])) for k in bad]
     passed = check_immersion(plm, tol).passed and not witnesses
     return CheckResult(passed=passed, witnesses=sorted(witnesses))
 

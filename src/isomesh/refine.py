@@ -13,13 +13,21 @@ and the four equations (whose rows sum to zero, the edges closing up) are
 solvable exactly when the quadrilateral itself is isotropic.  The affine
 solution space has codimension equal to the dimension of the quadrilateral's
 affine span, so the minimum-distance apex is G plus the minimum-norm
-least-squares solution in the shifted variable.  The rows are J applied to
+least-squares solution in the shifted variable P - G, whose system is the
+one above for the quadrilateral centred on G.  The rows are J applied to
 the edges, so that solution is J E^+ applied to the shifted right-hand side,
 E the edge matrix.  A thin QR of the edges e0, e1, e2 drops every edge whose
 projected norm is at most a relative cutoff times the longest edge; this
 gives an orthonormal basis Q of the span and its rank, and E = C Q^T with C
 of full column rank, so E^+ = Q C^+ is a second thin QR of the 4 x rank
 edge coordinates C.  Flat and degenerate quadrilaterals need no special case.
+
+One limit judges isotropy, here and in the certificate of the PL map: a
+triangle's residual may be at most ISO_CERT_FACTOR times a squared edge
+length.  The gate takes the longest side of the quadrilateral, an edge of
+its four triangles, so no mesh it passes fails the certificate, whose scale
+is the longest edge of the whole mesh, beyond the rounding of recomputing
+the residuals from the triangle values.
 """
 
 from dataclasses import dataclass
@@ -32,7 +40,10 @@ from .linalg import back_substitute, dot, thin_qr
 from .symplectic import apply_j, liouville_polygon, omega
 
 _RANK_CUTOFF = 1e-10
-_RESIDUAL_TOL = 1e-10
+
+#: The one isotropy limit: a triangle's residual |omega(B - A, C - A)| may be
+#: at most this times its squared scale, in the refine gate and the certificate.
+ISO_CERT_FACTOR = 1e-9
 
 
 class NotIsotropic(ValueError):
@@ -115,24 +126,26 @@ def optimal_apexes(quads, facet_label=int):
     """Optimal apexes of (..., 4, 2n) quadrilaterals, shape (..., 2n).
 
     A planar isotropic parallelogram gets its barycenter, a repeated point
-    itself.  The one isotropy gate: every apex-triangle residual r_i must
-    stay within a limit scaled by the edge length.  It bounds the Liouville
-    integral L as well, since the r_i sum to 2L, so max |r_i| >= |L| / 2.
-    NotIsotropic names the first failing quadrilateral, i in row-major
-    order, by ``facet_label(i)``.
+    itself.  The one isotropy gate is the certificate's test: every
+    apex-triangle residual r_i = omega(A_i - P, A_{i+1} - P) must be at most
+    ISO_CERT_FACTOR times the squared longest edge.  It is formed on the
+    quadrilateral centred on its barycenter, so it does not depend on the
+    scale or the position.  It bounds the Liouville integral L as well,
+    since the r_i sum to 2L, so max |r_i| >= |L| / 2.  NotIsotropic names
+    the first failing quadrilateral, i in row-major order, by
+    ``facet_label(i)``.
     """
     quads = np.asarray(quads, dtype=float)
     flat = quads.reshape(-1, 4, quads.shape[-1])
     g = flat.mean(axis=1)
-    rows, rhs = apex_constraints(flat)
-    shifted = rhs - np.einsum("fij,fj->fi", rows, g)
-    # Columns of C = E Q, then the right-hand side; a NaN spreads to the apex.
+    rows, shifted = apex_constraints(flat - g[:, None])
+    # Columns of C = E Q, then the right-hand side; a NaN spreads to the step.
     edges, q, _, scale = _edge_qr(flat)
     coords = np.concatenate([dot(edges, q[:, :, None]), shifted[None]])
     coeff = back_substitute(thin_qr(coords, 3, 0.0), 3)
-    apex = g + apply_j((coeff[..., None] * q).sum(axis=0))
-    resid = np.abs(np.einsum("fij,fj->fi", rows, apex) - rhs).max(axis=1)
-    limit = _RESIDUAL_TOL * scale + 1e-14 * (1.0 + np.abs(rhs).max(axis=1))
+    step = apply_j((coeff[..., None] * q).sum(axis=0))
+    resid = np.abs(np.einsum("fij,fj->fi", rows, step) - shifted).max(axis=1)
+    limit = ISO_CERT_FACTOR * scale * scale
     bad = np.nonzero(~(resid <= limit))[0]  # NaN fails
     if bad.size:
         i = int(bad[0])
@@ -142,7 +155,7 @@ def optimal_apexes(quads, facet_label=int):
             f"{limit[i]:.3e} (liouville integral {liouville_polygon(flat[i]):.3e})",
             facet=label,
         )
-    return apex.reshape(quads.shape[:-2] + (quads.shape[-1],))
+    return (g + step).reshape(quads.shape[:-2] + (quads.shape[-1],))
 
 
 def apex_refine(mesh: QuadMesh) -> TriMesh:

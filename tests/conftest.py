@@ -70,7 +70,7 @@ def mu_norms_of(clifford_sweep):
         return {
             "C0": weak_norm(mu, "C0"),
             "C1_w": weak_norm(mu, "C1_w"),
-            "C0alpha_w": weak_norm(mu, "C0alpha_w", alpha=0.5, seed=seed),
+            "C0alpha_w": weak_norm(mu, "C0alpha_w", seed=seed),
             "liou_max": float(np.abs(facet_liouville(entry["tau"]).values).max()),
         }
 

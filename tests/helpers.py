@@ -5,7 +5,7 @@ import numpy as np
 from isomesh import build_chart, rotation
 from isomesh.cli import DEFAULT_ROTATION
 from isomesh.density import QuadMesh
-from isomesh.refine import _edge_qr, apex_constraints
+from isomesh.refine import ISO_CERT_FACTOR, _edge_qr, apex_constraints
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
 
@@ -85,21 +85,21 @@ def optimal_apexes_svd(quads):
     gate's verdicts, one SVD per facet.
 
     The apex is the barycenter plus the minimum-norm least-squares solution
-    of the shifted apex system, singular values at most 1e-10 times the
-    largest dropped; the gate is the refine stage's residual limit.
+    of the apex system of the quadrilateral centred on its barycenter,
+    singular values at most 1e-10 times the largest dropped; the gate passes
+    when every residual is at most ISO_CERT_FACTOR times the squared longest
+    edge.
     """
     quads = np.asarray(quads, dtype=float)
     g = quads.mean(axis=1)
-    rows, rhs = apex_constraints(quads)
-    shifted = rhs - np.einsum("fij,fj->fi", rows, g)
+    rows, shifted = apex_constraints(quads - g[:, None])
     u, s, vt = np.linalg.svd(rows, full_matrices=False)
     keep = s > 1e-10 * s[:, :1]
     sinv = np.where(keep, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    apex = g + np.einsum("fij,fi->fj", vt, sinv * np.einsum("fij,fi->fj", u, shifted))
-    resid = np.abs(np.einsum("fij,fj->fi", rows, apex) - rhs).max(axis=1)
+    step = np.einsum("fij,fi->fj", vt, sinv * np.einsum("fij,fi->fj", u, shifted))
+    resid = np.abs(np.einsum("fij,fj->fi", rows, step) - shifted).max(axis=1)
     scale = np.linalg.norm(np.roll(quads, -1, axis=1) - quads, axis=-1).max(axis=1)
-    limit = 1e-10 * scale + 1e-14 * (1.0 + np.abs(rhs).max(axis=1))
-    return apex, resid <= limit
+    return g + step, resid <= ISO_CERT_FACTOR * scale**2
 
 
 def quad_rank(quad):

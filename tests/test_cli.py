@@ -338,6 +338,14 @@ class TestMain:
         assert main(["sample", "--config", str(path)]) == 2
         assert "unknown config key 'gamma'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["oversample = 4", "alpha = 0.5"])
+    def test_fixed_norm_parameters_are_no_config_keys(self, tmp_path, capsys, line):
+        # The distance grid and the Hoelder exponent are module constants.
+        path = tmp_path / "fixed.cfg"
+        path.write_text(f"spec = clifford\nn = 4\n{line}\n")
+        assert main(["sample", "--config", str(path)]) == 2
+        assert f"unknown config key {line.split()[0]!r}" in capsys.readouterr().err
+
     def test_bad_projection_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "proj.cfg"
         path.write_text("spec = clifford\nn = 4\nprojection = 0,1,7\n")

@@ -20,6 +20,7 @@ from isomesh import (
     symplectic_density,
     weak_norm,
 )
+from isomesh import density
 from isomesh.density import (
     FacetField,
     QuadMesh,
@@ -219,7 +220,7 @@ class TestWeakNorm:
         f = FacetField(ch, np.full(64, -2.5))
         assert weak_norm(f, "C0") == 2.5
         assert weak_norm(f, "C1_w") == 2.5
-        assert weak_norm(f, "C0alpha_w", alpha=0.5) == 2.5
+        assert weak_norm(f, "C0alpha_w") == 2.5
 
     def test_parity_field_blind_spot(self):
         # The weak norms do not see the alternating field's e1 oscillation:
@@ -239,27 +240,27 @@ class TestWeakNorm:
         rng = np.random.default_rng(12)
         for _ in range(10):
             f = FacetField(ch, rng.standard_normal(64))
-            assert weak_norm(f, "C0alpha_w", alpha=0.5) <= 3.0 * weak_norm(f, "C1_w")
+            assert weak_norm(f, "C0alpha_w") <= 3.0 * weak_norm(f, "C1_w")
 
     def test_vector_valued(self):
         ch = identity_chart(4)
         f = FacetField(ch, np.tile([3.0, 4.0, 0.0, 0.0], (16, 1)))
         assert weak_norm(f, "C0") == pytest.approx(5.0)
 
-    def test_bad_kind_and_alpha(self):
+    def test_bad_kind(self):
         ch = identity_chart(4)
         f = FacetField(ch, np.zeros(16))
         with pytest.raises(ValueError):
             weak_norm(f, "C2_w")
-        with pytest.raises(ValueError):
-            weak_norm(f, "C0alpha_w", alpha=1.5)
 
-    def test_sampled_pairs_close_to_exact(self):
+    def test_sampled_pairs_close_to_exact(self, monkeypatch):
         ch = identity_chart(8)
         rng = np.random.default_rng(13)
         f = FacetField(ch, rng.standard_normal(64))
         exact = weak_norm(f, "C0alpha_w")
-        sampled = weak_norm(f, "C0alpha_w", exact_pair_limit=1, sample_pairs=200_000)
+        monkeypatch.setattr(density, "_EXACT_PAIR_LIMIT", 1)
+        monkeypatch.setattr(density, "_SAMPLE_PAIRS", 200_000)
+        sampled = weak_norm(f, "C0alpha_w")
         assert sampled <= exact + 1e-12
         assert sampled >= 0.5 * exact
 

@@ -257,16 +257,11 @@ class TestDistances:
 
     def test_random_points_within_bound(self):
         spec, plm = solved_plmap("clifford", n=8)
-        bound = distance_c0(plm, spec, oversample=4)
+        bound = distance_c0(plm, spec)
         rng = np.random.default_rng(7)
         pts = rng.uniform(0, 1, size=(1000, 2))
         worst = np.linalg.norm(spec.eval(pts) - eval_pl_reference(plm, pts), axis=-1).max()
         assert worst <= 1.5 * bound + 1e-12
-
-    def test_oversample_validation(self):
-        spec, plm = solved_plmap("clifford", n=8)
-        with pytest.raises(ValueError):
-            distance_c0(plm, spec, oversample=0)
 
     @given(
         seed=st.integers(0, 2**32 - 1),

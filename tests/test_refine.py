@@ -120,6 +120,34 @@ class TestOptimalApex:
             mapped_apex = optimal_apexes(mapped)
             assert np.abs(mapped_apex - (a @ apex + c)).max() <= 1e-10
 
+    @pytest.mark.parametrize("side", [1e-7, 1e-3, 1.0, 1e6, 1e150, 1e300])
+    def test_symplectic_square_raises_at_any_scale(self, side):
+        # The unit square of the (x1, y1) plane is as far from isotropic as
+        # a square can be; the gate is scale-invariant, so no side passes,
+        # also where the squared side overflows the limit to inf.
+        with np.errstate(invalid="ignore", over="ignore"):
+            with pytest.raises(NotIsotropic):
+                optimal_apexes(side * UNIT_SQUARE)
+
+    def test_isotropic_quads_pass_at_any_scale_and_position(self):
+        # Rank 0-3 isotropic quads in R^4 and R^6, scaled by 1e-6 ... 1e6
+        # and moved by up to 1e6 times that scale, all pass: the gate is
+        # formed on the quad centred on its barycenter.  The moved quads
+        # are isotropic up to the rounding of the move, under half the
+        # limit at the largest move.
+        for dim in (4, 6):
+            rng = np.random.default_rng(dim)
+            base = np.stack(
+                [random_isotropic_quad_of_rank(rng, r, dim) for r in range(4) for _ in range(25)]
+            )
+            move = rng.standard_normal((base.shape[0], 1, dim))
+            move /= np.linalg.norm(move, axis=-1, keepdims=True)
+            scales = 10.0 ** np.arange(-6, 7)[:, None, None, None, None]
+            shifts = np.array([0.0, 1e3, 1e6])[:, None, None, None]
+            quads = scales * (base + shifts * move)
+            apex = optimal_apexes(quads)
+            assert np.isfinite(apex).all()
+
     def test_non_isotropic_raises(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
@@ -146,24 +174,18 @@ class TestApexAgainstSvd:
     )
     @settings(max_examples=80, deadline=None)
     def test_isotropic_quads(self, seed, rank, dim, exponent):
-        # The QR apex is the SVD apex within rounding of the conditioned
-        # solve, and passes the gate wherever the SVD apex does.  (Beyond
-        # 1e4 the gate's limit, linear plus 1e-14 times quadratic in the
-        # scale, sits at the rounding of rank-1 to rank-3 residuals: both
-        # may reject there, and the SVD apex, the less accurate, more often.)
+        # Both apexes pass the gate at every scale, and the QR apex is the
+        # SVD apex within rounding of the conditioned solve.
         rng = np.random.default_rng(seed)
         quads = 10.0**exponent * np.stack(
             [random_isotropic_quad_of_rank(rng, rank, dim) for _ in range(4)]
         )
         ref, ref_passed = optimal_apexes_svd(quads)
+        assert ref_passed.all()
         eps = np.finfo(float).eps
-        for quad, want, want_passed in zip(quads, ref, ref_passed):
+        for quad, want in zip(quads, ref):
             assert quad_rank(quad) == rank
-            try:
-                got = optimal_apexes(quad)
-            except NotIsotropic:
-                assert not want_passed
-                continue
+            got = optimal_apexes(quad)
             s = np.linalg.svd(apex_constraints(quad)[0], compute_uv=False)
             cond = s[0] / s[rank - 1] if rank else 1.0
             assert np.abs(got - want).max() <= 64 * eps * cond * np.abs(quad).max()
