@@ -7,7 +7,8 @@ isotropic on linear charts and report NA slopes for the density columns.
 
 Usage:
     python scripts/convergence_study.py [--spec NAME] [--n-list 8,16,32,64]
-                                        [--embedding-check] [--out table.csv]
+                                        [--embedding-check] [--timings]
+                                        [--out table.csv]
 """
 
 import argparse

@@ -50,6 +50,10 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFICATION = 4
 
+#: Errors a stage raises on valid input: EXIT_SOLVER from main, a failed row in a study.
+_PIPELINE_ERRORS = (MaxIterExceeded, LinearSolveFailure, NotIsotropic, DegenerateLattice)
+
+
 class ConfigError(ValueError):
     """Malformed configuration."""
 
@@ -63,8 +67,6 @@ class PipelineConfig:
     spec: str = "clifford"
     n: int = 16
     rotation: float = DEFAULT_ROTATION
-    tol: float = 1e-10
-    max_iter: int = 50
     check_tol: float = 1e-6
     embedding_check: bool = False
     seed: int = 0
@@ -74,20 +76,16 @@ class PipelineConfig:
     timings: bool = False
 
     def validate(self):
-        for key in ("tol", "check_tol", "rotation"):
+        for key in ("check_tol", "rotation"):
             value = getattr(self, key)
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
         if self.n < 1:
             raise ConfigError("n must be a positive integer")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be positive integers")
         if len(self.n_list) < 3 or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError("n_list needs at least 3 strictly increasing entries")
-        if self.max_iter < 0:
-            raise ConfigError("max_iter must be nonnegative")
         if self.check_tol <= 0:
             raise ConfigError("check_tol must be positive")
         if self.seed < 0:
@@ -109,8 +107,6 @@ _CONFIG_PARSERS = {
     "spec": str,
     "n": int,
     "rotation": float,
-    "tol": float,
-    "max_iter": int,
     "check_tol": float,
     "embedding_check": _parse_bool,
     "seed": int,
@@ -228,8 +224,7 @@ class Pipeline:
 
     @_stage("solve")
     def solved(self):
-        cfg = self.cfg
-        return project_isotropic(self.tau, tol=cfg.tol, max_iter=cfg.max_iter)
+        return project_isotropic(self.tau)
 
     rho = property(lambda self: self.solved[0])
     solve_report = property(lambda self: self.solved[1])
@@ -379,7 +374,7 @@ def convergence_study(cfg: PipelineConfig, n_list=None) -> StudyResult:
         try:
             res = run_pipeline(cfg, n=n, keys=_STUDY_KEYS)
             rows.append(StudyRow(n=n, report=res.report, wall_times=res.stage_seconds))
-        except (MaxIterExceeded, LinearSolveFailure, NotIsotropic, DegenerateLattice) as exc:
+        except _PIPELINE_ERRORS as exc:
             rows.append(StudyRow(n=n, error=f"{type(exc).__name__}: {exc}"))
     slopes = {}
     for col in _STUDY_COLUMNS:
@@ -419,8 +414,6 @@ config file keys (key = value, one per line; defaults in parentheses):
                   flat-plane; curves: circle, figure8   (clifford)
   n               subdivision count                     (16)
   rotation        chart reference isometry angle, rad   (atan(1/2) ~ 0.46365)
-  tol             solver residual tolerance             (1e-10)
-  max_iter        solver iteration budget               (50)
   check_tol       immersion/embedding tolerance         (1e-6)
   embedding_check certify embedding: the immersion      (false)
                   verdict plus the broadphase pairs
@@ -440,7 +433,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="configuration file path")
     parser.add_argument("--spec", help="built-in spec name")
     parser.add_argument("--n", type=int, help="subdivision count")
-    parser.add_argument("--tol", type=float, help="solver tolerance")
     parser.add_argument("--out", help="output path")
     parser.add_argument(
         "--embedding-check", action="store_true", default=None,
@@ -473,7 +465,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> PipelineConfig:
-    overrides = {key: getattr(args, key) for key in ("spec", "n", "tol", "out", "seed")}
+    overrides = {key: getattr(args, key) for key in ("spec", "n", "out", "seed")}
     if args.embedding_check:
         overrides["embedding_check"] = True
     return load_config(args.config, overrides)
@@ -563,7 +555,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MaxIterExceeded, LinearSolveFailure, NotIsotropic, DegenerateLattice) as exc:
+    except _PIPELINE_ERRORS as exc:
         print(f"pipeline error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import Chart
-from .symplectic import liouville_polygon, omega  # noqa: F401  (re-export)
+from .symplectic import liouville_polygon, omega
 
 #: Index steps (dk, dl) from facet f_kl to its corners v_kl, v_{k+1,l},
 #: v_{k+1,l+1}, v_{k,l+1}.  Corner c of every facet sits at entry

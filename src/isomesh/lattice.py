@@ -58,10 +58,11 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _column_hnf(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column Hermite normal form H = M @ U of a nonsingular 2x2 integer matrix.
+    """Column Hermite normal form H = M @ U of a 2x2 integer matrix M.
 
     H is lower triangular with H[0,0] > 0, H[1,1] > 0 and 0 <= H[1,0] < H[1,1];
     U is unimodular.  Columns of H span the same integer lattice as columns of M.
+    Raises DegenerateLattice for a singular M (H[1,1] = det M / H[0,0] = 0).
     """
     h = [[int(m[0, 0]), int(m[0, 1])], [int(m[1, 0]), int(m[1, 1])]]
     g, s, t = _ext_gcd(h[0][0], h[0][1])
@@ -123,11 +124,7 @@ class Chart:
         self.gamma_basis = np.asarray(self.gamma_basis, dtype=float)
         self.m_matrix = np.asarray(self.m_matrix).astype(np.int64)
         self.a_matrix = np.asarray(self.a_matrix, dtype=float)
-        m = self.m_matrix
-        det = int(m[0, 0]) * int(m[1, 1]) - int(m[0, 1]) * int(m[1, 0])
-        if det == 0:
-            raise DegenerateLattice("det M = 0; increase N")
-        self._hnf, self._unimodular = _column_hnf(m)
+        self._hnf, self._unimodular = _column_hnf(self.m_matrix)
 
     @property
     def vertex_count(self) -> int:

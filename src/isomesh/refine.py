@@ -111,12 +111,24 @@ def apex_constraints(quads):
     return rows, rhs
 
 
+def quad_edges(quads):
+    """Edges (..., 4, 2n) of (..., 4, 2n) quadrilaterals and the longest edge
+    length of each, shape (...)."""
+    edges = np.roll(quads, -1, axis=-2) - quads
+    return edges, np.linalg.norm(edges, axis=-1).max(axis=-1)
+
+
+def isotropy_limit(side):
+    """The one isotropy limit: each apex-triangle residual of a quadrilateral
+    may be at most ISO_CERT_FACTOR times its longest side squared."""
+    return ISO_CERT_FACTOR * side * side
+
+
 def _edge_qr(quads):
     """Edges (..., 4, 2n) of (..., 4, 2n) quadrilaterals, the thin QR of
     e0, e1, e2 (Q in q, shape (3, ..., 2n), and r) with the rank cutoff, and
     the longest edge length."""
-    edges = np.roll(quads, -1, axis=-2) - quads
-    scale = np.linalg.norm(edges, axis=-1).max(axis=-1)
+    edges, scale = quad_edges(quads)
     q = np.moveaxis(edges[..., :3, :], -2, 0).copy()
     r = thin_qr(q, 3, _RANK_CUTOFF * scale)
     return edges, q, r, scale
@@ -145,7 +157,7 @@ def optimal_apexes(quads, facet_label=int):
     coeff = back_substitute(thin_qr(coords, 3, 0.0), 3)
     step = apply_j((coeff[..., None] * q).sum(axis=0))
     resid = np.abs(np.einsum("fij,fj->fi", rows, step) - shifted).max(axis=1)
-    limit = ISO_CERT_FACTOR * scale * scale
+    limit = isotropy_limit(scale)
     bad = np.nonzero(~(resid <= limit))[0]  # NaN fails
     if bad.size:
         i = int(bad[0])

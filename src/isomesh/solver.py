@@ -14,7 +14,10 @@ cancel pairwise on the closed torus -- so the residual is projected onto mean
 zero before solving, defensively.
 
 Full Newton steps are taken; if the sup norm of the residual fails to
-decrease, the step is halved up to ten times.
+decrease, the step is halved up to ten times.  The iteration stops once
+|mu(f)| / (2 N^2), the residual the refine gate sees at the optimal apex of
+a full-rank facet, is at most _HEADROOM times the gate's limit on every
+facet, taken on the input facet; so the stop scales with the map.
 """
 
 from dataclasses import dataclass
@@ -24,16 +27,21 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import lsqr
 
 from .density import CORNER_STEPS, QuadMesh, _diagonal_fields, symplectic_density
+from .refine import isotropy_limit, quad_edges
 from .symplectic import apply_j
 
 #: LSQR stopping tolerance (atol and btol) of each inner least-squares solve.
 _LSQR_TOL = 1e-12
 #: Step halvings the line search tries before a Gauss-Newton step fails.
 _MAX_HALVINGS = 10
+#: Gauss-Newton steps before the projection fails.
+_MAX_ITER = 50
+#: Share of the refine gate's isotropy limit that the projection stops at.
+_HEADROOM = 1e-3
 
 
 class MaxIterExceeded(RuntimeError):
-    """Residual above tolerance after the iteration budget."""
+    """Residual above the stop after the iteration budget."""
 
 
 class LinearSolveFailure(RuntimeError):
@@ -75,38 +83,35 @@ def mu_jacobian(mesh: QuadMesh) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def project_isotropic(
-    tau0: QuadMesh,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-) -> tuple[QuadMesh, SolveReport]:
+def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
     """Project a quadrangular mesh onto the isotropic meshes, min-norm steps.
 
-    Returns the projected mesh rho with max_f |mu(rho)(f)| <= tol and a
-    report with the iteration count and the sup-norm correction
-    ||rho - tau0||.  An already isotropic mesh is returned unchanged with
-    zero iterations.  Raises MaxIterExceeded if the residual stays above tol
-    for max_iter Gauss-Newton steps and LinearSolveFailure when the inner
-    solver or the damping safeguard stagnates.
+    Returns the projected mesh rho, within the stop on every facet, and a
+    report with the iteration count, max |mu(rho)| and the sup-norm
+    correction ||rho - tau0||.  A mesh already within the stop is returned
+    unchanged with zero iterations.  Raises MaxIterExceeded if the residual
+    stays above the stop for _MAX_ITER Gauss-Newton steps and
+    LinearSolveFailure when the inner solver or the damping safeguard
+    stagnates.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     chart = tau0.chart
     dim = tau0.dim
     values = tau0.values.copy()
     periods = tau0.target_periods.copy()
     mesh = QuadMesh(chart, values, periods)
+    _, side = quad_edges(tau0.corner_table())
+    stop = 2.0 * _HEADROOM * chart.N**2 * isotropy_limit(side)
     mu = symplectic_density(mesh).values
     res = float(np.abs(mu).max())
     iterations = 0
     nfacets = chart.vertex_count
     iter_lim = max(1000, 4 * nfacets)
-    while not res <= tol:  # a NaN residual fails
+    while not np.all(np.abs(mu) <= stop):  # a NaN residual fails
         if not np.isfinite(res):
             raise LinearSolveFailure(f"non-finite density residual {res}")
-        if iterations >= max_iter:
+        if iterations >= _MAX_ITER:
             raise MaxIterExceeded(
-                f"residual {res:.3e} > tol {tol:.3e} after {iterations} iterations"
+                f"residual {res:.3e} above the stop after {iterations} iterations"
             )
         jac = mu_jacobian(mesh)
         rhs = -(mu - mu.mean())
@@ -116,17 +121,15 @@ def project_isotropic(
             raise LinearSolveFailure(f"lsqr stopped with istop={istop}")
         delta = delta.reshape(nfacets, dim)
         step = 1.0
-        accepted = False
         for _ in range(_MAX_HALVINGS + 1):
             trial_values = values + step * delta
             trial = QuadMesh(chart, trial_values, periods)
             trial_mu = symplectic_density(trial).values
             trial_res = float(np.abs(trial_mu).max())
             if trial_res < res:
-                accepted = True
                 break
             step *= 0.5
-        if not accepted:
+        else:
             raise LinearSolveFailure(
                 f"no residual decrease after {_MAX_HALVINGS} halvings "
                 f"(residual {res:.3e})"
@@ -134,9 +137,4 @@ def project_isotropic(
         values, mesh, mu, res = trial_values, trial, trial_mu, trial_res
         iterations += 1
     correction = float(np.linalg.norm(values - tau0.values, axis=1).max())
-    report = SolveReport(
-        iterations=iterations,
-        residual_c0=res,
-        correction_c0=correction,
-    )
-    return QuadMesh(chart, values, periods), report
+    return mesh, SolveReport(iterations, res, correction)

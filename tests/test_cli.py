@@ -59,27 +59,20 @@ class TestConfig:
         cfg = load_config()
         assert cfg.spec == "clifford"
         assert cfg.n == 16
-        assert cfg.tol == 1e-10
         assert cfg.n_list == (8, 16, 32, 64)
 
     def test_file_and_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text(
-            "# comment\n[pipeline]\nspec = flat-plane\nn = 4\ntol = 1e-8\n"
+            "# comment\n[pipeline]\nspec = flat-plane\nn = 4\ncheck_tol = 1e-8\n"
             "embedding_check = true\nn_list = 4,8,16\n"
         )
         cfg = load_config(str(path), {"n": 8})
         assert cfg.spec == "flat-plane"
         assert cfg.n == 8
-        assert cfg.tol == 1e-8
+        assert cfg.check_tol == 1e-8
         assert cfg.embedding_check is True
         assert cfg.n_list == (4, 8, 16)
-
-    def test_zero_tol_rejected(self, tmp_path):
-        path = tmp_path / "bad.cfg"
-        path.write_text("tol = 0\n")
-        with pytest.raises(ConfigError):
-            load_config(str(path))
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -89,7 +82,7 @@ class TestConfig:
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("tol\n")
+        path.write_text("check_tol\n")
         with pytest.raises(ConfigError):
             load_config(str(path))
 
@@ -254,9 +247,9 @@ class TestStudy:
         b = convergence_study(cfg).table
         assert a == b
 
-    def test_failure_markers(self):
-        cfg = PipelineConfig(spec="product:figure8,circle", n_list=(4, 8, 16),
-                             max_iter=0)
+    def test_failure_markers(self, monkeypatch):
+        monkeypatch.setattr("isomesh.solver._MAX_ITER", 0)
+        cfg = PipelineConfig(spec="product:figure8,circle", n_list=(4, 8, 16))
         result = convergence_study(cfg)
         assert all(row.error is not None for row in result.rows)
         assert "failed: MaxIterExceeded" in result.table
@@ -302,15 +295,13 @@ class TestMain:
 
     def test_config_error_exit_code(self, tmp_path):
         path = tmp_path / "bad.cfg"
-        path.write_text("tol = 0\n")
+        path.write_text("check_tol = 0\n")
         assert main(["sample", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize(
         "line",
         [
             "check_tol = nan",  # nan <= 0 is false: every certificate passed
-            "tol = nan",
-            "tol = inf",
             "iso_tol = nan",
             "rotation = nan",
             "rotation = inf",
@@ -338,9 +329,12 @@ class TestMain:
         assert main(["sample", "--config", str(path)]) == 2
         assert "unknown config key 'gamma'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["oversample = 4", "alpha = 0.5"])
+    @pytest.mark.parametrize(
+        "line", ["oversample = 4", "alpha = 0.5", "tol = 1e-8", "max_iter = 0"]
+    )
     def test_fixed_norm_parameters_are_no_config_keys(self, tmp_path, capsys, line):
-        # The distance grid and the Hoelder exponent are module constants.
+        # The distance grid, the Hoelder exponent and the solver's stop and
+        # budget are module constants.
         path = tmp_path / "fixed.cfg"
         path.write_text(f"spec = clifford\nn = 4\n{line}\n")
         assert main(["sample", "--config", str(path)]) == 2
@@ -354,10 +348,15 @@ class TestMain:
         assert "projection" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]  # nothing written
 
-    def test_solver_failure_exit_code(self, tmp_path):
-        path = tmp_path / "hard.cfg"
-        path.write_text("spec = product:figure8,circle\nn = 8\nmax_iter = 0\n")
-        assert main(["solve", "--config", str(path)]) == 3
+    def test_solver_failure_exit_code(self, monkeypatch):
+        monkeypatch.setattr("isomesh.solver._MAX_ITER", 0)
+        assert main(["solve", "--spec", "product:figure8,circle", "--n", "8"]) == 3
+
+    def test_large_scale_clifford_verifies(self, capsys):
+        # Isotropic up to rounding at radius 1000: the scale-invariant stop
+        # takes no step instead of chasing the rounding.
+        assert main(["verify", "--spec", "clifford:1000,1000", "--n", "8"]) == 0
+        assert "isotropy = pass" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "spec", ["clifford:nan,1", "clifford:1,nan", "clifford:inf,1", "clifford:1e400,1"]
@@ -376,18 +375,19 @@ class TestMain:
         assert "pipeline error [LinearSolveFailure]" in err
         assert "pass" not in out
 
-    def test_sample_needs_no_solver(self, tmp_path, capsys):
-        path = tmp_path / "hard.cfg"
-        path.write_text("spec = product:figure8,circle\nn = 8\nmax_iter = 0\n")
-        assert main(["sample", "--config", str(path)]) == 0
+    def test_sample_needs_no_solver(self, monkeypatch, capsys):
+        monkeypatch.setattr("isomesh.solver._MAX_ITER", 0)
+        assert main(["sample", "--spec", "product:figure8,circle", "--n", "8"]) == 0
         assert "mu_c0 = " in capsys.readouterr().out
 
-    def test_solve_needs_no_refinement(self, capsys):
-        argv = ["--spec", "product:figure8,circle", "--n", "8", "--tol", "1e-4"]
+    def test_solve_needs_no_refinement(self, monkeypatch, capsys):
+        # A stop 1e6 times the gate's limit ends the projection early.
+        monkeypatch.setattr("isomesh.solver._HEADROOM", 1e6)
+        argv = ["--spec", "product:figure8,circle", "--n", "8"]
         assert main(["solve", *argv]) == 0
         out = capsys.readouterr().out
         residual = float(out.split("solve_residual_c0 = ")[1].split()[0])
-        assert residual <= 1e-4
+        assert residual > 1e-4
         # Refinement's isotropy gate rejects this loose solve.
         assert main(["refine", *argv]) == 3
         err = capsys.readouterr().err

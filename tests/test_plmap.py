@@ -66,7 +66,7 @@ def solved_plmap(spec_name="product:figure8,circle", n=8):
 
     spec = spec_from_name(spec_name)
     tau = sample_quad(spec, rotated_chart(n))
-    rho, _ = project_isotropic(tau, tol=1e-10)
+    rho, _ = project_isotropic(tau)
     return spec, build_pl(apex_refine(rho))
 
 
@@ -101,7 +101,7 @@ class TestEvaluation:
         spec = make_flat_plane()
         for chart in (identity_chart(4), rotated_chart(4)):
             tau = sample_quad(spec, chart)
-            rho, _ = project_isotropic(tau, tol=1e-10)
+            rho, _ = project_isotropic(tau)
             plm = build_pl(apex_refine(rho))
             rng = np.random.default_rng(2)
             pts = rng.uniform(-1.5, 2.5, size=(200, 2))
@@ -250,7 +250,7 @@ class TestDistances:
     def test_affine_zero(self):
         spec = make_flat_plane()
         tau = sample_quad(spec, identity_chart(4))
-        rho, _ = project_isotropic(tau, tol=1e-10)
+        rho, _ = project_isotropic(tau)
         plm = build_pl(apex_refine(rho))
         assert distance_c0(plm, spec) <= 1e-13
         assert distance_c1(plm, spec) <= 1e-13
@@ -321,7 +321,7 @@ class TestIsotropyResidual:
     def test_barycentric_not_isotropic(self):
         spec = make_product_torus(figure_eight(), circle())
         tau = sample_quad(spec, rotated_chart(8))
-        rho, _ = project_isotropic(tau, tol=1e-10)
+        rho, _ = project_isotropic(tau)
         plm = build_pl(barycentric_apexes(rho))
         assert pl_isotropy_residual(plm).max() > 1e-6
 
@@ -836,7 +836,7 @@ class TestChecks:
     def test_flat_plane_embedded(self):
         spec = make_flat_plane()
         tau = sample_quad(spec, identity_chart(4))
-        rho, _ = project_isotropic(tau, tol=1e-10)
+        rho, _ = project_isotropic(tau)
         plm = build_pl(apex_refine(rho))
         immersion = check_immersion(plm, tol=1e-6)
         assert immersion.passed

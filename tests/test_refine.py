@@ -241,7 +241,7 @@ class TestQuadDimension:
 class TestApexRefine:
     def test_flat_plane_barycenters(self):
         mesh = sample_quad(make_flat_plane(), identity_chart(4))
-        rho, _ = project_isotropic(mesh, tol=1e-10)
+        rho, _ = project_isotropic(mesh)
         tri = apex_refine(rho)
         hat = barycentric_apexes(rho)
         assert np.abs(tri.apex_values - hat.apex_values).max() <= 1e-13
@@ -249,7 +249,7 @@ class TestApexRefine:
     def test_triangle_isotropy(self):
         spec = make_product_torus(figure_eight(), circle())
         tau = sample_quad(spec, rotated_chart(8))
-        rho, _ = project_isotropic(tau, tol=1e-10)
+        rho, _ = project_isotropic(tau)
         tri = apex_refine(rho)
         quads = rho.corner_table()
         edges = np.roll(quads, -1, axis=1) - quads
@@ -286,7 +286,7 @@ class TestApexRefine:
         # canonical order as (k, l), with its residual, limit and Liouville
         # integral.
         chart = rotated_chart(4)
-        rho, _ = project_isotropic(sample_quad(make_flat_plane(), chart), tol=1e-10)
+        rho, _ = project_isotropic(sample_quad(make_flat_plane(), chart))
         values = rho.values.copy()
         values[5] += [0.0, 0.3, -0.2, 0.0]
         mesh = QuadMesh(chart, values, target_periods=rho.target_periods)
@@ -306,7 +306,7 @@ class TestApexRefine:
 
     def test_counts(self):
         mesh = sample_quad(make_flat_plane(), identity_chart(3))
-        rho, _ = project_isotropic(mesh, tol=1e-10)
+        rho, _ = project_isotropic(mesh)
         tri = apex_refine(rho)
         assert tri.corner_values.shape == (9, 4)
         assert tri.apex_values.shape == (9, 4)
