@@ -6,11 +6,14 @@ embedding) -> export.  Stages run on first use, so a report key pulls in
 only the stages it needs.  A convergence study runs the pipeline over a list
 of subdivisions and fits log-log slopes for every norm column.
 
-Configuration is a flat key=value text file ([section] headers are allowed
-and ignored); every key can also be set programmatically and the common ones
-overridden by command line flags.  Reports are deterministic: identical
-config and seed produce byte-identical output (wall-clock timings are
-emitted only when explicitly enabled).
+A run is configured in one place, ``PipelineConfig``: a flat key=value
+text file ([section] headers are allowed and ignored), the same keys set
+programmatically, and the common ones overridden by command line flags.
+Fixed numeric policy is module constants, not keys: the chart's reference
+isometry ``DEFAULT_ROTATION`` and the topology tolerance
+``plmap.TOPOLOGY_TOL``.  Reports are deterministic: identical config and
+seed produce byte-identical output (wall-clock timings are emitted only
+when explicitly enabled).
 """
 
 import argparse
@@ -28,6 +31,7 @@ from .density import facet_liouville, symplectic_density, weak_norm
 from .immersion import sample_quad, sample_tri, spec_from_name
 from .lattice import DegenerateLattice, build_chart, rotation
 from .plmap import (
+    TOPOLOGY_TOL,
     build_pl,
     check_embedding,
     check_immersion,
@@ -39,7 +43,7 @@ from .plmap import (
 from .refine import ISO_CERT_FACTOR, NotIsotropic, apex_refine, barycentric_apexes
 from .solver import LinearSolveFailure, MaxIterExceeded, project_isotropic
 
-#: Reference isometry angle used by default.  A generic rotation keeps the
+#: Reference isometry angle of every chart.  A generic rotation keeps the
 #: sample grid out of the axis-aligned symmetries of product parametrizations
 #: (axis-aligned sampling of product tori is exactly isotropic facet by facet,
 #: which collapses the density and the projection step to zero).
@@ -66,8 +70,6 @@ class NonPositiveValue(ValueError):
 class PipelineConfig:
     spec: str = "clifford"
     n: int = 16
-    rotation: float = DEFAULT_ROTATION
-    check_tol: float = 1e-6
     embedding_check: bool = False
     seed: int = 0
     out: str | None = None
@@ -76,18 +78,12 @@ class PipelineConfig:
     timings: bool = False
 
     def validate(self):
-        for key in ("check_tol", "rotation"):
-            value = getattr(self, key)
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
         if self.n < 1:
             raise ConfigError("n must be a positive integer")
         if any(n < 1 for n in self.n_list):
             raise ConfigError("n_list entries must be positive integers")
         if len(self.n_list) < 3 or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             raise ConfigError("n_list needs at least 3 strictly increasing entries")
-        if self.check_tol <= 0:
-            raise ConfigError("check_tol must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self
@@ -106,8 +102,6 @@ def _parse_bool(text: str) -> bool:
 _CONFIG_PARSERS = {
     "spec": str,
     "n": int,
-    "rotation": float,
-    "check_tol": float,
     "embedding_check": _parse_bool,
     "seed": int,
     "out": str,
@@ -155,17 +149,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
     return cfg.validate()
 
 
-def check_spec_config(cfg: PipelineConfig, spec) -> None:
-    """Raise ConfigError for projection indices outside the spec's dimension."""
-    dim = 2 * spec.dim_n
-    if cfg.projection is not None and not all(0 <= i < dim for i in cfg.projection):
-        raise ConfigError(f"projection indices must lie in 0..{dim - 1} for spec {spec.name!r}")
-
-
-def chart_for(cfg: PipelineConfig, spec, n: int | None = None):
-    return build_chart(spec.gamma_basis, rotation(cfg.rotation), cfg.n if n is None else n)
-
-
 def _stage(name: str):
     """Cached Pipeline attribute whose own work counts to stage ``name``."""
 
@@ -182,14 +165,17 @@ class Pipeline:
     wall time of each stage's own work, without the stages it pulled in.
     """
 
-    def __init__(self, cfg: PipelineConfig, n: int | None = None):
+    def __init__(self, cfg: PipelineConfig):
         self.cfg = cfg.validate()
-        self.n = cfg.n if n is None else n
         try:
             self.spec = spec_from_name(cfg.spec)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        check_spec_config(cfg, self.spec)
+        dim = 2 * self.spec.dim_n
+        if cfg.projection is not None and not all(0 <= i < dim for i in cfg.projection):
+            raise ConfigError(
+                f"projection indices must lie in 0..{dim - 1} for spec {self.spec.name!r}"
+            )
         self.report = {}
         self.stage_seconds = {}
         self._nested = []  # seconds of the stages run inside each open stage
@@ -208,7 +194,7 @@ class Pipeline:
 
     @_stage("sample")
     def chart(self):
-        return chart_for(self.cfg, self.spec, self.n)
+        return build_chart(self.spec.gamma_basis, rotation(DEFAULT_ROTATION), self.cfg.n)
 
     @_stage("sample")
     def tau(self):
@@ -245,14 +231,14 @@ class Pipeline:
 
     @_stage("verify")
     def immersion_check(self):
-        return check_immersion(self.plm, tol=self.cfg.check_tol)
+        return check_immersion(self.plm)
 
     @_stage("verify")
     def embedding_check(self):
         """The embedding verdict, or None unless ``embedding_check`` is set;
         it adds the far pairs to the immersion verdict memoized on the map."""
         if self.cfg.embedding_check:
-            return check_embedding(self.plm, tol=self.cfg.check_tol)
+            return check_embedding(self.plm)
         return None
 
 
@@ -272,7 +258,7 @@ def _tri_c0(a, b) -> float:
 #: value computed from a Pipeline).  A key pulls in only the stages it reads.
 _REPORT_FIELDS = {
     "spec": ("sample", lambda p: p.spec.name),
-    "n": ("sample", lambda p: p.n),
+    "n": ("sample", lambda p: p.cfg.n),
     "facets": ("sample", lambda p: p.chart.vertex_count),
     "mu_c0": ("sample", lambda p: weak_norm(p.mu, "C0")),
     "mu_c1w": ("sample", lambda p: weak_norm(p.mu, "C1_w")),
@@ -299,15 +285,15 @@ _REPORT_FIELDS = {
 }
 
 
-def run_pipeline(cfg: PipelineConfig, n: int | None = None, keys=None) -> Pipeline:
-    """Evaluate ``keys`` of the report (all when None) at one subdivision.
+def run_pipeline(cfg: PipelineConfig, keys=None) -> Pipeline:
+    """Evaluate ``keys`` of the report (all when None) at subdivision ``cfg.n``.
 
     Keys are evaluated in report order and run only the stages they need;
     the returned Pipeline runs any other stage on first use.  Raises
     ConfigError for malformed input; solver and refinement errors propagate
     from the stage that raises them.
     """
-    run = Pipeline(cfg, n)
+    run = Pipeline(cfg)
     for key, (stage, value) in _REPORT_FIELDS.items():
         if keys is None or key in keys:
             run.report[key] = run.timed(stage, value)
@@ -361,18 +347,17 @@ class StudyResult:
     table: str
 
 
-def convergence_study(cfg: PipelineConfig, n_list=None) -> StudyResult:
-    """Run the pipeline per N, fit log-log slopes, emit a CSV table.
+def convergence_study(cfg: PipelineConfig) -> StudyResult:
+    """Run the pipeline per N of ``cfg.n_list``, fit log-log slopes, emit a CSV table.
 
     Slope lines are appended as a ``#``-prefixed summary block; per-N
-    failures produce NA rows with a failure marker comment.  An explicit
-    ``n_list`` replaces ``cfg.n_list`` and is validated like it.
+    failures produce NA rows with a failure marker comment.
     """
-    cfg = replace(cfg, n_list=tuple(cfg.n_list if n_list is None else n_list)).validate()
+    cfg.validate()
     rows = []
     for n in cfg.n_list:
         try:
-            res = run_pipeline(cfg, n=n, keys=_STUDY_KEYS)
+            res = run_pipeline(replace(cfg, n=n), keys=_STUDY_KEYS)
             rows.append(StudyRow(n=n, report=res.report, wall_times=res.stage_seconds))
         except _PIPELINE_ERRORS as exc:
             rows.append(StudyRow(n=n, error=f"{type(exc).__name__}: {exc}"))
@@ -380,7 +365,7 @@ def convergence_study(cfg: PipelineConfig, n_list=None) -> StudyResult:
     for col in _STUDY_COLUMNS:
         try:
             slopes[col] = fit_slope([(r.n, r.report[col]) for r in rows if r.error is None])
-        except (NonPositiveValue, ValueError):
+        except ValueError:
             slopes[col] = None
     header = ["n", *_STUDY_KEYS]
     if cfg.timings:
@@ -408,13 +393,11 @@ def convergence_study(cfg: PipelineConfig, n_list=None) -> StudyResult:
 
 # -- command line -------------------------------------------------------------
 
-_CONFIG_HELP = """\
+_CONFIG_HELP = f"""\
 config file keys (key = value, one per line; defaults in parentheses):
   spec            built-in map: clifford | clifford:r1,r2 | product:c1,c2 |
                   flat-plane; curves: circle, figure8   (clifford)
   n               subdivision count                     (16)
-  rotation        chart reference isometry angle, rad   (atan(1/2) ~ 0.46365)
-  check_tol       immersion/embedding tolerance         (1e-6)
   embedding_check certify embedding: the immersion      (false)
                   verdict plus the broadphase pairs
                   that share no vertex id
@@ -426,6 +409,8 @@ config file keys (key = value, one per line; defaults in parentheses):
   projection      3 coordinate indices for .obj export  (none)
   n_list          study subdivisions, comma separated   (8,16,32,64)
   timings         append wall-time columns to studies   (false)
+fixed, not keys: the chart rotation atan(1/2) and the immersion/embedding
+tolerance {TOPOLOGY_TOL:g} times the longest image edge
 """
 
 

@@ -47,11 +47,17 @@ def _period_shifted(values, shifts, periods):
     return values + q1 * periods[0] + q2 * periods[1]
 
 
+def at_corners(table):
+    """(F, 4, ...) entries of a ``Chart.neighbours`` table (offsets or shifts)
+    at the corners A0..A3 of every facet, in canonical facet order."""
+    i, j = 1 + CORNER_STEPS.T
+    return table[:, i, j]
+
+
 def corner_value_table(chart, values, periods=None):
     """(F, 4, d) table of facet corner values A0..A3 in canonical facet order."""
     offsets, shifts = chart.neighbours
-    i, j = 1 + CORNER_STEPS.T
-    return _period_shifted(values[offsets[:, i, j]], shifts[:, i, j], periods)
+    return _period_shifted(values[at_corners(offsets)], at_corners(shifts), periods)
 
 
 def _mesh_arrays(chart, values, periods):
@@ -180,38 +186,32 @@ _SAMPLE_PAIRS = 100_000
 
 def _holder_seminorm(f: FacetField, seed):
     chart = f.chart
-    nfacets = chart.vertex_count
     kc, lc = chart.all_canonical()
     # Quotient distance between facet centers, indexed by the canonical
     # representative of the index difference (center offsets cancel).
     table = chart.torus_distance(kc, lc)
     vals = f.values
+
+    def ratio_max(i, j):
+        """Largest |phi(i) - phi(j)| / d(i, j)^alpha over index pairs (i, j), 0 for none."""
+        off = chart.offset_of_raw(kc[i] - kc[j], lc[i] - lc[j])
+        ratio = _magnitudes(vals[i] - vals[j]) / table[off] ** _ALPHA
+        return float(ratio.max()) if ratio.size else 0.0
+
     best = 0.0
     for cls in _diagonal_parity_classes(chart):
         if cls.size < 2:
             continue
-        if nfacets <= _EXACT_PAIR_LIMIT:
-            for a in range(cls.size - 1):
-                i = cls[a]
-                rest = cls[a + 1 :]
-                off = chart.offset_of_raw(kc[i] - kc[rest], lc[i] - lc[rest])
-                d = table[off]
-                gap = _magnitudes(vals[i] - vals[rest])
-                ratio = gap / d**_ALPHA
-                if ratio.size:
-                    best = max(best, float(ratio.max()))
+        if chart.vertex_count <= _EXACT_PAIR_LIMIT:
+            pairs = ((cls[a], cls[a + 1 :]) for a in range(cls.size - 1))
         else:
             rng = np.random.default_rng(seed)
             i = cls[rng.integers(0, cls.size, size=_SAMPLE_PAIRS)]
             j = cls[rng.integers(0, cls.size, size=_SAMPLE_PAIRS)]
             keep = i != j
-            i, j = i[keep], j[keep]
-            off = chart.offset_of_raw(kc[i] - kc[j], lc[i] - lc[j])
-            d = table[off]
-            gap = _magnitudes(vals[i] - vals[j])
-            ratio = gap / d**_ALPHA
-            if ratio.size:
-                best = max(best, float(ratio.max()))
+            pairs = [(i[keep], j[keep])]
+        for i, j in pairs:
+            best = max(best, ratio_max(i, j))
     return best
 
 

@@ -105,14 +105,20 @@ def figure_eight() -> PlaneCurve:
     return PlaneCurve("figure8", point, velocity)
 
 
+def _number_text(x: float) -> str:
+    """``x`` in the short ``:g`` form when that reads back as ``x``, else its repr."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(float(x))
+
+
 def make_clifford(r1: float, r2: float) -> ImmersionSpec:
     """Product-of-circles torus (r1 cos 2 pi s, r1 sin 2 pi s, r2 cos 2 pi t,
-    r2 sin 2 pi t); embedded and isotropic, integer period lattice."""
+    r2 sin 2 pi t); embedded and isotropic, integer period lattice.  Its
+    name reads back as the same radii."""
     if not (0 < r1 < np.inf and 0 < r2 < np.inf):  # false for nan too
         raise ValueError("radii must be positive and finite")
-    return replace(
-        make_product_torus(circle(r1), circle(r2)), name=f"clifford:{r1:g},{r2:g}"
-    )
+    name = f"clifford:{_number_text(r1)},{_number_text(r2)}"
+    return replace(make_product_torus(circle(r1), circle(r2)), name=name)
 
 
 def make_product_torus(curve_a: PlaneCurve, curve_b: PlaneCurve) -> ImmersionSpec:

@@ -43,7 +43,7 @@ from .adjacent import (
     _tri_tri_distances,
     _vertex_pairs,
 )
-from .density import CORNER_STEPS
+from .density import CORNER_STEPS, at_corners
 from .immersion import ImmersionSpec
 from .linalg import dot
 from .refine import TriMesh
@@ -87,7 +87,7 @@ class PLMap:
             chart.position(kc[:, None] + steps[0], lc[:, None] + steps[1]),
             chart.facet_center(kc, lc),
         )
-        cids = chart.neighbours[0][:, 1 + steps[0], 1 + steps[1]]
+        cids = at_corners(chart.neighbours[0])
         self.tri_vertex_ids = _sub_triangles(cids, nfacets + np.arange(nfacets))
 
         e = np.stack(
@@ -264,6 +264,11 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
 # -- verdicts -----------------------------------------------------------------
 
 
+#: Default of the topology certificates' ``tol``: their distance threshold
+#: is this share of the max image edge length.
+TOPOLOGY_TOL = 1e-6
+
+
 @dataclass(frozen=True)
 class CheckResult:
     passed: bool
@@ -277,7 +282,7 @@ def _threshold(plm: PLMap, tol: float) -> float:
     return tol * plm.edge_scale()
 
 
-def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
+def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     """Local injectivity verdict for the PL map.
 
     Passes iff every triangle differential has two singular values above tol
@@ -319,7 +324,7 @@ def check_immersion(plm: PLMap, tol: float = 1e-6) -> CheckResult:
     return plm._immersion[tol]
 
 
-def check_embedding(plm: PLMap, tol: float = 1e-6) -> CheckResult:
+def check_embedding(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     """Global injectivity verdict: the immersion verdict plus the far pairs.
 
     Passes iff ``check_immersion(plm, tol)`` passes (it judges every pair of
@@ -370,21 +375,19 @@ def export_mesh(plm: PLMap, path, projection=None) -> None:
         proj = tuple(int(i) for i in projection)
         if len(proj) != 3 or any(i < 0 or i >= verts.shape[1] for i in proj):
             raise ValueError("projection must pick 3 valid coordinate indices")
-    faces = plm.tri_vertex_ids
+    faces = plm.tri_vertex_ids + 1
+    _write_mesh(path, verts, faces, f"symmesh {verts.shape[1]} {len(verts)} {len(faces)}")
+    if projection is not None:
+        _write_mesh(f"{path}.obj", verts[:, proj], faces)
 
-    lines = [f"symmesh {verts.shape[1]} {verts.shape[0]} {faces.shape[0]}"]
+
+def _write_mesh(path, verts, faces, header=None) -> None:
+    """An optional ``header`` line, then ``v`` lines of 17-digit floats and
+    ``f`` lines of the (1-based) faces."""
+    lines = [] if header is None else [header]
     for row in verts:
         lines.append("v " + " ".join(f"{x:.17g}" for x in row))
-    for a, b, c in faces + 1:
+    for a, b, c in faces:
         lines.append(f"f {a} {b} {c}")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-
-    if projection is not None:
-        plines = []
-        for row in verts[:, proj]:
-            plines.append("v " + " ".join(f"{x:.17g}" for x in row))
-        for a, b, c in faces + 1:
-            plines.append(f"f {a} {b} {c}")
-        with open(f"{path}.obj", "w") as handle:
-            handle.write("\n".join(plines) + "\n")

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import lsqr
 
-from .density import CORNER_STEPS, QuadMesh, _diagonal_fields, symplectic_density
+from .density import QuadMesh, _diagonal_fields, at_corners, symplectic_density
 from .refine import isotropy_limit, quad_edges
 from .symplectic import apply_j
 
@@ -45,7 +45,8 @@ class MaxIterExceeded(RuntimeError):
 
 
 class LinearSolveFailure(RuntimeError):
-    """Inner least-squares solve stagnated; retry with a rotated chart isometry."""
+    """The inner least-squares solve or the line search stagnated, or the
+    density is not finite."""
 
 
 @dataclass
@@ -65,8 +66,7 @@ def mu_jacobian(mesh: QuadMesh) -> sp.csr_matrix:
     chart = mesh.chart
     nfacets = chart.vertex_count
     dim = mesh.dim
-    i, j = 1 + CORNER_STEPS.T
-    offs = chart.neighbours[0][:, i, j]
+    offs = at_corners(chart.neighbours[0])
     u, v = _diagonal_fields(mesh)
     s = chart.N / np.sqrt(2.0)
     ju = apply_j(u)

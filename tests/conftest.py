@@ -1,12 +1,12 @@
 """Session fixtures: the dyadic pipeline sweeps reused across test modules."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from isomesh import sample_tri, spec_from_name
-from isomesh.cli import PipelineConfig, chart_for, run_pipeline
+from isomesh.cli import PipelineConfig, run_pipeline
 from isomesh.density import facet_liouville, symplectic_density, weak_norm
 from isomesh.plmap import build_pl
 from isomesh.refine import barycentric_apexes
@@ -23,14 +23,12 @@ def _tri_sup_distance(a, b):
 
 def _sweep(spec_name):
     cfg = PipelineConfig(spec=spec_name)
-    spec = spec_from_name(spec_name)
     out = {}
     for n in SWEEP_NS:
         t0 = time.perf_counter()
-        res = run_pipeline(cfg, n=n)
+        res = run_pipeline(replace(cfg, n=n))
         wall = time.perf_counter() - t0
-        chart = chart_for(cfg, spec, n)
-        tau_tri = sample_tri(spec, chart)
+        tau_tri = res.tau_tri
         hat = barycentric_apexes(res.rho)
         entry = {
             "cfg": cfg,

@@ -304,8 +304,8 @@ def test_c10_topology_verdicts(clifford_sweep, figure8_sweep):
 
 
 def test_c11_exact_affine_reproduction():
-    cfg = PipelineConfig(spec="flat-plane", embedding_check=True)
-    res = run_pipeline(cfg, n=4)
+    cfg = PipelineConfig(spec="flat-plane", n=4, embedding_check=True)
+    res = run_pipeline(cfg)
     rep = res.report
     ok = (
         rep["solve_iterations"] == 0

@@ -266,3 +266,26 @@ class TestSpecFromName:
                     "clifford:1"):
             with pytest.raises(ValueError):
                 spec_from_name(bad)
+
+    @pytest.mark.parametrize(
+        "name, printed",
+        [
+            ("clifford", "clifford:1,1"),
+            ("clifford:1000,1000", "clifford:1000,1000"),
+            ("clifford:1,0.5", "clifford:1,0.5"),
+            ("clifford:1.23456789,1", "clifford:1.23456789,1"),
+            ("clifford:0.1,3e-7", "clifford:0.1,3e-07"),
+            ("clifford:1e155,1", "clifford:1e+155,1"),
+            ("product:figure8,circle", "product:figure8,circle"),
+            ("flat-plane", "flat-plane"),
+        ],
+    )
+    def test_name_reproduces_the_spec(self, name, printed):
+        # The report's spec line must rebuild the map that ran, bit for bit.
+        spec = spec_from_name(name)
+        assert spec.name == printed
+        again = spec_from_name(spec.name)
+        p = np.random.default_rng(0).uniform(-1.0, 2.0, (64, 2))
+        assert np.array_equal(again.eval(p), spec.eval(p))
+        for a, b in zip(again.jet(p), spec.jet(p)):
+            assert np.array_equal(a, b)

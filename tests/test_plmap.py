@@ -798,7 +798,7 @@ class TestScreen:
     def test_few_pairs_reach_the_exact_path(self, spec, monkeypatch):
         # Timing-free: on a curved and on a flat mesh at N = 96, fewer than
         # 1% of the vertex-sharing pairs go through the exact predicate.
-        plm = run_pipeline(PipelineConfig(spec=spec), n=96, keys=["iso_scale"]).plm
+        plm = run_pipeline(PipelineConfig(spec=spec, n=96), keys=["iso_scale"]).plm
         measured = []
 
         def counted(vals, u, w):
