@@ -33,20 +33,6 @@ from .symplectic import liouville_polygon, omega
 CORNER_STEPS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.int64)
 
 
-def _period_shifted(values, shifts, periods):
-    """Values displaced by q1 u_1 + q2 u_2 for lattice shifts (..., 2) = (q1, q2).
-
-    values[o] stores the canonical representative; a raw index displaced by
-    M (q1, q2) picks up the target translation q1 u_1 + q2 u_2 where u_i is
-    the target period attached to gamma_i.  Periodic meshes have u_i = 0 and
-    get the values unchanged.
-    """
-    if periods is None or not periods.any():
-        return values
-    q1, q2 = shifts[..., 0, None], shifts[..., 1, None]
-    return values + q1 * periods[0] + q2 * periods[1]
-
-
 def at_corners(table):
     """(F, 4, ...) entries of a ``Chart.neighbours`` table (offsets or shifts)
     at the corners A0..A3 of every facet, in canonical facet order."""
@@ -55,9 +41,19 @@ def at_corners(table):
 
 
 def corner_value_table(chart, values, periods=None):
-    """(F, 4, d) table of facet corner values A0..A3 in canonical facet order."""
+    """(F, 4, d) table of facet corner values A0..A3 in canonical facet order.
+
+    values[o] stores the canonical representative; a corner displaced by
+    M (q1, q2) picks up the target translation q1 u_1 + q2 u_2, where u_i is
+    the target period attached to gamma_i.  Periodic meshes have u_i = 0, so
+    their lattice shifts are never gathered.
+    """
     offsets, shifts = chart.neighbours
-    return _period_shifted(values[at_corners(offsets)], at_corners(shifts), periods)
+    table = values.take(at_corners(offsets), axis=0)
+    if periods is None or not periods.any():
+        return table
+    q = at_corners(shifts)
+    return table + q[..., 0, None] * periods[0] + q[..., 1, None] * periods[1]
 
 
 def _mesh_arrays(chart, values, periods):

@@ -18,6 +18,10 @@ sublattice M Z^2; canonical representatives are computed from the column
 Hermite normal form H = M U (U unimodular), H = [[a, 0], [b, c]] with a, c > 0
 and 0 <= b < c, which gives exactly |det M| = a c cosets.
 
+The facet group Z^2 / M Z^2 is also kept in Smith form Z_d1 x Z_d2
+(``Chart.facet_group``), the grid on which one 2-D DFT diagonalises every
+convolution by facet steps.
+
 Every facet-local computation (facet corners, diagonal translates,
 sub-triangle vertex ids) reads one table, ``Chart.neighbours``: for each
 canonical index (x, y) the canonical offsets and lattice shifts of the 3x3
@@ -99,6 +103,36 @@ def _column_hnf(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     uni = np.array(u, dtype=np.int64)
     assert hnf[0, 0] > 0 and hnf[0, 1] == 0 and 0 <= hnf[1, 0] < hnf[1, 1]
     return hnf, uni
+
+
+def _smith_form(h: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
+    """Smith form of the lattice spanned by the columns of a nonsingular 2x2
+    integer matrix h with h[0, 0] != 0.
+
+    Returns ((d1, d2), W): d1 | d2, and W is unimodular with
+    W h Z^2 = diag(d1, d2) Z^2, so z -> W z mod (d1, d2) maps Z^2 / h Z^2
+    isomorphically onto Z_d1 x Z_d2.  Row operations build W; column
+    operations only change the basis of h Z^2.  |a[0, 0]| never grows and
+    falls at least every second pass, so the loop ends.
+    """
+    a = h.astype(np.int64)
+    w = np.eye(2, dtype=np.int64)
+    while True:
+        p = int(a[0, 0])
+        if a[0, 1] % p:
+            g, s, t = _ext_gcd(p, int(a[0, 1]))
+            a = a @ np.array([[s, -int(a[0, 1]) // g], [t, p // g]])
+            continue
+        if a[1, 0] % p:
+            g, s, t = _ext_gcd(p, int(a[1, 0]))
+            row = np.array([[s, t], [-int(a[1, 0]) // g, p // g]])
+        else:
+            a = a @ np.array([[1, -int(a[0, 1]) // p], [0, 1]])
+            row = np.array([[1, 0], [-int(a[1, 0]) // p, 1]])
+            if a[1, 1] % p == 0:
+                return (abs(p), abs(int(a[1, 1]))), row @ w
+            row = np.array([[1, 1], [0, 1]]) @ row
+        a, w = row @ a, row @ w
 
 
 @dataclass
@@ -190,6 +224,25 @@ class Chart:
         )
         cx, cy, q1, q2 = self.canonical_with_shift(k, l)
         return self.offset_xy(cx, cy), np.stack([q1, q2], axis=-1)
+
+    @cached_property
+    def facet_group(self):
+        """The facet group Z^2 / M Z^2 in Smith form, Z_d1 x Z_d2 with d1 | d2.
+
+        Returns ((d1, d2), W, order).  W is unimodular and the index (k, l)
+        has group coordinates W (k, l) mod (d1, d2), so on the 2-D DFT of a
+        facet field the facet step (dk, dl) is multiplication by the
+        character exp(2 pi i (p w1 / d1 + q w2 / d2)), w = W (dk, dl).
+        ``order`` (F,) lists the canonical offsets in C order of the
+        (d1, d2) grid: values[order].reshape(d1, d2) is the field on the
+        grid.  A cyclic group has d1 = 1.
+        """
+        (d1, d2), w = _smith_form(self._hnf)
+        x, y = self.all_canonical()
+        grid = (w[0, 0] * x + w[0, 1] * y) % d1 * d2 + (w[1, 0] * x + w[1, 1] * y) % d2
+        order = np.empty(self.vertex_count, dtype=np.int64)
+        order[grid] = self.offset_xy(x, y)
+        return (d1, d2), w, order
 
     # -- geometry -----------------------------------------------------------
 

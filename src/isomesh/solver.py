@@ -2,16 +2,27 @@
 
 The density mu is quadratic in the mesh, so its exact linearization at tau is
 
-    L(delta) = omega(U_delta, V_tau) + omega(U_tau, V_delta),
+    J(delta) = omega(U_delta, V_tau) + omega(U_tau, V_delta),
 
-a sparse operator whose facet row touches exactly the four corner vertices
-(8n nonzeros per row).  The projection is a Gauss-Newton iteration: each step
-solves L(delta) = -mu for the minimum-Euclidean-norm delta with LSQR, which
-works on the normal equations and therefore never leaves the row space of L
-(the step is orthogonal to the null space, where the shear symmetries live).
-The constraint rows sum to zero identically -- boundary Liouville integrals
-cancel pairwise on the closed torus -- so the residual is projected onto mean
-zero before solving, defensively.
+whose facet row touches exactly the four corner vertices.  J is applied
+matrix-free: J delta gathers the corners of every facet, and J^T y gathers,
+for every vertex, the four facets that have it as a corner.  The projection
+is a Gauss-Newton iteration: each step solves J(delta) = -mu for the
+minimum-Euclidean-norm delta with LSQR (Paige & Saunders, ACM TOMS 8, 1982),
+whose iterates never leave the row space of J (the step is orthogonal to the
+null space, where the shear symmetries live).  The rows sum to zero
+identically -- boundary Liouville integrals cancel pairwise on the closed
+torus -- so the residual is projected onto mean zero before solving.
+
+LSQR runs on (P J) delta = P b with T. Chan's optimal circulant
+preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988), P = C^(-1/2), where C
+is the average of J J^T over the facet group Z^2 / M Z^2.  J J^T is a 3x3
+stencil on that group, so C is a convolution, diagonalised by the 2-D DFT
+over the group's Smith form Z_d1 x Z_d2.  P zeroes the constant mode and is
+injective on the mean-zero fields, where J's range lies, so P J delta = P b
+has the solutions of J delta = -mu, and the iterates stay in
+range(J^T P) = range(J^T): the step is the same minimum-norm step.  C is
+built once per projection, from the Jacobian at the input mesh.
 
 Full Newton steps are taken; if the sup norm of the residual fails to
 decrease, the step is halved up to ten times.  The iteration stops once
@@ -20,18 +31,22 @@ a full-rank facet, is at most _HEADROOM times the gate's limit on every
 facet, taken on the input facet; so the stop scales with the map.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import lsqr
 
-from .density import QuadMesh, _diagonal_fields, at_corners, symplectic_density
+from .density import CORNER_STEPS, QuadMesh, _diagonal_fields, at_corners, symplectic_density
+from .lattice import Chart
 from .refine import isotropy_limit, quad_edges
 from .symplectic import apply_j
 
 #: LSQR stopping tolerance (atol and btol) of each inner least-squares solve.
 _LSQR_TOL = 1e-12
+#: Floor of the preconditioner's symbol, relative to its largest value.
+_SYMBOL_FLOOR = 1e-12
+#: Facet count up to which the preconditioner is applied as a dense matrix.
+_DENSE_FACETS = 512
 #: Step halvings the line search tries before a Gauss-Newton step fails.
 _MAX_HALVINGS = 10
 #: Gauss-Newton steps before the projection fails.
@@ -56,31 +71,136 @@ class SolveReport:
     correction_c0: float
 
 
-def mu_jacobian(mesh: QuadMesh) -> sp.csr_matrix:
-    """Sparse linearization of mu at the mesh, (F, 2n F) in flattened vertex order.
+@dataclass
+class MuJacobian:
+    """Linearization of mu at a mesh, (F, 2n F) in flattened vertex order.
+
+    ``blocks[f, c]`` is the gradient of mu(f) with respect to corner c of
+    facet f, which is vertex ``corners[f, c]``.  ``facets[v, c]`` is the facet
+    whose corner c is vertex v, and ``co_blocks[v, c]`` its gradient block,
+    so J^T is a gather too.  Column sums vanish identically (differentiated
+    telescoping identity): J^T 1 = 0.
+    """
+
+    blocks: np.ndarray
+    corners: np.ndarray
+    facets: np.ndarray
+    co_blocks: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        nfacets, _, dim = self.blocks.shape
+        return nfacets, nfacets * dim
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        x = x.reshape(len(self.corners), -1)
+        return np.einsum("fcd,fcd->f", self.blocks, x.take(self.corners, axis=0))
+
+    def rmatvec(self, y: np.ndarray) -> np.ndarray:
+        return np.einsum("vcd,vc->vd", self.co_blocks, y.take(self.facets)).ravel()
+
+
+def mu_jacobian(mesh: QuadMesh) -> MuJacobian:
+    """Matrix-free linearization of mu at the mesh.
 
     Acting on a displacement delta (flattened (F, 2n)), the row of facet f is
-    omega(U_delta, V_tau)(f) + omega(U_tau, V_delta)(f).  Column sums vanish
-    identically (differentiated telescoping identity).
+    omega(U_delta, V_tau)(f) + omega(U_tau, V_delta)(f).
     """
-    chart = mesh.chart
-    nfacets = chart.vertex_count
-    dim = mesh.dim
-    offs = at_corners(chart.neighbours[0])
+    offsets = mesh.chart.neighbours[0]
     u, v = _diagonal_fields(mesh)
-    s = chart.N / np.sqrt(2.0)
+    s = mesh.chart.N / np.sqrt(2.0)
     ju = apply_j(u)
     jv = apply_j(v)
-    # d mu / d x_{corner}: gradient wrt U is -J V, wrt V is J U.  Entries are
-    # laid out corner by corner, (4, F, 2n).
-    data = np.stack([s * jv, -s * ju, -s * jv, s * ju])
-    cols = offs.T[:, :, None] * dim + np.arange(dim)
-    rows = np.broadcast_to(np.arange(nfacets)[:, None], cols.shape)
-    mat = sp.coo_matrix(
-        (data.ravel(), (rows.ravel(), cols.ravel())),
-        shape=(nfacets, nfacets * dim),
-    )
-    return mat.tocsr()
+    # d mu / d A_c: gradient wrt U is -J V, wrt V is J U.
+    blocks = np.stack([s * jv, -s * ju, -s * jv, s * ju], axis=1)
+    # Facet (x, y) - step_c has vertex (x, y) as its corner c.
+    i, j = 1 - CORNER_STEPS.T
+    facets = offsets[:, i, j]
+    co_blocks = blocks.reshape(-1, mesh.dim).take(4 * facets + np.arange(4), axis=0)
+    return MuJacobian(blocks, at_corners(offsets), facets, co_blocks)
+
+
+def _circulant_preconditioner(chart: Chart, jac: MuJacobian):
+    """y -> C^(-1/2) y, C the facet-group average of J J^T, constant mode zeroed.
+
+    Entry (f, f + delta) of J J^T sums blocks_c(f) . blocks_c'(f + delta)
+    over the corner pairs with step_c - step_c' = delta; its facet average
+    a(delta) is the Gram matrix of the co-blocks, summed along the pairs.
+    The symbol of C is sum a(delta) cos(2 pi (p w1 / d1 + q w2 / d2)),
+    w = W delta in the group's Smith coordinates; it is floored at
+    _SYMBOL_FLOOR times its maximum.  Up to _DENSE_FACETS facets, P is
+    applied as the dense matrix of its convolution kernel, which costs less
+    than the two FFT calls.
+    """
+    (d1, d2), w, order = chart.facet_group
+    nfacets = len(order)
+    by_corner = jac.co_blocks.transpose(1, 0, 2).reshape(4, -1)
+    gram = by_corner @ by_corner.T / nfacets
+    # Group coordinates of step_c - step_e, (4, 4, 2), and their phases.
+    steps = (CORNER_STEPS[:, None] - CORNER_STEPS) @ w.T
+    phase = (steps[..., :1, None] * np.arange(d1)[:, None] / d1
+             + steps[..., 1:, None] * np.arange(d2 // 2 + 1) / d2)
+    symbol = np.einsum("ce,ceij->ij", gram, np.cos(2 * np.pi * phase))
+    scale = 1.0 / np.sqrt(np.maximum(symbol, _SYMBOL_FLOOR * symbol.max()))
+    scale[0, 0] = 0.0
+    position = np.argsort(order)
+    if nfacets <= _DENSE_FACETS:
+        # P[f, g] = k(f - g), k the inverse transform of the scale.
+        kernel = np.fft.irfft2(scale, s=(d1, d2))
+        g1, g2 = np.divmod(position, d2)
+        dense = kernel[(g1[:, None] - g1) % d1, (g2[:, None] - g2) % d2]
+        return lambda y: dense @ y
+
+    def apply(y: np.ndarray) -> np.ndarray:
+        spectrum = np.fft.rfft2(y.take(order).reshape(d1, d2)) * scale
+        return np.fft.irfft2(spectrum, s=(d1, d2)).ravel().take(position)
+
+    return apply
+
+
+def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int):
+    """Paige-Saunders LSQR on (P J) x = P rhs from x = 0, P = ``precondition``.
+
+    Returns (x, istop, itn), with scipy's stop codes: istop 0 when
+    A^T P rhs = 0 (x = 0), 1 when ||r|| <= tol (||P rhs|| + ||A|| ||x||),
+    2 when ||A^T r|| <= tol ||A|| ||r||, 7 when iter_lim iterations pass
+    first.  Here A = P J, r = P rhs - A x, ||A|| is LSQR's running Frobenius
+    estimate and tol is _LSQR_TOL.  The iterates lie in range(A^T).
+    """
+    x = np.zeros(jac.shape[1])
+    u = precondition(rhs)
+    beta = bnorm = np.linalg.norm(u)
+    if beta == 0:
+        return x, 0, 0
+    u /= beta
+    v = jac.rmatvec(precondition(u))
+    alpha = np.linalg.norm(v)
+    if alpha == 0:
+        return x, 0, 0
+    v /= alpha
+    w = v.copy()
+    phibar, rhobar, anorm = beta, alpha, 0.0
+    for itn in range(1, iter_lim + 1):
+        u = precondition(jac.matvec(v)) - alpha * u
+        beta = np.linalg.norm(u)
+        if beta > 0:
+            u /= beta
+            anorm = math.sqrt(anorm**2 + alpha**2 + beta**2)
+            v = jac.rmatvec(precondition(u)) - beta * v
+            alpha = np.linalg.norm(v)
+            if alpha > 0:
+                v /= alpha
+        rho = math.hypot(rhobar, beta)
+        cs, sn = rhobar / rho, beta / rho
+        theta, rhobar = sn * alpha, -cs * alpha
+        phi, phibar = cs * phibar, sn * phibar
+        x += (phi / rho) * w
+        w = v - (theta / rho) * w
+        if phibar <= _LSQR_TOL * (bnorm + anorm * np.linalg.norm(x)):
+            return x, 1, itn
+        if alpha * abs(sn * phi) <= _LSQR_TOL * anorm * phibar:
+            return x, 2, itn
+    return x, 7, iter_lim
 
 
 def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
@@ -106,6 +226,7 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
     iterations = 0
     nfacets = chart.vertex_count
     iter_lim = max(1000, 4 * nfacets)
+    precondition = None
     while not np.all(np.abs(mu) <= stop):  # a NaN residual fails
         if not np.isfinite(res):
             raise LinearSolveFailure(f"non-finite density residual {res}")
@@ -114,10 +235,11 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
                 f"residual {res:.3e} above the stop after {iterations} iterations"
             )
         jac = mu_jacobian(mesh)
+        if precondition is None:
+            precondition = _circulant_preconditioner(chart, jac)
         rhs = -(mu - mu.mean())
-        result = lsqr(jac, rhs, atol=_LSQR_TOL, btol=_LSQR_TOL, iter_lim=iter_lim)
-        delta, istop = result[0], result[1]
-        if istop not in (0, 1, 2, 4, 5):
+        delta, istop, _ = lsqr(jac, rhs, precondition, iter_lim)
+        if istop == 7:
             raise LinearSolveFailure(f"lsqr stopped with istop={istop}")
         delta = delta.reshape(nfacets, dim)
         step = 1.0

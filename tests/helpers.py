@@ -4,7 +4,7 @@ import numpy as np
 
 from isomesh import build_chart, rotation
 from isomesh.cli import DEFAULT_ROTATION
-from isomesh.density import QuadMesh
+from isomesh.density import QuadMesh, _diagonal_fields, at_corners
 from isomesh.refine import ISO_CERT_FACTOR, _edge_qr, apex_constraints
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
@@ -299,6 +299,34 @@ def load_mesh(path):
     if faces.size and (faces.min() < 0 or faces.max() >= verts.shape[0]):
         raise ValueError("face indices out of range")
     return dim, verts, faces
+
+
+# -- reference linearization ---------------------------------------------------
+
+
+def mu_jacobian_sparse(mesh):
+    """Sparse CSR matrix of the linearization of mu, (F, 2n F) in flattened
+    vertex order, assembled from COO triplets (duplicates summed)."""
+    import scipy.sparse as sp
+
+    chart = mesh.chart
+    nfacets = chart.vertex_count
+    dim = mesh.dim
+    offs = at_corners(chart.neighbours[0])
+    u, v = _diagonal_fields(mesh)
+    s = chart.N / np.sqrt(2.0)
+    ju = apply_j(u)
+    jv = apply_j(v)
+    # d mu / d x_{corner}: gradient wrt U is -J V, wrt V is J U.  Entries are
+    # laid out corner by corner, (4, F, 2n).
+    data = np.stack([s * jv, -s * ju, -s * jv, s * ju])
+    cols = offs.T[:, :, None] * dim + np.arange(dim)
+    rows = np.broadcast_to(np.arange(nfacets)[:, None], cols.shape)
+    mat = sp.coo_matrix(
+        (data.ravel(), (rows.ravel(), cols.ravel())),
+        shape=(nfacets, nfacets * dim),
+    )
+    return mat.tocsr()
 
 
 # -- raw-index references for the facet-neighbour table ----------------------

@@ -162,6 +162,50 @@ class TestNeighbours:
         assert ch.neighbours is ch.neighbours
 
 
+class TestFacetGroup:
+    @given(
+        st.tuples(*(st.integers(-9, 9) for _ in range(4))).filter(
+            lambda t: 0 < abs(t[0] * t[3] - t[1] * t[2]) <= 120
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_smith_form_diagonalises_facet_steps(self, mvals, seed):
+        m = np.array([[mvals[0], mvals[1]], [mvals[2], mvals[3]]])
+        ch = Chart(N=4, gamma_basis=np.eye(2), m_matrix=m, a_matrix=np.eye(2))
+        (d1, d2), w, order = ch.facet_group
+        nfacets = ch.vertex_count
+        assert d1 * d2 == nfacets and d2 % d1 == 0
+        assert d1 == np.gcd.reduce(m.ravel())
+        assert abs(round(np.linalg.det(w))) == 1
+        # The grid order is a permutation, so the transform round-trips.
+        assert np.array_equal(np.sort(order), np.arange(nfacets))
+        values = np.random.default_rng(seed).standard_normal(nfacets)
+        grid = values[order].reshape(d1, d2)
+        back = np.empty(nfacets)
+        back[order] = grid.ravel()
+        assert np.array_equal(back, values)
+        # Each facet step is multiplication of the DFT by its character.
+        spectrum = np.fft.fft2(grid)
+        p = np.arange(d1)[:, None] / d1
+        q = np.arange(d2) / d2
+        offsets = ch.neighbours[0]
+        for i, j in np.ndindex(3, 3):
+            g1, g2 = w @ (i - 1, j - 1)
+            character = np.exp(2j * np.pi * (p * g1 + q * g2))
+            stepped = np.fft.fft2(values[offsets[:, i, j]][order].reshape(d1, d2))
+            assert np.abs(stepped - character * spectrum).max() <= 1e-12 * nfacets
+
+    @pytest.mark.parametrize("n, shape", [(12, (1, 146)), (96, (43, 215))])
+    def test_default_rotation_groups(self, n, shape):
+        # The default chart rotation does not always give a cyclic group.
+        assert rotated_chart(n).facet_group[0] == shape
+
+    def test_computed_once(self):
+        ch = rotated_chart(6, hex_basis())
+        assert ch.facet_group is ch.facet_group
+
+
 class TestVertexPosition:
     def test_scaling(self):
         ch = build_chart(np.eye(2), np.eye(2), 8)

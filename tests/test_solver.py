@@ -2,9 +2,16 @@
 
 import numpy as np
 import pytest
-from scipy.sparse.linalg import lsqr
+from scipy.sparse.linalg import lsqr as scipy_lsqr
 
-from helpers import identity_chart, random_mesh, random_unitary_symplectic, rotated_chart
+from helpers import (
+    hex_basis,
+    identity_chart,
+    mu_jacobian_sparse,
+    random_mesh,
+    random_unitary_symplectic,
+    rotated_chart,
+)
 from isomesh import (
     LinearSolveFailure,
     MaxIterExceeded,
@@ -20,6 +27,7 @@ from isomesh import (
 )
 from isomesh.density import QuadMesh, facet_liouville
 from isomesh.refine import isotropy_limit, quad_edges
+from isomesh.solver import _circulant_preconditioner, lsqr
 
 
 def mu_of(values, chart, periods=None):
@@ -34,7 +42,7 @@ class TestJacobian:
         delta = rng.standard_normal(mesh.values.shape)
         jac = mu_jacobian(mesh)
         mu0 = symplectic_density(mesh).values
-        lin = jac @ delta.ravel()
+        lin = jac.matvec(delta.ravel())
         errs = []
         for h in (1e-2, 1e-3, 1e-4, 1e-5):
             err = np.abs(
@@ -52,7 +60,7 @@ class TestJacobian:
         mesh = random_mesh(ch, rng)
         jac = mu_jacobian(mesh)
         const = np.tile(rng.standard_normal(4), (ch.vertex_count, 1))
-        assert np.abs(jac @ const.ravel()).max() <= 1e-12
+        assert np.abs(jac.matvec(const.ravel())).max() <= 1e-12
 
     def test_row_sums_vanish(self):
         # Sum over facets of L(delta) is zero for every delta: the column
@@ -61,16 +69,137 @@ class TestJacobian:
         ch = rotated_chart(8)
         mesh = random_mesh(ch, rng)
         jac = mu_jacobian(mesh)
-        colsums = np.asarray(np.ones(ch.vertex_count) @ jac).ravel()
-        assert np.abs(colsums).max() <= 1e-10 * max(1.0, abs(jac).max())
+        colsums = jac.rmatvec(np.ones(ch.vertex_count))
+        assert colsums.shape == (jac.shape[1],)
+        assert np.abs(colsums).max() <= 1e-10 * max(1.0, np.abs(jac.blocks).max())
 
     def test_row_sparsity(self):
         ch = rotated_chart(6)
         rng = np.random.default_rng(3)
         mesh = random_mesh(ch, rng)
         jac = mu_jacobian(mesh)
-        row_nnz = np.diff(jac.indptr)
-        assert row_nnz.max() <= 8 * 4  # 8n with n = 2
+        dense = dense_matrix(jac)
+        assert dense.shape == (ch.vertex_count, 4 * ch.vertex_count)
+        for row in dense:
+            cols = np.flatnonzero(row)
+            assert cols.size <= 4 * 4  # 4 corners x 2n with n = 2
+            assert np.unique(cols // 4).size <= 4
+
+    @pytest.mark.parametrize("dim", [4, 6])
+    def test_matches_sparse_reference(self, dim):
+        rng = np.random.default_rng(8)
+        ch = rotated_chart(7, hex_basis())
+        mesh = random_mesh(ch, rng, dim=dim)
+        jac = mu_jacobian(mesh)
+        ref = mu_jacobian_sparse(mesh)
+        assert jac.shape == ref.shape
+        x = rng.standard_normal(ref.shape[1])
+        y = rng.standard_normal(ref.shape[0])
+        scale = np.abs(ref.data).max()
+        assert np.abs(jac.matvec(x) - ref @ x).max() <= 1e-13 * scale * np.abs(x).sum()
+        assert np.abs(jac.rmatvec(y) - ref.T @ y).max() <= 1e-13 * scale * np.abs(y).sum()
+        assert np.array_equal(dense_matrix(jac) != 0, ref.toarray() != 0)
+
+
+def dense_matrix(jac):
+    """Dense matrix of a matrix-free linearization, one matvec per column."""
+    return np.stack([jac.matvec(e) for e in np.eye(jac.shape[1])], axis=1)
+
+
+def gauss_newton_rhs(mesh):
+    mu = symplectic_density(mesh).values
+    return -(mu - mu.mean())
+
+
+def _chart_case(name):
+    rng = np.random.default_rng(9)
+    spec = make_product_torus(figure_eight(), circle())
+    if name == "figure8-rotated-12":  # cyclic: HNF [[1, 0], [119, 146]]
+        return sample_quad(spec, rotated_chart(12))
+    if name == "figure8-rotated-96":  # Z_43 x Z_215, the benchmark's chart
+        return sample_quad(spec, rotated_chart(96))
+    if name == "identity-8-r4":  # Z_8 x Z_8
+        return random_mesh(identity_chart(8), rng)
+    if name == "identity-8-r6":
+        return random_mesh(identity_chart(8), rng, dim=6)
+    if name == "rotated-7-r6":  # Z_3 x Z_15
+        return random_mesh(rotated_chart(7), rng, dim=6)
+    if name == "hex-10-r4":  # cyclic: HNF [[1, 0], [76, 86]]
+        return random_mesh(rotated_chart(10, hex_basis()), rng)
+    if name == "hex-9-r6":
+        return random_mesh(rotated_chart(9, hex_basis()), rng, dim=6)
+    raise KeyError(name)
+
+
+class TestPreconditionedStep:
+    CASES = [
+        "figure8-rotated-12",
+        "figure8-rotated-96",
+        "identity-8-r4",
+        "identity-8-r6",
+        "rotated-7-r6",
+        "hex-10-r4",
+        "hex-9-r6",
+    ]
+
+    @pytest.mark.parametrize("dense_facets", [0, 512])
+    @pytest.mark.parametrize("name", CASES)
+    def test_matches_scipy_lsqr(self, name, dense_facets, monkeypatch):
+        # The preconditioned step is the minimum-norm step that unpreconditioned
+        # LSQR on the assembled sparse matrix converges to; with the FFT applied
+        # every iteration (0) and, up to 512 facets, as a dense matrix.
+        monkeypatch.setattr("isomesh.solver._DENSE_FACETS", dense_facets)
+        mesh = _chart_case(name)
+        rhs = gauss_newton_rhs(mesh)
+        jac = mu_jacobian(mesh)
+        precondition = _circulant_preconditioner(mesh.chart, jac)
+        step, istop, itn = lsqr(jac, rhs, precondition, 10_000)
+        assert istop in (1, 2) and itn > 0
+        ref = scipy_lsqr(mu_jacobian_sparse(mesh), rhs, atol=1e-12, btol=1e-12,
+                         iter_lim=10_000)
+        assert ref[1] in (1, 2)
+        assert np.abs(step - ref[0]).max() <= 1e-8 * np.abs(ref[0]).max()
+
+    @pytest.mark.parametrize("name", ["identity-8-r6", "hex-10-r4", "figure8-rotated-96"])
+    def test_preconditioner_is_symmetric_and_kills_constants(self, name, monkeypatch):
+        monkeypatch.setattr("isomesh.solver._DENSE_FACETS", 0)
+        mesh = _chart_case(name)
+        jac = mu_jacobian(mesh)
+        precondition = _circulant_preconditioner(mesh.chart, jac)
+        nfacets = mesh.chart.vertex_count
+        rng = np.random.default_rng(10)
+        a, b = rng.standard_normal((2, nfacets))
+        pb = precondition(b)
+        assert abs(a @ pb - b @ precondition(a)) <= 1e-12 * np.linalg.norm(a) * np.linalg.norm(pb)
+        assert np.abs(precondition(np.ones(nfacets))).max() <= 1e-12 * np.abs(pb).max()
+        if nfacets <= 512:
+            monkeypatch.setattr("isomesh.solver._DENSE_FACETS", 512)
+            dense = _circulant_preconditioner(mesh.chart, jac)
+            assert np.abs(dense(b) - pb).max() <= 1e-12 * np.abs(pb).max()
+
+    def test_fewer_iterations_than_unpreconditioned(self):
+        mesh = _chart_case("figure8-rotated-96")
+        rhs = gauss_newton_rhs(mesh)
+        jac = mu_jacobian(mesh)
+        precondition = _circulant_preconditioner(mesh.chart, jac)
+        _, _, itn = lsqr(jac, rhs, precondition, 10_000)
+        _, _, plain = lsqr(jac, rhs, lambda y: y - y.mean(), 10_000)
+        assert 2 * itn <= plain
+
+    def test_zero_rhs(self):
+        mesh = _chart_case("hex-10-r4")
+        jac = mu_jacobian(mesh)
+        precondition = _circulant_preconditioner(mesh.chart, jac)
+        step, istop, itn = lsqr(jac, np.zeros(jac.shape[0]), precondition, 10)
+        assert (istop, itn) == (0, 0) and not step.any()
+
+    def test_iteration_limit_is_a_failure(self, monkeypatch):
+        # With a zero tolerance neither stopping test passes, so LSQR runs to
+        # its iteration limit and the projection fails.
+        monkeypatch.setattr("isomesh.solver._LSQR_TOL", 0.0)
+        spec = make_product_torus(figure_eight(), circle())
+        with pytest.raises(LinearSolveFailure, match="istop=7"):
+            project_isotropic(sample_quad(spec, rotated_chart(6)))
 
 
 class TestProjectIsotropic:
@@ -143,10 +272,12 @@ class TestProjectIsotropic:
         spec = make_product_torus(figure_eight(), circle())
         tau = sample_quad(spec, ch)
         jac = mu_jacobian(tau)
-        mu = symplectic_density(tau).values
-        rhs = -(mu - mu.mean())
-        delta = lsqr(jac, rhs, atol=1e-12, btol=1e-12, iter_lim=10_000)[0]
-        dense = jac.toarray()
+        rhs = gauss_newton_rhs(tau)
+        precondition = _circulant_preconditioner(ch, jac)
+        delta, istop, _ = lsqr(jac, rhs, precondition, 10_000)
+        assert istop in (1, 2)
+        dense = dense_matrix(jac)
+        assert np.abs(dense @ delta - rhs).max() <= 1e-10 * np.abs(rhs).max()
         _, s, vt = np.linalg.svd(dense)
         null = vt[np.sum(s > 1e-10 * s[0]) :]
         assert null.shape[0] > 0
