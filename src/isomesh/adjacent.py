@@ -21,8 +21,9 @@ from .linalg import back_substitute, dot, thin_qr
 #: Pairs handled at once (half as many in the screen and in the adjacent-pair
 #: predicate, whose pairs make two or four kernel rows each, and a third as
 #: many triangles, so as many incidences, for the cone table); bounds the
-#: temporaries of the broadphase, its shared-id mask, the adjacent-pair
-#: predicate and its screen.
+#: temporaries of the broadphase, its shared-id mask, the vertex pairs of a
+#: step, the adjacent-pair predicate and its screen.  Also the triangles
+#: (whole facets: a multiple of 4) of a block of the PL map.
 _PAIR_BLOCK = 1 << 14
 
 
@@ -93,9 +94,10 @@ def _vertex_pairs(vids):
     (u, w) of (2, K) int32 incidence codes 3 t + slot, row 0 in triangle i,
     row 1 in j.  u is the first slot of the smallest id the two share; w that
     of the next shared id, or -1 where they share only u.  The (id, triangle)
-    incidences are sorted on the id, and step k (one block) pairs each with
-    the one k places on while the id holds; a pair that also shares a smaller
-    id (an edge) is left to that id."""
+    incidences are sorted on the id, and step k pairs each with the one k
+    places on while the id holds, in blocks of at most ``_PAIR_BLOCK`` such
+    incidences; a pair that also shares a smaller id (an edge) is left to
+    that id."""
     flat = vids.ravel().astype(np.int32)
     codes = np.argsort(flat, kind="stable").astype(np.int32)
     ids = flat[codes]
@@ -104,17 +106,16 @@ def _vertex_pairs(vids):
     ids, codes = ids[once], codes[once]
     others = [flat[_slot_after(codes, step)] for step in (1, 2)]
     for k in range(1, ids.size):
-        block = _vertex_pairs_at(ids, codes, others, k)
-        if block is None:
+        e = np.nonzero(ids[k:] == ids[:-k])[0]
+        if not e.size:  # past the largest vertex star
             return
-        yield block
+        for lo in range(0, e.size, _PAIR_BLOCK):
+            yield _vertex_pairs_at(ids, codes, others, e[lo : lo + _PAIR_BLOCK], k)
 
 
-def _vertex_pairs_at(ids, codes, others, k):
-    """Step k of ``_vertex_pairs``, or None past the largest vertex star."""
-    e = np.nonzero(ids[k:] == ids[:-k])[0]
-    if not e.size:
-        return None
+def _vertex_pairs_at(ids, codes, others, e, k):
+    """The pairs of ``_vertex_pairs`` at step k from the incidence positions
+    e, each with the same id as the one k places on."""
     f = e + k
     x, y = [o[e] for o in others], [o[f] for o in others]
     shared = [(z == y[0]) | (z == y[1]) for z in x]

@@ -86,6 +86,7 @@ class QuadMesh:
     chart: Chart
     values: np.ndarray
     target_periods: np.ndarray | None = None
+    _diagonals: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.values, self.target_periods = _mesh_arrays(
@@ -115,12 +116,14 @@ class FacetField:
 
 
 def _diagonal_fields(mesh: QuadMesh):
-    """Renormalized diagonal fields U, V as (F, 2n) arrays."""
-    quads = mesh.corner_table()
-    s = mesh.chart.N / np.sqrt(2.0)
-    u = s * (quads[:, 2] - quads[:, 0])
-    v = s * (quads[:, 3] - quads[:, 1])
-    return u, v
+    """Renormalized diagonal fields U, V as (F, 2n) arrays, formed once per
+    mesh and kept on it: the solver's Jacobian at a mesh reads those its
+    density formed."""
+    if mesh._diagonals is None:
+        quads = mesh.corner_table()
+        s = mesh.chart.N / np.sqrt(2.0)
+        mesh._diagonals = s * (quads[:, 2] - quads[:, 0]), s * (quads[:, 3] - quads[:, 1])
+    return mesh._diagonals
 
 
 def symplectic_density(mesh: QuadMesh) -> FacetField:

@@ -6,11 +6,14 @@ Each quadrangulation facet contributes four chart triangles
     (v_{k+1,l+1}, v_{k,l+1}, z_kl), (v_{k,l+1}, v_kl, z_kl),
 
 and the PL map is the affine interpolant of the stored values on each of
-them.  The source metric is the flat chart metric (positions A_N (k/N, l/N)),
-the target metric Euclidean.  Per-triangle pullbacks of the symplectic form
-are constant, so PL isotropy is the finite list of residuals
-|omega(B - A, C - A)| over triangles, which equals exactly twice the
-Liouville integral around the triangle boundary.
+them.  A ``PLMap`` stores only the triangle values and vertex ids; the
+chart triangles and differentials are formed per block of ``_PAIR_BLOCK``
+triangles, over which the distances and the degenerate-triangle test take
+their maxima.  The source metric is the flat chart metric (positions
+A_N (k/N, l/N)), the target metric Euclidean.  Per-triangle pullbacks of the
+symplectic form are constant, so PL isotropy is the finite list of
+residuals |omega(B - A, C - A)| over triangles, which equals exactly twice
+the Liouville integral around the triangle boundary.
 
 Topology checks are tolerance-based floating point, against tol * scale,
 and measure by one exact distance, ``adjacent._tri_tri_distances``: the 49
@@ -66,52 +69,25 @@ def _sub_triangles(corners, apexes):
 
 @dataclass
 class PLMap:
-    """Triangular mesh with evaluation tables for the induced PL map."""
+    """Triangular mesh with the two tables of the induced PL map: the values
+    (T, 3, d) and the vertex ids (T, 3) of its triangles.  Chart triangles and
+    differentials are formed for a block of whole facets on demand
+    (``source``, ``differential``), so that the certificates and distances
+    work block by block; ``tri_source`` and ``differentials`` are the full
+    tables, formed anew on each access."""
 
     tri: TriMesh
     tri_values: np.ndarray = field(init=False, repr=False)
-    tri_source: np.ndarray = field(init=False, repr=False)
     tri_vertex_ids: np.ndarray = field(init=False, repr=False)
-    differentials: np.ndarray = field(init=False, repr=False)
     _edge_scale: float | None = field(default=None, init=False, repr=False, compare=False)
     _immersion: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tri = self.tri
-        chart = tri.chart
-        nfacets = chart.vertex_count
-        kc, lc = chart.all_canonical()
-        steps = CORNER_STEPS.T
+        nfacets = tri.chart.vertex_count
         self.tri_values = _sub_triangles(tri.corner_table(), tri.apex_values)
-        self.tri_source = _sub_triangles(
-            chart.position(kc[:, None] + steps[0], lc[:, None] + steps[1]),
-            chart.facet_center(kc, lc),
-        )
-        cids = at_corners(chart.neighbours[0])
+        cids = at_corners(tri.chart.neighbours[0])
         self.tri_vertex_ids = _sub_triangles(cids, nfacets + np.arange(nfacets))
-
-        e = np.stack(
-            [
-                self.tri_source[:, 1] - self.tri_source[:, 0],
-                self.tri_source[:, 2] - self.tri_source[:, 0],
-            ],
-            axis=-1,
-        )  # (T, 2, 2)
-        w = np.stack(
-            [
-                self.tri_values[:, 1] - self.tri_values[:, 0],
-                self.tri_values[:, 2] - self.tri_values[:, 0],
-            ],
-            axis=-1,
-        )  # (T, d, 2)
-        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
-        inv = np.empty_like(e)
-        inv[:, 0, 0] = e[:, 1, 1]
-        inv[:, 0, 1] = -e[:, 0, 1]
-        inv[:, 1, 0] = -e[:, 1, 0]
-        inv[:, 1, 1] = e[:, 0, 0]
-        inv /= det[:, None, None]
-        self.differentials = w @ inv
 
     @property
     def chart(self):
@@ -121,13 +97,52 @@ class PLMap:
     def dim(self) -> int:
         return self.tri.dim
 
+    def source(self, rows: slice = slice(None)) -> np.ndarray:
+        """(K, 3, 2) chart triangles of the triangle rows ``rows``, a slice of
+        whole facets (its bounds multiples of 4); all rows by default."""
+        chart = self.chart
+        start, stop, _ = rows.indices(len(self.tri_values))
+        kc, lc = (c[start // 4 : stop // 4] for c in chart.all_canonical())
+        steps = CORNER_STEPS.T
+        return _sub_triangles(
+            chart.position(kc[:, None] + steps[0], lc[:, None] + steps[1]),
+            chart.facet_center(kc, lc),
+        )
+
+    def differential(self, rows: slice = slice(None)) -> np.ndarray:
+        """(K, d, 2) differentials of the PL map on the triangle rows ``rows``
+        (as for ``source``): the value edges times the inverse of the chart
+        edges, from the first vertex."""
+        src = self.source(rows)
+        vals = self.tri_values[rows]
+        e = np.stack([src[:, 1] - src[:, 0], src[:, 2] - src[:, 0]], axis=-1)  # (K, 2, 2)
+        w = np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], axis=-1)  # (K, d, 2)
+        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+        inv = np.empty_like(e)
+        inv[:, 0, 0] = e[:, 1, 1]
+        inv[:, 0, 1] = -e[:, 0, 1]
+        inv[:, 1, 0] = -e[:, 1, 0]
+        inv[:, 1, 1] = e[:, 0, 0]
+        inv /= det[:, None, None]
+        return w @ inv
+
+    tri_source = property(source, doc="(T, 3, 2) chart triangles, formed on each access.")
+    differentials = property(differential, doc="(T, d, 2) differentials, formed on each access.")
+
+    def blocks(self):
+        """Slices of ``_PAIR_BLOCK`` triangle rows (whole facets) covering the map."""
+        return (slice(lo, lo + _PAIR_BLOCK) for lo in range(0, len(self.tri_values), _PAIR_BLOCK))
+
     def edge_scale(self) -> float:
         """Max finite image edge length, the geometric scale for tolerance
         tests: the root of the largest finite squared length, computed once."""
         if self._edge_scale is None:
-            edges = np.roll(self.tri_values, -1, axis=1) - self.tri_values
-            squares = np.add.reduce(edges * edges, axis=-1)
-            top = squares.max(initial=0.0, where=np.isfinite(squares))
+            top = 0.0
+            for rows in self.blocks():
+                vals = self.tri_values[rows]
+                edges = vals.take([1, 2, 0], axis=1) - vals
+                squares = np.add.reduce(edges * edges, axis=-1)
+                top = max(top, squares.max(initial=0.0, where=np.isfinite(squares)))
             self._edge_scale = float(np.sqrt(top))
         return self._edge_scale
 
@@ -153,18 +168,22 @@ def _triangle_grid() -> np.ndarray:
     return np.stack([1.0 - a - b, a, b], axis=-1)  # (m^2, 3)
 
 
-def _sample_points(plm: PLMap):
+def _sample_points(plm: PLMap, rows: slice):
+    """Chart points and PL values of the sample grids of the triangle rows."""
     lam = _triangle_grid()
-    pts = np.einsum("gk,tkx->tgx", lam, plm.tri_source)
-    vals = np.einsum("gk,tkd->tgd", lam, plm.tri_values)
+    pts = np.einsum("gk,tkx->tgx", lam, plm.source(rows))
+    vals = np.einsum("gk,tkd->tgd", lam, plm.tri_values[rows])
     return pts, vals
 
 
 def distance_c0(plm: PLMap, spec: ImmersionSpec) -> float:
-    """Sup distance max_p ||ell(p) - ell_N(p)|| over per-triangle sample grids."""
-    pts, vals = _sample_points(plm)
-    smooth = spec.eval(pts)
-    return float(np.linalg.norm(smooth - vals, axis=-1).max())
+    """Sup distance max_p ||ell(p) - ell_N(p)|| over per-triangle sample
+    grids, block by block."""
+    worst = []
+    for rows in plm.blocks():
+        pts, vals = _sample_points(plm, rows)
+        worst.append(np.linalg.norm(spec.eval(pts) - vals, axis=-1).max())
+    return float(np.max(worst))
 
 
 def _operator_norm(mat) -> np.ndarray:
@@ -177,11 +196,14 @@ def _operator_norm(mat) -> np.ndarray:
 
 def distance_c1(plm: PLMap, spec: ImmersionSpec) -> float:
     """C1 distance: distance_c0 plus the sup operator norm of d ell - d ell_N,
-    over the same sample grids.  A non-finite value gives NaN."""
-    pts, vals = _sample_points(plm)
-    smooth, deriv = spec.jet(pts)
-    c0 = float(np.linalg.norm(smooth - vals, axis=-1).max())
-    return c0 + float(_operator_norm(deriv - plm.differentials[:, None]).max())
+    over the same sample grids, block by block.  A non-finite value gives NaN."""
+    c0, c1 = [], []
+    for rows in plm.blocks():
+        pts, vals = _sample_points(plm, rows)
+        smooth, deriv = spec.jet(pts)
+        c0.append(np.linalg.norm(smooth - vals, axis=-1).max())
+        c1.append(_operator_norm(deriv - plm.differential(rows)[:, None]).max())
+    return float(np.max(c0)) + float(np.max(c1))
 
 
 def pl_isotropy_residual(plm: PLMap) -> np.ndarray:
@@ -205,39 +227,15 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
     cells per axis (three only through rounding).  A pair is taken once, in
     the first cell the two boxes share (on each axis one of the two is in
     its first cell there), and filtered by the exact gap norm; the pairs of
-    the cells are made in chunks of about ``_PAIR_BLOCK``.
+    the cells are made in chunks of about ``_PAIR_BLOCK``.  Cells and box ids
+    are binned as int32, the axis bits in the smallest unsigned type, and
+    only the box ids, bits and group sizes outlive the binning.
     """
     count, dim = lo.shape
     if count < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    glo = lo - threshold
-    ghi = hi + threshold
-    origin = glo.min(axis=0)
-    # At most 2^20 cells per axis, whatever the box sizes; 1 for point boxes.
-    reach = float((ghi.max(axis=0) - origin).max())
-    edge = max(float((ghi - glo).max()), reach * 2.0**-20) or 1.0
-    first = np.floor((glo - origin) / edge).astype(np.int64)
-    span = np.floor((ghi - origin) / edge).astype(np.int64) - first
-    boxes, cells, later = [], [], []  # later: bit k set past the first cell on axis k
-    for step in itertools.product(range(int(span.max()) + 1), repeat=dim):
-        hit = np.nonzero((span >= step).all(axis=1))[0]
-        boxes.append(hit)
-        cells.append(first[hit] + np.array(step, dtype=np.int64))
-        later.append(np.full(hit.size, sum(1 << k for k, s in enumerate(step) if s)))
-    boxes = np.concatenate(boxes)
-    cells = np.concatenate(cells)
-    order = np.lexsort(cells.T[::-1])
-    boxes = boxes[order]
-    cells = cells[order]
-    later = np.concatenate(later)[order]
-
-    # Entries are now grouped by cell; pair each with the rest of its group,
-    # whole entries at a time.
-    new_cell = np.ones(boxes.size, dtype=bool)
-    new_cell[1:] = (cells[1:] != cells[:-1]).any(axis=1)
-    starts = np.nonzero(new_cell)[0]
-    ends = np.append(starts[1:], boxes.size)
-    after = np.repeat(ends, ends - starts) - np.arange(boxes.size) - 1
+    boxes, later, after = _cell_entries(lo, hi, threshold)
+    # Pair each entry with the rest of its cell, whole entries at a time.
     total = np.cumsum(after)
     keys = [np.empty(0, dtype=np.int64)]
     start = 0
@@ -255,10 +253,42 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
             gap = np.maximum(0.0, np.maximum(lo[i, k] - hi[j, k], lo[j, k] - hi[i, k]))
             gap2 += gap * gap
         close = np.sqrt(gap2) <= threshold
-        keys.append(i[close] * count + j[close])
+        keys.append(i[close].astype(np.int64) * count + j[close])
         start = stop
-    key = np.sort(np.concatenate(keys))
+    key = np.concatenate(keys)
+    key.sort()
     return key // count, key % count
+
+
+def _cell_entries(lo, hi, threshold):
+    """The (box, cell) entries of ``_box_close_pairs``, grouped by cell:
+    their box ids (int32), their axis bits (bit k set past the box's first
+    cell on axis k) and the number of entries after each in its cell."""
+    dim = lo.shape[1]
+    glo = lo - threshold
+    ghi = hi + threshold
+    origin = glo.min(axis=0)
+    # At most 2^20 cells per axis, whatever the box sizes; 1 for point boxes.
+    reach = float((ghi.max(axis=0) - origin).max())
+    edge = max(float((ghi - glo).max()), reach * 2.0**-20) or 1.0
+    first = np.floor((glo - origin) / edge).astype(np.int32)
+    span = np.floor((ghi - origin) / edge).astype(np.int32) - first
+    boxes, cells, later = [], [], []
+    bits = np.min_scalar_type((1 << dim) - 1)
+    for step in itertools.product(range(int(span.max()) + 1), repeat=dim):
+        hit = np.nonzero((span >= step).all(axis=1))[0]
+        boxes.append(hit.astype(np.int32))
+        cells.append(first[hit] + np.array(step, dtype=np.int32))
+        later.append(np.full(hit.size, sum(1 << k for k, s in enumerate(step) if s), bits))
+    cells = np.concatenate(cells)
+    order = np.lexsort(cells.T[::-1])
+    cells = cells[order]
+    new_cell = np.ones(order.size, dtype=bool)
+    new_cell[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    starts = np.nonzero(new_cell)[0]
+    ends = np.append(starts[1:], order.size)
+    after = np.repeat(ends, ends - starts) - np.arange(order.size) - 1
+    return np.concatenate(boxes)[order], np.concatenate(later)[order], after
 
 
 # -- verdicts -----------------------------------------------------------------
@@ -282,6 +312,26 @@ def _threshold(plm: PLMap, tol: float) -> float:
     return tol * plm.edge_scale()
 
 
+def _degenerate(plm: PLMap, tol: float) -> np.ndarray:
+    """The triangles whose differential has its smaller singular value at
+    most tol times the largest of all (NaN included), in order.
+
+    Closed-form singular values of each [x y]: s_max from _operator_norm,
+    and s_max s_min = |x ^ y|, the root sum of squared minors, so s_min <=
+    tol max(s_max) reads |x ^ y| <= tol max(s_max) s_max.  Both are kept per
+    triangle, block by block, and compared once the max is in.
+    """
+    a, b = np.triu_indices(plm.dim, 1)
+    big, area = np.empty((2, len(plm.tri_values)))
+    for rows in plm.blocks():
+        diff = plm.differential(rows)
+        x, y = np.moveaxis(diff, -1, 0)
+        big[rows] = _operator_norm(diff)
+        area[rows] = np.linalg.norm(x[:, a] * y[:, b] - x[:, b] * y[:, a], axis=-1)
+    top = big.max(initial=0.0, where=np.isfinite(big))
+    return np.nonzero(~(area > tol * top * big))[0]  # NaN fails
+
+
 def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     """Local injectivity verdict for the PL map.
 
@@ -298,16 +348,7 @@ def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     threshold = _threshold(plm, tol)
     if tol in plm._immersion:
         return plm._immersion[tol]
-    # Closed-form singular values of each [x y]: s_max from _operator_norm,
-    # and s_max s_min = |x ^ y|, the root sum of squared minors, so
-    # s_min <= tol max(s_max) reads |x ^ y| <= tol max(s_max) s_max.
-    x, y = np.moveaxis(plm.differentials, -1, 0)
-    a, b = np.triu_indices(plm.dim, 1)
-    big = _operator_norm(plm.differentials)
-    area = np.linalg.norm(x[:, a] * y[:, b] - x[:, b] * y[:, a], axis=-1)
-    top = big.max(initial=0.0, where=np.isfinite(big))
-    degen = np.nonzero(~(area > tol * top * big))[0]  # NaN fails
-    witnesses = [("degenerate_triangle", int(t)) for t in degen]
+    witnesses = [("degenerate_triangle", int(t)) for t in _degenerate(plm, tol)]
     screen = _Screen(plm.tri_values, threshold, plm.edge_scale())
     kept = [np.empty((2, 2, 0), dtype=np.int32)]
     for u, w in _vertex_pairs(plm.tri_vertex_ids):

@@ -28,7 +28,10 @@ Full Newton steps are taken; if the sup norm of the residual fails to
 decrease, the step is halved up to ten times.  The iteration stops once
 |mu(f)| / (2 N^2), the residual the refine gate sees at the optimal apex of
 a full-rank facet, is at most _HEADROOM times the gate's limit on every
-facet, taken on the input facet; so the stop scales with the map.
+facet, taken on the input facet; so the stop scales with the map.  The
+Jacobian at an accepted mesh is built from the diagonal fields that the
+line search's density formed there (``density._diagonal_fields`` keeps them
+on the mesh), so each mesh's corner table is gathered once.
 """
 
 import math
@@ -259,4 +262,5 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
         values, mesh, mu, res = trial_values, trial, trial_mu, trial_res
         iterations += 1
     correction = float(np.linalg.norm(values - tau0.values, axis=1).max())
-    return mesh, SolveReport(iterations, res, correction)
+    # A new mesh on the same values: the result does not keep the diagonals.
+    return QuadMesh(chart, values, periods), SolveReport(iterations, res, correction)

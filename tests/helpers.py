@@ -4,7 +4,8 @@ import numpy as np
 
 from isomesh import build_chart, rotation
 from isomesh.cli import DEFAULT_ROTATION
-from isomesh.density import QuadMesh, _diagonal_fields, at_corners
+from isomesh.density import CORNER_STEPS, QuadMesh, _diagonal_fields, at_corners
+from isomesh.plmap import _operator_norm, _sub_triangles, _triangle_grid
 from isomesh.refine import ISO_CERT_FACTOR, _edge_qr, apex_constraints
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
@@ -261,6 +262,45 @@ def embedding_witnesses_brute(plm, tol):
         if dist < threshold:
             witnesses.append((i, j, dist))
     return witnesses
+
+
+# -- full-table PL map references -----------------------------------------------
+
+
+def pl_tables_reference(plm):
+    """Chart triangles (T, 3, 2) and differentials (T, d, 2) of a PL map, each
+    built as one full table over all facets."""
+    chart = plm.chart
+    kc, lc = chart.all_canonical()
+    steps = CORNER_STEPS.T
+    source = _sub_triangles(
+        chart.position(kc[:, None] + steps[0], lc[:, None] + steps[1]),
+        chart.facet_center(kc, lc),
+    )
+    vals = plm.tri_values
+    e = np.stack([source[:, 1] - source[:, 0], source[:, 2] - source[:, 0]], axis=-1)
+    w = np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], axis=-1)
+    det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
+    inv = np.empty_like(e)
+    inv[:, 0, 0] = e[:, 1, 1]
+    inv[:, 0, 1] = -e[:, 0, 1]
+    inv[:, 1, 0] = -e[:, 1, 0]
+    inv[:, 1, 1] = e[:, 0, 0]
+    inv /= det[:, None, None]
+    return source, w @ inv
+
+
+def distances_reference(plm, spec):
+    """(C0, C1) distances over the full (T, 16, .) sample grid at once, from
+    ``pl_tables_reference``."""
+    source, differentials = pl_tables_reference(plm)
+    lam = _triangle_grid()
+    pts = np.einsum("gk,tkx->tgx", lam, source)
+    vals = np.einsum("gk,tkd->tgd", lam, plm.tri_values)
+    c0 = float(np.linalg.norm(spec.eval(pts) - vals, axis=-1).max())
+    smooth, deriv = spec.jet(pts)
+    c1 = float(np.linalg.norm(smooth - vals, axis=-1).max())
+    return c0, c1 + float(_operator_norm(deriv - differentials[:, None]).max())
 
 
 # -- symmesh reader for export round trips --------------------------------

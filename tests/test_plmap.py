@@ -1,5 +1,7 @@
 """PL evaluation, differentials, distances, certification, export."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,7 +17,9 @@ from helpers import (
     hex_basis,
     identity_chart,
     immersion_witnesses_brute,
+    distances_reference,
     load_mesh,
+    pl_tables_reference,
     rotated_chart,
     tri_tri_distance_lstsq,
     tri_vertex_ids_reference,
@@ -33,10 +37,11 @@ from isomesh import (
     apex_refine,
     barycentric_apexes,
 )
-from isomesh.cli import PipelineConfig, run_pipeline
-from isomesh import plmap
+from isomesh.cli import _REPORT_KEYS, PipelineConfig, run_pipeline
+from isomesh import adjacent, plmap
 from isomesh.adjacent import _Screen, _adjacent_distances, _tri_tri_distances, _vertex_pairs
 from isomesh.density import CORNER_STEPS, corner_value_table
+from isomesh.immersion import ImmersionSpec
 from isomesh.plmap import (
     PLMap,
     _box_close_pairs,
@@ -666,6 +671,120 @@ def _plane_mesh(chart, dim, rng, moves=(), lift=0.0):
             target_periods=(plane @ chart.gamma_basis).T,
         )
     )
+
+
+def _wave_spec(plm):
+    """The plane under a map of ``_plane_mesh`` (read off its target periods)
+    plus a sine wave of amplitude 1e-3, evaluated entry by entry."""
+    a0, a1 = np.linalg.solve(plm.chart.gamma_basis.T, plm.tri.target_periods)
+    wave = np.eye(plm.dim)[-1]
+    k = 2.0 * np.pi
+
+    def evaluate(p):
+        s, t = p[..., :1], p[..., 1:]
+        return s * a0 + t * a1 + 1e-3 * np.sin(k * s) * np.cos(k * t) * wave
+
+    def jet(p):
+        s, t = p[..., :1], p[..., 1:]
+        ds = a0 + 1e-3 * k * np.cos(k * s) * np.cos(k * t) * wave
+        dt = a1 - 1e-3 * k * np.sin(k * s) * np.sin(k * t) * wave
+        return evaluate(p), np.stack([ds, dt], axis=-1)
+
+    return ImmersionSpec(plm.dim // 2, evaluate, jet, plm.chart.gamma_basis)
+
+
+_BLOCK_CHARTS = {
+    "square": lambda n: rotated_chart(n),
+    "hex": lambda n: rotated_chart(n, hex_basis()),
+}
+
+
+class TestBlocks:
+    """The per-block producers and their consumers agree bit for bit with
+    the full tables, with blocks of 12 triangles so that several run."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        for module in (plmap, adjacent):
+            monkeypatch.setattr(module, "_PAIR_BLOCK", 12)
+
+    @pytest.fixture(
+        params=[(kind, dim, n) for kind, dim in (("square", 4), ("hex", 4), ("square", 6))
+                for n in (1, 2, 3, 12)],
+        ids=lambda p: f"{p[0]}-R{p[1]}-N{p[2]}",
+    )
+    def plm(self, request):
+        """A plane in R^dim with one apex on a corner of its facet (two
+        degenerate triangles), one moved 0.9 grid steps (a fold) and every
+        apex lifted off the plane by up to 1e-8 grid steps."""
+        kind, dim, n = request.param
+        chart = _BLOCK_CHARTS[kind](n)
+        kc, lc = chart.all_canonical()
+        mid = chart.vertex_count // 2
+        moves = [
+            (0, chart.position(kc[0], lc[0])),
+            (mid, chart.facet_center(kc[mid] - 0.9, lc[mid])),
+        ]
+        return _plane_mesh(chart, dim, np.random.default_rng(n), moves, lift=1e-8)
+
+    def test_block_rows_match_full_tables(self, plm):
+        source, differentials = pl_tables_reference(plm)
+        blocks = list(plm.blocks())
+        assert len(blocks) == -(-len(plm.tri_values) // 12)
+        for rows in blocks:
+            assert np.array_equal(plm.source(rows), source[rows])
+            assert np.array_equal(plm.differential(rows), differentials[rows])
+        assert np.array_equal(plm.tri_source, source)
+        assert np.array_equal(plm.differentials, differentials)
+
+    def test_distances_match_full_grid(self, plm):
+        spec = _wave_spec(plm)
+        c0, c1 = distances_reference(plm, spec)
+        assert distance_c0(plm, spec) == c0
+        assert distance_c1(plm, spec) == c1
+        assert c1 > c0 > 0.0
+
+    def test_vertex_pairs_match_whole_steps(self, plm, monkeypatch):
+        # The same (u, w) columns up to order: each block lists its
+        # vertex-sharing pairs before its edge-sharing ones.
+        def pairs():
+            u, w = (np.concatenate(p, axis=1) for p in zip(*_vertex_pairs(plm.tri_vertex_ids)))
+            return np.stack([u, w])[..., np.lexsort(u[::-1])]
+
+        got = pairs()
+        monkeypatch.setattr(adjacent, "_PAIR_BLOCK", 1 << 14)
+        assert np.array_equal(got, pairs())
+
+    @pytest.mark.parametrize("tol", [1e-6, 0.05, 0.3])
+    def test_immersion_witnesses_match_whole_blocks(self, plm, tol, monkeypatch):
+        got = check_immersion(plm, tol).witnesses
+        for module in (plmap, adjacent):
+            monkeypatch.setattr(module, "_PAIR_BLOCK", 1 << 14)
+        assert got == check_immersion(build_pl(plm.tri), tol).witnesses
+        # Degenerate against the largest singular value of all blocks.
+        sv = np.linalg.svd(pl_tables_reference(plm)[1], compute_uv=False)
+        degenerate = np.nonzero(sv[:, 1] <= tol * sv[:, 0].max())[0].tolist()
+        assert [w[1] for w in got if w[0] == "degenerate_triangle"] == degenerate
+        assert any(w[0] == "vertex_star" for w in got)
+        assert degenerate or plm.chart.vertex_count == 1  # one facet: the fold moves its apex
+
+
+def test_verify_memory_is_bounded_by_the_value_table():
+    # The verify keys at N=96 on figure8 x circle (36,864 triangles) hold
+    # their traced peak, all stages included, within 6 copies of the PL
+    # map's value table: the map keeps 2 mesh-sized tables and the checks
+    # work per block.
+    keys = _REPORT_KEYS["verify"]
+    run_pipeline(PipelineConfig(spec="product:figure8,circle", n=4), keys=keys)
+    tracemalloc.start()
+    try:
+        run = run_pipeline(PipelineConfig(spec="product:figure8,circle", n=96), keys=keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert run.report["immersion"] == "pass"
+    ratio = peak / run.plm.tri_values.nbytes
+    assert ratio <= 6.0, f"traced peak {ratio:.2f} value tables"
 
 
 class TestScreen:
