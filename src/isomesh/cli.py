@@ -414,7 +414,27 @@ tolerance {TOPOLOGY_TOL:g} times the longest image edge
 """
 
 
-def _add_common(parser: argparse.ArgumentParser):
+_COMMANDS = {
+    "sample": "sample the map and report density norms",
+    "solve": "project the samples onto the isotropic meshes",
+    "refine": "solve and refine with optimal apexes",
+    "build": "build the PL map and report distances",
+    "verify": "certify isotropy, immersion and optionally embedding",
+    "export": "run the pipeline and export the mesh (--out required)",
+    "study": "convergence study over n_list with fitted slopes",
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    commands = "".join(f"  {name:<8}{doc}\n" for name, doc in _COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="isomesh",
+        description="Piecewise linear isotropic torus approximation pipeline.\n\n"
+        f"commands:\n{commands}",
+        epilog=_CONFIG_HELP,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the above")
     parser.add_argument("--config", help="configuration file path")
     parser.add_argument("--spec", help="built-in spec name")
     parser.add_argument("--n", type=int, help="subdivision count")
@@ -425,27 +445,6 @@ def _add_common(parser: argparse.ArgumentParser):
         "the broadphase pairs that share no vertex",
     )
     parser.add_argument("--seed", type=int, help="seed for sampled-pair norms")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="isomesh",
-        description="Piecewise linear isotropic torus approximation pipeline.",
-        epilog=_CONFIG_HELP,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("sample", "sample the map and report density norms"),
-        ("solve", "project the samples onto the isotropic meshes"),
-        ("refine", "solve and refine with optimal apexes"),
-        ("build", "build the PL map and report distances"),
-        ("verify", "certify isotropy, immersion and optionally embedding"),
-        ("export", "run the pipeline and export the mesh (--out required)"),
-        ("study", "convergence study over n_list with fitted slopes"),
-    ):
-        p = sub.add_parser(name, help=doc)
-        _add_common(p)
     return parser
 
 

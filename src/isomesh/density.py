@@ -115,14 +115,18 @@ class FacetField:
             raise ValueError(f"expected {f} facet values, got {self.values.shape}")
 
 
+def _diagonals_of(chart: Chart, quads):
+    """Renormalized diagonals U, V (F, 2n) of an (F, 4, 2n) corner table."""
+    s = chart.N / np.sqrt(2.0)
+    return s * (quads[:, 2] - quads[:, 0]), s * (quads[:, 3] - quads[:, 1])
+
+
 def _diagonal_fields(mesh: QuadMesh):
     """Renormalized diagonal fields U, V as (F, 2n) arrays, formed once per
     mesh and kept on it: the solver's Jacobian at a mesh reads those its
     density formed."""
     if mesh._diagonals is None:
-        quads = mesh.corner_table()
-        s = mesh.chart.N / np.sqrt(2.0)
-        mesh._diagonals = s * (quads[:, 2] - quads[:, 0]), s * (quads[:, 3] - quads[:, 1])
+        mesh._diagonals = _diagonals_of(mesh.chart, mesh.corner_table())
     return mesh._diagonals
 
 

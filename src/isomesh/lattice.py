@@ -68,39 +68,21 @@ def _column_hnf(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     U is unimodular.  Columns of H span the same integer lattice as columns of M.
     Raises DegenerateLattice for a singular M (H[1,1] = det M / H[0,0] = 0).
     """
-    h = [[int(m[0, 0]), int(m[0, 1])], [int(m[1, 0]), int(m[1, 1])]]
-    g, s, t = _ext_gcd(h[0][0], h[0][1])
+    m = np.asarray(m, dtype=np.int64)
+    g, s, t = _ext_gcd(int(m[0, 0]), int(m[0, 1]))
     if g == 0:
         raise DegenerateLattice("top row of M vanishes")
-    # Unimodular column mix zeroing H[0,1]:  det T = (s*h00 + t*h01)/g = 1.
-    trans = [[s, -h[0][1] // g], [t, h[0][0] // g]]
-
-    def col_mix(mat, tr):
-        return [
-            [
-                mat[0][0] * tr[0][0] + mat[0][1] * tr[1][0],
-                mat[0][0] * tr[0][1] + mat[0][1] * tr[1][1],
-            ],
-            [
-                mat[1][0] * tr[0][0] + mat[1][1] * tr[1][0],
-                mat[1][0] * tr[0][1] + mat[1][1] * tr[1][1],
-            ],
-        ]
-
-    h = col_mix(h, trans)
-    u = trans
-    if h[1][1] == 0:
+    # Unimodular column mix zeroing H[0,1]:  det U = (s*m00 + t*m01)/g = 1.
+    uni = np.array([[s, -int(m[0, 1]) // g], [t, int(m[0, 0]) // g]], dtype=np.int64)
+    hnf = m @ uni
+    if hnf[1, 1] == 0:
         raise DegenerateLattice("det M = 0")
-    if h[1][1] < 0:
-        for row in (0, 1):
-            h[row][1] = -h[row][1]
-            u[row][1] = -u[row][1]
-    q = h[1][0] // h[1][1]
-    for row in (0, 1):
-        h[row][0] -= q * h[row][1]
-        u[row][0] -= q * u[row][1]
-    hnf = np.array(h, dtype=np.int64)
-    uni = np.array(u, dtype=np.int64)
+    if hnf[1, 1] < 0:
+        hnf[:, 1] *= -1
+        uni[:, 1] *= -1
+    q = hnf[1, 0] // hnf[1, 1]
+    hnf[:, 0] -= q * hnf[:, 1]
+    uni[:, 0] -= q * uni[:, 1]
     assert hnf[0, 0] > 0 and hnf[0, 1] == 0 and 0 <= hnf[1, 0] < hnf[1, 1]
     return hnf, uni
 

@@ -6,14 +6,17 @@ Each quadrangulation facet contributes four chart triangles
     (v_{k+1,l+1}, v_{k,l+1}, z_kl), (v_{k,l+1}, v_kl, z_kl),
 
 and the PL map is the affine interpolant of the stored values on each of
-them.  A ``PLMap`` stores only the triangle values and vertex ids; the
-chart triangles and differentials are formed per block of ``_PAIR_BLOCK``
-triangles, over which the distances and the degenerate-triangle test take
-their maxima.  The source metric is the flat chart metric (positions
-A_N (k/N, l/N)), the target metric Euclidean.  Per-triangle pullbacks of the
-symplectic form are constant, so PL isotropy is the finite list of
-residuals |omega(B - A, C - A)| over triangles, which equals exactly twice
-the Liouville integral around the triangle boundary.
+them.  The chart is linear (positions A_N (k/N, l/N)), so the chart
+triangles of every facet are translates of four fixed shapes: one
+per-chart table (``PLMap.shapes``) holds their inverse edge matrices and
+sample-grid offsets from the facet centre.  A ``PLMap`` stores only the
+triangle values and vertex ids; differentials and distance samples are
+formed from that table per block of ``_PAIR_BLOCK`` triangles, over which
+the distances and the degenerate-triangle test take their maxima.  The
+source metric is the flat chart metric, the target metric Euclidean.
+Per-triangle pullbacks of the symplectic form are constant, so PL isotropy
+is the finite list of residuals |omega(B - A, C - A)| over triangles, which
+equals exactly twice the Liouville integral around the triangle boundary.
 
 Topology checks are tolerance-based floating point, against tol * scale,
 and measure by one exact distance, ``adjacent._tri_tri_distances``: the 49
@@ -36,6 +39,7 @@ the kernel on the far candidates, block by block.  NaN fails.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,11 +74,9 @@ def _sub_triangles(corners, apexes):
 @dataclass
 class PLMap:
     """Triangular mesh with the two tables of the induced PL map: the values
-    (T, 3, d) and the vertex ids (T, 3) of its triangles.  Chart triangles and
-    differentials are formed for a block of whole facets on demand
-    (``source``, ``differential``), so that the certificates and distances
-    work block by block; ``tri_source`` and ``differentials`` are the full
-    tables, formed anew on each access."""
+    (T, 3, d) and the vertex ids (T, 3) of its triangles.  Differentials are
+    formed for a block of whole facets on demand (``differential``), so that
+    the certificates and distances work block by block."""
 
     tri: TriMesh
     tri_values: np.ndarray = field(init=False, repr=False)
@@ -97,37 +99,26 @@ class PLMap:
     def dim(self) -> int:
         return self.tri.dim
 
-    def source(self, rows: slice = slice(None)) -> np.ndarray:
-        """(K, 3, 2) chart triangles of the triangle rows ``rows``, a slice of
-        whole facets (its bounds multiples of 4); all rows by default."""
+    @cached_property
+    def shapes(self):
+        """The four chart triangles of a facet, relative to its centre: their
+        inverse edge matrices E_s^-1 (4, 2, 2), E_s = [B - A, C - A] for
+        sub-triangle s = (A, B, C), and the points of their sample grids
+        (4, m^2, 2)."""
         chart = self.chart
-        start, stop, _ = rows.indices(len(self.tri_values))
-        kc, lc = (c[start // 4 : stop // 4] for c in chart.all_canonical())
-        steps = CORNER_STEPS.T
-        return _sub_triangles(
-            chart.position(kc[:, None] + steps[0], lc[:, None] + steps[1]),
-            chart.facet_center(kc, lc),
-        )
+        corners = (CORNER_STEPS - 0.5) @ (chart.a_matrix / chart.N).T
+        tris = _sub_triangles(corners[None], np.zeros((1, 2)))
+        edges = np.stack([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=-1)
+        return np.linalg.inv(edges), np.einsum("gk,skx->sgx", _triangle_grid(), tris)
 
     def differential(self, rows: slice = slice(None)) -> np.ndarray:
-        """(K, d, 2) differentials of the PL map on the triangle rows ``rows``
-        (as for ``source``): the value edges times the inverse of the chart
-        edges, from the first vertex."""
-        src = self.source(rows)
+        """(K, d, 2) differentials of the PL map on the triangle rows ``rows``,
+        a slice of whole facets (its bounds multiples of 4); all rows by
+        default.  The value edges from the first vertex times E_s^-1."""
         vals = self.tri_values[rows]
-        e = np.stack([src[:, 1] - src[:, 0], src[:, 2] - src[:, 0]], axis=-1)  # (K, 2, 2)
-        w = np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], axis=-1)  # (K, d, 2)
-        det = e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
-        inv = np.empty_like(e)
-        inv[:, 0, 0] = e[:, 1, 1]
-        inv[:, 0, 1] = -e[:, 0, 1]
-        inv[:, 1, 0] = -e[:, 1, 0]
-        inv[:, 1, 1] = e[:, 0, 0]
-        inv /= det[:, None, None]
-        return w @ inv
-
-    tri_source = property(source, doc="(T, 3, 2) chart triangles, formed on each access.")
-    differentials = property(differential, doc="(T, d, 2) differentials, formed on each access.")
+        w = np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], axis=-1)
+        by_shape = w.reshape(-1, 4, self.dim, 2) @ self.shapes[0]
+        return by_shape.reshape(w.shape)
 
     def blocks(self):
         """Slices of ``_PAIR_BLOCK`` triangle rows (whole facets) covering the map."""
@@ -169,11 +160,14 @@ def _triangle_grid() -> np.ndarray:
 
 
 def _sample_points(plm: PLMap, rows: slice):
-    """Chart points and PL values of the sample grids of the triangle rows."""
-    lam = _triangle_grid()
-    pts = np.einsum("gk,tkx->tgx", lam, plm.source(rows))
-    vals = np.einsum("gk,tkd->tgd", lam, plm.tri_values[rows])
-    return pts, vals
+    """Chart points and PL values of the sample grids of the triangle rows
+    (whole facets): the facet centres plus the grids of ``PLMap.shapes``."""
+    start, stop, _ = rows.indices(len(plm.tri_values))
+    kc, lc = (c[start // 4 : stop // 4] for c in plm.chart.all_canonical())
+    grids = plm.shapes[1]
+    pts = plm.chart.facet_center(kc, lc)[:, None, None] + grids
+    vals = np.einsum("gk,tkd->tgd", _triangle_grid(), plm.tri_values[rows])
+    return pts.reshape(-1, *grids.shape[1:]), vals
 
 
 def distance_c0(plm: PLMap, spec: ImmersionSpec) -> float:

@@ -31,7 +31,8 @@ a full-rank facet, is at most _HEADROOM times the gate's limit on every
 facet, taken on the input facet; so the stop scales with the map.  The
 Jacobian at an accepted mesh is built from the diagonal fields that the
 line search's density formed there (``density._diagonal_fields`` keeps them
-on the mesh), so each mesh's corner table is gathered once.
+on the mesh), and the input's corner table gives both the stop and the
+first density, so each mesh's corner table is gathered once.
 """
 
 import math
@@ -39,7 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import CORNER_STEPS, QuadMesh, _diagonal_fields, at_corners, symplectic_density
+from .density import (
+    CORNER_STEPS,
+    QuadMesh,
+    _diagonal_fields,
+    _diagonals_of,
+    at_corners,
+    symplectic_density,
+)
 from .lattice import Chart
 from .refine import isotropy_limit, quad_edges
 from .symplectic import apply_j
@@ -222,7 +230,10 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
     values = tau0.values.copy()
     periods = tau0.target_periods.copy()
     mesh = QuadMesh(chart, values, periods)
-    _, side = quad_edges(tau0.corner_table())
+    # One gather of the input's corners gives the stop and the first density.
+    quads = mesh.corner_table()
+    _, side = quad_edges(quads)
+    mesh._diagonals = _diagonals_of(chart, quads)
     stop = 2.0 * _HEADROOM * chart.N**2 * isotropy_limit(side)
     mu = symplectic_density(mesh).values
     res = float(np.abs(mu).max())

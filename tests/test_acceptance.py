@@ -20,6 +20,7 @@ import pytest
 from helpers import (
     hex_basis,
     identity_chart,
+    pl_tables_reference,
     quad_rank,
     random_isotropic_plane_parallelogram,
     random_isotropic_quadrilateral,
@@ -285,7 +286,7 @@ def test_c10_topology_verdicts(clifford_sweep, figure8_sweep):
     ok &= not emb.passed and len(emb.witnesses) > 0
     # Reported pairs cluster near the self-intersection circle: the first
     # parameter of both triangles sits within 2/N of a node parameter.
-    centers = f8.tri_source.mean(axis=1)
+    centers = pl_tables_reference(f8)[0].mean(axis=1)
     deviation = 0.0
     for i, j, _dist in emb.witnesses:
         for t in (i, j):

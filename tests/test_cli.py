@@ -9,9 +9,11 @@ import pytest
 import isomesh.adjacent
 import isomesh.cli
 from isomesh.cli import (
+    _COMMANDS,
     _CONFIG_HELP,
     _CONFIG_PARSERS,
     _REPORT_KEYS,
+    _build_parser,
     ConfigError,
     NonPositiveValue,
     PipelineConfig,
@@ -264,6 +266,22 @@ class TestStudy:
 
 
 class TestMain:
+    def test_one_parser_takes_every_command(self, capsys):
+        parser = _build_parser()
+        for name in _COMMANDS:
+            args = parser.parse_args([name, "--spec", "flat-plane", "--n", "4", "--seed", "1"])
+            assert (args.command, args.spec, args.n, args.seed) == (name, "flat-plane", 4, 1)
+        with pytest.raises(SystemExit) as exc:
+            main(["bogus"])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        shown = capsys.readouterr().out
+        assert all(f"  {name:<8}{doc}\n" in shown for name, doc in _COMMANDS.items())
+
     def test_sample_subcommand(self, capsys):
         assert main(["sample", "--spec", "clifford", "--n", "8"]) == 0
         out = capsys.readouterr().out

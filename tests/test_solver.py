@@ -25,6 +25,7 @@ from isomesh import (
     sample_quad,
     symplectic_density,
 )
+from isomesh import density
 from isomesh.density import QuadMesh, facet_liouville
 from isomesh.refine import isotropy_limit, quad_edges
 from isomesh.solver import _circulant_preconditioner, lsqr
@@ -308,6 +309,24 @@ class TestProjectIsotropic:
         with np.errstate(invalid="ignore", over="ignore"):
             with pytest.raises(LinearSolveFailure, match="non-finite"):
                 project_isotropic(tau)
+
+    def test_corner_tables_gathered_once_per_mesh(self, monkeypatch):
+        # The input's corner table gives the stop and the first density, and
+        # each accepted step's density gives its Jacobian: a 2-step projection
+        # gathers 3 tables, one per mesh.
+        calls = []
+        gather = density.corner_value_table
+
+        def counted(*args):
+            calls.append(1)
+            return gather(*args)
+
+        spec = make_product_torus(figure_eight(), circle())
+        tau = sample_quad(spec, rotated_chart(96))
+        monkeypatch.setattr(density, "corner_value_table", counted)
+        _, rep = project_isotropic(tau)
+        assert rep.iterations == 2
+        assert len(calls) == 3
 
     def test_clifford_trivially_converged(self):
         # Product-of-circles samples are already isotropic, so the projection
