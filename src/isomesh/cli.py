@@ -6,10 +6,10 @@ embedding) -> export.  Stages run on first use, so a report key pulls in
 only the stages it needs.  A convergence study runs the pipeline over a list
 of subdivisions and fits log-log slopes for every norm column.
 
-A run is configured in one place, ``PipelineConfig``: a flat key=value
-text file ([section] headers are allowed and ignored), the same keys set
-programmatically, and the common ones overridden by command line flags.
-Fixed numeric policy is module constants, not keys: the chart's reference
+A run is configured in one place, ``PipelineConfig``: each field declares
+one key with its default, text parser and help line, and the key=value
+config file ([section] headers ignored) and one command line flag per key
+derive from the fields.  Fixed numeric policy is module constants, not keys: the chart's reference
 isometry ``DEFAULT_ROTATION`` and the topology tolerance
 ``plmap.TOPOLOGY_TOL``.  Reports are deterministic: identical config and
 seed produce byte-identical output (wall-clock timings are emitted only
@@ -22,8 +22,8 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from functools import cached_property, wraps
+from dataclasses import dataclass, field, fields, replace
+from functools import cache, cached_property, wraps
 
 import numpy as np
 
@@ -66,29 +66,6 @@ class NonPositiveValue(ValueError):
     """Slope fit received a value that is not finite and positive."""
 
 
-@dataclass
-class PipelineConfig:
-    spec: str = "clifford"
-    n: int = 16
-    embedding_check: bool = False
-    seed: int = 0
-    out: str | None = None
-    projection: tuple[int, int, int] | None = None
-    n_list: tuple[int, ...] = (8, 16, 32, 64)
-    timings: bool = False
-
-    def validate(self):
-        if self.n < 1:
-            raise ConfigError("n must be a positive integer")
-        if any(n < 1 for n in self.n_list):
-            raise ConfigError("n_list entries must be positive integers")
-        if len(self.n_list) < 3 or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ConfigError("n_list needs at least 3 strictly increasing entries")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        return self
-
-
 _BOOL_VALUES = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
@@ -99,16 +76,41 @@ def _parse_bool(text: str) -> bool:
         raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
-_CONFIG_PARSERS = {
-    "spec": str,
-    "n": int,
-    "embedding_check": _parse_bool,
-    "seed": int,
-    "out": str,
-    "projection": lambda s: tuple(int(x) for x in s.split(",")),
-    "n_list": lambda s: tuple(int(x) for x in s.split(",")),
-    "timings": _parse_bool,
-}
+def _parse_ints(text: str) -> tuple[int, ...]:
+    return tuple(int(x) for x in text.split(","))
+
+
+def _key(default, parse, doc: str):
+    """A config key: its default, the parser of its text (file line or flag), its help."""
+    return field(default=default, metadata={"parse": parse, "help": doc})
+
+
+@dataclass
+class PipelineConfig:
+    spec: str = _key("clifford", str, "built-in map: clifford | clifford:r1,r2 | "
+                     "product:c1,c2 | flat-plane; curves: circle, figure8")
+    n: int = _key(16, int, "subdivision count")
+    embedding_check: bool = _key(False, _parse_bool, "certify embedding: the immersion "
+                                 "verdict plus the broadphase pairs that share no vertex id")
+    seed: int = _key(0, int, "seed for sampled-pair norms")
+    out: str | None = _key(None, str, "output path: mesh or table")
+    projection: tuple[int, int, int] | None = _key(
+        None, _parse_ints, "3 coordinate indices for .obj export")
+    n_list: tuple[int, ...] = _key((8, 16, 32, 64), _parse_ints, "study subdivisions")
+    timings: bool = _key(False, _parse_bool, "append wall-time columns to studies")
+
+    def validate(self):
+        if self.projection is not None and len(self.projection) != 3:
+            raise ConfigError("projection must be 3 comma-separated coordinate indices")
+        if self.n < 1:
+            raise ConfigError("n must be a positive integer")
+        if any(n < 1 for n in self.n_list):
+            raise ConfigError("n_list entries must be positive integers")
+        if len(self.n_list) < 3 or any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
+            raise ConfigError("n_list needs at least 3 strictly increasing entries")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        return self
 
 
 def parse_config_file(path: str) -> dict:
@@ -130,23 +132,22 @@ def parse_config_file(path: str) -> dict:
 
 
 def load_config(path: str | None = None, overrides: dict | None = None) -> PipelineConfig:
+    """File ``path``, then ``overrides`` but None; text goes through its key's parser."""
     raw = parse_config_file(path) if path else {}
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
-    cfg = PipelineConfig()
-    for key, text in raw.items():
-        if key not in _CONFIG_PARSERS:
-            raise ConfigError(f"unknown config key {key!r}")
+    keys = {key.name: key for key in fields(PipelineConfig)}
+    values = {}
+    for name, text in raw.items():
+        if name not in keys:
+            raise ConfigError(f"unknown config key {name!r}")
         try:
-            value = text if not isinstance(text, str) else _CONFIG_PARSERS[key](text)
+            values[name] = text if not isinstance(text, str) else keys[name].metadata["parse"](text)
         except ConfigError:
             raise
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {key}: {text!r} ({exc})") from exc
-        cfg = replace(cfg, **{key: value})
-    if cfg.projection is not None and len(cfg.projection) != 3:
-        raise ConfigError("projection must be 3 comma-separated coordinate indices")
-    return cfg.validate()
+            raise ConfigError(f"bad value for {name}: {text!r} ({exc})") from exc
+    return PipelineConfig(**values).validate()
 
 
 def _stage(name: str):
@@ -394,39 +395,42 @@ def convergence_study(cfg: PipelineConfig) -> StudyResult:
 # -- command line -------------------------------------------------------------
 
 _CONFIG_HELP = f"""\
-config file keys (key = value, one per line; defaults in parentheses):
-  spec            built-in map: clifford | clifford:r1,r2 | product:c1,c2 |
-                  flat-plane; curves: circle, figure8   (clifford)
-  n               subdivision count                     (16)
-  embedding_check certify embedding: the immersion      (false)
-                  verdict plus the broadphase pairs
-                  that share no vertex id
-  seed            seed for sampled-pair norms           (0)
-  out             output path (mesh or table)           (none)
-                  subcommands run only the stages their printed keys
-                  need, and exit 3 only from those; with out, every
-                  stage runs, as the full report is written there
-  projection      3 coordinate indices for .obj export  (none)
-  n_list          study subdivisions, comma separated   (8,16,32,64)
-  timings         append wall-time columns to studies   (false)
+--config reads one key = value per line, keyed as the flags above with
+underscores (n_list = 8,16,32); # comments and [section] headers are ignored.
+Subcommands run only the stages their printed keys need, and exit 3 only
+from those; with out, every stage runs, as the full report is written there.
 fixed, not keys: the chart rotation atan(1/2) and the immersion/embedding
 tolerance {TOPOLOGY_TOL:g} times the longest image edge
 """
 
-
+#: Command -> (description, the report keys it prints; None prints the full report).
 _COMMANDS = {
-    "sample": "sample the map and report density norms",
-    "solve": "project the samples onto the isotropic meshes",
-    "refine": "solve and refine with optimal apexes",
-    "build": "build the PL map and report distances",
-    "verify": "certify isotropy, immersion and optionally embedding",
-    "export": "run the pipeline and export the mesh (--out required)",
-    "study": "convergence study over n_list with fitted slopes",
+    "sample": ("sample the map and report density norms",
+               ("spec", "n", "facets", "mu_c0", "mu_c1w", "mu_holder", "liouville_max")),
+    "solve": ("project the samples onto the isotropic meshes", ("spec", "n", "facets", "mu_c0",
+              "solve_iterations", "solve_residual_c0", "correction_c0")),
+    "refine": ("solve and refine with optimal apexes",
+               ("spec", "n", "facets", "solve_iterations", "apex_offset_max", "tri_c0")),
+    "build": ("build the PL map and report distances",
+              ("spec", "n", "facets", "tri_c0", "pl_c0", "pl_c1", "interp_c0")),
+    "verify": ("certify isotropy, immersion and optionally embedding", ("spec", "n", "facets",
+               "iso_residual_max", "iso_scale", "isotropy", "immersion", "embedding")),
+    "export": ("run the pipeline and export the mesh (--out required)", None),
+    "study": ("convergence study over n_list with fitted slopes", None),
 }
 
 
+def _shown(value) -> str:
+    """A default value as a config file spells it."""
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    return text.lower() if value is None or isinstance(value, bool) else text
+
+
+@cache
 def _build_parser() -> argparse.ArgumentParser:
-    commands = "".join(f"  {name:<8}{doc}\n" for name, doc in _COMMANDS.items())
+    """The command line: one flag per ``PipelineConfig`` field, whose text
+    ``load_config`` parses as it parses a file line."""
+    commands = "".join(f"  {name:<8}{doc}\n" for name, (doc, _) in _COMMANDS.items())
     parser = argparse.ArgumentParser(
         prog="isomesh",
         description="Piecewise linear isotropic torus approximation pipeline.\n\n"
@@ -436,42 +440,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("command", choices=_COMMANDS, metavar="command", help="one of the above")
     parser.add_argument("--config", help="configuration file path")
-    parser.add_argument("--spec", help="built-in spec name")
-    parser.add_argument("--n", type=int, help="subdivision count")
-    parser.add_argument("--out", help="output path")
-    parser.add_argument(
-        "--embedding-check", action="store_true", default=None,
-        help="enable the embedding certification: the immersion verdict plus "
-        "the broadphase pairs that share no vertex",
-    )
-    parser.add_argument("--seed", type=int, help="seed for sampled-pair norms")
+    for key in fields(PipelineConfig):
+        # A boolean flag takes no value: it sets its key to "true".
+        switch = {"action": "store_const", "const": "true"} if key.type is bool else {}
+        parser.add_argument(
+            f"--{key.name.replace('_', '-')}",
+            help=f"{key.metadata['help']} ({_shown(key.default)})",
+            **switch,
+        )
     return parser
-
-
-def _config_from_args(args) -> PipelineConfig:
-    overrides = {key: getattr(args, key) for key in ("spec", "n", "out", "seed")}
-    if args.embedding_check:
-        overrides["embedding_check"] = True
-    return load_config(args.config, overrides)
-
-
-_REPORT_KEYS = {
-    "sample": ("spec", "n", "facets", "mu_c0", "mu_c1w", "mu_holder", "liouville_max"),
-    "solve": (
-        "spec", "n", "facets", "mu_c0",
-        "solve_iterations", "solve_residual_c0", "correction_c0",
-    ),
-    "refine": (
-        "spec", "n", "facets", "solve_iterations", "apex_offset_max", "tri_c0",
-    ),
-    "build": (
-        "spec", "n", "facets", "tri_c0", "pl_c0", "pl_c1", "interp_c0",
-    ),
-    "verify": (
-        "spec", "n", "facets", "iso_residual_max", "iso_scale",
-        "isotropy", "immersion", "embedding",
-    ),
-}
 
 
 @contextmanager
@@ -487,7 +464,8 @@ def _writing(path):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
+        flags = {key.name: getattr(args, key.name) for key in fields(PipelineConfig)}
+        cfg = load_config(args.config, flags)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -518,7 +496,7 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
 
         # A subcommand prints its keys; export prints, and --out writes, the full report.
-        keys = _REPORT_KEYS.get(args.command)
+        keys = _COMMANDS[args.command][1]
         res = run_pipeline(cfg, keys=None if cfg.out else keys)
         printed = res.report if keys is None else {k: res.report[k] for k in keys}
         sys.stdout.write(format_report(printed))

@@ -117,6 +117,19 @@ def _smith_form(h: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
         a, w = row @ a, row @ w
 
 
+def _gauss_reduction(b: np.ndarray) -> np.ndarray:
+    """Unimodular U with the columns of b U Lagrange-Gauss reduced: the first
+    is a shortest lattice vector and |<b_1, b_2>| <= |b_1|^2 / 2."""
+    u = np.eye(2, dtype=np.int64)
+    while True:
+        v = b @ u
+        u[:, 1] -= round(float(v[:, 0] @ v[:, 1]) / float(v[:, 0] @ v[:, 0])) * u[:, 0]
+        v = b @ u
+        if v[:, 0] @ v[:, 0] <= v[:, 1] @ v[:, 1]:
+            return u
+        u = u[:, ::-1].copy()  # the shorter vector first; |b_1| falls at every swap
+
+
 @dataclass
 class Chart:
     """Almost-isometric identification of the 1/N grid with the Gamma-plane.
@@ -240,19 +253,26 @@ class Chart:
         l = np.asarray(l, dtype=float)
         return self.position(k + 0.5, l + 0.5)
 
+    @cached_property
+    def _search_basis(self) -> np.ndarray:
+        """M U, U unimodular with B U Lagrange-Gauss reduced; M itself when B is."""
+        return self.m_matrix @ _gauss_reduction(self.gamma_basis)
+
     def torus_distance(self, dk, dl) -> np.ndarray:
         """Plane distance ||A_N (d - M q)|| / N minimized over q in Z^2.
 
         The flat distance between cells whose indices differ by d = (dk, dl),
-        measured on the quotient by Gamma = A_N (M/N) Z^2.
+        measured on the quotient by Gamma = A_N (M/N) Z^2.  The search runs
+        in the basis ``_search_basis``, where the closest lattice point lies
+        within 2 steps of the rounded coordinates in each direction.
         """
         dk = np.asarray(dk, dtype=float)
         dl = np.asarray(dl, dtype=float)
         delta = np.stack([dk, dl], axis=-1)
-        minv = np.linalg.inv(self.m_matrix.astype(float))
+        minv = np.linalg.inv(self._search_basis.astype(float))
         q0 = np.rint(np.einsum("ij,...j->...i", minv, delta))
         best = None
-        mfloat = self.m_matrix.astype(float)
+        mfloat = self._search_basis.astype(float)
         for w1 in range(-2, 3):
             for w2 in range(-2, 3):
                 q = q0 + np.array([w1, w2], dtype=float)

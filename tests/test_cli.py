@@ -2,21 +2,22 @@
 
 import re
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import isomesh.adjacent
 import isomesh.cli
+from helpers import load_mesh
 from isomesh.cli import (
     _COMMANDS,
-    _CONFIG_HELP,
-    _CONFIG_PARSERS,
-    _REPORT_KEYS,
     _build_parser,
     ConfigError,
     NonPositiveValue,
+    Pipeline,
     PipelineConfig,
+    StudyResult,
     convergence_study,
     fit_slope,
     format_report,
@@ -99,14 +100,58 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 load_config(str(path))
 
-    def test_keys_agree_across_fields_parsers_and_help(self):
-        fields = set(PipelineConfig.__dataclass_fields__)
-        helped = {
-            line.split()[0]
-            for line in _CONFIG_HELP.splitlines()
-            if line.startswith("  ") and not line[2].isspace()
-        }
-        assert fields == set(_CONFIG_PARSERS) == helped
+    def test_help_lists_every_key_as_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        shown = capsys.readouterr().out
+        for key in fields(PipelineConfig):
+            assert f"--{key.name.replace('_', '-')}" in shown
+        # Defaults are read from the fields.
+        assert "subdivision count (16)" in shown
+        assert "(8,16,32,64)" in shown
+
+    @pytest.mark.parametrize(
+        "key, good, bad",
+        [
+            ("spec", "flat-plane", "moebius"),
+            ("n", "4", "four"),
+            ("embedding_check", "true", "maybe"),
+            ("seed", "3", "-1"),
+            ("out", "table.csv", "/nonexistent/d/x"),
+            ("projection", "0,1,2", "0,1"),
+            ("n_list", "4,6,8", "4,x,8"),
+            ("timings", "true", "maybe"),
+        ],
+    )
+    def test_flag_and_file_line_agree(self, tmp_path, monkeypatch, capsys, key, good, bad):
+        # A flag's text goes through the parser of a file line: the same
+        # config, or the same config error and exit 2.
+        seen = []
+
+        def study(cfg):
+            seen.append(Pipeline(cfg).cfg)  # checks the spec, as a study's first run does
+            return StudyResult([], {}, "")
+
+        def outcome(argv):
+            code = main(["study", *argv])
+            return code, seen.pop() if seen else None, capsys.readouterr().err
+
+        monkeypatch.setattr(isomesh.cli, "convergence_study", study)
+        monkeypatch.chdir(tmp_path)
+        flag = f"--{key.replace('_', '-')}"
+        boolean = key in ("embedding_check", "timings")
+        path = tmp_path / "run.cfg"
+        for text in (good, bad):
+            path.write_text(f"{key} = {text}\n")
+            by_file = outcome(["--config", str(path)])
+            if text == good:
+                assert by_file[:2] == (0, load_config(str(path)))
+                assert by_file[1] != PipelineConfig()
+            else:
+                assert by_file[0] == 2 and by_file[2].startswith("config error: ")
+            if not (boolean and text == bad):  # a boolean flag takes no value
+                assert outcome([flag] if boolean else [flag, text]) == by_file
 
     def test_unknown_spec_is_config_error(self):
         cfg = PipelineConfig(spec="moebius", n=4)
@@ -143,13 +188,15 @@ class TestLazyStages:
     @pytest.mark.parametrize("spec", ["clifford", "product:figure8,circle"])
     def test_printed_keys_match_full_report(self, tmp_path, capsys, spec):
         full = run_pipeline(PipelineConfig(spec=spec, n=8)).report
-        for command, keys in _REPORT_KEYS.items():
+        for command, (_, keys) in _COMMANDS.items():
+            if keys is None:
+                continue
             assert main([command, "--spec", spec, "--n", "8"]) == 0
             assert capsys.readouterr().out == format_report({k: full[k] for k in keys})
         out = tmp_path / "verify.report"
         assert main(["verify", "--spec", spec, "--n", "8", "--out", str(out)]) == 0
         assert capsys.readouterr().out == format_report(
-            {k: full[k] for k in _REPORT_KEYS["verify"]}
+            {k: full[k] for k in _COMMANDS["verify"][1]}
         )
         assert out.read_text() == format_report(full)
 
@@ -192,7 +239,7 @@ class TestLazyStages:
     def test_stage_seconds_count_own_work_only(self):
         cfg = PipelineConfig(spec="product:figure8,circle", n=16)
         t0 = time.perf_counter()
-        res = run_pipeline(cfg, keys=_REPORT_KEYS["verify"])
+        res = run_pipeline(cfg, keys=_COMMANDS["verify"][1])
         wall = time.perf_counter() - t0
         # The verify keys pull in every earlier stage; each counts once.
         assert set(res.stage_seconds) == {"sample", "solve", "refine", "build", "verify"}
@@ -270,7 +317,7 @@ class TestMain:
         parser = _build_parser()
         for name in _COMMANDS:
             args = parser.parse_args([name, "--spec", "flat-plane", "--n", "4", "--seed", "1"])
-            assert (args.command, args.spec, args.n, args.seed) == (name, "flat-plane", 4, 1)
+            assert (args.command, args.spec, args.n, args.seed) == (name, "flat-plane", "4", "1")
         with pytest.raises(SystemExit) as exc:
             main(["bogus"])
         assert exc.value.code == 2
@@ -280,7 +327,16 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["--help"])
         shown = capsys.readouterr().out
-        assert all(f"  {name:<8}{doc}\n" in shown for name, doc in _COMMANDS.items())
+        assert all(f"  {name:<8}{doc}\n" in shown for name, (doc, _) in _COMMANDS.items())
+
+    def test_parser_is_built_once(self, capsys):
+        # Two runs share one parser, but not their flags.
+        assert _build_parser() is _build_parser()
+        argv = ["verify", "--spec", "flat-plane", "--n", "4"]
+        assert main([*argv, "--embedding-check"]) == 0
+        assert "embedding = pass" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "embedding = skipped" in capsys.readouterr().out
 
     def test_sample_subcommand(self, capsys):
         assert main(["sample", "--spec", "clifford", "--n", "8"]) == 0
@@ -308,6 +364,22 @@ class TestMain:
         assert code == 0
         assert out.exists()
         assert (tmp_path / "mesh.symmesh.report").exists()
+
+    @pytest.mark.parametrize("spec", ["clifford", "product:figure8,circle", "flat-plane"])
+    def test_export_with_projection(self, tmp_path, capsys, spec):
+        path = tmp_path / "mesh.symmesh"
+        argv = ["export", "--spec", spec, "--n", "4", "--projection", "0,1,2", "--out", str(path)]
+        assert main(argv) == 0
+        report = (tmp_path / "mesh.symmesh.report").read_text()
+        assert capsys.readouterr().out == report
+        assert "immersion = pass" in report
+        facets = int(report.split("facets = ")[1].split()[0])
+        # Corners then apexes, four triangles per facet.
+        dim, verts, faces = load_mesh(path)
+        assert (dim, verts.shape, faces.shape) == (4, (2 * facets, 4), (4 * facets, 3))
+        _, pverts, pfaces = load_mesh(f"{path}.obj")
+        assert (pverts == verts[:, :3]).all()
+        assert (pfaces == faces).all()
 
     def test_export_requires_out(self, capsys):
         assert main(["export", "--spec", "flat-plane", "--n", "2"]) == 2
@@ -469,6 +541,34 @@ class TestMain:
         assert main(["study", "--config", str(cfg), "--out", str(out1)]) == 0
         assert main(["study", "--config", str(cfg), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_study_flags(self, tmp_path, capsys, to_file):
+        argv = ["study", "--spec", "product:figure8,circle", "--n-list", "4,6,8"]
+        out = tmp_path / "table.csv"
+        assert main(argv + ["--out", str(out)] * to_file) == 0
+        text = out.read_text() if to_file else capsys.readouterr().out
+        lines = text.splitlines()
+        assert lines[0] == (
+            "n,mu_c0,mu_c1w,mu_holder,correction_c0,tri_c0,pl_c0,pl_c1,"
+            "immersion,embedding"
+        )
+        assert [line.split(",")[0] for line in lines[1:4]] == ["4", "6", "8"]
+        assert sum(line.startswith("# slope ") for line in lines) == 7
+
+    def test_study_timings_flag(self, capsys):
+        argv = ["study", "--spec", "product:figure8,circle", "--n-list", "4,6,8", "--timings"]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        header = lines[0].split(",")
+        stages = [i for i, name in enumerate(header) if name.startswith("t_")]
+        assert [header[i] for i in stages] == [
+            "t_sample", "t_solve", "t_refine", "t_build", "t_verify"
+        ]
+        rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+        assert len(rows) == 3
+        for cells in rows:
+            assert all(float(cells[i]) >= 0.0 for i in stages)
 
     def test_report_format_stable(self):
         text = format_report({"a": 1.0, "b": "pass", "c": 3})

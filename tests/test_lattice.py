@@ -227,3 +227,36 @@ def test_rotated_chart_rate():
     from isomesh.cli import DEFAULT_ROTATION
 
     assert np.linalg.norm(r - rotation(DEFAULT_ROTATION), 2) < 0.1
+
+
+class TestTorusDistance:
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            np.eye(2),
+            hex_basis(),
+            np.array([[1.0, 7.0], [0.0, 1.0]]),  # Z^2 in a skewed basis
+            np.array([[2.0, 11.3], [0.1, 1.0]]),
+            np.array([[1.0, 0.0], [5.0, 1.0]]),  # sheared
+        ],
+    )
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_matches_wide_search(self, basis, n):
+        ch = rotated_chart(n, basis)
+        k, l = ch.all_canonical()
+        d = np.stack([k, l], axis=-1).astype(float)
+        m = ch.m_matrix.astype(float)
+        q0 = np.rint(d @ np.linalg.inv(m).T)
+        best = np.full(len(d), np.inf)
+        for w1 in range(-30, 31):
+            w = np.stack([np.full(61, w1), np.arange(-30, 31)], axis=-1)
+            rem = d[:, None, :] - (q0[:, None, :] + w) @ m.T
+            dist = np.linalg.norm(rem @ ch.a_matrix.T, axis=-1).min(axis=1) / n
+            best = np.minimum(best, dist)
+        assert np.allclose(ch.torus_distance(k, l), best, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n", [8, 16, 24])
+    def test_square_lattice_searches_in_m(self, n):
+        # Gamma = Z^2 is reduced: the search keeps M, as every built-in spec does.
+        ch = rotated_chart(n)
+        assert np.array_equal(ch._search_basis, ch.m_matrix)

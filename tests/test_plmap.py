@@ -37,7 +37,7 @@ from isomesh import (
     apex_refine,
     barycentric_apexes,
 )
-from isomesh.cli import _REPORT_KEYS, PipelineConfig, run_pipeline
+from isomesh.cli import _COMMANDS, PipelineConfig, run_pipeline
 from isomesh import adjacent, plmap
 from isomesh.adjacent import _Screen, _adjacent_distances, _tri_tri_distances, _vertex_pairs
 from isomesh.density import CORNER_STEPS, corner_value_table
@@ -789,7 +789,7 @@ def test_verify_memory_is_bounded_by_the_value_table():
     # their traced peak, all stages included, within 6 copies of the PL
     # map's value table: the map keeps 2 mesh-sized tables and the checks
     # work per block.
-    keys = _REPORT_KEYS["verify"]
+    keys = _COMMANDS["verify"][1]
     run_pipeline(PipelineConfig(spec="product:figure8,circle", n=4), keys=keys)
     tracemalloc.start()
     try:
