@@ -1,14 +1,15 @@
 """Exact triangle distances, and the pairs of triangles that share a vertex:
-their enumeration, their distance beyond the shared simplex, and the screen
+their star table, their distance beyond the shared simplex, and the screen
 in front of that distance.
 
 Triangles are rows of a (T, 3, d) value array with a (T, 3) table of vertex
 ids; a pair is given by incidence codes 3 t + slot.  ``_tri_tri_distances``
-is the one exact distance of both topology certificates.  ``_vertex_pairs``
-lists every pair that shares an id, ``_adjacent_distances`` measures a pair
-beyond its shared vertex or edge by that kernel on degenerate triangles, and
-``_Screen`` clears, at one dot product each, the pairs that two lower bounds
-put at or above the threshold, so that only the others are measured.
+is the one exact distance of both topology certificates.  ``_star_pairs``
+lists every pair that shares an id, by the star of each id,
+``_adjacent_distances`` measures a pair beyond its shared vertex or edge by
+that kernel on degenerate triangles, and ``_Screen`` clears, at one dot
+product each, the pairs that two lower bounds put at or above the
+threshold, so that only the others are measured.
 """
 
 import itertools
@@ -20,10 +21,10 @@ from .linalg import back_substitute, dot, thin_qr
 
 #: Pairs handled at once (half as many in the screen and in the adjacent-pair
 #: predicate, whose pairs make two or four kernel rows each, and a third as
-#: many triangles, so as many incidences, for the cone table); bounds the
-#: temporaries of the broadphase, its shared-id mask, the vertex pairs of a
-#: step, the adjacent-pair predicate and its screen.  Also the triangles
-#: (whole facets: a multiple of 4) of a block of the PL map.
+#: many triangles, so as many incidences, for the cone rows); bounds the
+#: temporaries of the broadphase, its shared-id mask, the adjacent-pair
+#: predicate and its screen.  Also the triangles (whole facets: a multiple
+#: of 4) of a block of the PL map.
 _PAIR_BLOCK = 1 << 14
 
 
@@ -84,61 +85,41 @@ def _tri_tri_distances(p, q) -> np.ndarray:
 # -- pairs that share a vertex ------------------------------------------------
 
 
-def _slot_after(codes, step):
-    """Incidence codes of the slot ``step`` places on in the same triangle."""
-    return codes - codes % 3 + (codes % 3 + step) % 3
+def _star_pairs(vids, codes):
+    """The pairs in the stars ``codes`` (S, m) of triangles with vertex ids
+    ``vids``, row r of ``codes`` every incidence code 3 t + slot of one id:
+    (codes, vertex, edge, slots).  The entries (a, b) of ``vertex`` (2, E)
+    pair triangles that share only the row's id; those of ``edge`` (2, E')
+    share more, and row r of ``slots`` (2, S, E') holds the slot of their
+    next shared id in each triangle, or -1 where a smaller shared id lists
+    the pair.  Ids are translation-equivariant, so every row repeats row
+    0's pattern of which slots share ids; an entry pairs two triangles at
+    the first slot of the row's id (a triangle holds an id twice at N <=
+    2), and the rest is plain compares per row."""
+    flat = vids.ravel()
+    ids = vids[codes[0] // 3].tolist()
+    own = flat[codes[0, 0]]
+    first = [i.index(own) == c % 3 for i, c in zip(ids, codes[0])]
+    entries, slots = ([], []), []
+    for a, b in itertools.combinations(range(codes.shape[1]), 2):
+        shared = sorted(set(ids[a]) & set(ids[b]) - {own})
+        if first[a] and first[b]:
+            entries[bool(shared)].append((a, b))
+            if shared:  # one other id or two, as two
+                slots.append([(ids[a].index(i), ids[b].index(i)) for i in shared * 2][:2])
+    vertex, edge = (np.array(e, dtype=np.int64).reshape(-1, 2).T for e in entries)
+    slots = np.array(slots, dtype=np.int8).reshape(-1, 2, 2).T  # (2 sides, 2 ids, E')
+    at = codes[:, edge[0]] - codes[:, edge[0]] % 3
+    other = [flat[at + k] for k in slots[0]]  # (S, E') each
+    pick = np.where(other[1] < other[0], slots[:, 1, None], slots[:, 0, None])
+    keep = flat[codes[:, :1]] < np.minimum(*other)
+    return codes, vertex, edge, np.where(keep, pick, np.int8(-1))
 
 
-def _vertex_pairs(vids):
-    """Every pair i < j of triangles that share a vertex id, once, in blocks
-    (u, w) of (2, K) int32 incidence codes 3 t + slot, row 0 in triangle i,
-    row 1 in j.  u is the first slot of the smallest id the two share; w that
-    of the next shared id, or -1 where they share only u.  The (id, triangle)
-    incidences are sorted on the id, and step k pairs each with the one k
-    places on while the id holds, in blocks of at most ``_PAIR_BLOCK`` such
-    incidences; a pair that also shares a smaller id (an edge) is left to
-    that id."""
-    flat = vids.ravel().astype(np.int32)
-    codes = np.argsort(flat, kind="stable").astype(np.int32)
-    ids = flat[codes]
-    # A triangle that holds an id twice (N <= 2) keeps its first incidence.
-    once = np.append(True, (np.diff(ids) != 0) | (np.diff(codes // 3) != 0))
-    ids, codes = ids[once], codes[once]
-    others = [flat[_slot_after(codes, step)] for step in (1, 2)]
-    for k in range(1, ids.size):
-        e = np.nonzero(ids[k:] == ids[:-k])[0]
-        if not e.size:  # past the largest vertex star
-            return
-        for lo in range(0, e.size, _PAIR_BLOCK):
-            yield _vertex_pairs_at(ids, codes, others, e[lo : lo + _PAIR_BLOCK], k)
-
-
-def _vertex_pairs_at(ids, codes, others, e, k):
-    """The pairs of ``_vertex_pairs`` at step k from the incidence positions
-    e, each with the same id as the one k places on."""
-    f = e + k
-    x, y = [o[e] for o in others], [o[f] for o in others]
-    shared = [(z == y[0]) | (z == y[1]) for z in x]
-    alone = ~(shared[0] | shared[1])
-    g = np.nonzero(~alone)[0]  # the pairs that share another id
-    x, shared, uid = [z[g] for z in x], [s[g] for s in shared], ids[e[g]]
-    lower = (shared[0] & (x[0] < uid)) | (shared[1] & (x[1] < uid))
-    later = [s & (z > uid) & ~lower for z, s in zip(x, shared)]
-    edge = later[0] | later[1]
-    alone[g[~lower & ~edge]] = True  # u held twice (N <= 2)
-    g, x, later = g[edge], [z[edge] for z in x], [s[edge] for s in later]
-    # w is the smaller shared id past u, read at its first slot.
-    wid = np.where(later[0] & (~later[1] | (x[0] < x[1])), x[0], x[1])
-    cut, none = np.count_nonzero(alone), np.iinfo(np.int32).max
-    u = np.empty((2, cut + g.size), dtype=np.int32)
-    w = np.full_like(u, -1)
-    for row_u, row_w, t in zip(u, w, (e, f)):
-        c = codes[t]
-        row_u[:cut], row_u[cut:] = c[alone], c[g]
-        c, t = c[g], t[g]
-        hits = [np.where(o[t] == wid, _slot_after(c, k), none) for k, o in zip((1, 2), others)]
-        row_w[cut:] = np.minimum(*hits)
-    return u, w
+def _oriented(u, w):
+    """(u, w) with row 0 in the smaller triangle (codes compare as triangles)."""
+    swap = u[0] > u[1]
+    return np.where(swap, u[::-1], u), np.where(swap, w[::-1], w)
 
 
 def _far_points(flat, c, d):
@@ -168,8 +149,8 @@ _TERMS = (
 
 def _adjacent_distances(vals, u, w):
     """Exact distances between triangles sharing a vertex beyond their
-    shared simplex, for the pairs given by incidence codes (u, w) as
-    ``_vertex_pairs`` gives them.
+    shared simplex, for the pairs given by incidence codes (u, w), each
+    (2, K), row 0 in one triangle and row 1 in the other (w -1 if none).
 
     u is the smallest vertex id the two share, w the next if any, each read
     at its first slot; both triangles are taken relative to their own value
@@ -191,7 +172,7 @@ def _adjacent_distances(vals, u, w):
         edge = cw[0] >= 0
         points = []
         for c, d in zip(cu, cw):
-            far = _far_points(flat, c, np.where(edge, d, _slot_after(c, 1)))
+            far = _far_points(flat, c, np.where(edge, d, c - c % 3 + (c % 3 + 1) % 3))
             points += [np.zeros_like(far[0])] + far
         points = np.stack(points, axis=1)  # (K, 6, dim)
         kinds = (~edge, edge)
@@ -217,41 +198,36 @@ _LEN_SLACK = 2.0**-36
 _MARGIN = 2.0**-8
 
 
-def _cone_table(vals, reach, slack):
-    """(3T, d + 2) rows [n, cos(gamma), sin(gamma)], one per incidence code
-    3 t + slot: the unit bisector of the triangle's cone at that slot and
-    gamma = alpha + asin(reach / (H - slack)), by square roots only.  An
-    incidence that cannot be screened, or has gamma >= pi / 2, holds a NaN
-    cosine, so no pair with it clears."""
-    tris, _, dim = vals.shape
-    table = np.empty((tris, 3, dim + 2))
+def _cone_rows(edges, reach, slack, out):
+    """Cone rows [n, cos(gamma), sin(gamma)] of K triangles with edge vectors
+    ``edges`` (3, d, K), edge s from slot s to slot s + 1, into ``out`` (K,
+    3, d + 2): at each slot the unit bisector of the triangle's cone and gamma
+    = alpha + asin(reach / (H - slack)), by square roots only.  An incidence
+    that cannot be screened, or has gamma >= pi / 2, holds a NaN cosine, so
+    no pair with it clears."""
     after, before = [1, 2, 0], [2, 0, 1]
+    dim = edges.shape[1]
     with np.errstate(invalid="ignore", divide="ignore"):
-        for lo in range(0, tris, _PAIR_BLOCK // 3):
-            v = vals[lo : lo + _PAIR_BLOCK // 3].transpose(1, 2, 0)  # slot, coordinate, triangle
-            edges = v.take(after, axis=0) - v  # edge s runs from slot s to slot s + 1
-            length2 = (edges * edges).sum(axis=1)
-            length = np.sqrt(length2)
-            unit = edges / length[:, None]
-            n = unit - unit.take(before, axis=0)  # the cone at slot s spans edge s, -edge s-1
-            cos_a = 0.5 * np.sqrt((n * n).sum(axis=1))
-            sin_a = np.sqrt(1.0 - np.minimum(cos_a * cos_a, 1.0))
-            n /= 2.0 * cos_a[:, None]
-            # H at slot s: its distance from the line of edge s + 1.
-            turn = (edges * edges.take(after, axis=0)).sum(axis=1)
-            height = np.sqrt(np.maximum(length2 - turn * turn / length2.take(after, axis=0), 0.0))
-            x = reach / (height - slack)
-            cos_b = np.sqrt(1.0 - x * x)
-            cos_g = cos_a * cos_b - sin_a * x
-            ok = (np.minimum(cos_a, sin_a) >= _MARGIN) & (x <= 1.0 - _MARGIN) & (cos_g > 0.0)
-            ok &= height >= _MARGIN * np.maximum(length, length.take(before, axis=0))
-            ok &= height > slack
-            cos_g[~ok] = np.nan
-            rows = table[lo : lo + _PAIR_BLOCK // 3]
-            rows[..., :dim] = n.transpose(2, 0, 1)
-            rows[..., dim] = cos_g.T
-            rows[..., dim + 1] = (sin_a * cos_b + cos_a * x).T
-    return table.reshape(3 * tris, dim + 2)
+        length2 = (edges * edges).sum(axis=1)
+        length = np.sqrt(length2)
+        unit = edges / length[:, None]
+        n = unit - unit.take(before, axis=0)  # the cone at slot s spans edge s, -edge s-1
+        cos_a = 0.5 * np.sqrt((n * n).sum(axis=1))
+        sin_a = np.sqrt(1.0 - np.minimum(cos_a * cos_a, 1.0))
+        n /= 2.0 * cos_a[:, None]
+        # H at slot s: its distance from the line of edge s + 1.
+        turn = (edges * edges.take(after, axis=0)).sum(axis=1)
+        height = np.sqrt(np.maximum(length2 - turn * turn / length2.take(after, axis=0), 0.0))
+        x = reach / (height - slack)
+        cos_b = np.sqrt(1.0 - x * x)
+        cos_g = cos_a * cos_b - sin_a * x
+        ok = (np.minimum(cos_a, sin_a) >= _MARGIN) & (x <= 1.0 - _MARGIN) & (cos_g > 0.0)
+        ok &= height >= _MARGIN * np.maximum(length, length.take(before, axis=0))
+        ok &= height > slack
+        cos_g[~ok] = np.nan
+        out[..., :dim] = n.transpose(2, 0, 1)
+        out[..., dim] = cos_g.T
+        out[..., dim + 1] = (sin_a * cos_b + cos_a * x).T
 
 
 def _edges_cleared(flat, u, w, reach, slack):
@@ -290,11 +266,11 @@ def _edges_cleared(flat, u, w, reach, slack):
 
 
 class _Screen:
-    """The screen in front of ``_adjacent_distances`` for triangle values
-    ``vals``, a threshold t and the largest edge length ``scale`` L: the
-    cone table is built once, and a vertex pair then costs one dot product
-    of two of its rows.  A pair clears when its score is proven at or above
-    t by one of two bounds:
+    """The screen in front of ``_adjacent_distances`` for a threshold t and
+    the largest edge length ``scale`` L: the cone rows are formed once per
+    triangle (``_cone_rows``), and a vertex pair then costs one dot product
+    of two of them.  A pair clears when its score is proven at or above t
+    by one of two bounds:
 
     - vertex pairs: every point of T1 - u lies within the half-aperture
       alpha1 of the unit bisector n1 of its cone at u, and every point of ab
@@ -324,26 +300,38 @@ class _Screen:
     exact value, far inside both slacks.  A NaN or inf value never clears.
     """
 
-    def __init__(self, vals, threshold: float, scale: float):
-        self.vals = vals
+    def __init__(self, threshold: float, scale: float):
         self.slack = _LEN_SLACK * (threshold + scale)
         self.reach = threshold + self.slack
-        self.cones = _cone_table(self.vals, self.reach, self.slack)
 
-    def cleared(self, u, w):
-        """Mask of the pairs (codes u, w) whose score is proven at or above
-        the threshold."""
-        dim = self.vals.shape[-1]
-        flat = self.vals.reshape(-1, dim)
-        clear = np.zeros(u.shape[1], dtype=bool)
-        vertex, edge = np.nonzero(w[0] < 0)[0], np.nonzero(w[0] >= 0)[0]
+    def uncleared(self, vals, cones, stars):
+        """(u, w) of the pairs of ``stars`` (each as ``_star_pairs`` gives
+        it) that neither bound clears, for triangle values ``vals`` and their
+        cone rows ``cones`` (3T, d + 2) by incidence code (``_cone_rows``).
+        A block of stars gathers its rows once; the entries that share one
+        vertex are tested column by column, the others by ``_edges_cleared``."""
+        dim = vals.shape[-1]
+        flat = vals.reshape(-1, dim)
+        kept = [np.empty((2, 2, 0), dtype=np.int32)]
         with np.errstate(invalid="ignore", divide="ignore"):  # NaN never clears
-            for lo in range(0, vertex.size, _PAIR_BLOCK // 2):
-                rows = vertex[lo : lo + _PAIR_BLOCK // 2]
-                p, q = (np.take(self.cones, c[rows], axis=0) for c in u)
-                (cp, sp), (cq, sq) = p[:, dim:].T, q[:, dim:].T
-                clear[rows] = dot(p[:, :dim], q[:, :dim]) < cp * cq - sp * sq - _COS_SLACK
-            for lo in range(0, edge.size, _PAIR_BLOCK // 2):
-                rows = edge[lo : lo + _PAIR_BLOCK // 2]
-                clear[rows] = _edges_cleared(flat, u[:, rows], w[:, rows], self.reach, self.slack)
-        return clear
+            for codes, (a, b), edge, slots in stars:
+                step = max(_PAIR_BLOCK // 2 // codes.shape[1], 1)
+                for lo in range(0, len(codes), step):
+                    star = codes[lo : lo + step]
+                    rows = np.take(cones, star.T, axis=0).transpose(2, 0, 1).copy()
+                    left = np.empty((len(a), len(star)), dtype=bool)
+                    for k, (x, y) in enumerate(zip(a, b)):
+                        prod = rows[:, x] * rows[:, y]
+                        cos = prod[dim] - prod[dim + 1] - _COS_SLACK
+                        left[k] = ~(prod[:dim].sum(axis=0) < cos)
+                    if left.any():
+                        k, r = np.nonzero(left)
+                        u = np.stack([star[r, a[k]], star[r, b[k]]])
+                        kept.append(np.stack(_oriented(u, np.full_like(u, -1))))
+                    listed = slots[:, lo : lo + step].reshape(2, -1)
+                    keep = np.flatnonzero(listed[0] >= 0)
+                    u = np.stack([star[:, e].ravel() for e in edge]).take(keep, axis=1)
+                    u, w = _oriented(u, u - u % 3 + listed.take(keep, axis=1))
+                    left = ~_edges_cleared(flat, u, w, self.reach, self.slack)
+                    kept.append(np.stack([u[:, left], w[:, left]]))
+        return np.concatenate(kept, axis=-1)

@@ -73,7 +73,7 @@ def _parse_bool(text: str) -> bool:
     try:
         return _BOOL_VALUES[text.strip().lower()]
     except KeyError:
-        raise ConfigError(f"expected a boolean, got {text!r}") from None
+        raise ValueError(f"expected one of {', '.join(_BOOL_VALUES)}") from None
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -143,8 +143,6 @@ def load_config(path: str | None = None, overrides: dict | None = None) -> Pipel
             raise ConfigError(f"unknown config key {name!r}")
         try:
             values[name] = text if not isinstance(text, str) else keys[name].metadata["parse"](text)
-        except ConfigError:
-            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad value for {name}: {text!r} ({exc})") from exc
     return PipelineConfig(**values).validate()

@@ -11,9 +11,10 @@ triangles of every facet are translates of four fixed shapes: one
 per-chart table (``PLMap.shapes``) holds their inverse edge matrices and
 sample-grid offsets from the facet centre.  A ``PLMap`` stores only the
 triangle values and vertex ids; differentials and distance samples are
-formed from that table per block of ``_PAIR_BLOCK`` triangles, over which
-the distances and the degenerate-triangle test take their maxima.  The
-source metric is the flat chart metric, the target metric Euclidean.
+formed from that table per block of at most ``_PAIR_BLOCK`` triangles,
+over which the distances and the degenerate-triangle test take their
+maxima.  The source metric is the flat chart metric, the target metric
+Euclidean.
 Per-triangle pullbacks of the symplectic form are constant, so PL isotropy
 is the finite list of residuals |omega(B - A, C - A)| over triangles, which
 equals exactly twice the Liouville integral around the triangle boundary.
@@ -22,19 +23,20 @@ Topology checks are tolerance-based floating point, against tol * scale,
 and measure by one exact distance, ``adjacent._tri_tri_distances``: the 49
 face pairs of a triangle pair, one batched thin QR per number of unknowns
 (not the normal equations, which misjudge nearly parallel crossing edges).
-Immersion judges every pair of triangles that shares a vertex id (from
-sorting ``tri_vertex_ids``) with one predicate,
-``adjacent._adjacent_distances``, that kernel on the far sub-simplices of
-the pair.  A sound screen goes first and clears, at one dot product each,
-the pairs whose distance two lower bounds put at or above the threshold:
-the angle between the vertex cones of a pair that shares a vertex, and the
-dihedral opening of a pair that shares an edge (``adjacent._Screen`` proves
-both, with their rounding slack); the other pairs are gathered into one
-predicate call, so witnesses and distances are those of the predicate
-alone.  Embedding is the map's own immersion verdict, memoized on the map
-per tol so that the adjacent pairs are judged once, plus the pairs that
-share no vertex id: a uniform-grid broadphase over the triangle boxes, then
-the kernel on the far candidates, block by block.  NaN fails.
+Immersion judges every pair of triangles that shares a vertex id, the
+pairs within each star of the chart's star table (``PLMap.stars``), with
+one predicate, ``adjacent._adjacent_distances``, that kernel on the far
+sub-simplices of the pair.  A sound screen goes first, in a pass over the
+triangles and one over the stars, and clears at one dot product each the
+pairs whose distance two lower bounds put at or above the threshold (the
+angle between the vertex cones of a pair that shares a vertex, the
+dihedral opening of one that shares an edge, ``adjacent._Screen``); the
+others are gathered into one predicate call, so witnesses and distances
+are those of the predicate alone.  Embedding is the map's own immersion
+verdict, memoized on the map per tol so that the adjacent pairs are judged
+once, plus the pairs that share no vertex id: a uniform-grid broadphase
+over the triangle boxes, then the kernel on the far candidates, block by
+block.  NaN fails.
 """
 
 import itertools
@@ -45,10 +47,11 @@ import numpy as np
 
 from .adjacent import (
     _PAIR_BLOCK,
+    _cone_rows,
     _Screen,
     _adjacent_distances,
+    _star_pairs,
     _tri_tri_distances,
-    _vertex_pairs,
 )
 from .density import CORNER_STEPS, at_corners
 from .immersion import ImmersionSpec
@@ -111,18 +114,36 @@ class PLMap:
         edges = np.stack([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=-1)
         return np.linalg.inv(edges), np.einsum("gk,skx->sgx", _triangle_grid(), tris)
 
+    @cached_property
+    def stars(self) -> tuple:
+        """The star table: the pairs of triangles that share a vertex id, by
+        the star of each id (``adjacent._star_pairs``), read off
+        ``Chart.neighbours``.  Corner v is corner c of facet v - step_c, at
+        slot 0 of its sub-triangle c and slot 1 of c - 1; the apex of facet
+        f is slot 2 of its 4."""
+        nfacets = self.chart.vertex_count
+        i, j = 1 - CORNER_STEPS.T
+        facets = 12 * self.chart.neighbours[0][:, i, j]
+        corner = np.stack([facets + 3 * np.arange(4), facets + 3 * np.arange(-1, 3) % 12 + 1], -1)
+        apex = 12 * np.arange(nfacets)[:, None] + 3 * np.arange(4) + 2
+        codes = (corner.reshape(nfacets, 8), apex)
+        return tuple(_star_pairs(self.tri_vertex_ids, c.astype(np.int32)) for c in codes)
+
     def differential(self, rows: slice = slice(None)) -> np.ndarray:
         """(K, d, 2) differentials of the PL map on the triangle rows ``rows``,
         a slice of whole facets (its bounds multiples of 4); all rows by
         default.  The value edges from the first vertex times E_s^-1."""
         vals = self.tri_values[rows]
-        w = np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], axis=-1)
-        by_shape = w.reshape(-1, 4, self.dim, 2) @ self.shapes[0]
-        return by_shape.reshape(w.shape)
+        return self._by_shape(np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], -1))
 
-    def blocks(self):
-        """Slices of ``_PAIR_BLOCK`` triangle rows (whole facets) covering the map."""
-        return (slice(lo, lo + _PAIR_BLOCK) for lo in range(0, len(self.tri_values), _PAIR_BLOCK))
+    def _by_shape(self, w):
+        """(K, d, 2) value edges of whole facets' triangles times E_s^-1."""
+        return (w.reshape(-1, 4, self.dim, 2) @ self.shapes[0]).reshape(w.shape)
+
+    def blocks(self, share: int = 1):
+        """Slices of ``_PAIR_BLOCK`` / ``share`` rows (whole facets) covering the map."""
+        size = _PAIR_BLOCK // share // 4 * 4
+        return (slice(lo, lo + size) for lo in range(0, len(self.tri_values), size))
 
     def edge_scale(self) -> float:
         """Max finite image edge length, the geometric scale for tolerance
@@ -306,24 +327,26 @@ def _threshold(plm: PLMap, tol: float) -> float:
     return tol * plm.edge_scale()
 
 
-def _degenerate(plm: PLMap, tol: float) -> np.ndarray:
-    """The triangles whose differential has its smaller singular value at
-    most tol times the largest of all (NaN included), in order.
-
-    Closed-form singular values of each [x y]: s_max from _operator_norm,
-    and s_max s_min = |x ^ y|, the root sum of squared minors, so s_min <=
-    tol max(s_max) reads |x ^ y| <= tol max(s_max) s_max.  Both are kept per
-    triangle, block by block, and compared once the max is in.
-    """
-    a, b = np.triu_indices(plm.dim, 1)
-    big, area = np.empty((2, len(plm.tri_values)))
-    for rows in plm.blocks():
-        diff = plm.differential(rows)
+def _triangle_pass(plm: PLMap, screen: _Screen):
+    """One pass over the triangles, in blocks of whole facets, from one set
+    of value edges: the screen's cone rows (3T, d + 2) by incidence code,
+    and each differential's s_max and |x ^ y| (closed-form singular values
+    of [x y]: s_max from _operator_norm, and s_max s_min = |x ^ y|, the root
+    sum of squared minors, so s_min <= tol max(s_max) reads |x ^ y| <= tol
+    max(s_max) s_max, compared once the max is in)."""
+    count, _, dim = plm.tri_values.shape
+    cones = np.empty((count, 3, dim + 2))
+    big, area = np.empty((2, count))
+    a, b = np.triu_indices(dim, 1)
+    for rows in plm.blocks(3):
+        v = plm.tri_values[rows].transpose(1, 2, 0)  # slot, coordinate, triangle
+        edges = v.take([1, 2, 0], axis=0) - v  # edge s runs from slot s to slot s + 1
+        _cone_rows(edges, screen.reach, screen.slack, cones[rows])
+        diff = plm._by_shape(np.stack([edges[0].T, -edges[2].T], axis=-1))
         x, y = np.moveaxis(diff, -1, 0)
         big[rows] = _operator_norm(diff)
         area[rows] = np.linalg.norm(x[:, a] * y[:, b] - x[:, b] * y[:, a], axis=-1)
-    top = big.max(initial=0.0, where=np.isfinite(big))
-    return np.nonzero(~(area > tol * top * big))[0]  # NaN fails
+    return cones.reshape(3 * count, dim + 2), big, area
 
 
 def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
@@ -342,12 +365,12 @@ def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     threshold = _threshold(plm, tol)
     if tol in plm._immersion:
         return plm._immersion[tol]
-    witnesses = [("degenerate_triangle", int(t)) for t in _degenerate(plm, tol)]
-    screen = _Screen(plm.tri_values, threshold, plm.edge_scale())
-    kept = [np.empty((2, 2, 0), dtype=np.int32)]
-    for u, w in _vertex_pairs(plm.tri_vertex_ids):
-        kept.append(np.stack([u, w])[..., ~screen.cleared(u, w)])
-    u, w = np.concatenate(kept, axis=-1)
+    stars, screen = plm.stars, _Screen(threshold, plm.edge_scale())
+    cones, big, area = _triangle_pass(plm, screen)
+    top = big.max(initial=0.0, where=np.isfinite(big))
+    degenerate = np.nonzero(~(area > tol * top * big))[0]  # NaN fails
+    witnesses = [("degenerate_triangle", int(t)) for t in degenerate]
+    u, w = screen.uncleared(plm.tri_values, cones, stars)
     dist = _adjacent_distances(plm.tri_values, u, w)
     bad = ~(dist >= threshold)  # NaN fails
     u, dist = u[:, bad], dist[bad]

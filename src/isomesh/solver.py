@@ -21,8 +21,11 @@ stencil on that group, so C is a convolution, diagonalised by the 2-D DFT
 over the group's Smith form Z_d1 x Z_d2.  P zeroes the constant mode and is
 injective on the mean-zero fields, where J's range lies, so P J delta = P b
 has the solutions of J delta = -mu, and the iterates stay in
-range(J^T P) = range(J^T): the step is the same minimum-norm step.  C is
-built once per projection, from the Jacobian at the input mesh.
+range(J^T P) = range(J^T): the step is the same minimum-norm step.  LSQR
+carries its left vectors u = P u~ as u~, in the inner product of P^2 = C^+
+(generalized Golub-Kahan bidiagonalization, M. Arioli, SIAM J. Matrix Anal.
+Appl. 34, 2013), so each iteration applies C^+ once.  C is built once per
+projection, from the Jacobian at the input mesh.
 
 Full Newton steps are taken; if the sup norm of the residual fails to
 decrease, the step is halved up to ten times.  The iteration stops once
@@ -132,16 +135,16 @@ def mu_jacobian(mesh: QuadMesh) -> MuJacobian:
 
 
 def _circulant_preconditioner(chart: Chart, jac: MuJacobian):
-    """y -> C^(-1/2) y, C the facet-group average of J J^T, constant mode zeroed.
+    """y -> C^+ y, C the facet-group average of J J^T, constant mode zeroed.
 
     Entry (f, f + delta) of J J^T sums blocks_c(f) . blocks_c'(f + delta)
     over the corner pairs with step_c - step_c' = delta; its facet average
     a(delta) is the Gram matrix of the co-blocks, summed along the pairs.
     The symbol of C is sum a(delta) cos(2 pi (p w1 / d1 + q w2 / d2)),
     w = W delta in the group's Smith coordinates; it is floored at
-    _SYMBOL_FLOOR times its maximum.  Up to _DENSE_FACETS facets, P is
-    applied as the dense matrix of its convolution kernel, which costs less
-    than the two FFT calls.
+    _SYMBOL_FLOOR times its maximum and inverted.  Up to _DENSE_FACETS
+    facets, C^+ is applied as the dense matrix of its convolution kernel,
+    which costs less than the two FFT calls.
     """
     (d1, d2), w, order = chart.facet_group
     nfacets = len(order)
@@ -152,11 +155,11 @@ def _circulant_preconditioner(chart: Chart, jac: MuJacobian):
     phase = (steps[..., :1, None] * np.arange(d1)[:, None] / d1
              + steps[..., 1:, None] * np.arange(d2 // 2 + 1) / d2)
     symbol = np.einsum("ce,ceij->ij", gram, np.cos(2 * np.pi * phase))
-    scale = 1.0 / np.sqrt(np.maximum(symbol, _SYMBOL_FLOOR * symbol.max()))
+    scale = 1.0 / np.maximum(symbol, _SYMBOL_FLOOR * symbol.max())
     scale[0, 0] = 0.0
     position = np.argsort(order)
     if nfacets <= _DENSE_FACETS:
-        # P[f, g] = k(f - g), k the inverse transform of the scale.
+        # C^+[f, g] = k(f - g), k the inverse transform of the scale.
         kernel = np.fft.irfft2(scale, s=(d1, d2))
         g1, g2 = np.divmod(position, d2)
         dense = kernel[(g1[:, None] - g1) % d1, (g2[:, None] - g2) % d2]
@@ -170,21 +173,22 @@ def _circulant_preconditioner(chart: Chart, jac: MuJacobian):
 
 
 def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int):
-    """Paige-Saunders LSQR on (P J) x = P rhs from x = 0, P = ``precondition``.
+    """Paige-Saunders LSQR on (P J) x = P rhs from x = 0, P^2 = ``precondition``.
 
     Returns (x, istop, itn), with scipy's stop codes: istop 0 when
     A^T P rhs = 0 (x = 0), 1 when ||r|| <= tol (||P rhs|| + ||A|| ||x||),
     2 when ||A^T r|| <= tol ||A|| ||r||, 7 when iter_lim iterations pass
     first.  Here A = P J, r = P rhs - A x, ||A|| is LSQR's running Frobenius
-    estimate and tol is _LSQR_TOL.  The iterates lie in range(A^T).
+    estimate and tol is _LSQR_TOL.  The iterates lie in range(A^T).  u = P u~
+    is kept as u~: ||u||^2 = u~ . P^2 u~ and A^T u = J^T P^2 u~.
     """
     x = np.zeros(jac.shape[1])
-    u = precondition(rhs)
-    beta = bnorm = np.linalg.norm(u)
+    z = precondition(rhs)
+    beta = bnorm = math.sqrt(max(rhs @ z, 0.0))
     if beta == 0:
         return x, 0, 0
-    u /= beta
-    v = jac.rmatvec(precondition(u))
+    u = rhs / beta
+    v = jac.rmatvec(z / beta)
     alpha = np.linalg.norm(v)
     if alpha == 0:
         return x, 0, 0
@@ -192,12 +196,13 @@ def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int):
     w = v.copy()
     phibar, rhobar, anorm = beta, alpha, 0.0
     for itn in range(1, iter_lim + 1):
-        u = precondition(jac.matvec(v)) - alpha * u
-        beta = np.linalg.norm(u)
+        u = jac.matvec(v) - alpha * u
+        z = precondition(u)
+        beta = math.sqrt(max(u @ z, 0.0))
         if beta > 0:
             u /= beta
             anorm = math.sqrt(anorm**2 + alpha**2 + beta**2)
-            v = jac.rmatvec(precondition(u)) - beta * v
+            v = jac.rmatvec(z / beta) - beta * v
             alpha = np.linalg.norm(v)
             if alpha > 0:
                 v /= alpha

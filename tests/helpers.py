@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import math
+
 import numpy as np
 
 from isomesh import build_chart, rotation
@@ -7,6 +9,7 @@ from isomesh.cli import DEFAULT_ROTATION
 from isomesh.density import CORNER_STEPS, QuadMesh, _diagonal_fields, at_corners
 from isomesh.plmap import _operator_norm, _sub_triangles, _triangle_grid
 from isomesh.refine import ISO_CERT_FACTOR, _edge_qr, apex_constraints
+from isomesh.solver import _LSQR_TOL
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
 
@@ -367,6 +370,65 @@ def mu_jacobian_sparse(mesh):
         shape=(nfacets, nfacets * dim),
     )
     return mat.tocsr()
+
+
+def root_preconditioner(chart, plus):
+    """y -> P y, P^2 = ``plus``, a convolution on the facet group: P's
+    symbol is the root of the symbol of ``plus``, read off its kernel (its
+    image of the group's identity)."""
+    (d1, d2), _, order = chart.facet_group
+    position = np.argsort(order)
+    identity = np.zeros(len(order))
+    identity[order[0]] = 1.0
+    symbol = np.fft.rfft2(plus(identity).take(order).reshape(d1, d2)).real
+    root = np.sqrt(np.maximum(symbol, 0.0))
+
+    def apply(y):
+        spectrum = np.fft.rfft2(y.take(order).reshape(d1, d2)) * root
+        return np.fft.irfft2(spectrum, s=(d1, d2)).ravel().take(position)
+
+    return apply
+
+
+def lsqr_two_applies(jac, rhs, precondition, iter_lim):
+    """Reference LSQR on (P J) x = P rhs, P = ``precondition``, as Paige and
+    Saunders state it: u = P J v - alpha u and v = J^T P u - beta v, two
+    applications of P per iteration.  Returns (x, istop, itn) with the
+    stop codes and tolerance of ``isomesh.solver.lsqr``."""
+    x = np.zeros(jac.shape[1])
+    u = precondition(rhs)
+    beta = bnorm = np.linalg.norm(u)
+    if beta == 0:
+        return x, 0, 0
+    u /= beta
+    v = jac.rmatvec(precondition(u))
+    alpha = np.linalg.norm(v)
+    if alpha == 0:
+        return x, 0, 0
+    v /= alpha
+    w = v.copy()
+    phibar, rhobar, anorm = beta, alpha, 0.0
+    for itn in range(1, iter_lim + 1):
+        u = precondition(jac.matvec(v)) - alpha * u
+        beta = np.linalg.norm(u)
+        if beta > 0:
+            u /= beta
+            anorm = math.sqrt(anorm**2 + alpha**2 + beta**2)
+            v = jac.rmatvec(precondition(u)) - beta * v
+            alpha = np.linalg.norm(v)
+            if alpha > 0:
+                v /= alpha
+        rho = math.hypot(rhobar, beta)
+        cs, sn = rhobar / rho, beta / rho
+        theta, rhobar = sn * alpha, -cs * alpha
+        phi, phibar = cs * phibar, sn * phibar
+        x += (phi / rho) * w
+        w = v - (theta / rho) * w
+        if phibar <= _LSQR_TOL * (bnorm + anorm * np.linalg.norm(x)):
+            return x, 1, itn
+        if alpha * abs(sn * phi) <= _LSQR_TOL * anorm * phibar:
+            return x, 2, itn
+    return x, 7, iter_lim
 
 
 # -- raw-index references for the facet-neighbour table ----------------------

@@ -153,6 +153,24 @@ class TestConfig:
             if not (boolean and text == bad):  # a boolean flag takes no value
                 assert outcome([flag] if boolean else [flag, text]) == by_file
 
+    @pytest.mark.parametrize("key", ["embedding_check", "timings"])
+    def test_bad_boolean_names_its_key(self, tmp_path, capsys, key):
+        # A boolean key's bad text is reported as every other key's is, by
+        # file line and as flag text (a flag passes "true" to the same
+        # parser); exit 2.
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{key} = maybe\n")
+        assert main(["sample", "--n", "4", "--config", str(path)]) == 2
+        want = "'maybe' (expected one of true, 1, yes, false, 0, no)\n"
+        assert capsys.readouterr().err == f"config error: bad value for {key}: {want}"
+        with pytest.raises(ConfigError, match=f"^bad value for {key}: 'maybe' "):
+            load_config(overrides={key: "maybe"})
+        path.write_text(f"{key} = yes\n")
+        flag = f"--{key.replace('_', '-')}"
+        assert getattr(load_config(str(path)), key) is True
+        assert main(["sample", "--n", "4", flag]) == 0
+        capsys.readouterr()
+
     def test_unknown_spec_is_config_error(self):
         cfg = PipelineConfig(spec="moebius", n=4)
         with pytest.raises(ConfigError):
@@ -220,16 +238,16 @@ class TestLazyStages:
         assert main([command, "--spec", "product:figure8,circle", "--n", "8"]) == 0
 
     def test_embedding_check_reuses_the_immersion_verdict(self, monkeypatch, capsys):
-        # The adjacent pairs are judged once, by check_immersion: one cone
-        # table per run of verify --embedding-check.
+        # The adjacent pairs are judged once, by check_immersion: one
+        # triangle pass per run of verify --embedding-check.
         built = []
-        original = isomesh.adjacent._cone_table
+        original = isomesh.plmap._triangle_pass
 
         def counted(*args, **kwargs):
             built.append(1)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(isomesh.adjacent, "_cone_table", counted)
+        monkeypatch.setattr(isomesh.plmap, "_triangle_pass", counted)
         argv = ["verify", "--spec", "product:figure8,circle", "--n", "8", "--embedding-check"]
         assert main(argv) == 4
         out = capsys.readouterr().out

@@ -39,7 +39,7 @@ from isomesh import (
 )
 from isomesh.cli import _COMMANDS, PipelineConfig, run_pipeline
 from isomesh import adjacent, plmap
-from isomesh.adjacent import _Screen, _adjacent_distances, _tri_tri_distances, _vertex_pairs
+from isomesh.adjacent import _Screen, _adjacent_distances, _tri_tri_distances
 from isomesh.density import CORNER_STEPS, corner_value_table
 from isomesh.immersion import ImmersionSpec
 from isomesh.plmap import (
@@ -534,40 +534,75 @@ def _brute_tri_distance(t1, t2, res=24):
     return float(d.min())
 
 
-class TestAdjacentPairs:
-    @pytest.mark.parametrize(
-        "chart",
-        [
-            identity_chart(1),
-            identity_chart(2),
-            identity_chart(3),
-            build_chart(hex_basis(), np.eye(2), 3),
-            rotated_chart(5, hex_basis()),
-        ],
-        ids=["N1", "N2", "N3", "hex3", "rotated-hex5"],
+def _pair_codes(vids, i, j):
+    """(u, w) incidence codes of triangles i < j that share an id, as
+    ``_adjacent_distances`` takes them: the first slots of the smallest
+    shared id and of the next one (-1 where they share one)."""
+    shared = sorted(set(vids[i].tolist()) & set(vids[j].tolist()))
+    at = [[3 * t + vids[t].tolist().index(v) for t in (i, j)] for v in shared]
+    return at[0], at[1] if len(shared) > 1 else [-1, -1]
+
+
+def _star_pairs_of(plm):
+    """Every (u, w) column of ``plm.stars``, row 0 in the smaller triangle:
+    each star's entries that share one id, then those that share more."""
+    cols = []
+    for codes, (a, b), edge, slots in plm.stars:
+        u = np.stack([codes[:, a].ravel(), codes[:, b].ravel()])
+        cols.append(np.stack([u, np.full_like(u, -1)]))
+        r, k = np.nonzero(slots[0] >= 0)
+        u = np.stack([codes[r, edge[0, k]], codes[r, edge[1, k]]])
+        cols.append(np.stack([u, u - u % 3 + slots[:, r, k]]))
+    u, w = np.concatenate(cols, axis=-1)
+    swap = u[0] > u[1]
+    return np.where(swap, u[::-1], u), np.where(swap, w[::-1], w)
+
+
+_SWEEP_BASES = {
+    "I": np.eye(2),
+    "hex": hex_basis(),
+    "skew": np.array([[1.0, 7.0], [0.0, 1.0]]),
+    "skew2": np.array([[2.0, 11.3], [0.1, 1.0]]),
+    "shear": np.array([[1.0, 0.0], [5.0, 1.0]]),
+}
+#: The 80 charts of the star-table sweep: five period bases, the identity and
+#: the default rotation, N = 1..8; five keep their earlier names.
+_SWEEP_NAMES = {("I", False, 1): "N1", ("I", False, 2): "N2", ("I", False, 3): "N3",
+                ("hex", False, 3): "hex3", ("hex", True, 5): "rotated-hex5"}
+_SWEEP = [
+    pytest.param(
+        basis, turned, n,
+        id=_SWEEP_NAMES.get((basis, turned, n), f"{basis}-{'rot' if turned else 'id'}-N{n}"),
     )
-    def test_vertex_pairs_against_all_pairs(self, chart):
-        # Every pair that shares an id appears once, under its smallest id;
-        # at N <= 2 ids repeat within a triangle and across edges.
-        vids = PLMap(random_trimesh(chart, np.random.default_rng(0))).tri_vertex_ids
+    for basis in _SWEEP_BASES
+    for turned in (False, True)
+    for n in range(1, 9)
+]
+
+
+class TestAdjacentPairs:
+    @pytest.mark.parametrize("basis, turned, n", _SWEEP)
+    def test_vertex_pairs_against_all_pairs(self, basis, turned, n):
+        # The star table lists every pair that shares an id once, with (u, w)
+        # at the first slots of the smallest and the next shared id, row 0 in
+        # the smaller triangle; at N <= 2 ids repeat within a triangle and
+        # across edges.
+        if turned:
+            chart = rotated_chart(n, _SWEEP_BASES[basis])
+        else:
+            chart = build_chart(_SWEEP_BASES[basis], np.eye(2), n)
+        plm = PLMap(random_trimesh(chart, np.random.default_rng(0)))
+        vids = plm.tri_vertex_ids
         want = {}
         for i in range(len(vids)):
             for j in range(i + 1, len(vids)):
-                shared = set(vids[i].tolist()) & set(vids[j].tolist())
-                if shared:
-                    want[i, j] = min(shared)
-        u, w = (np.concatenate(part, axis=1) for part in zip(*_vertex_pairs(vids)))
-        v, (i, j) = vids.ravel()[u[0]], u // 3
-        got = {(int(a), int(b)): int(c) for c, a, b in zip(v, i, j)}
-        assert len(got) == v.size
+                if set(vids[i].tolist()) & set(vids[j].tolist()):
+                    want[i, j] = _pair_codes(vids, i, j)
+        u, w = _star_pairs_of(plm)
+        cols = zip(*u.tolist(), u.T.tolist(), w.T.tolist())
+        got = {(a // 3, b // 3): (x, y) for a, b, x, y in cols}
+        assert len(got) == u.shape[1]
         assert got == want
-        # u and w sit at the first slot of the smallest and the next shared id.
-        for col in range(v.size):
-            shared = sorted(set(vids[i[col]].tolist()) & set(vids[j[col]].tolist()))
-            for row, t in enumerate((i[col], j[col])):
-                ids = vids[t].tolist()
-                assert u[row, col] == 3 * t + ids.index(shared[0])
-                assert w[row, col] == (3 * t + ids.index(shared[1]) if len(shared) > 1 else -1)
 
 
 def _sliver_pair(rng, dim, edge, ratio, delta):
@@ -622,7 +657,7 @@ class TestAdjacentDistances:
     @settings(max_examples=60, deadline=None)
     def test_matches_lstsq_reference_on_slivers(self, dim, edge, ratio, delta, seed):
         vals, vids = _sliver_pair(np.random.default_rng(seed), dim, edge, ratio, delta)
-        u, w = next(_vertex_pairs(vids))
+        u, w = (np.array(c)[:, None] for c in _pair_codes(vids, 0, 1))
         assert (w[0] >= 0) == edge
         got = _adjacent_distances(vals, u, w)[0]
         want = adjacent_distance_lstsq(vals, vids, 0, 1)
@@ -630,11 +665,17 @@ class TestAdjacentDistances:
 
 
 def _screened(plm, tol):
-    """(u, w, cleared, threshold) over every pair that shares a vertex id."""
+    """(u, w, cleared, threshold) over every pair that shares a vertex id:
+    the screen's passes leave the pairs not cleared."""
     threshold = tol * plm.edge_scale()
-    u, w = (np.concatenate(part, axis=1) for part in zip(*_vertex_pairs(plm.tri_vertex_ids)))
+    u, w = _star_pairs_of(plm)
+    screen = _Screen(threshold, plm.edge_scale())
     with np.errstate(invalid="ignore", over="ignore"):
-        return u, w, _Screen(plm.tri_values, threshold, plm.edge_scale()).cleared(u, w), threshold
+        cones = plmap._triangle_pass(plm, screen)[0]
+        left = screen.uncleared(plm.tri_values, cones, plm.stars)
+    key = np.int64(3 * len(plm.tri_values))
+    cleared = ~np.isin(u[0] * key + u[1], left[0, 0] * key + left[0, 1])
+    return u, w, cleared, threshold
 
 
 def _assert_screen_sound(plm, tol, references=12):
@@ -760,15 +801,24 @@ class TestBlocks:
         assert c1 > c0 > 0.0
 
     def test_vertex_pairs_match_whole_steps(self, plm, monkeypatch):
-        # The same (u, w) columns up to order: each block lists its
-        # vertex-sharing pairs before its edge-sharing ones.
-        def pairs():
-            u, w = (np.concatenate(p, axis=1) for p in zip(*_vertex_pairs(plm.tri_vertex_ids)))
-            return np.stack([u, w])[..., np.lexsort(u[::-1])]
+        # The pairs the screen leaves, with the triangle pass and the star
+        # pass in blocks of 12 rows: the same (u, w) columns up to order as
+        # in whole blocks, and the same cone rows.
+        def left():
+            screen = _Screen(0.05 * plm.edge_scale(), plm.edge_scale())
+            with np.errstate(invalid="ignore"):
+                cones = plmap._triangle_pass(plm, screen)
+                u, w = screen.uncleared(plm.tri_values, cones[0], plm.stars)
+            return cones, np.stack([u, w])[..., np.lexsort(u[::-1])]
 
-        got = pairs()
-        monkeypatch.setattr(adjacent, "_PAIR_BLOCK", 1 << 14)
-        assert np.array_equal(got, pairs())
+        got = left()
+        assert got[1].shape[-1] > 0
+        for module in (plmap, adjacent):
+            monkeypatch.setattr(module, "_PAIR_BLOCK", 1 << 14)
+        want = left()
+        assert np.array_equal(got[1], want[1])
+        for a, b in zip(got[0], want[0]):
+            assert np.array_equal(a, b, equal_nan=True)
 
     @pytest.mark.parametrize("tol", [1e-6, 0.05, 0.3])
     def test_immersion_witnesses_match_whole_blocks(self, plm, tol, monkeypatch):
@@ -942,8 +992,9 @@ class TestScreen:
         monkeypatch.setattr(plmap, "_adjacent_distances", counted)
         assert check_immersion(plm, tol=1e-6).passed
         assert len(measured) == 1  # one predicate call per map
-        pairs = sum(u.shape[1] for u, _ in _vertex_pairs(plm.tri_vertex_ids))
-        assert pairs > 250_000
+        pairs = _star_pairs_of(plm)[0].shape[1]
+        assert pairs == 28 * plm.chart.vertex_count  # 22 share a vertex, 6 an edge
+        assert pairs == 258_860 or spec == "flat-plane"
         assert sum(measured) < 0.01 * pairs
 
 
@@ -1123,7 +1174,7 @@ class TestChecks:
             plm = build_pl(tri)
             immersion = check_immersion(plm, tol=1e-6)
             embedding = check_embedding(plm, tol=1e-6)
-        i, j = np.concatenate([u for u, _ in _vertex_pairs(plm.tri_vertex_ids)], axis=1) // 3
+        i, j = _star_pairs_of(plm)[0] // 3
         touching = {(a, b) for a, b in zip(i.tolist(), j.tolist()) if {a, b} & spoiled}
         pairs = [w for w in immersion.witnesses if w[0] == "vertex_star"]
         assert {w[2:4] for w in pairs} == touching
