@@ -21,7 +21,7 @@ from .linalg import back_substitute, dot, thin_qr
 
 #: Pairs handled at once (half as many in the screen and in the adjacent-pair
 #: predicate, whose pairs make two or four kernel rows each, and a third as
-#: many triangles, so as many incidences, for the cone rows); bounds the
+#: many triangles, so as many edges, for the edges and cone rows); bounds the
 #: temporaries of the broadphase, its shared-id mask, the adjacent-pair
 #: predicate and its screen.  Also the triangles (whole facets: a multiple
 #: of 4) of a block of the PL map.
@@ -32,27 +32,39 @@ _PAIR_BLOCK = 1 << 14
 
 
 _TRI_FEATURES = ((0,), (1,), (2,), (0, 1), (1, 2), (2, 0), (0, 1, 2))
-
-# Face pairs (fp, fq) by unknown count m = (|fp| - 1) + (|fq| - 1), 9, 18, 15,
-# 6 and 1 of them: tables (m + 1, G) of the columns p_k - p_0, q_0 - q_k and
-# the right-hand side q_0 - p_0 (last), v_a - v_b stored as 6 a + b over the
-# stacked vertices v = (p_0, p_1, p_2, q_0, q_1, q_2).
-_FACE_PAIRS = [[] for _ in range(5)]
-for _fp, _fq in itertools.product(_TRI_FEATURES, repeat=2):
-    _p0, _q0 = _fp[0], 3 + _fq[0]
-    _cols = [6 * k + _p0 for k in _fp[1:]] + [6 * _q0 + 3 + k for k in _fq[1:]]
-    _FACE_PAIRS[len(_cols)].append(_cols + [6 * _q0 + _p0])
-_FACE_PAIRS = [np.array(group).T for group in _FACE_PAIRS]
+_SEGMENT_FEATURES = ((0,), (1,), (0, 1))  # the distinct faces of (a, b, b)
 
 
-def _tri_tri_distances(p, q) -> np.ndarray:
-    """Exact min distances between triangle pairs p[k], q[k], each (K, 3, d).
+def _face_pairs(p_features, q_features):
+    """Face pairs by unknown count m = (|fp| - 1) + (|fq| - 1), 0 first: tables
+    (m + 1, G) of the columns p_k - p_0, q_0 - q_k and the right-hand side
+    q_0 - p_0, v_a - v_b as 6 a + b over v = (p_0, p_1, p_2, q_0, q_1, q_2)."""
+    groups = [[] for _ in range(5)]
+    for fp, fq in itertools.product(p_features, q_features):
+        p0, q0 = fp[0], 3 + fq[0]
+        cols = [6 * k + p0 for k in fp[1:]] + [6 * q0 + 3 + k for k in fq[1:]]
+        groups[len(cols)].append(cols + [6 * q0 + p0])
+    return {m: np.array(group).T for m, group in enumerate(groups) if group}
+
+
+#: The 49 face pairs of two triangles, and those of the distinct faces of a
+#: segment and a triangle (21), a point (a, a, a) and a triangle (7), two
+#: segments (9).
+_FACE_PAIRS = _face_pairs(_TRI_FEATURES, _TRI_FEATURES)
+_SEGMENT_TRIANGLE = _face_pairs(_SEGMENT_FEATURES, _TRI_FEATURES)
+_POINT_TRIANGLE = _face_pairs(((0,),), _TRI_FEATURES)
+_SEGMENT_SEGMENT = _face_pairs(_SEGMENT_FEATURES, _SEGMENT_FEATURES)
+
+
+def _tri_tri_distances(p, q, pairs=_FACE_PAIRS) -> np.ndarray:
+    """Exact min distances between triangle pairs p[k], q[k], each (K, 3, d),
+    over the face pairs ``pairs`` (``_face_pairs``), all 49 by default.
 
     For every pair of faces, the least-squares minimizer between the affine
     hulls counts when its barycentric coordinates are feasible exactly: none
     negative, and neither triangle's sum above 1.  A minimizer on the
     boundary of a face pair is one of a lower-dimensional face pair, and
-    those are always enumerated; the distance is the least over the 49 face
+    those are always enumerated; the distance is the least over the face
     pairs.  Vertex-vertex pairs are plain norms.  The face pairs with m >= 1
     unknowns are solved together by one ``thin_qr`` of [columns | right-hand
     side]: back-substitution gives the coordinates, the norm of the
@@ -60,15 +72,14 @@ def _tri_tri_distances(p, q) -> np.ndarray:
     projected norm is at most max(d, m) eps times the largest column norm
     (the relative cutoff of ``lstsq(rcond=None)``) is rank-deficient and
     dropped: an extreme point of the closest-pair set lies on a full-rank
-    face pair.  So a repeated vertex drops every face it spans twice, and
-    (a, b, b) is the segment ab, (a, a, a) the point a.  A pair with a
-    non-finite value comes out NaN.
+    face pair.  So (a, b, b) is the segment ab, (a, a, a) the point a, and
+    their distinct faces' pairs suffice.  A non-finite value gives NaN.
     """
     verts = np.concatenate([p, q], axis=1).transpose(1, 0, 2)  # (6, K, d)
     diffs = (verts[:, None] - verts[None]).reshape((36,) + verts.shape[1:])
     lens = np.sqrt(dot(diffs, diffs))
-    best = lens[_FACE_PAIRS[0][0]].min(axis=0)
-    for m, group in enumerate(_FACE_PAIRS[1:], start=1):
+    best = lens[pairs[0][0]].min(axis=0)
+    for m, group in list(pairs.items())[1:]:
         cols = diffs[group]  # (m + 1, G, K, d), overwritten by Q
         cutoff = max(p.shape[-1], m) * np.finfo(float).eps * lens[group[:m]].max(axis=0)
         r = thin_qr(cols, m, cutoff)
@@ -161,8 +172,9 @@ def _adjacent_distances(vals, u, w):
     dist(wa, uc)): such triangles meet beyond uw only folded onto one side of
     it in a common plane.  Both scores are zero exactly when the pair meets.
     Every term is one row of ``_tri_tri_distances``, with (a, b, b) for the
-    segment ab and (a, a, a) for the point a; the terms of ``_PAIR_BLOCK``
-    / 2 pairs go to it at once.  A pair with a non-finite value scores NaN.
+    segment ab and (a, a, a) for the point a, on the face pairs of its
+    distinct faces; the terms of ``_PAIR_BLOCK`` / 2 pairs go to it at once,
+    one call per kind of term.  A pair with a non-finite value scores NaN.
     """
     flat = vals.reshape(-1, vals.shape[-1])  # one row per (triangle, slot)
     out = np.empty(u.shape[1])
@@ -175,16 +187,20 @@ def _adjacent_distances(vals, u, w):
             far = _far_points(flat, c, np.where(edge, d, c - c % 3 + (c % 3 + 1) % 3))
             points += [np.zeros_like(far[0])] + far
         points = np.stack(points, axis=1)  # (K, 6, dim)
-        kinds = (~edge, edge)
-        tris = np.concatenate(
-            [points[k][:, t].reshape(-1, 2, 3, flat.shape[-1]) for k, t in zip(kinds, _TERMS)]
-        )
-        dist = _tri_tri_distances(tris[:, 0], tris[:, 1])
-        split = 2 * np.count_nonzero(~edge)
         block = out[lo : lo + step]
-        block[~edge] = dist[:split].reshape(-1, 2).min(axis=1)
-        block[edge] = dist[split:].reshape(-1, 4).min(axis=1)
+        block[~edge] = _term_distances(points[~edge], _TERMS[0], _SEGMENT_TRIANGLE)
+        block[edge] = np.minimum(
+            _term_distances(points[edge], _TERMS[1][:2], _POINT_TRIANGLE),
+            _term_distances(points[edge], _TERMS[1][2:], _SEGMENT_SEGMENT),
+        )
     return out
+
+
+def _term_distances(points, terms, pairs):
+    """Least distance over ``terms`` (n, 2, 3), triangle pairs of indices into
+    each row of ``points`` (K, 6, dim), on the face pairs ``pairs``."""
+    tris = points[:, terms].reshape(-1, 2, 3, points.shape[-1])
+    return _tri_tri_distances(tris[:, 0], tris[:, 1], pairs).reshape(-1, len(terms)).min(axis=1)
 
 
 # -- the screen ---------------------------------------------------------------
@@ -199,24 +215,23 @@ _MARGIN = 2.0**-8
 
 
 def _cone_rows(edges, reach, slack, out):
-    """Cone rows [n, cos(gamma), sin(gamma)] of K triangles with edge vectors
-    ``edges`` (3, d, K), edge s from slot s to slot s + 1, into ``out`` (K,
-    3, d + 2): at each slot the unit bisector of the triangle's cone and gamma
-    = alpha + asin(reach / (H - slack)), by square roots only.  An incidence
-    that cannot be screened, or has gamma >= pi / 2, holds a NaN cosine, so
-    no pair with it clears."""
+    """Cone rows [n, cos(gamma), sin(gamma)] of K triangles with edges (d, 3,
+    K), edge s from slot s to slot s + 1, into ``out`` (d + 2, K, 3): at each
+    slot the unit bisector of the cone and gamma = alpha + asin(reach / (H -
+    slack)), by square roots only.  An incidence that cannot be screened, or
+    has gamma >= pi / 2, holds a NaN cosine, so no pair with it clears."""
     after, before = [1, 2, 0], [2, 0, 1]
-    dim = edges.shape[1]
+    dim = edges.shape[0]
     with np.errstate(invalid="ignore", divide="ignore"):
-        length2 = (edges * edges).sum(axis=1)
+        length2 = (edges * edges).sum(axis=0)
         length = np.sqrt(length2)
-        unit = edges / length[:, None]
-        n = unit - unit.take(before, axis=0)  # the cone at slot s spans edge s, -edge s-1
-        cos_a = 0.5 * np.sqrt((n * n).sum(axis=1))
+        unit = edges / length
+        n = unit - unit.take(before, axis=1)  # the cone at slot s spans edge s, -edge s-1
+        cos_a = 0.5 * np.sqrt((n * n).sum(axis=0))
         sin_a = np.sqrt(1.0 - np.minimum(cos_a * cos_a, 1.0))
-        n /= 2.0 * cos_a[:, None]
+        n /= 2.0 * cos_a
         # H at slot s: its distance from the line of edge s + 1.
-        turn = (edges * edges.take(after, axis=0)).sum(axis=1)
+        turn = (edges * edges.take(after, axis=1)).sum(axis=0)
         height = np.sqrt(np.maximum(length2 - turn * turn / length2.take(after, axis=0), 0.0))
         x = reach / (height - slack)
         cos_b = np.sqrt(1.0 - x * x)
@@ -225,9 +240,9 @@ def _cone_rows(edges, reach, slack, out):
         ok &= height >= _MARGIN * np.maximum(length, length.take(before, axis=0))
         ok &= height > slack
         cos_g[~ok] = np.nan
-        out[..., :dim] = n.transpose(2, 0, 1)
-        out[..., dim] = cos_g.T
-        out[..., dim + 1] = (sin_a * cos_b + cos_a * x).T
+        out[:dim] = n.transpose(0, 2, 1)
+        out[dim] = cos_g.T
+        out[dim + 1] = (sin_a * cos_b + cos_a * x).T
 
 
 def _edges_cleared(flat, u, w, reach, slack):
@@ -307,9 +322,9 @@ class _Screen:
     def uncleared(self, vals, cones, stars):
         """(u, w) of the pairs of ``stars`` (each as ``_star_pairs`` gives
         it) that neither bound clears, for triangle values ``vals`` and their
-        cone rows ``cones`` (3T, d + 2) by incidence code (``_cone_rows``).
-        A block of stars gathers its rows once; the entries that share one
-        vertex are tested column by column, the others by ``_edges_cleared``."""
+        cone rows ``cones`` (d + 2, 3T) by incidence code (``_cone_rows``).
+        A block of stars gathers its rows once and tests every entry that
+        shares one vertex at once; ``_edges_cleared`` tests the others."""
         dim = vals.shape[-1]
         flat = vals.reshape(-1, dim)
         kept = [np.empty((2, 2, 0), dtype=np.int32)]
@@ -318,12 +333,12 @@ class _Screen:
                 step = max(_PAIR_BLOCK // 2 // codes.shape[1], 1)
                 for lo in range(0, len(codes), step):
                     star = codes[lo : lo + step]
-                    rows = np.take(cones, star.T, axis=0).transpose(2, 0, 1).copy()
-                    left = np.empty((len(a), len(star)), dtype=bool)
-                    for k, (x, y) in enumerate(zip(a, b)):
-                        prod = rows[:, x] * rows[:, y]
-                        cos = prod[dim] - prod[dim + 1] - _COS_SLACK
-                        left[k] = ~(prod[:dim].sum(axis=0) < cos)
+                    rows = np.take(cones, star.T, axis=1)  # (d + 2, m, stars)
+                    dots = rows[0, a] * rows[0, b]
+                    for k in range(1, dim):
+                        dots += rows[k, a] * rows[k, b]
+                    cos = rows[dim, a] * rows[dim, b] - rows[dim + 1, a] * rows[dim + 1, b]
+                    left = ~(dots < cos - _COS_SLACK)
                     if left.any():
                         k, r = np.nonzero(left)
                         u = np.stack([star[r, a[k]], star[r, b[k]]])

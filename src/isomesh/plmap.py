@@ -57,7 +57,6 @@ from .density import CORNER_STEPS, at_corners
 from .immersion import ImmersionSpec
 from .linalg import dot
 from .refine import TriMesh
-from .symplectic import omega
 
 # Corner slots (A_s, A_{s+1}) of sub-triangle s; its third vertex is the apex.
 _SUB_CORNERS = np.array([[0, 1], [1, 2], [2, 3], [3, 0]])
@@ -134,11 +133,14 @@ class PLMap:
         a slice of whole facets (its bounds multiples of 4); all rows by
         default.  The value edges from the first vertex times E_s^-1."""
         vals = self.tri_values[rows]
-        return self._by_shape(np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], -1))
-
-    def _by_shape(self, w):
-        """(K, d, 2) value edges of whole facets' triangles times E_s^-1."""
+        w = np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], -1)
         return (w.reshape(-1, 4, self.dim, 2) @ self.shapes[0]).reshape(w.shape)
+
+    def edges(self, rows: slice) -> np.ndarray:
+        """Value edges (d, 3, K) of the triangle rows ``rows``, coordinate-major:
+        [k, s, t] is coordinate k of edge s, slot s to s + 1, of triangle t."""
+        v = self.tri_values[rows].transpose(2, 1, 0)
+        return v.take([1, 2, 0], axis=1) - v
 
     def blocks(self, share: int = 1):
         """Slices of ``_PAIR_BLOCK`` / ``share`` rows (whole facets) covering the map."""
@@ -150,10 +152,8 @@ class PLMap:
         tests: the root of the largest finite squared length, computed once."""
         if self._edge_scale is None:
             top = 0.0
-            for rows in self.blocks():
-                vals = self.tri_values[rows]
-                edges = vals.take([1, 2, 0], axis=1) - vals
-                squares = np.add.reduce(edges * edges, axis=-1)
+            for rows in self.blocks(3):
+                squares = (self.edges(rows) ** 2).sum(axis=0)
                 top = max(top, squares.max(initial=0.0, where=np.isfinite(squares)))
             self._edge_scale = float(np.sqrt(top))
         return self._edge_scale
@@ -222,11 +222,13 @@ def distance_c1(plm: PLMap, spec: ImmersionSpec) -> float:
 
 
 def pl_isotropy_residual(plm: PLMap) -> np.ndarray:
-    """Per-triangle |omega(B - A, C - A)|; all zero iff the PL map is isotropic."""
-    a = plm.tri_values[:, 0]
-    b = plm.tri_values[:, 1]
-    c = plm.tri_values[:, 2]
-    return np.abs(omega(b - a, c - a))
+    """Per-triangle |omega(B - A, C - A)| = |omega(e0, e2)|, by blocks; all
+    zero iff the PL map is isotropic."""
+    out = np.empty(len(plm.tri_values))
+    for rows in plm.blocks(3):
+        x, y = plm.edges(rows)[:, ::2].transpose(1, 0, 2)
+        out[rows] = np.abs((x[0::2] * y[1::2] - x[1::2] * y[0::2]).sum(axis=0))
+    return out
 
 
 # -- uniform-grid broadphase --------------------------------------------------
@@ -329,24 +331,25 @@ def _threshold(plm: PLMap, tol: float) -> float:
 
 def _triangle_pass(plm: PLMap, screen: _Screen):
     """One pass over the triangles, in blocks of whole facets, from one set
-    of value edges: the screen's cone rows (3T, d + 2) by incidence code,
-    and each differential's s_max and |x ^ y| (closed-form singular values
-    of [x y]: s_max from _operator_norm, and s_max s_min = |x ^ y|, the root
-    sum of squared minors, so s_min <= tol max(s_max) reads |x ^ y| <= tol
-    max(s_max) s_max, compared once the max is in)."""
+    of coordinate-major value edges: the screen's cone rows (d + 2, 3T) by
+    incidence code, and each differential [x y] = [e0, -e2] E_s^-1's s_max
+    and |x ^ y| (closed-form singular values: s_max as in _operator_norm,
+    and s_max s_min = |x ^ y|, the root sum of squared minors, so s_min <=
+    tol max(s_max) reads |x ^ y| <= tol max(s_max) s_max)."""
     count, _, dim = plm.tri_values.shape
-    cones = np.empty((count, 3, dim + 2))
+    cones = np.empty((dim + 2, 3 * count))
     big, area = np.empty((2, count))
+    inverse = plm.shapes[0].reshape(4, 4).T  # entry (i, j) of E_s^-1 at row 2 i + j
     a, b = np.triu_indices(dim, 1)
     for rows in plm.blocks(3):
-        v = plm.tri_values[rows].transpose(1, 2, 0)  # slot, coordinate, triangle
-        edges = v.take([1, 2, 0], axis=0) - v  # edge s runs from slot s to slot s + 1
-        _cone_rows(edges, screen.reach, screen.slack, cones[rows])
-        diff = plm._by_shape(np.stack([edges[0].T, -edges[2].T], axis=-1))
-        x, y = np.moveaxis(diff, -1, 0)
-        big[rows] = _operator_norm(diff)
-        area[rows] = np.linalg.norm(x[:, a] * y[:, b] - x[:, b] * y[:, a], axis=-1)
-    return cones.reshape(3 * count, dim + 2), big, area
+        edges = plm.edges(rows)
+        _cone_rows(edges, screen.reach, screen.slack, cones.reshape(dim + 2, count, 3)[:, rows])
+        c00, c01, c10, c11 = np.tile(inverse, edges.shape[-1] // 4)
+        x, y = (edges[:, 0] * a - edges[:, 2] * b for a, b in ((c00, c10), (c01, c11)))
+        xx, yy, xy = ((p * q).sum(axis=0) for p, q in ((x, x), (y, y), (x, y)))
+        big[rows] = np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy)))
+        area[rows] = np.sqrt(((x[a] * y[b] - x[b] * y[a]) ** 2).sum(axis=0))
+    return cones, big, area
 
 
 def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:

@@ -36,7 +36,7 @@ import numpy as np
 
 from .density import QuadMesh, corner_value_table, _mesh_arrays
 from .lattice import Chart
-from .linalg import back_substitute, dot, thin_qr
+from .linalg import back_substitute, thin_qr
 from .symplectic import apply_j, liouville_polygon, omega
 
 _RANK_CUTOFF = 1e-10
@@ -112,26 +112,20 @@ def apex_constraints(quads):
 
 
 def quad_edges(quads):
-    """Edges (..., 4, 2n) of (..., 4, 2n) quadrilaterals and the longest edge
-    length of each, shape (...)."""
-    edges = np.roll(quads, -1, axis=-2) - quads
-    return edges, np.linalg.norm(edges, axis=-1).max(axis=-1)
+    """Coordinate-major edges (2n, 4, ...) of (..., 4, 2n) quadrilaterals,
+    edge i from corner i to corner i + 1, and the longest edge length of
+    each, shape (...); squares are summed coordinate by coordinate."""
+    x = np.moveaxis(np.asarray(quads, dtype=float), (-1, -2), (0, 1))
+    edges = np.empty(x.shape)
+    np.subtract(x[:, 1:], x[:, :3], out=edges[:, :3])
+    np.subtract(x[:, 0], x[:, 3], out=edges[:, 3])
+    return edges, np.sqrt((edges * edges).sum(axis=0)).max(axis=0)
 
 
 def isotropy_limit(side):
     """The one isotropy limit: each apex-triangle residual of a quadrilateral
     may be at most ISO_CERT_FACTOR times its longest side squared."""
     return ISO_CERT_FACTOR * side * side
-
-
-def _edge_qr(quads):
-    """Edges (..., 4, 2n) of (..., 4, 2n) quadrilaterals, the thin QR of
-    e0, e1, e2 (Q in q, shape (3, ..., 2n), and r) with the rank cutoff, and
-    the longest edge length."""
-    edges, scale = quad_edges(quads)
-    q = np.moveaxis(edges[..., :3, :], -2, 0).copy()
-    r = thin_qr(q, 3, _RANK_CUTOFF * scale)
-    return edges, q, r, scale
 
 
 def optimal_apexes(quads, facet_label=int):
@@ -145,18 +139,30 @@ def optimal_apexes(quads, facet_label=int):
     scale or the position.  It bounds the Liouville integral L as well,
     since the r_i sum to 2L, so max |r_i| >= |L| / 2.  NotIsotropic names
     the first failing quadrilateral, i in row-major order, by
-    ``facet_label(i)``.
+    ``facet_label(i)``.  Facets are worked coordinate-major, as (2n, 4, F).
     """
     quads = np.asarray(quads, dtype=float)
     flat = quads.reshape(-1, 4, quads.shape[-1])
-    g = flat.mean(axis=1)
-    rows, shifted = apex_constraints(flat - g[:, None])
+    # Q of the thin QR of e0, e1, e2, (3, F, 2n), with the rank cutoff.
+    edges, scale = quad_edges(flat)
+    q = np.moveaxis(edges[:, :3], 0, -1).copy()
+    thin_qr(q, 3, _RANK_CUTOFF * scale)
+    centred = np.ascontiguousarray(flat.transpose(2, 1, 0))
+    g = centred.mean(axis=1)
+    # The system of the centred quadrilateral: rows J e_i, right-hand sides
+    # -omega(A_i - g, A_{i+1} - g).
+    centred -= g[:, None]
+    nxt = centred.take([1, 2, 3, 0], axis=1)
+    shifted = -(centred[0::2] * nxt[1::2] - centred[1::2] * nxt[0::2]).sum(axis=0)
     # Columns of C = E Q, then the right-hand side; a NaN spreads to the step.
-    edges, q, _, scale = _edge_qr(flat)
-    coords = np.concatenate([dot(edges, q[:, :, None]), shifted[None]])
+    basis = np.ascontiguousarray(q.transpose(2, 0, 1))  # (2n, 3, F)
+    coords = np.empty((4, len(flat), 4))
+    np.einsum("kif,kjf->jfi", edges, basis, out=coords[:3])
+    coords[3] = shifted.T
     coeff = back_substitute(thin_qr(coords, 3, 0.0), 3)
-    step = apply_j((coeff[..., None] * q).sum(axis=0))
-    resid = np.abs(np.einsum("fij,fj->fi", rows, step) - shifted).max(axis=1)
+    # The step is J y, y = Q c; row i at it is <J e_i, J y> = <e_i, y>.
+    y = np.einsum("jf,kjf->kf", coeff, basis)
+    resid = np.abs(np.einsum("kif,kf->if", nxt - centred, y) - shifted).max(axis=0)
     limit = isotropy_limit(scale)
     bad = np.nonzero(~(resid <= limit))[0]  # NaN fails
     if bad.size:
@@ -167,7 +173,8 @@ def optimal_apexes(quads, facet_label=int):
             f"{limit[i]:.3e} (liouville integral {liouville_polygon(flat[i]):.3e})",
             facet=label,
         )
-    return (g + step).reshape(quads.shape[:-2] + (quads.shape[-1],))
+    apex = g + apply_j(y.T).T
+    return apex.T.reshape(quads.shape[:-2] + (quads.shape[-1],))
 
 
 def apex_refine(mesh: QuadMesh) -> TriMesh:

@@ -27,6 +27,13 @@ carries its left vectors u = P u~ as u~, in the inner product of P^2 = C^+
 Appl. 34, 2013), so each iteration applies C^+ once.  C is built once per
 projection, from the Jacobian at the input mesh.
 
+Each step is solved only as exactly as the outer iteration needs (inexact
+Newton, Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): phibar
+is the C^+ norm of the mean-zero residual r = rhs - J x, and C's symbol is
+at most s_max, so ||r||_inf <= sqrt(s_max) phibar, which LSQR takes down to
+_INNER_SHARE times the smallest facet stop.  The outer loop still tests the
+density against the stop, so a loose bound costs iterations, not correctness.
+
 Full Newton steps are taken; if the sup norm of the residual fails to
 decrease, the step is halved up to ten times.  The iteration stops once
 |mu(f)| / (2 N^2), the residual the refine gate sees at the optimal apex of
@@ -57,6 +64,8 @@ from .symplectic import apply_j
 
 #: LSQR stopping tolerance (atol and btol) of each inner least-squares solve.
 _LSQR_TOL = 1e-12
+#: Share of the smallest facet stop that LSQR's bound on its residual reaches.
+_INNER_SHARE = 0.01
 #: Floor of the preconditioner's symbol, relative to its largest value.
 _SYMBOL_FLOOR = 1e-12
 #: Facet count up to which the preconditioner is applied as a dense matrix.
@@ -90,10 +99,10 @@ class MuJacobian:
     """Linearization of mu at a mesh, (F, 2n F) in flattened vertex order.
 
     ``blocks[f, c]`` is the gradient of mu(f) with respect to corner c of
-    facet f, which is vertex ``corners[f, c]``.  ``facets[v, c]`` is the facet
-    whose corner c is vertex v, and ``co_blocks[v, c]`` its gradient block,
-    so J^T is a gather too.  Column sums vanish identically (differentiated
-    telescoping identity): J^T 1 = 0.
+    facet f, which is vertex ``corners[f, c]``.  ``facets[c, v]`` is the facet
+    whose corner c is vertex v, and ``co_blocks[c, v]`` its gradient block,
+    so J^T is a gather too, summed corner by corner.  Column sums vanish
+    identically (differentiated telescoping identity): J^T 1 = 0.
     """
 
     blocks: np.ndarray
@@ -111,7 +120,7 @@ class MuJacobian:
         return np.einsum("fcd,fcd->f", self.blocks, x.take(self.corners, axis=0))
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return np.einsum("vcd,vc->vd", self.co_blocks, y.take(self.facets)).ravel()
+        return np.einsum("cvd,cv->vd", self.co_blocks, y.take(self.facets)).ravel()
 
 
 def mu_jacobian(mesh: QuadMesh) -> MuJacobian:
@@ -129,33 +138,37 @@ def mu_jacobian(mesh: QuadMesh) -> MuJacobian:
     blocks = np.stack([s * jv, -s * ju, -s * jv, s * ju], axis=1)
     # Facet (x, y) - step_c has vertex (x, y) as its corner c.
     i, j = 1 - CORNER_STEPS.T
-    facets = offsets[:, i, j]
-    co_blocks = blocks.reshape(-1, mesh.dim).take(4 * facets + np.arange(4), axis=0)
+    facets = offsets[:, i, j].T.copy()
+    co_blocks = blocks.reshape(-1, mesh.dim).take(4 * facets + np.arange(4)[:, None], axis=0)
     return MuJacobian(blocks, at_corners(offsets), facets, co_blocks)
 
 
 def _circulant_preconditioner(chart: Chart, jac: MuJacobian):
-    """y -> C^+ y, C the facet-group average of J J^T, constant mode zeroed.
+    """(y -> C^+ y, s_max): C the facet-group average of J J^T, constant mode
+    zeroed, and the largest value of its symbol.
 
     Entry (f, f + delta) of J J^T sums blocks_c(f) . blocks_c'(f + delta)
     over the corner pairs with step_c - step_c' = delta; its facet average
     a(delta) is the Gram matrix of the co-blocks, summed along the pairs.
-    The symbol of C is sum a(delta) cos(2 pi (p w1 / d1 + q w2 / d2)),
-    w = W delta in the group's Smith coordinates; it is floored at
-    _SYMBOL_FLOOR times its maximum and inverted.  Up to _DENSE_FACETS
-    facets, C^+ is applied as the dense matrix of its convolution kernel,
-    which costs less than the two FFT calls.
+    The symbol of C is sum a(delta) cos(2 pi (p w1 / d1 + q w2 / d2)), w = W
+    delta in the group's Smith coordinates, from per-axis cosines; it
+    is floored at _SYMBOL_FLOOR times its maximum and inverted.  Up to
+    _DENSE_FACETS facets, C^+ is applied as the dense matrix of its
+    convolution kernel, which costs less than the two FFT calls.
     """
     (d1, d2), w, order = chart.facet_group
     nfacets = len(order)
-    by_corner = jac.co_blocks.transpose(1, 0, 2).reshape(4, -1)
+    by_corner = jac.co_blocks.reshape(4, -1)
     gram = by_corner @ by_corner.T / nfacets
-    # Group coordinates of step_c - step_e, (4, 4, 2), and their phases.
-    steps = (CORNER_STEPS[:, None] - CORNER_STEPS) @ w.T
-    phase = (steps[..., :1, None] * np.arange(d1)[:, None] / d1
-             + steps[..., 1:, None] * np.arange(d2 // 2 + 1) / d2)
-    symbol = np.einsum("ce,ceij->ij", gram, np.cos(2 * np.pi * phase))
-    scale = 1.0 / np.maximum(symbol, _SYMBOL_FLOOR * symbol.max())
+    # Per-axis phases of the corner pairs' delta = step_c - step_e, and
+    # cos(x + y) = cos x cos y - sin x sin y.
+    steps = (CORNER_STEPS[:, None] - CORNER_STEPS).reshape(16, 2) @ w.T
+    t1, t2 = (2 * np.pi * (steps[:, k, None] * np.arange(n) % d) / d
+              for k, (n, d) in enumerate(((d1, d1), (d2 // 2 + 1, d2))))
+    a = gram.reshape(16, 1)
+    symbol = (a * np.cos(t1)).T @ np.cos(t2) - (a * np.sin(t1)).T @ np.sin(t2)
+    s_max = float(symbol.max())
+    scale = 1.0 / np.maximum(symbol, _SYMBOL_FLOOR * s_max)
     scale[0, 0] = 0.0
     position = np.argsort(order)
     if nfacets <= _DENSE_FACETS:
@@ -163,24 +176,25 @@ def _circulant_preconditioner(chart: Chart, jac: MuJacobian):
         kernel = np.fft.irfft2(scale, s=(d1, d2))
         g1, g2 = np.divmod(position, d2)
         dense = kernel[(g1[:, None] - g1) % d1, (g2[:, None] - g2) % d2]
-        return lambda y: dense @ y
+        return (lambda y: dense @ y), s_max
 
     def apply(y: np.ndarray) -> np.ndarray:
         spectrum = np.fft.rfft2(y.take(order).reshape(d1, d2)) * scale
         return np.fft.irfft2(spectrum, s=(d1, d2)).ravel().take(position)
 
-    return apply
+    return apply, s_max
 
 
-def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int):
+def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int, target: float = 0.0):
     """Paige-Saunders LSQR on (P J) x = P rhs from x = 0, P^2 = ``precondition``.
 
     Returns (x, istop, itn), with scipy's stop codes: istop 0 when
-    A^T P rhs = 0 (x = 0), 1 when ||r|| <= tol (||P rhs|| + ||A|| ||x||),
-    2 when ||A^T r|| <= tol ||A|| ||r||, 7 when iter_lim iterations pass
-    first.  Here A = P J, r = P rhs - A x, ||A|| is LSQR's running Frobenius
-    estimate and tol is _LSQR_TOL.  The iterates lie in range(A^T).  u = P u~
-    is kept as u~: ||u||^2 = u~ . P^2 u~ and A^T u = J^T P^2 u~.
+    A^T P rhs = 0 (x = 0), 1 when ||r|| <= tol (||P rhs|| + ||A|| ||x||) or
+    ||r|| <= ``target``, 2 when ||A^T r|| <= tol ||A|| ||r||, 7 when
+    iter_lim iterations pass first.  Here A = P J, r = P rhs - A x, ||r||
+    is LSQR's estimate phibar, ||A|| its running Frobenius estimate and tol
+    is _LSQR_TOL.  The iterates lie in range(A^T).  u = P u~ is kept as u~:
+    ||u||^2 = u~ . P^2 u~ and A^T u = J^T P^2 u~.
     """
     x = np.zeros(jac.shape[1])
     z = precondition(rhs)
@@ -212,7 +226,7 @@ def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int):
         phi, phibar = cs * phibar, sn * phibar
         x += (phi / rho) * w
         w = v - (theta / rho) * w
-        if phibar <= _LSQR_TOL * (bnorm + anorm * np.linalg.norm(x)):
+        if phibar <= _LSQR_TOL * (bnorm + anorm * np.linalg.norm(x)) or phibar <= target:
             return x, 1, itn
         if alpha * abs(sn * phi) <= _LSQR_TOL * anorm * phibar:
             return x, 2, itn
@@ -255,9 +269,10 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
             )
         jac = mu_jacobian(mesh)
         if precondition is None:
-            precondition = _circulant_preconditioner(chart, jac)
+            precondition, s_max = _circulant_preconditioner(chart, jac)
+            target = _INNER_SHARE * float(stop.min()) / math.sqrt(s_max) if s_max > 0 else 0.0
         rhs = -(mu - mu.mean())
-        delta, istop, _ = lsqr(jac, rhs, precondition, iter_lim)
+        delta, istop, _ = lsqr(jac, rhs, precondition, iter_lim, target)
         if istop == 7:
             raise LinearSolveFailure(f"lsqr stopped with istop={istop}")
         delta = delta.reshape(nfacets, dim)

@@ -8,7 +8,9 @@ from isomesh import build_chart, rotation
 from isomesh.cli import DEFAULT_ROTATION
 from isomesh.density import CORNER_STEPS, QuadMesh, _diagonal_fields, at_corners
 from isomesh.plmap import _operator_norm, _sub_triangles, _triangle_grid
-from isomesh.refine import ISO_CERT_FACTOR, _edge_qr, apex_constraints
+from isomesh.linalg import thin_qr
+from isomesh.refine import _RANK_CUTOFF, ISO_CERT_FACTOR, apex_constraints, quad_edges
+from isomesh.adjacent import _MARGIN
 from isomesh.solver import _LSQR_TOL
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
@@ -109,7 +111,8 @@ def optimal_apexes_svd(quads):
 def quad_rank(quad):
     """Dimension of the affine span of a (4, 2n) quadrilateral as the apex
     solve sees it: the edges e0, e1, e2 its thin QR keeps."""
-    _, _, r, _ = _edge_qr(np.asarray(quad, dtype=float))
+    edges, side = quad_edges(np.asarray(quad, dtype=float))
+    r = thin_qr(np.moveaxis(edges[:, :3], 0, -1).copy(), 3, _RANK_CUTOFF * side)
     return int(np.count_nonzero(r[range(3), range(3)]))
 
 
@@ -306,6 +309,63 @@ def distances_reference(plm, spec):
     return c0, c1 + float(_operator_norm(deriv - differentials[:, None]).max())
 
 
+# -- row-major references of the coordinate-major kernels ----------------------
+
+
+def quad_edges_reference(quads):
+    """Edges (F, 4, d) of (F, 4, d) quadrilaterals and their longest edge
+    lengths, row-major: norms reduced over the last axis."""
+    edges = np.roll(quads, -1, axis=-2) - quads
+    return edges, np.linalg.norm(edges, axis=-1).max(axis=-1)
+
+
+def edge_scale_reference(plm):
+    """Max finite edge length of a PL map from its full (T, 3, d) edge table,
+    squares reduced over the last axis."""
+    vals = plm.tri_values
+    edges = vals.take([1, 2, 0], axis=1) - vals
+    squares = np.add.reduce(edges * edges, axis=-1)
+    return float(np.sqrt(squares.max(initial=0.0, where=np.isfinite(squares))))
+
+
+def pl_isotropy_residual_reference(plm):
+    """|omega(B - A, C - A)| of every triangle, row-major."""
+    a, b, c = np.moveaxis(plm.tri_values, 1, 0)
+    return np.abs(omega(b - a, c - a))
+
+
+def cone_rows_reference(plm, screen):
+    """The screen's cone rows (3T, d + 2) by incidence code, formed over the
+    whole map in the (slot, coordinate, triangle) layout and stored row by
+    row."""
+    v = plm.tri_values.transpose(1, 2, 0)
+    edges = v.take([1, 2, 0], axis=0) - v
+    after, before = [1, 2, 0], [2, 0, 1]
+    dim = edges.shape[1]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        length2 = (edges * edges).sum(axis=1)
+        length = np.sqrt(length2)
+        unit = edges / length[:, None]
+        n = unit - unit.take(before, axis=0)
+        cos_a = 0.5 * np.sqrt((n * n).sum(axis=1))
+        sin_a = np.sqrt(1.0 - np.minimum(cos_a * cos_a, 1.0))
+        n /= 2.0 * cos_a[:, None]
+        turn = (edges * edges.take(after, axis=0)).sum(axis=1)
+        height = np.sqrt(np.maximum(length2 - turn * turn / length2.take(after, axis=0), 0.0))
+        x = screen.reach / (height - screen.slack)
+        cos_b = np.sqrt(1.0 - x * x)
+        cos_g = cos_a * cos_b - sin_a * x
+        ok = (np.minimum(cos_a, sin_a) >= _MARGIN) & (x <= 1.0 - _MARGIN) & (cos_g > 0.0)
+        ok &= height >= _MARGIN * np.maximum(length, length.take(before, axis=0))
+        ok &= height > screen.slack
+        cos_g[~ok] = np.nan
+        out = np.empty((len(plm.tri_values), 3, dim + 2))
+        out[..., :dim] = n.transpose(2, 0, 1)
+        out[..., dim] = cos_g.T
+        out[..., dim + 1] = (sin_a * cos_b + cos_a * x).T
+    return out.reshape(-1, dim + 2)
+
+
 # -- symmesh reader for export round trips --------------------------------
 
 
@@ -388,6 +448,46 @@ def root_preconditioner(chart, plus):
         return np.fft.irfft2(spectrum, s=(d1, d2)).ravel().take(position)
 
     return apply
+
+
+def lsqr_without_target(jac, rhs, precondition, iter_lim):
+    """Reference LSQR in the C^+ inner product with the relative stop tests
+    only: ``isomesh.solver.lsqr`` before its ``target`` stop was added."""
+    x = np.zeros(jac.shape[1])
+    z = precondition(rhs)
+    beta = bnorm = math.sqrt(max(rhs @ z, 0.0))
+    if beta == 0:
+        return x, 0, 0
+    u = rhs / beta
+    v = jac.rmatvec(z / beta)
+    alpha = np.linalg.norm(v)
+    if alpha == 0:
+        return x, 0, 0
+    v /= alpha
+    w = v.copy()
+    phibar, rhobar, anorm = beta, alpha, 0.0
+    for itn in range(1, iter_lim + 1):
+        u = jac.matvec(v) - alpha * u
+        z = precondition(u)
+        beta = math.sqrt(max(u @ z, 0.0))
+        if beta > 0:
+            u /= beta
+            anorm = math.sqrt(anorm**2 + alpha**2 + beta**2)
+            v = jac.rmatvec(z / beta) - beta * v
+            alpha = np.linalg.norm(v)
+            if alpha > 0:
+                v /= alpha
+        rho = math.hypot(rhobar, beta)
+        cs, sn = rhobar / rho, beta / rho
+        theta, rhobar = sn * alpha, -cs * alpha
+        phi, phibar = cs * phibar, sn * phibar
+        x += (phi / rho) * w
+        w = v - (theta / rho) * w
+        if phibar <= _LSQR_TOL * (bnorm + anorm * np.linalg.norm(x)):
+            return x, 1, itn
+        if alpha * abs(sn * phi) <= _LSQR_TOL * anorm * phibar:
+            return x, 2, itn
+    return x, 7, iter_lim
 
 
 def lsqr_two_applies(jac, rhs, precondition, iter_lim):

@@ -309,6 +309,21 @@ class TestStudy:
         assert all(v is None for v in result.slopes.values())
         assert "# slope mu_c0 = NA" in result.table
 
+    def test_rounding_level_columns_read_na(self, capsys):
+        # At the default rotation flat-plane's distance columns are rounding
+        # noise (1e-16 to 1e-13 of a map of scale 2): no slope is fitted.
+        assert main(["study", "--spec", "flat-plane", "--n-list", "8,16,32"]) == 0
+        out = capsys.readouterr().out
+        for col in ("tri_c0", "pl_c0", "pl_c1"):
+            assert f"# slope {col} = NA" in out
+
+    def test_rounding_level_leaves_figure8_table(self, monkeypatch):
+        # Every figure8 x circle column lies far above rounding level.
+        cfg = PipelineConfig(spec="product:figure8,circle", n_list=(4, 8, 16))
+        table = convergence_study(cfg).table
+        monkeypatch.setattr(isomesh.cli, "_ROUNDING_LEVEL", 0.0)
+        assert convergence_study(cfg).table == table
+
     def test_determinism(self):
         cfg = PipelineConfig(spec="product:figure8,circle", n_list=(4, 8, 16))
         a = convergence_study(cfg).table

@@ -11,7 +11,9 @@ from hypothesis.extra.numpy import arrays
 from helpers import (
     adjacent_distance_lstsq,
     box_close_pairs_brute,
+    cone_rows_reference,
     corner_values_reference,
+    edge_scale_reference,
     embedding_witnesses_brute,
     eval_pl_reference,
     hex_basis,
@@ -19,6 +21,7 @@ from helpers import (
     immersion_witnesses_brute,
     distances_reference,
     load_mesh,
+    pl_isotropy_residual_reference,
     pl_tables_reference,
     rotated_chart,
     tri_tri_distance_lstsq,
@@ -664,6 +667,31 @@ class TestAdjacentDistances:
         assert got == pytest.approx(want, rel=1e-9, abs=1e-13)
 
 
+def test_degenerate_rows_need_only_their_distinct_faces(monkeypatch):
+    # A segment against a triangle has 21 face pairs, a point 7 and two
+    # segments 9.  On a plane with moved apexes every adjacent pair scores
+    # as with all 49 face pairs, to rounding (the skipped pairs repeat a
+    # kept face reversed), never below it.
+    sizes = [sum(g.shape[1] for g in pairs.values()) for pairs in (
+        adjacent._FACE_PAIRS, adjacent._SEGMENT_TRIANGLE, adjacent._POINT_TRIANGLE,
+        adjacent._SEGMENT_SEGMENT)]
+    assert sizes == [49, 21, 7, 9]
+    chart = rotated_chart(16)
+    plm = _plane_mesh(chart, 4, np.random.default_rng(3))
+    rng = np.random.default_rng(4)
+    tri = plm.tri
+    apexes = tri.apex_values + 0.3 / chart.N * rng.standard_normal(tri.apex_values.shape)
+    plm = build_pl(TriMesh(chart, tri.corner_values, apexes, tri.target_periods))
+    u, w = _star_pairs_of(plm)
+    assert (w[0] >= 0).any() and (w[0] < 0).any()
+    got = _adjacent_distances(plm.tri_values, u, w)
+    for name in ("_SEGMENT_TRIANGLE", "_POINT_TRIANGLE", "_SEGMENT_SEGMENT"):
+        monkeypatch.setattr(adjacent, name, adjacent._FACE_PAIRS)
+    want = _adjacent_distances(plm.tri_values, u, w)
+    assert np.all(got >= want)
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * plm.edge_scale()
+
+
 def _screened(plm, tol):
     """(u, w, cleared, threshold) over every pair that shares a vertex id:
     the screen's passes leave the pairs not cleared."""
@@ -832,6 +860,43 @@ class TestBlocks:
         assert [w[1] for w in got if w[0] == "degenerate_triangle"] == degenerate
         assert any(w[0] == "vertex_star" for w in got)
         assert degenerate or plm.chart.vertex_count == 1  # one facet: the fold moves its apex
+
+
+def _nan_plm():
+    """A random map in R^6 with one NaN and one infinite value."""
+    tri = random_trimesh(rotated_chart(5), np.random.default_rng(11), dim=6)
+    tri.apex_values[3, 1] = np.nan
+    tri.corner_values[7, 4] = np.inf
+    return build_pl(tri)
+
+
+@pytest.mark.parametrize("block", [12, 1 << 14])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: solved_plmap(n=12)[1],
+        lambda: solved_plmap("product:figure8,figure8", 7)[1],
+        lambda: _block_plm("hex", 4, 3),
+        lambda: _block_plm("square", 6, 12),
+        _nan_plm,
+    ],
+    ids=["f8c-12", "f8f8-7", "hex-R4-N3", "square-R6-N12", "nan-R6"],
+)
+def test_coordinate_major_kernels_match_row_major(make, block, monkeypatch):
+    # Edge scale, isotropy residuals and cone rows, formed per block from
+    # coordinate-major edges, equal the row-major full-table references bit
+    # for bit.
+    for module in (plmap, adjacent):
+        monkeypatch.setattr(module, "_PAIR_BLOCK", block)
+    plm = make()
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert plm.edge_scale() == edge_scale_reference(plm)
+        assert np.array_equal(
+            pl_isotropy_residual(plm), pl_isotropy_residual_reference(plm), equal_nan=True
+        )
+        screen = _Screen(0.05 * plm.edge_scale(), plm.edge_scale())
+        cones = plmap._triangle_pass(plm, screen)[0]
+        assert np.array_equal(cones.T, cone_rows_reference(plm, screen), equal_nan=True)
 
 
 def test_verify_memory_is_bounded_by_the_value_table():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from helpers import (
     identity_chart,
     optimal_apexes_svd,
+    quad_edges_reference,
     quad_rank,
     random_isotropic_plane_parallelogram,
     random_isotropic_quad_of_rank,
@@ -33,7 +34,7 @@ from isomesh import (
 )
 from isomesh.density import QuadMesh
 from isomesh.plmap import build_pl
-from isomesh.refine import apex_constraints
+from isomesh.refine import apex_constraints, quad_edges
 from isomesh.symplectic import liouville_polygon, omega
 
 
@@ -355,3 +356,18 @@ class TestMeshValidation:
     def test_tri_apex_table_matches_corners(self):
         with pytest.raises(ValueError, match="matching shapes"):
             TriMesh(identity_chart(4), np.zeros((16, 4)), np.zeros((16, 6)))
+
+
+@pytest.mark.parametrize("dim", [4, 6])
+def test_quad_edges_match_row_major(dim):
+    # Coordinate-major edges and their longest lengths, summed coordinate by
+    # coordinate, equal the row-major reference bit for bit.
+    rng = np.random.default_rng(dim)
+    quads = rng.standard_normal((3, 50, 4, dim)) * 10.0 ** rng.uniform(-8, 8, (3, 50, 1, 1))
+    edges, side = quad_edges(quads)
+    ref_edges, ref_side = quad_edges_reference(quads)
+    assert np.array_equal(np.moveaxis(edges, (0, 1), (-1, -2)), ref_edges)
+    assert np.array_equal(side, ref_side)
+    spec = make_product_torus(figure_eight(), circle())
+    corners = project_isotropic(sample_quad(spec, rotated_chart(12)))[0].corner_table()
+    assert np.array_equal(quad_edges(corners)[1], quad_edges_reference(corners)[1])

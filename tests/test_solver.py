@@ -8,6 +8,7 @@ from helpers import (
     hex_basis,
     identity_chart,
     lsqr_two_applies,
+    lsqr_without_target,
     mu_jacobian_sparse,
     random_mesh,
     random_unitary_symplectic,
@@ -27,10 +28,10 @@ from isomesh import (
     sample_quad,
     symplectic_density,
 )
-from isomesh import density
+from isomesh import density, solver, spec_from_name
 from isomesh.density import QuadMesh, facet_liouville
 from isomesh.refine import isotropy_limit, quad_edges
-from isomesh.solver import _circulant_preconditioner, lsqr
+from isomesh.solver import _HEADROOM, _circulant_preconditioner, lsqr
 
 
 def mu_of(values, chart, periods=None):
@@ -155,13 +156,41 @@ class TestPreconditionedStep:
         mesh = _chart_case(name)
         rhs = gauss_newton_rhs(mesh)
         jac = mu_jacobian(mesh)
-        precondition = _circulant_preconditioner(mesh.chart, jac)
+        precondition, _ = _circulant_preconditioner(mesh.chart, jac)
         step, istop, itn = lsqr(jac, rhs, precondition, 10_000)
         assert istop in (1, 2) and itn > 0
         ref = scipy_lsqr(mu_jacobian_sparse(mesh), rhs, atol=1e-12, btol=1e-12,
                          iter_lim=10_000)
         assert ref[1] in (1, 2)
         assert np.abs(step - ref[0]).max() <= 1e-8 * np.abs(ref[0]).max()
+
+    @pytest.mark.parametrize("dense_facets", [0, 512])
+    @pytest.mark.parametrize("name", CASES)
+    def test_default_target_keeps_the_relative_stop(self, name, dense_facets, monkeypatch):
+        # With no target, lsqr takes the relative stop tests' steps bit for bit.
+        monkeypatch.setattr("isomesh.solver._DENSE_FACETS", dense_facets)
+        mesh = _chart_case(name)
+        rhs = gauss_newton_rhs(mesh)
+        jac = mu_jacobian(mesh)
+        precondition, _ = _circulant_preconditioner(mesh.chart, jac)
+        step, istop, itn = lsqr(jac, rhs, precondition, 10_000)
+        ref, ref_istop, ref_itn = lsqr_without_target(jac, rhs, precondition, 10_000)
+        assert (istop, itn) == (ref_istop, ref_itn)
+        assert np.array_equal(step, ref)
+
+    @pytest.mark.parametrize("name", ["figure8-rotated-12", "figure8-rotated-96", "hex-9-r6"])
+    def test_target_bounds_the_linearised_residual(self, name):
+        # phibar is the C^+ norm of r = rhs - J x, and sqrt(s_max) phibar
+        # bounds its sup norm: stopping at a target bounds the true residual.
+        mesh = _chart_case(name)
+        rhs = gauss_newton_rhs(mesh)
+        jac = mu_jacobian(mesh)
+        precondition, s_max = _circulant_preconditioner(mesh.chart, jac)
+        bound = 1e-3 * np.abs(rhs).max()
+        step, istop, itn = lsqr(jac, rhs, precondition, 10_000, bound / np.sqrt(s_max))
+        assert istop == 1
+        assert itn < lsqr(jac, rhs, precondition, 10_000)[2]
+        assert np.abs(rhs - jac.matvec(step)).max() <= bound * (1 + 1e-9)
 
     @pytest.mark.parametrize("dense_facets", [0, 512])
     @pytest.mark.parametrize("name", CASES)
@@ -175,7 +204,7 @@ class TestPreconditionedStep:
         mesh = _chart_case(name)
         rhs = gauss_newton_rhs(mesh)
         jac = mu_jacobian(mesh)
-        plus = _circulant_preconditioner(mesh.chart, jac)
+        plus, _ = _circulant_preconditioner(mesh.chart, jac)
         step, istop, itn = lsqr(jac, rhs, plus, 10_000)
         ref, ref_istop, ref_itn = lsqr_two_applies(
             jac, rhs, root_preconditioner(mesh.chart, plus), 10_000
@@ -191,7 +220,7 @@ class TestPreconditionedStep:
         monkeypatch.setattr("isomesh.solver._DENSE_FACETS", 0)
         mesh = _chart_case(name)
         jac = mu_jacobian(mesh)
-        precondition = _circulant_preconditioner(mesh.chart, jac)
+        precondition, _ = _circulant_preconditioner(mesh.chart, jac)
         nfacets = mesh.chart.vertex_count
         rng = np.random.default_rng(10)
         a, b = rng.standard_normal((2, nfacets))
@@ -200,14 +229,14 @@ class TestPreconditionedStep:
         assert np.abs(precondition(np.ones(nfacets))).max() <= 1e-12 * np.abs(pb).max()
         if nfacets <= 512:
             monkeypatch.setattr("isomesh.solver._DENSE_FACETS", 512)
-            dense = _circulant_preconditioner(mesh.chart, jac)
+            dense, _ = _circulant_preconditioner(mesh.chart, jac)
             assert np.abs(dense(b) - pb).max() <= 1e-12 * np.abs(pb).max()
 
     def test_fewer_iterations_than_unpreconditioned(self):
         mesh = _chart_case("figure8-rotated-96")
         rhs = gauss_newton_rhs(mesh)
         jac = mu_jacobian(mesh)
-        precondition = _circulant_preconditioner(mesh.chart, jac)
+        precondition, _ = _circulant_preconditioner(mesh.chart, jac)
         _, _, itn = lsqr(jac, rhs, precondition, 10_000)
         _, _, plain = lsqr(jac, rhs, lambda y: y - y.mean(), 10_000)
         assert 2 * itn <= plain
@@ -215,14 +244,18 @@ class TestPreconditionedStep:
     def test_zero_rhs(self):
         mesh = _chart_case("hex-10-r4")
         jac = mu_jacobian(mesh)
-        precondition = _circulant_preconditioner(mesh.chart, jac)
+        precondition, _ = _circulant_preconditioner(mesh.chart, jac)
         step, istop, itn = lsqr(jac, np.zeros(jac.shape[0]), precondition, 10)
         assert (istop, itn) == (0, 0) and not step.any()
 
     def test_iteration_limit_is_a_failure(self, monkeypatch):
-        # With a zero tolerance neither stopping test passes, so LSQR runs to
-        # its iteration limit and the projection fails.
+        # With a zero tolerance and no inner target no stopping test passes
+        # before a breakdown (beta = 0, which rounding may bring at any
+        # iteration), so LSQR capped at 3 iterations runs to its limit and
+        # the projection fails.
         monkeypatch.setattr("isomesh.solver._LSQR_TOL", 0.0)
+        monkeypatch.setattr("isomesh.solver._INNER_SHARE", 0.0)
+        monkeypatch.setattr(solver, "lsqr", lambda *args: lsqr(*args[:3], 3, *args[4:]))
         spec = make_product_torus(figure_eight(), circle())
         with pytest.raises(LinearSolveFailure, match="istop=7"):
             project_isotropic(sample_quad(spec, rotated_chart(6)))
@@ -299,7 +332,7 @@ class TestProjectIsotropic:
         tau = sample_quad(spec, ch)
         jac = mu_jacobian(tau)
         rhs = gauss_newton_rhs(tau)
-        precondition = _circulant_preconditioner(ch, jac)
+        precondition, _ = _circulant_preconditioner(ch, jac)
         delta, istop, _ = lsqr(jac, rhs, precondition, 10_000)
         assert istop in (1, 2)
         dense = dense_matrix(jac)
@@ -360,3 +393,44 @@ class TestProjectIsotropic:
         rho, rep = project_isotropic(tau)
         assert rep.iterations == 0
         assert rep.correction_c0 == 0.0
+
+
+#: The inexact-Newton comparison: the preconditioned-step charts and the five
+#: built-in specs at N = 12 and 96.
+_SPECS = ("flat-plane", "clifford", "product:figure8,circle", "product:circle,figure8",
+          "product:figure8,figure8")
+_INEXACT_CASES = [*TestPreconditionedStep.CASES, *(f"{s}@{n}" for s in _SPECS for n in (12, 96))]
+
+
+def _inexact_case(name):
+    if "@" not in name:
+        return _chart_case(name)
+    spec, n = name.split("@")
+    return sample_quad(spec_from_name(spec), rotated_chart(int(n)))
+
+
+@pytest.mark.parametrize("name", _INEXACT_CASES)
+def test_inner_target_keeps_the_projection(name, monkeypatch):
+    # Against inner solves to the relative tolerance (share 0): the same
+    # Gauss-Newton steps, every facet within the stop, the same values to
+    # 1e-14 of their size, and no more LSQR iterations in all.
+    tau = _inexact_case(name)
+    stop = 2.0 * _HEADROOM * tau.chart.N**2 * isotropy_limit(quad_edges(tau.corner_table())[1])
+    itns = []
+
+    def counted(*args, **kwargs):
+        result = lsqr(*args, **kwargs)
+        itns[-1] += result[2]
+        return result
+
+    monkeypatch.setattr(solver, "lsqr", counted)
+    runs = []
+    for share in (0.0, solver._INNER_SHARE):
+        monkeypatch.setattr(solver, "_INNER_SHARE", share)
+        itns.append(0)
+        runs.append(project_isotropic(tau))
+    (exact, exact_rep), (rho, rep) = runs
+    assert rep.iterations == exact_rep.iterations
+    assert np.all(np.abs(symplectic_density(rho).values) <= stop)
+    assert np.abs(rho.values - exact.values).max() <= 1e-14 * np.abs(exact.values).max()
+    assert itns[1] <= itns[0]
