@@ -1,15 +1,17 @@
 """Exact triangle distances, and the pairs of triangles that share a vertex:
-their star table, their distance beyond the shared simplex, and the screen
-in front of that distance.
+their star table, their distance beyond the shared simplex, and the two
+tiers in front of that distance.
 
 Triangles are rows of a (T, 3, d) value array with a (T, 3) table of vertex
 ids; a pair is given by incidence codes 3 t + slot.  ``_tri_tri_distances``
 is the one exact distance of both topology certificates.  ``_star_pairs``
-lists every pair that shares an id, by the star of each id,
+lists every pair that shares an id, by the star of each id, and
 ``_adjacent_distances`` measures a pair beyond its shared vertex or edge by
-that kernel on degenerate triangles, and ``_Screen`` clears, at one dot
-product each, the pairs that two lower bounds put at or above the
-threshold, so that only the others are measured.
+that kernel on degenerate triangles.  In front of it, ``_fans_cleared``
+clears whole stars whose fan, projected onto a plane, winds once with
+room to spare, and ``_Screen`` clears, at one dot product each, the pairs
+of the other stars that two lower bounds put at or above the threshold,
+so that only the rest are measured.
 """
 
 import itertools
@@ -278,6 +280,86 @@ def _edges_cleared(flat, u, w, reach, slack):
     ha, hc = (ha - slack) * sin_phi, (hc - slack) * sin_phi
     reach = reach + np.sqrt(dot(e - e2, e - e2))  # T2 measured with T1's value at w
     return ok & (span * ha * hc > 2.0 * reach * (ha * hc + la * hc + lc * ha))
+
+
+def _fans_cleared(spokes, spread, reach, slack):
+    """Mask of the stars whose every pair the planar star test clears.
+
+    ``spokes`` (d, m, S), coordinate-major, holds the m spokes q_0 .. q_m-1
+    of each of S stars in fan order, relative to the star's vertex: sector
+    i is the triangle (0, q_i, q_i+1), indices mod m, and the pairs of the
+    star are two sectors that share a spoke (an edge pair) or only the
+    vertex (a vertex pair).  Each star is projected onto the plane of
+    q_m/2 - q_0 and q_3m/4 - q_m/4 (Gram-Schmidt).  Orthogonal projection
+    never increases a distance, so a lower bound on the distance between
+    projected sub-simplices bounds the terms of ``_adjacent_distances`` in
+    R^d.  In the plane, with lambda and Lambda the shortest and longest
+    spoke and kappa the least cross product q_i x q_i+1, a star clears when:
+
+    - The fan winds once: kappa > 0, so every sector has an angle in (0,
+      pi), and exactly one sector turns from y < 0 to y >= 0.  Such a sector
+      is the one that crosses the ray through e_1, so the angles sum to 2 pi
+      times that count, and the sectors tile the full angle once.
+    - Vertex pairs: two sectors that share only the vertex are separated,
+      both ways round, by at least one whole sector, so their directions are
+      at least theta_min apart.  A point of a far edge is at least H_i =
+      kappa_i / |q_i+1 - q_i| >= kappa / (2 Lambda) = H from the vertex,
+      hence at least H sin(min(theta_min, pi / 2)) from the other sector.
+      Every sine is at least s = kappa / Lambda^2, so the score
+      min(dist(ab, T2), dist(cd, T1)) is at least H s: ``_Screen``'s cone
+      bound where the apertures tile the plane.
+    - Edge pairs: at spoke k the third vertices lie on opposite sides of the
+      spoke, at heights at least h = kappa / Lambda, with l_a, l_c <= 3
+      Lambda and |q_k| >= lambda, so ``_edges_cleared``'s bound with sin(phi)
+      = 1 holds when lambda h' > 2 t (h' + 6 Lambda), h' = h - slack.
+
+    ``spread`` (S,) moves the measured triangles: a triangle whose spokes
+    are the fan's moved by at most spread / 2 (a spoke the mean of two
+    copies), on either side of a pair, changes every term by at most
+    ``spread``, which the reach t gains; that also covers measuring an edge
+    pair from its other shared vertex.  Rounding is ``_Screen``'s: H and h
+    are lowered by ``slack``, s by 2^-30, and a star is tested only when
+    well conditioned: the second axis keeps 2^-8 of its length, and kappa
+    >= 3 2^-8 Lambda^2, so that every sine is at least 3 2^-8 and h at
+    least 2^-8 l.  Then every computed coordinate and cross product is
+    within about 2^12 eps (times Lambda^2) of its exact value, a y that
+    rounds across 0 moves its crossing to the next sector, not into a
+    second one, and the computed basis, orthonormal to about 2^9 eps,
+    lengthens no distance by more than that share of 2 L, inside ``slack``.
+    A NaN or inf value never clears.
+    """
+    dim, m, _ = spokes.shape
+    after = np.roll(np.arange(m), -1)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        axes = spokes[:, m // 2 :: m // 4] - spokes[:, : m // 2 : m // 4]  # (d, 2, S)
+        e1, e2 = axes[:, 0], axes[:, 1]
+        e1 /= np.sqrt((e1 * e1).sum(axis=0))
+        full = (e2 * e2).sum(axis=0)
+        e2 -= (e1 * e2).sum(axis=0) * e1
+        kept = (e2 * e2).sum(axis=0)
+        ok = kept >= _MARGIN * _MARGIN * full
+        e2 /= np.sqrt(kept)
+        x, y = e1[0] * spokes[0], e2[0] * spokes[0]
+        for k in range(1, dim):
+            x += e1[k] * spokes[k]
+            y += e2[k] * spokes[k]
+        xn, yn = x.take(after, axis=0), y.take(after, axis=0)
+        ok &= ((y < 0.0) & (yn >= 0.0)).sum(axis=0) == 1
+        yn *= x
+        xn *= y
+        yn -= xn
+        kappa = yn.min(axis=0)  # the cross products q_i x q_i+1
+        x *= x
+        y *= y
+        x += y
+        shortest, longest = np.sqrt(x.min(axis=0)), np.sqrt(x.max(axis=0))
+        ok &= kappa >= 3.0 * _MARGIN * longest * longest
+        reach = reach + spread
+        height = kappa / longest
+        ok &= (0.5 * height - slack) * (height / longest - _COS_SLACK) > reach  # H s
+        height -= slack
+        ok &= shortest * height > 2.0 * reach * (height + 6.0 * longest)
+    return ok
 
 
 class _Screen:

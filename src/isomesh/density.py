@@ -29,13 +29,14 @@ from .symplectic import liouville_polygon, omega
 
 #: Index steps (dk, dl) from facet f_kl to its corners v_kl, v_{k+1,l},
 #: v_{k+1,l+1}, v_{k,l+1}.  Corner c of every facet sits at entry
-#: (1 + dk, 1 + dl) of ``Chart.neighbours``.
+#: (1 + dk, 1 + dl) of ``Chart.neighbours`` and ``Chart.shifts``.
 CORNER_STEPS = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=np.int64)
 
 
 def at_corners(table):
-    """(F, 4, ...) entries of a ``Chart.neighbours`` table (offsets or shifts)
-    at the corners A0..A3 of every facet, in canonical facet order."""
+    """(F, 4, ...) entries of a 3x3 neighbourhood table (``Chart.neighbours``
+    or ``Chart.shifts``) at the corners A0..A3 of every facet, in canonical
+    facet order."""
     i, j = 1 + CORNER_STEPS.T
     return table[:, i, j]
 
@@ -46,13 +47,12 @@ def corner_value_table(chart, values, periods=None):
     values[o] stores the canonical representative; a corner displaced by
     M (q1, q2) picks up the target translation q1 u_1 + q2 u_2, where u_i is
     the target period attached to gamma_i.  Periodic meshes have u_i = 0, so
-    their lattice shifts are never gathered.
+    their lattice shifts are never formed.
     """
-    offsets, shifts = chart.neighbours
-    table = values.take(at_corners(offsets), axis=0)
+    table = values.take(at_corners(chart.neighbours), axis=0)
     if periods is None or not periods.any():
         return table
-    q = at_corners(shifts)
+    q = at_corners(chart.shifts)
     return table + q[..., 0, None] * periods[0] + q[..., 1, None] * periods[1]
 
 
@@ -153,7 +153,7 @@ def finite_difference(f: FacetField, direction: str) -> FacetField:
     except KeyError:
         raise ValueError(f"direction must be 'u' or 'v', got {direction!r}") from None
     chart = f.chart
-    shifted = f.values[chart.neighbours[0][:, i, j]]
+    shifted = f.values[chart.neighbours[:, i, j]]
     s = chart.N / np.sqrt(2.0)
     return FacetField(chart, s * (shifted - f.values))
 

@@ -24,9 +24,11 @@ convolution by facet steps.
 
 Every facet-local computation (facet corners, diagonal translates,
 sub-triangle vertex ids) reads one table, ``Chart.neighbours``: for each
-canonical index (x, y) the canonical offsets and lattice shifts of the 3x3
-raw neighbourhood (x + i - 1, y + j - 1), i, j in {0, 1, 2}.  Only lookups
-at arbitrary raw indices reduce them on the fly.
+canonical index (x, y) the canonical offsets of the 3x3 raw neighbourhood
+(x + i - 1, y + j - 1), i, j in {0, 1, 2}.  Their lattice shifts are a
+table of their own, ``Chart.shifts``, formed only when a map with target
+periods asks for it.  Only lookups at arbitrary raw indices reduce them on
+the fly.
 """
 
 import math
@@ -162,12 +164,9 @@ class Chart:
 
     # -- index arithmetic ---------------------------------------------------
 
-    def canonical_with_shift(self, k, l):
-        """Reduce raw indices to canonical reps plus the lattice coordinates.
-
-        Returns (x, y, q1, q2) with (k, l) = (x, y) + M (q1, q2) and (x, y)
-        the canonical coset representative.
-        """
+    def _reduce(self, k, l):
+        """(x, y, p1, p2) with (k, l) = (x, y) + H (p1, p2) and (x, y) the
+        canonical coset representative."""
         k = np.asarray(k, dtype=np.int64)
         l = np.asarray(l, dtype=np.int64)
         a = int(self._hnf[0, 0])
@@ -178,14 +177,22 @@ class Chart:
         l2 = l - p1 * b
         p2 = l2 // c
         y = l2 - p2 * c
+        return x, y, p1, p2
+
+    def canonical_with_shift(self, k, l):
+        """Reduce raw indices to canonical reps plus the lattice coordinates.
+
+        Returns (x, y, q1, q2) with (k, l) = (x, y) + M (q1, q2) and (x, y)
+        the canonical coset representative.
+        """
+        x, y, p1, p2 = self._reduce(k, l)
         u = self._unimodular
         q1 = u[0, 0] * p1 + u[0, 1] * p2
         q2 = u[1, 0] * p1 + u[1, 1] * p2
         return x, y, q1, q2
 
     def canonical(self, k, l):
-        x, y, _, _ = self.canonical_with_shift(k, l)
-        return x, y
+        return self._reduce(k, l)[:2]
 
     def offset_xy(self, x, y):
         """Flat storage offset of a canonical index (x, y)."""
@@ -203,22 +210,27 @@ class Chart:
         y = np.tile(np.arange(c, dtype=np.int64), a)
         return x, y
 
-    @cached_property
-    def neighbours(self):
-        """Canonical offsets (F, 3, 3) and lattice shifts (F, 3, 3, 2) of the
-        raw indices (x + i - 1, y + j - 1) around every canonical (x, y).
-
-        Entry [f, i, j] reduces the raw neighbour as (x', y') + M (q1, q2):
-        offsets holds offset_xy(x', y') and shifts holds (q1, q2).  A facet
-        step (dk, dl) with |dk|, |dl| <= 1 is entry [f, 1 + dk, 1 + dl].
-        """
+    def _around(self):
+        """Raw indices (k, l), each (F, 3, 3), of (x + i - 1, y + j - 1)
+        around every canonical (x, y) in storage order."""
         x, y = self.all_canonical()
         step = np.arange(-1, 2)
-        k, l = np.broadcast_arrays(
-            x[:, None, None] + step[:, None], y[:, None, None] + step
-        )
-        cx, cy, q1, q2 = self.canonical_with_shift(k, l)
-        return self.offset_xy(cx, cy), np.stack([q1, q2], axis=-1)
+        return np.broadcast_arrays(x[:, None, None] + step[:, None], y[:, None, None] + step)
+
+    @cached_property
+    def neighbours(self) -> np.ndarray:
+        """Canonical offsets (F, 3, 3) of the raw indices (x + i - 1, y + j -
+        1) around every canonical (x, y): entry [f, i, j] is offset_xy(x',
+        y') of the raw neighbour's representative (x', y').  A facet step
+        (dk, dl) with |dk|, |dl| <= 1 is entry [f, 1 + dk, 1 + dl]."""
+        return self.offset_xy(*self.canonical(*self._around()))
+
+    @cached_property
+    def shifts(self) -> np.ndarray:
+        """Lattice shifts (F, 3, 3, 2) of the same raw indices: entry [f, i,
+        j] is (q1, q2) with raw neighbour = (x', y') + M (q1, q2)."""
+        _, _, q1, q2 = self.canonical_with_shift(*self._around())
+        return np.stack([q1, q2], axis=-1)
 
     @cached_property
     def facet_group(self):

@@ -24,19 +24,23 @@ and measure by one exact distance, ``adjacent._tri_tri_distances``: the 49
 face pairs of a triangle pair, one batched thin QR per number of unknowns
 (not the normal equations, which misjudge nearly parallel crossing edges).
 Immersion judges every pair of triangles that shares a vertex id, the
-pairs within each star of the chart's star table (``PLMap.stars``), with
-one predicate, ``adjacent._adjacent_distances``, that kernel on the far
-sub-simplices of the pair.  A sound screen goes first, in a pass over the
-triangles and one over the stars, and clears at one dot product each the
-pairs whose distance two lower bounds put at or above the threshold (the
-angle between the vertex cones of a pair that shares a vertex, the
-dihedral opening of one that shares an edge, ``adjacent._Screen``); the
-others are gathered into one predicate call, so witnesses and distances
-are those of the predicate alone.  Embedding is the map's own immersion
-verdict, memoized on the map per tol so that the adjacent pairs are judged
-once, plus the pairs that share no vertex id: a uniform-grid broadphase
-over the triangle boxes, then the kernel on the far candidates, block by
-block.  NaN fails.
+pairs within each star (the 8 triangles at a corner, the 4 at an apex),
+with one predicate, ``adjacent._adjacent_distances``, that kernel on the
+far sub-simplices of the pair.  Two sound tiers go first.  The planar
+star test (``adjacent._fans_cleared``) clears whole stars, in blocks of
+facets: it projects a star onto a plane of its spokes, and on a smooth
+map it clears every star.  Only the stars it leaves are listed, from the
+chart's star table (``PLMap.stars``), and screened: the cone screen
+clears at one dot product each the pairs whose distance two lower bounds
+put at or above the threshold (the angle between the vertex cones of a
+pair that shares a vertex, the dihedral opening of one that shares an
+edge, ``adjacent._Screen``), from cone rows formed in a pass over the
+triangles.  The others are gathered into one predicate call, so
+witnesses and distances are those of the predicate alone.  Embedding is
+the map's own immersion verdict, memoized on the map per tol so that the
+adjacent pairs are judged once, plus the pairs that share no vertex id: a
+uniform-grid broadphase over the triangle boxes, then the kernel on the
+far candidates, block by block.  NaN fails.
 """
 
 import itertools
@@ -48,6 +52,7 @@ import numpy as np
 from .adjacent import (
     _PAIR_BLOCK,
     _cone_rows,
+    _fans_cleared,
     _Screen,
     _adjacent_distances,
     _star_pairs,
@@ -90,7 +95,7 @@ class PLMap:
         tri = self.tri
         nfacets = tri.chart.vertex_count
         self.tri_values = _sub_triangles(tri.corner_table(), tri.apex_values)
-        cids = at_corners(tri.chart.neighbours[0])
+        cids = at_corners(tri.chart.neighbours)
         self.tri_vertex_ids = _sub_triangles(cids, nfacets + np.arange(nfacets))
 
     @property
@@ -122,7 +127,7 @@ class PLMap:
         f is slot 2 of its 4."""
         nfacets = self.chart.vertex_count
         i, j = 1 - CORNER_STEPS.T
-        facets = 12 * self.chart.neighbours[0][:, i, j]
+        facets = 12 * self.chart.neighbours[:, i, j]
         corner = np.stack([facets + 3 * np.arange(4), facets + 3 * np.arange(-1, 3) % 12 + 1], -1)
         apex = 12 * np.arange(nfacets)[:, None] + 3 * np.arange(4) + 2
         codes = (corner.reshape(nfacets, 8), apex)
@@ -329,27 +334,97 @@ def _threshold(plm: PLMap, tol: float) -> float:
     return tol * plm.edge_scale()
 
 
-def _triangle_pass(plm: PLMap, screen: _Screen):
-    """One pass over the triangles, in blocks of whole facets, from one set
-    of coordinate-major value edges: the screen's cone rows (d + 2, 3T) by
-    incidence code, and each differential [x y] = [e0, -e2] E_s^-1's s_max
-    and |x ^ y| (closed-form singular values: s_max as in _operator_norm,
-    and s_max s_min = |x ^ y|, the root sum of squared minors, so s_min <=
-    tol max(s_max) reads |x ^ y| <= tol max(s_max) s_max)."""
+def _differential_norms(plm: PLMap):
+    """Each differential [x y] = [e0, -e2] E_s^-1's s_max and |x ^ y|, from
+    coordinate-major value edges in blocks of whole facets (closed-form
+    singular values: s_max as in _operator_norm, and s_max s_min = |x ^
+    y|, the root sum of squared minors, so s_min <= tol max(s_max) reads |x
+    ^ y| <= tol max(s_max) s_max)."""
     count, _, dim = plm.tri_values.shape
-    cones = np.empty((dim + 2, 3 * count))
     big, area = np.empty((2, count))
     inverse = plm.shapes[0].reshape(4, 4).T  # entry (i, j) of E_s^-1 at row 2 i + j
-    a, b = np.triu_indices(dim, 1)
     for rows in plm.blocks(3):
         edges = plm.edges(rows)
-        _cone_rows(edges, screen.reach, screen.slack, cones.reshape(dim + 2, count, 3)[:, rows])
         c00, c01, c10, c11 = np.tile(inverse, edges.shape[-1] // 4)
         x, y = (edges[:, 0] * a - edges[:, 2] * b for a, b in ((c00, c10), (c01, c11)))
         xx, yy, xy = ((p * q).sum(axis=0) for p, q in ((x, x), (y, y), (x, y)))
         big[rows] = np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy)))
-        area[rows] = np.sqrt(((x[a] * y[b] - x[b] * y[a]) ** 2).sum(axis=0))
-    return cones, big, area
+        squares = np.zeros(edges.shape[-1])
+        for i, j in itertools.combinations(range(dim), 2):
+            minor = x[i] * y[j] - x[j] * y[i]
+            squares += minor * minor
+        area[rows] = np.sqrt(squares)
+    return big, area
+
+
+def _cone_table(plm: PLMap, screen: _Screen) -> np.ndarray:
+    """The screen's cone rows (d + 2, 3T) by incidence code, from
+    coordinate-major value edges in blocks of whole facets."""
+    count, _, dim = plm.tri_values.shape
+    cones = np.empty((dim + 2, 3 * count))
+    by_triangle = cones.reshape(dim + 2, count, 3)
+    for rows in plm.blocks(3):
+        _cone_rows(plm.edges(rows), screen.reach, screen.slack, by_triangle[:, rows])
+    return cones
+
+
+#: Incidences 3 s + slot, within its facet's 12, of corner c (column c) and
+#: of its spokes: rows own value, next corner A_c+1, apex, previous corner
+#: A_c-1.
+_FAN_SLOTS = (3 * np.arange(4) + np.array([[0], [1], [2], [-3]])) % 12
+
+
+def _fan_distinct(ids, own) -> bool:
+    """Whether a star's spoke ids and its own id are all distinct: then its
+    pairs are those of its fan, and by translation equivariance every star
+    of its kind's."""
+    return len(set(ids) | {own}) == len(ids) + 1
+
+
+def _stars_left(plm: PLMap, screen: _Screen):
+    """Masks (2, F) of the stars that the planar star test,
+    ``adjacent._fans_cleared``, leaves: row 0 the corner stars, row 1 the
+    apex stars, as in ``PLMap.stars``.  Tested in blocks of whole facets
+    from the PL map's values.
+
+    Apex star f: spokes z -> A_0 .. A_3 of facet f.  Corner star v: corner c
+    of facet f_c = v - step_c for c = 0..3, with the spokes, in fan order,
+    g_0, z_0, g_1, z_1, .., z_3: z_c the apex of f_c and g_c (E, N, W, S)
+    the grid neighbour after v in f_c, A_c+1, which is also the one before
+    v in f_c-1, A_c-2.  Each spoke is taken relative to its facet's own copy
+    of v; g_c is the mean of its two copies and their distance is the
+    spread (a rounding error on a map built from a mesh, whose two facets
+    read the same raw steps, both moved by one lattice shift).  Row 0's ids
+    decide the fan pattern of each kind; where they repeat, every star of
+    that kind is left."""
+    nfacets, dim = plm.chart.vertex_count, plm.dim
+    flat, ids = plm.tri_values.reshape(-1, dim), plm.tri_vertex_ids.ravel()
+    i, j = 1 - CORNER_STEPS.T
+    facets = 12 * plm.chart.neighbours[:, i, j]
+    row0 = ids[facets[0] + _FAN_SLOTS]
+    fans = (_fan_distinct(row0[1:3].ravel().tolist(), row0[0, 0]),
+            _fan_distinct(ids[3 * np.arange(4)].tolist(), nfacets))
+    left = np.ones((2, nfacets), dtype=bool)
+    for rows in plm.blocks(2):
+        stars = slice(rows.start // 4, rows.stop // 4)
+        if fans[0]:
+            at = facets[stars].T + _FAN_SLOTS[..., None]
+            near = np.take(flat, at.ravel(), axis=0).reshape(at.shape + (dim,))
+            ahead, apex, behind = near[1:] - near[0]  # (4 c, stars, d) each
+            behind = behind[[3, 0, 1, 2]]  # before v in f_c-1: g_c
+            fan = np.empty((8,) + ahead.shape[1:])
+            np.add(ahead, behind, out=fan[0::2])
+            fan[0::2] *= 0.5
+            fan[1::2] = apex
+            ahead -= behind
+            spread = np.sqrt(np.einsum("csk,csk->cs", ahead, ahead)).max(axis=0)
+            fan = np.ascontiguousarray(fan.transpose(2, 0, 1))
+            left[0, stars] = ~_fans_cleared(fan, spread, screen.reach, screen.slack)
+        if fans[1]:
+            vals = plm.tri_values[rows].reshape(-1, 4, 3, dim)
+            fan = np.ascontiguousarray((vals[:, :, 0] - vals[:, :1, 2]).transpose(2, 1, 0))
+            left[1, stars] = ~_fans_cleared(fan, 0.0, screen.reach, screen.slack)
+    return left
 
 
 def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
@@ -364,16 +439,26 @@ def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     ``("vertex_star", v, t1, t2, dist)`` sorted by (t1, t2), v numbered as
     in ``tri_vertex_ids``.  The verdict is computed once per map and
     ``tol``, after ``tol`` is validated, and memoized on the map.
+
+    Two sound tiers clear pairs before the predicate: the planar star test
+    (``_stars_left``) clears whole stars, and only the stars it leaves are
+    listed (``PLMap.stars``, restricted to them) and screened by the cone
+    rows (``adjacent._Screen``); the rest is measured, so witnesses and
+    distances are the predicate's own.
     """
     threshold = _threshold(plm, tol)
     if tol in plm._immersion:
         return plm._immersion[tol]
-    stars, screen = plm.stars, _Screen(threshold, plm.edge_scale())
-    cones, big, area = _triangle_pass(plm, screen)
+    screen = _Screen(threshold, plm.edge_scale())
+    big, area = _differential_norms(plm)
     top = big.max(initial=0.0, where=np.isfinite(big))
     degenerate = np.nonzero(~(area > tol * top * big))[0]  # NaN fails
     witnesses = [("degenerate_triangle", int(t)) for t in degenerate]
-    u, w = screen.uncleared(plm.tri_values, cones, stars)
+    left = _stars_left(plm, screen)
+    u = w = np.empty((2, 0), dtype=np.int32)
+    if left.any():
+        stars = [(c[r], v, e, s[:, r]) for (c, v, e, s), r in zip(plm.stars, left)]
+        u, w = screen.uncleared(plm.tri_values, _cone_table(plm, screen), stars)
     dist = _adjacent_distances(plm.tri_values, u, w)
     bad = ~(dist >= threshold)  # NaN fails
     u, dist = u[:, bad], dist[bad]

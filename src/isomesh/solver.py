@@ -129,7 +129,7 @@ def mu_jacobian(mesh: QuadMesh) -> MuJacobian:
     Acting on a displacement delta (flattened (F, 2n)), the row of facet f is
     omega(U_delta, V_tau)(f) + omega(U_tau, V_delta)(f).
     """
-    offsets = mesh.chart.neighbours[0]
+    offsets = mesh.chart.neighbours
     u, v = _diagonal_fields(mesh)
     s = mesh.chart.N / np.sqrt(2.0)
     ju = apply_j(u)

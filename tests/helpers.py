@@ -15,6 +15,16 @@ from isomesh.solver import _LSQR_TOL
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
 
+#: The built-in spec names.
+ALL_BUILTINS = [
+    "clifford",
+    "clifford:1,0.5",
+    "product:circle,circle",
+    "product:figure8,circle",
+    "flat-plane",
+]
+
+
 def identity_chart(n):
     return build_chart(np.eye(2), np.eye(2), n)
 
@@ -415,7 +425,7 @@ def mu_jacobian_sparse(mesh):
     chart = mesh.chart
     nfacets = chart.vertex_count
     dim = mesh.dim
-    offs = at_corners(chart.neighbours[0])
+    offs = at_corners(chart.neighbours)
     u, v = _diagonal_fields(mesh)
     s = chart.N / np.sqrt(2.0)
     ju = apply_j(u)

@@ -239,20 +239,26 @@ class TestLazyStages:
 
     def test_embedding_check_reuses_the_immersion_verdict(self, monkeypatch, capsys):
         # The adjacent pairs are judged once, by check_immersion: one
-        # triangle pass per run of verify --embedding-check.
+        # triangle pass and one planar star pass per run of verify
+        # --embedding-check.
         built = []
-        original = isomesh.plmap._triangle_pass
 
-        def counted(*args, **kwargs):
-            built.append(1)
-            return original(*args, **kwargs)
+        def counted(name):
+            original = getattr(isomesh.plmap, name)
 
-        monkeypatch.setattr(isomesh.plmap, "_triangle_pass", counted)
+            def wrapped(*args, **kwargs):
+                built.append(name)
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        for name in ("_differential_norms", "_stars_left"):
+            monkeypatch.setattr(isomesh.plmap, name, counted(name))
         argv = ["verify", "--spec", "product:figure8,circle", "--n", "8", "--embedding-check"]
         assert main(argv) == 4
         out = capsys.readouterr().out
         assert "immersion = pass" in out and "embedding = fail" in out
-        assert len(built) == 1
+        assert sorted(built) == ["_differential_norms", "_stars_left"]
 
     def test_stage_seconds_count_own_work_only(self):
         cfg = PipelineConfig(spec="product:figure8,circle", n=16)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from helpers import corrected_lookup, identity_chart, rotated_chart, smooth_isotropy_defect
+from helpers import (
+    ALL_BUILTINS,
+    corrected_lookup,
+    identity_chart,
+    rotated_chart,
+    smooth_isotropy_defect,
+)
 from isomesh import (
     ImmersionSpec,
     build_chart,
@@ -17,14 +23,6 @@ from isomesh import (
     spec_from_name,
 )
 from isomesh.immersion import FIGURE_EIGHT_NODE_PARAMS
-
-ALL_BUILTINS = [
-    "clifford",
-    "clifford:1,0.5",
-    "product:circle,circle",
-    "product:figure8,circle",
-    "flat-plane",
-]
 
 
 class TestClifford:

@@ -146,7 +146,7 @@ class TestNeighbours:
             ch = build_chart(basis, rotation(theta), n)
         except DegenerateLattice:
             assume(False)
-        offsets, shifts = ch.neighbours
+        offsets, shifts = ch.neighbours, ch.shifts
         assert offsets.shape == (ch.vertex_count, 3, 3)
         assert shifts.shape == (ch.vertex_count, 3, 3, 2)
         kc, lc = ch.all_canonical()
@@ -160,6 +160,25 @@ class TestNeighbours:
     def test_computed_once(self):
         ch = rotated_chart(6, hex_basis())
         assert ch.neighbours is ch.neighbours
+        assert ch.shifts is ch.shifts
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 12, 96])
+    @pytest.mark.parametrize("basis", ["I", "hex", "skew"])
+    def test_tables_match_one_reduction(self, basis, n):
+        # Offsets and shifts, now two tables, equal bit for bit the pair that
+        # one reduction of the whole 3x3 neighbourhood gave, and the offsets
+        # are formed without the shifts.
+        bases = {"I": np.eye(2), "hex": hex_basis(), "skew": np.array([[1.0, 7.0], [0.0, 1.0]])}
+        ch = rotated_chart(n, bases[basis])
+        x, y = ch.all_canonical()
+        step = np.arange(-1, 2)
+        k, l = np.broadcast_arrays(x[:, None, None] + step[:, None], y[:, None, None] + step)
+        cx, cy, q1, q2 = ch.canonical_with_shift(k, l)
+        offsets = ch.neighbours
+        assert "shifts" not in ch.__dict__
+        assert offsets.dtype == np.int64 and np.array_equal(offsets, ch.offset_xy(cx, cy))
+        shifts = ch.shifts
+        assert shifts.dtype == np.int64 and np.array_equal(shifts, np.stack([q1, q2], axis=-1))
 
 
 class TestFacetGroup:
@@ -189,7 +208,7 @@ class TestFacetGroup:
         spectrum = np.fft.fft2(grid)
         p = np.arange(d1)[:, None] / d1
         q = np.arange(d2) / d2
-        offsets = ch.neighbours[0]
+        offsets = ch.neighbours
         for i, j in np.ndindex(3, 3):
             g1, g2 = w @ (i - 1, j - 1)
             character = np.exp(2j * np.pi * (p * g1 + q * g2))

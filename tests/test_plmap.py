@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from helpers import (
+    ALL_BUILTINS,
     adjacent_distance_lstsq,
     box_close_pairs_brute,
     cone_rows_reference,
@@ -699,7 +700,7 @@ def _screened(plm, tol):
     u, w = _star_pairs_of(plm)
     screen = _Screen(threshold, plm.edge_scale())
     with np.errstate(invalid="ignore", over="ignore"):
-        cones = plmap._triangle_pass(plm, screen)[0]
+        cones = plmap._cone_table(plm, screen)
         left = screen.uncleared(plm.tri_values, cones, plm.stars)
     key = np.int64(3 * len(plm.tri_values))
     cleared = ~np.isin(u[0] * key + u[1], left[0, 0] * key + left[0, 1])
@@ -829,15 +830,17 @@ class TestBlocks:
         assert c1 > c0 > 0.0
 
     def test_vertex_pairs_match_whole_steps(self, plm, monkeypatch):
-        # The pairs the screen leaves, with the triangle pass and the star
-        # pass in blocks of 12 rows: the same (u, w) columns up to order as
-        # in whole blocks, and the same cone rows.
+        # The pairs the screen leaves, with the triangle passes, the planar
+        # star test and the star pass in blocks of 12 rows: the same (u, w)
+        # columns up to order as in whole blocks, the same cone rows,
+        # differential norms and stars left.
         def left():
             screen = _Screen(0.05 * plm.edge_scale(), plm.edge_scale())
             with np.errstate(invalid="ignore"):
-                cones = plmap._triangle_pass(plm, screen)
-                u, w = screen.uncleared(plm.tri_values, cones[0], plm.stars)
-            return cones, np.stack([u, w])[..., np.lexsort(u[::-1])]
+                cones = plmap._cone_table(plm, screen)
+                u, w = screen.uncleared(plm.tri_values, cones, plm.stars)
+                tables = (cones, *plmap._differential_norms(plm), plmap._stars_left(plm, screen))
+            return tables, np.stack([u, w])[..., np.lexsort(u[::-1])]
 
         got = left()
         assert got[1].shape[-1] > 0
@@ -895,7 +898,7 @@ def test_coordinate_major_kernels_match_row_major(make, block, monkeypatch):
             pl_isotropy_residual(plm), pl_isotropy_residual_reference(plm), equal_nan=True
         )
         screen = _Screen(0.05 * plm.edge_scale(), plm.edge_scale())
-        cones = plmap._triangle_pass(plm, screen)[0]
+        cones = plmap._cone_table(plm, screen)
         assert np.array_equal(cones.T, cone_rows_reference(plm, screen), equal_nan=True)
 
 
@@ -1061,6 +1064,216 @@ class TestScreen:
         assert pairs == 28 * plm.chart.vertex_count  # 22 share a vertex, 6 an edge
         assert pairs == 258_860 or spec == "flat-plane"
         assert sum(measured) < 0.01 * pairs
+
+
+def _tier_checked(plm, tol):
+    """The planar star test's masks (``plmap._stars_left``) at ``tol``, after
+    checking that no star it clears holds a pair that the predicate scores
+    below the threshold, and that ``check_immersion``'s pair witnesses are
+    the predicate's on every pair that shares a vertex."""
+    threshold = tol * plm.edge_scale()
+    with np.errstate(invalid="ignore", over="ignore"):
+        left = plmap._stars_left(plm, _Screen(threshold, plm.edge_scale()))
+    u, w = _star_pairs_of(plm)
+    dist = _adjacent_distances(plm.tri_values, u, w)
+    bad = np.nonzero(~(dist >= threshold))[0]
+    v = plm.tri_vertex_ids.ravel()[u[0, bad]]
+    apex = (v >= plm.chart.vertex_count).astype(int)
+    assert left[apex, v - apex * plm.chart.vertex_count].all()
+    i, j = u[:, bad] // 3
+    want = [
+        ("vertex_star", int(v[k]), int(i[k]), int(j[k]), float(dist[bad[k]]))
+        for k in np.lexsort((j, i))
+    ]
+    assert [x for x in check_immersion(plm, tol).witnesses if x[0] == "vertex_star"] == want
+    return left
+
+
+_TIER_TOLS = (1e-6, 0.05, 0.3)
+
+
+def _assert_brute_witnesses(plm):
+    """``check_immersion``'s pair witnesses at each of ``_TIER_TOLS`` are the
+    all-pairs lstsq reference's (one reference run, at the largest tol)."""
+    want = immersion_witnesses_brute(plm, max(_TIER_TOLS))
+    for tol in _TIER_TOLS:
+        got = [x[:4] for x in check_immersion(plm, tol).witnesses if x[0] == "vertex_star"]
+        assert got == [x[:4] for x in want if x[4] < tol * plm.edge_scale()]
+
+
+def _moved_apex_plane(n, step, seed):
+    """A plane in R^4 over the rotated chart whose apexes are moved by
+    ``step`` / N N(0, 1) in every coordinate."""
+    chart = rotated_chart(n)
+    tri = _plane_mesh(chart, 4, np.random.default_rng(seed)).tri
+    rng = np.random.default_rng(seed + 1)
+    apexes = tri.apex_values + step / chart.N * rng.standard_normal(tri.apex_values.shape)
+    return build_pl(TriMesh(chart, tri.corner_values, apexes, tri.target_periods))
+
+
+class TestStarTier:
+    """The planar star test in front of the cone screen clears no star that
+    holds a witness of the predicate, and the witnesses stay the
+    predicate's own, on the built-ins, on planes with moved apexes and on
+    lifted planes."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
+    @pytest.mark.parametrize("spec", ALL_BUILTINS)
+    def test_sound_on_builtins(self, spec, n):
+        # At N <= 2 spoke ids repeat, and every star of that kind is left.
+        plm = run_pipeline(PipelineConfig(spec=spec, n=n), keys=["iso_scale"]).plm
+        lefts = [_tier_checked(plm, tol) for tol in _TIER_TOLS]
+        if n <= 3:
+            _assert_brute_witnesses(plm)
+        # From N = 6 on, every star of a built-in clears at the default tol.
+        assert n < 6 or not lefts[0].any()
+
+    @pytest.mark.parametrize("n", [3, 8, 16])
+    @pytest.mark.parametrize("step", [0.3, 0.6])
+    def test_sound_on_moved_apexes(self, step, n):
+        plm = _moved_apex_plane(n, step, n)
+        lefts = [_tier_checked(plm, tol) for tol in _TIER_TOLS]
+        if n == 3:
+            _assert_brute_witnesses(plm)
+        assert lefts[0].any() and not lefts[0].all()  # both tiers run
+
+    @pytest.mark.parametrize("n", [3, 16])
+    @pytest.mark.parametrize("dim, lift", [(4, 0.5), (6, 1.0)])
+    @pytest.mark.parametrize("basis", ["I", "hex", "skew"])
+    def test_sound_on_lifted_planes(self, basis, dim, lift, n):
+        chart = rotated_chart(n, _SWEEP_BASES[basis])
+        plm = _plane_mesh(chart, dim, np.random.default_rng(n), lift=lift)
+        lefts = [_tier_checked(plm, tol) for tol in _TIER_TOLS]
+        if n == 3 and dim == 4:
+            _assert_brute_witnesses(plm)
+        assert n < 16 or not lefts[0].any()
+
+    @given(
+        n=st.integers(3, 5),
+        dim=st.sampled_from([4, 6]),
+        noise=st.sampled_from([0.0, 0.01, 0.1, 0.3, 2.0]),
+        drift=st.sampled_from([1e-6, 1e-3, 0.05, 0.3]),
+        tol=st.sampled_from([0.0, 1e-6, 0.01, 0.03]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=25, deadline=None)
+    # Found by a random search: stars that wind once, well conditioned, and
+    # hold pairs below the threshold, which the vertex and edge bounds keep
+    # from clearing (either one alone does here).
+    @example(n=5, dim=4, noise=2.0, drift=1e-3, tol=0.03, seed=4516)
+    def test_sound_on_noisy_lifted_planes(self, n, dim, noise, drift, tol, seed):
+        # A plane with its values moved by ``noise`` grid steps in every
+        # coordinate and target periods off the plane's by ``drift`` grid
+        # steps (facets across the chart's boundary distort), at thresholds
+        # small enough that many stars clear and noisy ones are left.
+        chart = rotated_chart(n, hex_basis() if seed % 2 else np.eye(2))
+        rng = np.random.default_rng(seed)
+        frame = np.linalg.qr(rng.standard_normal((dim, dim)))[0][:, :2]
+        kc, lc = chart.all_canonical()
+        count = chart.vertex_count
+        corners = chart.position(kc, lc) @ frame.T
+        apexes = chart.facet_center(kc, lc) @ frame.T
+        corners, apexes = (
+            v + noise / n * rng.standard_normal((count, dim)) for v in (corners, apexes)
+        )
+        periods = (frame @ chart.gamma_basis).T + drift / n * rng.standard_normal((2, dim))
+        plm = build_pl(TriMesh(chart, corners, apexes, target_periods=periods))
+        _tier_checked(plm, tol)
+
+    def test_fan_that_winds_twice_is_left(self):
+        # A corner star of a plane whose 8 spokes turn by 720 degrees in all,
+        # each sector under 180 degrees: sectors two apart overlap, and only
+        # the winding count keeps the star from clearing.
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        plm = build_pl(tri)
+        v, facets = _corner_star_of(plm, 2, 2)
+        turns = np.radians([0, 80, 170, 250, 300, 430, 520, 610])
+        radii = np.array([1.0, 0.6, 0.9, 0.7, 1.1, 0.5, 0.8, 0.65]) / chart.N
+        plane = tri.target_periods  # the plane's unit axes on the identity chart
+        points = tri.corner_values[v] + (radii * np.stack([np.cos(turns), np.sin(turns)])).T @ plane
+        for c, (dk, dl) in enumerate([(1, 0), (0, 1), (-1, 0), (0, -1)]):
+            tri.corner_values[chart.offset_of_raw(2 + dk, 2 + dl)] = points[2 * c]
+            tri.apex_values[facets[c]] = points[2 * c + 1]
+        plm = build_pl(tri)
+        assert v in _witness_stars(plm, 1e-6)
+        assert _tier_checked(plm, 1e-6)[0, v]
+
+    def test_spoke_copies_that_differ_are_left(self):
+        # One triangle's copy of a grid spoke turned 60 degrees into the next
+        # sectors: the triangle then overlaps a sector it shares only the
+        # vertex with, while the fan of mean spokes still winds once.  Only
+        # the spread, the distance between the two copies, keeps the star
+        # from clearing.
+        chart = identity_chart(4)
+        plm = build_pl(sample_tri(make_flat_plane(), chart))
+        v, facets = _corner_star_of(plm, 2, 2)
+        vals = plm.tri_values.reshape(-1, 4, 3, plm.dim)
+        own, spoke = vals[facets[3], 2, 1], vals[facets[3], 2, 0] - vals[facets[3], 2, 1]
+        plane = plm.tri.target_periods  # the plane's unit axes on the identity chart
+        x, y = plane @ spoke
+        turn = np.pi / 3
+        vals[facets[3], 2, 0] = own + np.array(
+            [np.cos(turn) * x - np.sin(turn) * y, np.sin(turn) * x + np.cos(turn) * y]
+        ) @ plane
+        assert v in _witness_stars(plm, 1e-6)
+        assert _tier_checked(plm, 1e-6)[0, v]
+
+
+def _corner_star_of(plm, k, l):
+    """Corner v = (k, l) of a chart and its facets f_c = v - step_c."""
+    chart = plm.chart
+    v = chart.offset_of_raw(k, l)
+    return v, [chart.offset_of_raw(k - dk, l - dl) for dk, dl in CORNER_STEPS]
+
+
+def _witness_stars(plm, tol):
+    """The star ids (``tri_vertex_ids`` numbering) of the predicate's
+    witnesses over every pair that shares a vertex."""
+    u, w = _star_pairs_of(plm)
+    dist = _adjacent_distances(plm.tri_values, u, w)
+    return set(plm.tri_vertex_ids.ravel()[u[0, ~(dist >= tol * plm.edge_scale())]].tolist())
+
+
+def _measured(monkeypatch):
+    """The pair counts of the predicate's calls from ``check_immersion``."""
+    measured = []
+
+    def counted(vals, u, w):
+        measured.append(u.shape[1])
+        return _adjacent_distances(vals, u, w)
+
+    monkeypatch.setattr(plmap, "_adjacent_distances", counted)
+    return measured
+
+
+class TestStarTierFastPath:
+    @pytest.mark.parametrize("n", [12, 96])
+    @pytest.mark.parametrize("spec", ALL_BUILTINS)
+    def test_smooth_maps_list_no_pairs(self, spec, n, monkeypatch):
+        # Timing-free: the planar star test clears every star of a built-in,
+        # so neither the star table nor the cone table is built, and the
+        # predicate receives no pair.
+        plm = run_pipeline(PipelineConfig(spec=spec, n=n), keys=["iso_scale"]).plm
+        measured = _measured(monkeypatch)
+
+        def forbidden(*args):
+            raise AssertionError("cone table built")
+
+        monkeypatch.setattr(plmap, "_cone_table", forbidden)
+        assert check_immersion(plm).passed
+        assert "stars" not in plm.__dict__
+        assert measured == [0]
+
+    def test_moved_apexes_measure_no_more_pairs(self, monkeypatch):
+        # On the moved-apex plane at N = 96 the cone screen alone, run on
+        # every star, left 6,502 pairs to the predicate; behind the planar
+        # star test it runs on the stars that test leaves, and no more pairs
+        # are measured.
+        plm = _moved_apex_plane(96, 0.3, 3)
+        measured = _measured(monkeypatch)
+        assert check_immersion(plm).passed
+        assert len(measured) == 1 and 0 < measured[0] <= 6_502
 
 
 class TestChecks:
