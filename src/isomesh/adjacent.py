@@ -1,17 +1,18 @@
 """Exact triangle distances, and the pairs of triangles that share a vertex:
-their star table, their distance beyond the shared simplex, and the two
-tiers in front of that distance.
+their listing by star, their distance beyond the shared simplex, and the
+sound bounds in front of that distance.
 
 Triangles are rows of a (T, 3, d) value array with a (T, 3) table of vertex
 ids; a pair is given by incidence codes 3 t + slot.  ``_tri_tri_distances``
 is the one exact distance of both topology certificates.  ``_star_pairs``
-lists every pair that shares an id, by the star of each id, and
+lists every pair of the given stars that shares an id, and
 ``_adjacent_distances`` measures a pair beyond its shared vertex or edge by
 that kernel on degenerate triangles.  In front of it, ``_fans_cleared``
 clears whole stars whose fan, projected onto a plane, winds once with
-room to spare, and ``_Screen`` clears, at one dot product each, the pairs
-of the other stars that two lower bounds put at or above the threshold,
-so that only the rest are measured.
+room to spare, so that only the pairs of the other stars are listed; of
+those, ``_pairs_cleared`` clears the pairs whose vertex cones, or whose
+half-planes at a shared edge, lie far enough apart, and the rest are
+measured.
 """
 
 import itertools
@@ -21,12 +22,11 @@ import numpy as np
 from .linalg import back_substitute, dot, thin_qr
 
 
-#: Pairs handled at once (half as many in the screen and in the adjacent-pair
-#: predicate, whose pairs make two or four kernel rows each, and a third as
-#: many triangles, so as many edges, for the edges and cone rows); bounds the
-#: temporaries of the broadphase, its shared-id mask, the adjacent-pair
-#: predicate and its screen.  Also the triangles (whole facets: a multiple
-#: of 4) of a block of the PL map.
+#: Pairs handled at once (half as many in the adjacent-pair predicate, whose
+#: pairs make two or four kernel rows each); bounds the temporaries of the
+#: broadphase, its shared-id mask and the adjacent-pair predicate.  Also the
+#: triangles (whole facets: a multiple of 4) of a block of the PL map, a half
+#: or a third as many in the passes that form spokes or edges.
 _PAIR_BLOCK = 1 << 14
 
 
@@ -100,15 +100,14 @@ def _tri_tri_distances(p, q, pairs=_FACE_PAIRS) -> np.ndarray:
 
 def _star_pairs(vids, codes):
     """The pairs in the stars ``codes`` (S, m) of triangles with vertex ids
-    ``vids``, row r of ``codes`` every incidence code 3 t + slot of one id:
-    (codes, vertex, edge, slots).  The entries (a, b) of ``vertex`` (2, E)
-    pair triangles that share only the row's id; those of ``edge`` (2, E')
-    share more, and row r of ``slots`` (2, S, E') holds the slot of their
-    next shared id in each triangle, or -1 where a smaller shared id lists
-    the pair.  Ids are translation-equivariant, so every row repeats row
-    0's pattern of which slots share ids; an entry pairs two triangles at
-    the first slot of the row's id (a triangle holds an id twice at N <=
-    2), and the rest is plain compares per row."""
+    ``vids``, row r of ``codes`` every incidence code 3 t + slot of one id,
+    as the columns (u, w), each (2, K), that ``_adjacent_distances`` takes:
+    u at the row's id, w at the next id the pair shares (-1 if none), row 0
+    in the smaller triangle.  A pair that shares more than the row's id is
+    listed by its smallest shared id only.  Ids are translation-equivariant,
+    so every row repeats row 0's pattern of which slots share ids; an entry
+    pairs two triangles at the first slot of the row's id (a triangle holds
+    an id twice at N <= 2), and the rest is plain compares per row."""
     flat = vids.ravel()
     ids = vids[codes[0] // 3].tolist()
     own = flat[codes[0, 0]]
@@ -125,12 +124,11 @@ def _star_pairs(vids, codes):
     at = codes[:, edge[0]] - codes[:, edge[0]] % 3
     other = [flat[at + k] for k in slots[0]]  # (S, E') each
     pick = np.where(other[1] < other[0], slots[:, 1, None], slots[:, 0, None])
-    keep = flat[codes[:, :1]] < np.minimum(*other)
-    return codes, vertex, edge, np.where(keep, pick, np.int8(-1))
-
-
-def _oriented(u, w):
-    """(u, w) with row 0 in the smaller triangle (codes compare as triangles)."""
+    r, k = np.nonzero(flat[codes[:, :1]] < np.minimum(*other))
+    alone = codes[:, vertex].swapaxes(0, 1).reshape(2, -1)
+    more = codes[r, edge[:, k]]
+    u = np.concatenate([alone, more], axis=1)
+    w = np.concatenate([np.full_like(alone, -1), more - more % 3 + pick[:, r, k]], axis=1)
     swap = u[0] > u[1]
     return np.where(swap, u[::-1], u), np.where(swap, w[::-1], w)
 
@@ -205,81 +203,16 @@ def _term_distances(points, terms, pairs):
     return _tri_tri_distances(tris[:, 0], tris[:, 1], pairs).reshape(-1, len(terms)).min(axis=1)
 
 
-# -- the screen ---------------------------------------------------------------
+# -- the planar star test ----------------------------------------------------
 
 
-#: The screen's rounding allowances (``_Screen`` gives the bounds): slack on
-#: cosines, relative slack on lengths, and the margin of conditioning an
-#: incidence needs to be screened at all.
+#: The rounding allowances of the planar star test and the cone bound
+#: (``_fans_cleared`` and ``_pairs_cleared`` give the bounds): slack
+#: on sines and cosines, relative slack on lengths, and the margin of
+#: conditioning a star or a cone needs to be tested at all.
 _COS_SLACK = 2.0**-30
 _LEN_SLACK = 2.0**-36
 _MARGIN = 2.0**-8
-
-
-def _cone_rows(edges, reach, slack, out):
-    """Cone rows [n, cos(gamma), sin(gamma)] of K triangles with edges (d, 3,
-    K), edge s from slot s to slot s + 1, into ``out`` (d + 2, K, 3): at each
-    slot the unit bisector of the cone and gamma = alpha + asin(reach / (H -
-    slack)), by square roots only.  An incidence that cannot be screened, or
-    has gamma >= pi / 2, holds a NaN cosine, so no pair with it clears."""
-    after, before = [1, 2, 0], [2, 0, 1]
-    dim = edges.shape[0]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        length2 = (edges * edges).sum(axis=0)
-        length = np.sqrt(length2)
-        unit = edges / length
-        n = unit - unit.take(before, axis=1)  # the cone at slot s spans edge s, -edge s-1
-        cos_a = 0.5 * np.sqrt((n * n).sum(axis=0))
-        sin_a = np.sqrt(1.0 - np.minimum(cos_a * cos_a, 1.0))
-        n /= 2.0 * cos_a
-        # H at slot s: its distance from the line of edge s + 1.
-        turn = (edges * edges.take(after, axis=1)).sum(axis=0)
-        height = np.sqrt(np.maximum(length2 - turn * turn / length2.take(after, axis=0), 0.0))
-        x = reach / (height - slack)
-        cos_b = np.sqrt(1.0 - x * x)
-        cos_g = cos_a * cos_b - sin_a * x
-        ok = (np.minimum(cos_a, sin_a) >= _MARGIN) & (x <= 1.0 - _MARGIN) & (cos_g > 0.0)
-        ok &= height >= _MARGIN * np.maximum(length, length.take(before, axis=0))
-        ok &= height > slack
-        cos_g[~ok] = np.nan
-        out[:dim] = n.transpose(0, 2, 1)
-        out[dim] = cos_g.T
-        out[dim + 1] = (sin_a * cos_b + cos_a * x).T
-
-
-def _edges_cleared(flat, u, w, reach, slack):
-    """Mask of the edge pairs (codes u, w) the half-plane bound clears.
-
-    With e = w - u in T1, let nu be the unit normal of uw in a triangle's
-    plane, towards its third vertex (a in T1, c in T2), and h that vertex's
-    distance from line uw.  A point s e + r nu1 of T1 is at least r sin(phi)
-    from the half-plane of T2 (r when nu1.nu2 <= 0), phi = angle(nu1, nu2).
-    With these heights h' = h sin(phi), dist(a, T2) >= h'_a and dist(c, T1)
-    >= h'_c.  For the cross terms, take p on ua (or wa) and q on wc (or uc)
-    at fractions s and r from u or w: |p - q| >= s h'_a and >= r h'_c (each
-    is that far from the other's half-plane), and >= |w - u| - s l_a - r
-    l_c, where l_a = 2 |a - u| + |w - u| bounds both edges at a, and l_c
-    likewise.  So |p - q| >= t wherever |w - u| > t (1 + l_a / h'_a + l_c /
-    h'_c); the mask asks |w - u| h'_a h'_c > 2 t (h'_a h'_c + l_a h'_c + l_c
-    h'_a), which also gives h' > 2 t, so that all four terms of
-    ``_adjacent_distances`` are at or above t.  When T2's value at w
-    differs (a lift), T2 is measured with T1's: that moves no point of T2 by
-    more than the difference, which the reach t gains.  ``_Screen`` gives
-    the rounding slack, with which each h is lowered.
-    """
-    (e, a), (e2, c) = (_far_points(flat, *codes) for codes in zip(u, w))
-    ee, ae, ce = dot(e, e), dot(a, e), dot(c, e)
-    span = np.sqrt(ee)
-    aa, cc = dot(a, a), dot(c, c)
-    ha, hc = (np.sqrt(np.maximum(xx - xe * xe / ee, 0.0)) for xx, xe in ((aa, ae), (cc, ce)))
-    la, lc = 2.0 * np.sqrt(aa) + span, 2.0 * np.sqrt(cc) + span
-    cos_phi = (dot(a, c) - ae * ce / ee) / (ha * hc)
-    sin_phi = np.sqrt(np.maximum(1.0 - cos_phi * cos_phi - _COS_SLACK, 0.0))
-    sin_phi[cos_phi <= 0.0] = 1.0
-    ok = (ha >= _MARGIN * la) & (hc >= _MARGIN * lc)
-    ha, hc = (ha - slack) * sin_phi, (hc - slack) * sin_phi
-    reach = reach + np.sqrt(dot(e - e2, e - e2))  # T2 measured with T1's value at w
-    return ok & (span * ha * hc > 2.0 * reach * (ha * hc + la * hc + lc * ha))
 
 
 def _fans_cleared(spokes, spread, reach, slack):
@@ -289,44 +222,65 @@ def _fans_cleared(spokes, spread, reach, slack):
     of each of S stars in fan order, relative to the star's vertex: sector
     i is the triangle (0, q_i, q_i+1), indices mod m, and the pairs of the
     star are two sectors that share a spoke (an edge pair) or only the
-    vertex (a vertex pair).  Each star is projected onto the plane of
-    q_m/2 - q_0 and q_3m/4 - q_m/4 (Gram-Schmidt).  Orthogonal projection
-    never increases a distance, so a lower bound on the distance between
-    projected sub-simplices bounds the terms of ``_adjacent_distances`` in
-    R^d.  In the plane, with lambda and Lambda the shortest and longest
-    spoke and kappa the least cross product q_i x q_i+1, a star clears when:
+    vertex (a vertex pair).  ``reach`` t is the threshold raised by
+    ``slack`` delta = 2^-36 (threshold + L), L the largest edge length, so
+    every spoke is at most L long.  Each star is projected onto the plane
+    of q_m/2 - q_0 and q_3m/4 - q_m/4 (Gram-Schmidt).  Orthogonal
+    projection never increases a distance, so a lower bound on the distance
+    between projected sub-simplices bounds the terms of
+    ``_adjacent_distances`` in R^d.  In the plane, with lambda and Lambda
+    the shortest and longest spoke and kappa the least cross product q_i x
+    q_i+1, a star clears when:
 
-    - The fan winds once: kappa > 0, so every sector has an angle in (0,
-      pi), and exactly one sector turns from y < 0 to y >= 0.  Such a sector
-      is the one that crosses the ray through e_1, so the angles sum to 2 pi
-      times that count, and the sectors tile the full angle once.
-    - Vertex pairs: two sectors that share only the vertex are separated,
-      both ways round, by at least one whole sector, so their directions are
-      at least theta_min apart.  A point of a far edge is at least H_i =
-      kappa_i / |q_i+1 - q_i| >= kappa / (2 Lambda) = H from the vertex,
-      hence at least H sin(min(theta_min, pi / 2)) from the other sector.
-      Every sine is at least s = kappa / Lambda^2, so the score
-      min(dist(ab, T2), dist(cd, T1)) is at least H s: ``_Screen``'s cone
-      bound where the apertures tile the plane.
-    - Edge pairs: at spoke k the third vertices lie on opposite sides of the
-      spoke, at heights at least h = kappa / Lambda, with l_a, l_c <= 3
-      Lambda and |q_k| >= lambda, so ``_edges_cleared``'s bound with sin(phi)
-      = 1 holds when lambda h' > 2 t (h' + 6 Lambda), h' = h - slack.
+    - The fan winds once: kappa > 0, so every sector has an angle theta_i
+      in (0, pi), and exactly one sector turns from y < 0 to y >= 0.  Such
+      a sector is the one that crosses the ray through e_1, so the angles
+      sum to 2 pi times that count, and the sectors tile the full angle
+      once.
+    - Vertex pairs: the score is min(dist(ab, T2), dist(cd, T1)), ab the far
+      edge q_i q_i+1 of one sector and T2 another sector that shares only
+      the vertex.  The two are separated, both ways round, by at least one
+      whole sector k, so the direction of a point p of ab is at least
+      theta_k from that of any point x of T2, and |p - x| >= |p| sin(min(
+      theta_k, pi / 2)): the distance from p to the ray through x, or |p|
+      past a right angle.  The line of ab is H_i = kappa_i / |q_i+1 - q_i|
+      >= kappa / (2 Lambda) = H from the vertex, so |p| >= H, and
+      sin(min(theta_k, pi / 2)) >= sin(theta_k) = kappa_k / (|q_k| |q_k+1|)
+      >= kappa / Lambda^2 = s.  Both terms are at least H s; the test asks
+      (H - delta) (s - 2^-30) > t.
+    - Edge pairs: sectors k - 1 and k share the spoke q_k, and their third
+      vertices lie on opposite sides of its line (sin(phi) = 1 in
+      ``_edges_cleared``), at heights at least h = kappa / Lambda, with l_a,
+      l_c <= 3 Lambda and |q_k| >= lambda.  So ``_edges_cleared``'s bound
+      holds when lambda h' > 2 t (h' + 6 Lambda), h' = h - delta.
 
     ``spread`` (S,) moves the measured triangles: a triangle whose spokes
     are the fan's moved by at most spread / 2 (a spoke the mean of two
     copies), on either side of a pair, changes every term by at most
     ``spread``, which the reach t gains; that also covers measuring an edge
-    pair from its other shared vertex.  Rounding is ``_Screen``'s: H and h
-    are lowered by ``slack``, s by 2^-30, and a star is tested only when
-    well conditioned: the second axis keeps 2^-8 of its length, and kappa
-    >= 3 2^-8 Lambda^2, so that every sine is at least 3 2^-8 and h at
-    least 2^-8 l.  Then every computed coordinate and cross product is
-    within about 2^12 eps (times Lambda^2) of its exact value, a y that
-    rounds across 0 moves its crossing to the next sector, not into a
-    second one, and the computed basis, orthonormal to about 2^9 eps,
-    lengthens no distance by more than that share of 2 L, inside ``slack``.
-    A NaN or inf value never clears.
+    pair from its other shared vertex.
+
+    Rounding.  The predicate's: ``_tri_tri_distances`` reads a distance as
+    the norm of a right-hand side projected by twice-orthogonalised
+    Gram-Schmidt, which is backward stable.  It is the residual of columns
+    and right-hand side moved by a few eps L (the points of a pair lie
+    within 2 L of u), at coordinates checked feasible, so never more than a
+    few eps L below the true distance: far inside delta, by which t is
+    raised.  The test's own: a star is tested only when the second axis
+    keeps 2^-8 of its length, so the computed basis is orthonormal to about
+    2^10 eps and lengthens no distance by more than that share of 2 L,
+    inside delta.  In that basis every coordinate is within about 2^3 eps
+    Lambda of its exact value, and every cross product and squared length
+    within about 2^5 eps Lambda^2.  So H and h are within about 2^5 eps L,
+    inside the delta by which they are lowered, and s within about 2^6 eps,
+    inside the 2^-30 by which it is lowered; lambda, at least kappa /
+    Lambda, is within a share 2^-16 of itself, inside the factor 2 of the
+    edge test.  The margin kappa >= 2^-16 Lambda^2 keeps every sector's
+    sine at least 2^-16, far above both errors: the computed kappa > 0
+    proves every exact kappa_i > 0, and a y can round across 0 only for a
+    spoke within 2^-34 of the axis, whose neighbours lie in opposite
+    half-planes, so its crossing moves to the next sector and is neither
+    lost nor doubled.  A NaN or inf value never clears.
     """
     dim, m, _ = spokes.shape
     after = np.roll(np.arange(m), -1)
@@ -353,7 +307,7 @@ def _fans_cleared(spokes, spread, reach, slack):
         y *= y
         x += y
         shortest, longest = np.sqrt(x.min(axis=0)), np.sqrt(x.max(axis=0))
-        ok &= kappa >= 3.0 * _MARGIN * longest * longest
+        ok &= kappa >= _MARGIN * _MARGIN * longest * longest
         reach = reach + spread
         height = kappa / longest
         ok &= (0.5 * height - slack) * (height / longest - _COS_SLACK) > reach  # H s
@@ -362,73 +316,117 @@ def _fans_cleared(spokes, spread, reach, slack):
     return ok
 
 
-class _Screen:
-    """The screen in front of ``_adjacent_distances`` for a threshold t and
-    the largest edge length ``scale`` L: the cone rows are formed once per
-    triangle (``_cone_rows``), and a vertex pair then costs one dot product
-    of two of them.  A pair clears when its score is proven at or above t
-    by one of two bounds:
+# -- the pair bounds for the stars left -----------------------------------------
 
-    - vertex pairs: every point of T1 - u lies within the half-aperture
-      alpha1 of the unit bisector n1 of its cone at u, and every point of ab
-      is at least H1 = dist(u, line ab) from u.  So a point p of ab and any
-      q of T2 are theta >= angle(n1, n2) - alpha1 - alpha2 apart as seen
-      from u (spherical triangle inequality), and |p - q| >= H1 sin(min(
-      theta, pi / 2)); likewise for cd.  The score is at least
-      min(H1, H2) sin(min(theta, pi / 2)), which exceeds t when both H
-      exceed t and angle(n1, n2) > gamma1 + gamma2, gamma = alpha +
-      asin(t / H).  The screen takes each gamma below pi / 2, so the test
-      reads n1.n2 < cos(gamma1 + gamma2) in cosines.
-    - edge pairs: the heights of the third vertices over the two half-planes
-      at the shared edge, as ``_edges_cleared`` proves.
 
-    Rounding: t is raised by delta = 2^-36 (t + L), and every H and h is
-    lowered by delta.  That covers the screen's own lengths and the
-    rounding of ``_tri_tri_distances``.  That kernel reads a distance as the
-    norm of a right-hand side projected by twice-orthogonalised Gram-Schmidt,
-    which is backward stable: it is the residual of columns and right-hand
-    side moved by a few eps L (the points of a pair lie within 2 L of u), at
-    coordinates checked feasible, so never more than a few eps L below the
-    true distance.  Cosine comparisons carry a slack of 2^-30.  An incidence
-    is screened only when it is well conditioned: at a vertex cos(alpha),
-    sin(alpha) >= 2^-8, H >= 2^-8 times its longer edge and t / H <= 1 -
-    2^-8; at an edge h >= 2^-8 l.  Then every computed unit vector, cosine,
+def _cones(tris, reach, slack):
+    """The cones at the three slots of triangles ``tris`` (K, 3, dim): unit
+    bisectors n (dim, K, 3), and cos(gamma), sin(gamma) (K, 3), gamma =
+    alpha + asin(reach / (H - slack)), alpha the half-aperture and H the
+    distance from the vertex to the line of the far edge.  An incidence
+    that is not well conditioned, or has gamma >= pi / 2, gets a NaN
+    cosine, so no pair with it clears."""
+    after, before = [1, 2, 0], [2, 0, 1]
+    near = np.ascontiguousarray(tris.transpose(1, 2, 0))  # (3, dim, K)
+    edges = near.take(after, axis=0) - near  # edge s from slot s to s + 1
+    length2 = (edges * edges).sum(axis=1)
+    length = np.sqrt(length2)
+    unit = edges / length[:, None]
+    n = unit - unit.take(before, axis=0)  # the cone at slot s spans edge s, -edge s-1
+    cos_a = 0.5 * np.sqrt((n * n).sum(axis=1))
+    sin_a = np.sqrt(1.0 - np.minimum(cos_a * cos_a, 1.0))
+    n /= 2.0 * cos_a[:, None]
+    turn = (edges * edges.take(after, axis=0)).sum(axis=1)  # H at slot s: to edge s + 1
+    height = np.sqrt(np.maximum(length2 - turn * turn / length2.take(after, axis=0), 0.0))
+    x = reach / (height - slack)
+    cos_b = np.sqrt(1.0 - x * x)
+    cos_g = cos_a * cos_b - sin_a * x
+    ok = (np.minimum(cos_a, sin_a) >= _MARGIN) & (x <= 1.0 - _MARGIN) & (cos_g > 0.0)
+    ok &= (height >= _MARGIN * np.maximum(length, length.take(before, axis=0))) & (height > slack)
+    rows = (n.transpose(1, 2, 0), np.where(ok, cos_g, np.nan).T, (sin_a * cos_b + cos_a * x).T)
+    return tuple(np.ascontiguousarray(r) for r in rows)
+
+
+def _edges_cleared(flat, u, w, reach, slack):
+    """Mask of the edge pairs (codes u, w) that the half-plane bound clears.
+
+    With e = w - u in T1, let nu be the unit normal of uw in a triangle's
+    plane, towards its third vertex (a in T1, c in T2), and h that vertex's
+    distance from line uw.  A point s e + r nu1 of T1 is at least r sin(phi)
+    from the half-plane of T2 (r when nu1.nu2 <= 0), phi = angle(nu1, nu2).
+    With these heights h' = h sin(phi), dist(a, T2) >= h'_a and dist(c, T1)
+    >= h'_c.  For the cross terms, take p on ua (or wa) and q on wc (or uc)
+    at fractions s and r from u or w: |p - q| >= s h'_a and >= r h'_c (each
+    is that far from the other's half-plane), and >= |w - u| - s l_a - r
+    l_c, where l_a = 2 |a - u| + |w - u| bounds both edges at a, and l_c
+    likewise.  So |p - q| >= t wherever |w - u| > t (1 + l_a / h'_a + l_c /
+    h'_c); the mask asks |w - u| h'_a h'_c > 2 t (h'_a h'_c + l_a h'_c + l_c
+    h'_a), which also gives h' > 2 t, so that all four terms of
+    ``_adjacent_distances`` are at or above t.  When T2's value at w
+    differs (a lift), T2 is measured with T1's: that moves no point of T2 by
+    more than the difference, which the reach t gains.  Rounding is as in
+    ``_pairs_cleared``: each h is lowered by delta, and an edge counts only
+    when h >= 2^-8 l at both sides.
+    """
+    (e, a), (e2, c) = (_far_points(flat, *codes) for codes in zip(u, w))
+    ee, ae, ce = dot(e, e), dot(a, e), dot(c, e)
+    span = np.sqrt(ee)
+    aa, cc = dot(a, a), dot(c, c)
+    ha, hc = (np.sqrt(np.maximum(xx - xe * xe / ee, 0.0)) for xx, xe in ((aa, ae), (cc, ce)))
+    la, lc = 2.0 * np.sqrt(aa) + span, 2.0 * np.sqrt(cc) + span
+    cos_phi = (dot(a, c) - ae * ce / ee) / (ha * hc)
+    sin_phi = np.sqrt(np.maximum(1.0 - cos_phi * cos_phi - _COS_SLACK, 0.0))
+    sin_phi[cos_phi <= 0.0] = 1.0
+    ok = (ha >= _MARGIN * la) & (hc >= _MARGIN * lc)
+    ha, hc = (ha - slack) * sin_phi, (hc - slack) * sin_phi
+    reach = reach + np.sqrt(dot(e - e2, e - e2))  # T2 measured with T1's value at w
+    return ok & (span * ha * hc > 2.0 * reach * (ha * hc + la * hc + lc * ha))
+
+
+def _pairs_cleared(flat, u, w, reach, slack):
+    """Mask of the pairs (u, w), as ``_adjacent_distances`` takes them, that
+    one of two bounds clears, at ``reach`` t and ``slack`` delta as in
+    ``_fans_cleared``: for the stars the planar test leaves.  A star that no
+    plane shows as a fan (a thin torus's, say) still has most of its pairs
+    far apart in angle.
+
+    - Vertex pairs: every point of T1 - u lies within the half-aperture
+      alpha1 of the unit bisector n1 of its cone at u (``_cones``), and
+      every point of its far edge ab is at least H1 = dist(u, line ab) from
+      u.  So a point p of ab and any q of T2 are theta >= angle(n1, n2) -
+      alpha1 - alpha2 apart as seen from u (spherical triangle inequality),
+      and |p - q| >= H1 sin(min(theta, pi / 2)); likewise for cd.  The
+      score min(dist(ab, T2), dist(cd, T1)) is then at least t when
+      angle(n1, n2) > gamma1 + gamma2, gamma = alpha + asin(t / H), each
+      below pi / 2, which reads n1.n2 < cos(gamma1 + gamma2) in cosines.
+    - Edge pairs: the heights of the third vertices over the two
+      half-planes at the shared edge, as ``_edges_cleared`` proves.
+
+    Rounding: as in ``_fans_cleared``, t is raised by delta, which covers
+    the predicate's rounding, and every H and h is lowered by it; the
+    cosines carry a slack of 2^-30.  A cone counts only when it is well
+    conditioned: cos(alpha), sin(alpha) >= 2^-8, H >= 2^-8 times its longer
+    edge and t / H <= 1 - 2^-8.  Then every computed unit vector, cosine,
     sine and height is within about 2^12 eps (times the lengths) of its
     exact value, far inside both slacks.  A NaN or inf value never clears.
     """
-
-    def __init__(self, threshold: float, scale: float):
-        self.slack = _LEN_SLACK * (threshold + scale)
-        self.reach = threshold + self.slack
-
-    def uncleared(self, vals, cones, stars):
-        """(u, w) of the pairs of ``stars`` (each as ``_star_pairs`` gives
-        it) that neither bound clears, for triangle values ``vals`` and their
-        cone rows ``cones`` (d + 2, 3T) by incidence code (``_cone_rows``).
-        A block of stars gathers its rows once and tests every entry that
-        shares one vertex at once; ``_edges_cleared`` tests the others."""
-        dim = vals.shape[-1]
-        flat = vals.reshape(-1, dim)
-        kept = [np.empty((2, 2, 0), dtype=np.int32)]
-        with np.errstate(invalid="ignore", divide="ignore"):  # NaN never clears
-            for codes, (a, b), edge, slots in stars:
-                step = max(_PAIR_BLOCK // 2 // codes.shape[1], 1)
-                for lo in range(0, len(codes), step):
-                    star = codes[lo : lo + step]
-                    rows = np.take(cones, star.T, axis=1)  # (d + 2, m, stars)
-                    dots = rows[0, a] * rows[0, b]
-                    for k in range(1, dim):
-                        dots += rows[k, a] * rows[k, b]
-                    cos = rows[dim, a] * rows[dim, b] - rows[dim + 1, a] * rows[dim + 1, b]
-                    left = ~(dots < cos - _COS_SLACK)
-                    if left.any():
-                        k, r = np.nonzero(left)
-                        u = np.stack([star[r, a[k]], star[r, b[k]]])
-                        kept.append(np.stack(_oriented(u, np.full_like(u, -1))))
-                    listed = slots[:, lo : lo + step].reshape(2, -1)
-                    keep = np.flatnonzero(listed[0] >= 0)
-                    u = np.stack([star[:, e].ravel() for e in edge]).take(keep, axis=1)
-                    u, w = _oriented(u, u - u % 3 + listed.take(keep, axis=1))
-                    left = ~_edges_cleared(flat, u, w, self.reach, self.slack)
-                    kept.append(np.stack([u[:, left], w[:, left]]))
-        return np.concatenate(kept, axis=-1)
+    out = np.empty(u.shape[1], dtype=bool)
+    vertex, edge = np.flatnonzero(w[0] < 0), np.flatnonzero(w[0] >= 0)
+    at = np.zeros(len(flat) // 3, dtype=np.intp)  # a cone serves many pairs: form each once
+    at[u[:, vertex] // 3] = 1
+    tris = np.flatnonzero(at)
+    at[tris] = 3 * np.arange(len(tris))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        n, cos, sin = _cones(flat.reshape(-1, 3, flat.shape[-1])[tris], reach, slack)
+        n, cos, sin = n.reshape(len(n), -1), cos.ravel(), sin.ravel()
+        for lo in range(0, len(vertex), _PAIR_BLOCK):
+            codes = u[:, vertex[lo : lo + _PAIR_BLOCK]]
+            a, b = at[codes // 3] + codes % 3
+            dots = n[0, a] * n[0, b]
+            for k in range(1, len(n)):
+                dots += n[k, a] * n[k, b]
+            out[vertex[lo : lo + _PAIR_BLOCK]] = dots < cos[a] * cos[b] - sin[a] * sin[b] - _COS_SLACK
+        for lo in range(0, len(edge), _PAIR_BLOCK):
+            rows = edge[lo : lo + _PAIR_BLOCK]
+            out[rows] = _edges_cleared(flat, u[:, rows], w[:, rows], reach, slack)
+    return out

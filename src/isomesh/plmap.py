@@ -26,21 +26,20 @@ face pairs of a triangle pair, one batched thin QR per number of unknowns
 Immersion judges every pair of triangles that shares a vertex id, the
 pairs within each star (the 8 triangles at a corner, the 4 at an apex),
 with one predicate, ``adjacent._adjacent_distances``, that kernel on the
-far sub-simplices of the pair.  Two sound tiers go first.  The planar
-star test (``adjacent._fans_cleared``) clears whole stars, in blocks of
+far sub-simplices of the pair.  Sound bounds go first.  The planar star
+test (``adjacent._fans_cleared``) clears whole stars, in blocks of
 facets: it projects a star onto a plane of its spokes, and on a smooth
 map it clears every star.  Only the stars it leaves are listed, from the
-chart's star table (``PLMap.stars``), and screened: the cone screen
-clears at one dot product each the pairs whose distance two lower bounds
-put at or above the threshold (the angle between the vertex cones of a
-pair that shares a vertex, the dihedral opening of one that shares an
-edge, ``adjacent._Screen``), from cone rows formed in a pass over the
-triangles.  The others are gathered into one predicate call, so
-witnesses and distances are those of the predicate alone.  Embedding is
-the map's own immersion verdict, memoized on the map per tol so that the
-adjacent pairs are judged once, plus the pairs that share no vertex id: a
-uniform-grid broadphase over the triangle boxes, then the kernel on the
-far candidates, block by block.  NaN fails.
+chart's neighbour table (``adjacent._star_pairs``), and of their pairs
+``adjacent._pairs_cleared`` clears those whose vertex cones, or whose
+half-planes at a shared edge, lie far enough apart (on a thin torus no
+plane shows a corner star as a fan, but most of its pairs clear so).
+The rest are gathered into one predicate call, so witnesses and
+distances are those of the predicate alone.  Embedding is the map's own immersion verdict,
+memoized on the map per tol so that the adjacent pairs are judged once,
+plus the pairs that share no vertex id: a uniform-grid broadphase over
+the triangle boxes, then the kernel on the far candidates, block by
+block.  NaN fails.
 """
 
 import itertools
@@ -50,11 +49,11 @@ from functools import cached_property
 import numpy as np
 
 from .adjacent import (
+    _LEN_SLACK,
     _PAIR_BLOCK,
-    _cone_rows,
-    _fans_cleared,
-    _Screen,
     _adjacent_distances,
+    _fans_cleared,
+    _pairs_cleared,
     _star_pairs,
     _tri_tri_distances,
 )
@@ -117,21 +116,6 @@ class PLMap:
         tris = _sub_triangles(corners[None], np.zeros((1, 2)))
         edges = np.stack([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=-1)
         return np.linalg.inv(edges), np.einsum("gk,skx->sgx", _triangle_grid(), tris)
-
-    @cached_property
-    def stars(self) -> tuple:
-        """The star table: the pairs of triangles that share a vertex id, by
-        the star of each id (``adjacent._star_pairs``), read off
-        ``Chart.neighbours``.  Corner v is corner c of facet v - step_c, at
-        slot 0 of its sub-triangle c and slot 1 of c - 1; the apex of facet
-        f is slot 2 of its 4."""
-        nfacets = self.chart.vertex_count
-        i, j = 1 - CORNER_STEPS.T
-        facets = 12 * self.chart.neighbours[:, i, j]
-        corner = np.stack([facets + 3 * np.arange(4), facets + 3 * np.arange(-1, 3) % 12 + 1], -1)
-        apex = 12 * np.arange(nfacets)[:, None] + 3 * np.arange(4) + 2
-        codes = (corner.reshape(nfacets, 8), apex)
-        return tuple(_star_pairs(self.tri_vertex_ids, c.astype(np.int32)) for c in codes)
 
     def differential(self, rows: slice = slice(None)) -> np.ndarray:
         """(K, d, 2) differentials of the PL map on the triangle rows ``rows``,
@@ -357,17 +341,6 @@ def _differential_norms(plm: PLMap):
     return big, area
 
 
-def _cone_table(plm: PLMap, screen: _Screen) -> np.ndarray:
-    """The screen's cone rows (d + 2, 3T) by incidence code, from
-    coordinate-major value edges in blocks of whole facets."""
-    count, _, dim = plm.tri_values.shape
-    cones = np.empty((dim + 2, 3 * count))
-    by_triangle = cones.reshape(dim + 2, count, 3)
-    for rows in plm.blocks(3):
-        _cone_rows(plm.edges(rows), screen.reach, screen.slack, by_triangle[:, rows])
-    return cones
-
-
 #: Incidences 3 s + slot, within its facet's 12, of corner c (column c) and
 #: of its spokes: rows own value, next corner A_c+1, apex, previous corner
 #: A_c-1.
@@ -381,11 +354,30 @@ def _fan_distinct(ids, own) -> bool:
     return len(set(ids) | {own}) == len(ids) + 1
 
 
-def _stars_left(plm: PLMap, screen: _Screen):
+def _corner_facets(chart):
+    """(F, 4): column c holds 12 f_c, f_c = v - step_c the facet whose corner
+    c is corner v, read off ``Chart.neighbours``."""
+    i, j = 1 - CORNER_STEPS.T
+    return 12 * chart.neighbours[:, i, j]
+
+
+def _star_codes(chart):
+    """The stars' incidence codes 3 t + slot: (F, 8) for the corner stars
+    and (F, 4) for the apex stars, row v the star of corner v or of the apex
+    of facet v.  Corner v is corner c of facet f_c (``_corner_facets``), at
+    slot 0 of its sub-triangle c and slot 1 of c - 1; the apex of facet f is
+    slot 2 of its 4."""
+    facets = _corner_facets(chart)
+    corner = np.stack([facets + 3 * np.arange(4), facets + 3 * np.arange(-1, 3) % 12 + 1], -1)
+    apex = 12 * np.arange(len(facets))[:, None] + 3 * np.arange(4) + 2
+    return corner.reshape(-1, 8).astype(np.int32), apex.astype(np.int32)
+
+
+def _stars_left(plm: PLMap, reach: float, slack: float):
     """Masks (2, F) of the stars that the planar star test,
-    ``adjacent._fans_cleared``, leaves: row 0 the corner stars, row 1 the
-    apex stars, as in ``PLMap.stars``.  Tested in blocks of whole facets
-    from the PL map's values.
+    ``adjacent._fans_cleared``, leaves at ``reach`` and ``slack``: row 0
+    the corner stars, row 1 the apex stars, as in ``_star_codes``.  Tested
+    in blocks of whole facets from the PL map's values.
 
     Apex star f: spokes z -> A_0 .. A_3 of facet f.  Corner star v: corner c
     of facet f_c = v - step_c for c = 0..3, with the spokes, in fan order,
@@ -399,8 +391,7 @@ def _stars_left(plm: PLMap, screen: _Screen):
     that kind is left."""
     nfacets, dim = plm.chart.vertex_count, plm.dim
     flat, ids = plm.tri_values.reshape(-1, dim), plm.tri_vertex_ids.ravel()
-    i, j = 1 - CORNER_STEPS.T
-    facets = 12 * plm.chart.neighbours[:, i, j]
+    facets = _corner_facets(plm.chart)
     row0 = ids[facets[0] + _FAN_SLOTS]
     fans = (_fan_distinct(row0[1:3].ravel().tolist(), row0[0, 0]),
             _fan_distinct(ids[3 * np.arange(4)].tolist(), nfacets))
@@ -419,11 +410,11 @@ def _stars_left(plm: PLMap, screen: _Screen):
             ahead -= behind
             spread = np.sqrt(np.einsum("csk,csk->cs", ahead, ahead)).max(axis=0)
             fan = np.ascontiguousarray(fan.transpose(2, 0, 1))
-            left[0, stars] = ~_fans_cleared(fan, spread, screen.reach, screen.slack)
+            left[0, stars] = ~_fans_cleared(fan, spread, reach, slack)
         if fans[1]:
             vals = plm.tri_values[rows].reshape(-1, 4, 3, dim)
             fan = np.ascontiguousarray((vals[:, :, 0] - vals[:, :1, 2]).transpose(2, 1, 0))
-            left[1, stars] = ~_fans_cleared(fan, 0.0, screen.reach, screen.slack)
+            left[1, stars] = ~_fans_cleared(fan, 0.0, reach, slack)
     return left
 
 
@@ -440,25 +431,30 @@ def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     in ``tri_vertex_ids``.  The verdict is computed once per map and
     ``tol``, after ``tol`` is validated, and memoized on the map.
 
-    Two sound tiers clear pairs before the predicate: the planar star test
-    (``_stars_left``) clears whole stars, and only the stars it leaves are
-    listed (``PLMap.stars``, restricted to them) and screened by the cone
-    rows (``adjacent._Screen``); the rest is measured, so witnesses and
-    distances are the predicate's own.
+    Sound bounds clear pairs before the predicate, at the threshold raised
+    by a rounding slack: the planar star test (``_stars_left``) clears
+    whole stars, and only the stars it leaves are listed (``_star_codes``,
+    ``adjacent._star_pairs``); of their pairs, those that the cone and
+    half-plane bounds do not clear (``adjacent._pairs_cleared``) are
+    measured, all in one call, so witnesses and distances are the
+    predicate's own.
     """
     threshold = _threshold(plm, tol)
     if tol in plm._immersion:
         return plm._immersion[tol]
-    screen = _Screen(threshold, plm.edge_scale())
     big, area = _differential_norms(plm)
     top = big.max(initial=0.0, where=np.isfinite(big))
     degenerate = np.nonzero(~(area > tol * top * big))[0]  # NaN fails
     witnesses = [("degenerate_triangle", int(t)) for t in degenerate]
-    left = _stars_left(plm, screen)
+    slack = _LEN_SLACK * (threshold + plm.edge_scale())
+    left = _stars_left(plm, threshold + slack, slack)
     u = w = np.empty((2, 0), dtype=np.int32)
     if left.any():
-        stars = [(c[r], v, e, s[:, r]) for (c, v, e, s), r in zip(plm.stars, left)]
-        u, w = screen.uncleared(plm.tri_values, _cone_table(plm, screen), stars)
+        stars = [codes[rows] for codes, rows in zip(_star_codes(plm.chart), left) if rows.any()]
+        u, w = np.concatenate([_star_pairs(plm.tri_vertex_ids, c) for c in stars], axis=-1)
+        flat = plm.tri_values.reshape(-1, plm.dim)
+        kept = ~_pairs_cleared(flat, u, w, threshold + slack, slack)
+        u, w = u[:, kept], w[:, kept]
     dist = _adjacent_distances(plm.tri_values, u, w)
     bad = ~(dist >= threshold)  # NaN fails
     u, dist = u[:, bad], dist[bad]

@@ -10,7 +10,6 @@ from isomesh.density import CORNER_STEPS, QuadMesh, _diagonal_fields, at_corners
 from isomesh.plmap import _operator_norm, _sub_triangles, _triangle_grid
 from isomesh.linalg import thin_qr
 from isomesh.refine import _RANK_CUTOFF, ISO_CERT_FACTOR, apex_constraints, quad_edges
-from isomesh.adjacent import _MARGIN
 from isomesh.solver import _LSQR_TOL
 from isomesh.symplectic import apply_j, liouville_polygon, omega
 
@@ -342,38 +341,6 @@ def pl_isotropy_residual_reference(plm):
     """|omega(B - A, C - A)| of every triangle, row-major."""
     a, b, c = np.moveaxis(plm.tri_values, 1, 0)
     return np.abs(omega(b - a, c - a))
-
-
-def cone_rows_reference(plm, screen):
-    """The screen's cone rows (3T, d + 2) by incidence code, formed over the
-    whole map in the (slot, coordinate, triangle) layout and stored row by
-    row."""
-    v = plm.tri_values.transpose(1, 2, 0)
-    edges = v.take([1, 2, 0], axis=0) - v
-    after, before = [1, 2, 0], [2, 0, 1]
-    dim = edges.shape[1]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        length2 = (edges * edges).sum(axis=1)
-        length = np.sqrt(length2)
-        unit = edges / length[:, None]
-        n = unit - unit.take(before, axis=0)
-        cos_a = 0.5 * np.sqrt((n * n).sum(axis=1))
-        sin_a = np.sqrt(1.0 - np.minimum(cos_a * cos_a, 1.0))
-        n /= 2.0 * cos_a[:, None]
-        turn = (edges * edges.take(after, axis=0)).sum(axis=1)
-        height = np.sqrt(np.maximum(length2 - turn * turn / length2.take(after, axis=0), 0.0))
-        x = screen.reach / (height - screen.slack)
-        cos_b = np.sqrt(1.0 - x * x)
-        cos_g = cos_a * cos_b - sin_a * x
-        ok = (np.minimum(cos_a, sin_a) >= _MARGIN) & (x <= 1.0 - _MARGIN) & (cos_g > 0.0)
-        ok &= height >= _MARGIN * np.maximum(length, length.take(before, axis=0))
-        ok &= height > screen.slack
-        cos_g[~ok] = np.nan
-        out = np.empty((len(plm.tri_values), 3, dim + 2))
-        out[..., :dim] = n.transpose(2, 0, 1)
-        out[..., dim] = cos_g.T
-        out[..., dim + 1] = (sin_a * cos_b + cos_a * x).T
-    return out.reshape(-1, dim + 2)
 
 
 # -- symmesh reader for export round trips --------------------------------

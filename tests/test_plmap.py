@@ -12,7 +12,6 @@ from helpers import (
     ALL_BUILTINS,
     adjacent_distance_lstsq,
     box_close_pairs_brute,
-    cone_rows_reference,
     corner_values_reference,
     edge_scale_reference,
     embedding_witnesses_brute,
@@ -43,10 +42,17 @@ from isomesh import (
 )
 from isomesh.cli import _COMMANDS, PipelineConfig, run_pipeline
 from isomesh import adjacent, plmap
-from isomesh.adjacent import _Screen, _adjacent_distances, _tri_tri_distances
+from isomesh.adjacent import (
+    _LEN_SLACK,
+    _adjacent_distances,
+    _pairs_cleared,
+    _star_pairs,
+    _tri_tri_distances,
+)
 from isomesh.density import CORNER_STEPS, corner_value_table
 from isomesh.immersion import ImmersionSpec
 from isomesh.plmap import (
+    TOPOLOGY_TOL,
     PLMap,
     _box_close_pairs,
     _operator_norm,
@@ -548,18 +554,18 @@ def _pair_codes(vids, i, j):
 
 
 def _star_pairs_of(plm):
-    """Every (u, w) column of ``plm.stars``, row 0 in the smaller triangle:
-    each star's entries that share one id, then those that share more."""
-    cols = []
-    for codes, (a, b), edge, slots in plm.stars:
-        u = np.stack([codes[:, a].ravel(), codes[:, b].ravel()])
-        cols.append(np.stack([u, np.full_like(u, -1)]))
-        r, k = np.nonzero(slots[0] >= 0)
-        u = np.stack([codes[r, edge[0, k]], codes[r, edge[1, k]]])
-        cols.append(np.stack([u, u - u % 3 + slots[:, r, k]]))
-    u, w = np.concatenate(cols, axis=-1)
-    swap = u[0] > u[1]
-    return np.where(swap, u[::-1], u), np.where(swap, w[::-1], w)
+    """Every (u, w) column of the map's stars, row 0 in the smaller triangle:
+    ``adjacent._star_pairs`` on every star of each kind."""
+    stars = plmap._star_codes(plm.chart)
+    return np.concatenate([_star_pairs(plm.tri_vertex_ids, c) for c in stars], axis=-1)
+
+
+def _star_of(plm, u):
+    """Kind (0 corner, 1 apex) and row in ``plmap._star_codes`` of the star
+    that lists each column of the incidence codes ``u``."""
+    v = plm.tri_vertex_ids.ravel()[u[0]]
+    apex = (v >= plm.chart.vertex_count).astype(int)
+    return apex, v - apex * plm.chart.vertex_count
 
 
 _SWEEP_BASES = {
@@ -569,7 +575,7 @@ _SWEEP_BASES = {
     "skew2": np.array([[2.0, 11.3], [0.1, 1.0]]),
     "shear": np.array([[1.0, 0.0], [5.0, 1.0]]),
 }
-#: The 80 charts of the star-table sweep: five period bases, the identity and
+#: The 80 charts of the star sweep: five period bases, the identity and
 #: the default rotation, N = 1..8; five keep their earlier names.
 _SWEEP_NAMES = {("I", False, 1): "N1", ("I", False, 2): "N2", ("I", False, 3): "N3",
                 ("hex", False, 3): "hex3", ("hex", True, 5): "rotated-hex5"}
@@ -587,10 +593,10 @@ _SWEEP = [
 class TestAdjacentPairs:
     @pytest.mark.parametrize("basis, turned, n", _SWEEP)
     def test_vertex_pairs_against_all_pairs(self, basis, turned, n):
-        # The star table lists every pair that shares an id once, with (u, w)
-        # at the first slots of the smallest and the next shared id, row 0 in
-        # the smaller triangle; at N <= 2 ids repeat within a triangle and
-        # across edges.
+        # ``_star_pairs`` on every star lists each pair that shares an id
+        # once, with (u, w) at the first slots of the smallest and the next
+        # shared id, row 0 in the smaller triangle; at N <= 2 ids repeat
+        # within a triangle and across edges.
         if turned:
             chart = rotated_chart(n, _SWEEP_BASES[basis])
         else:
@@ -607,6 +613,14 @@ class TestAdjacentPairs:
         got = {(a // 3, b // 3): (x, y) for a, b, x, y in cols}
         assert len(got) == u.shape[1]
         assert got == want
+        # A random half of the stars (the last always in, row 0 not always)
+        # lists exactly the columns of the full list that those stars list.
+        picks = np.random.default_rng(n).random((2, plm.chart.vertex_count)) < 0.5
+        picks[:, -1] = True
+        stars = [c[r] for c, r in zip(plmap._star_codes(plm.chart), picks)]
+        sub = np.concatenate([_star_pairs(vids, c) for c in stars], axis=-1).reshape(4, -1)
+        full = np.concatenate([u, w])[:, picks[_star_of(plm, u)]]
+        assert sorted(map(tuple, sub.T.tolist())) == sorted(map(tuple, full.T.tolist()))
 
 
 def _sliver_pair(rng, dim, edge, ratio, delta):
@@ -691,33 +705,6 @@ def test_degenerate_rows_need_only_their_distinct_faces(monkeypatch):
     want = _adjacent_distances(plm.tri_values, u, w)
     assert np.all(got >= want)
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * plm.edge_scale()
-
-
-def _screened(plm, tol):
-    """(u, w, cleared, threshold) over every pair that shares a vertex id:
-    the screen's passes leave the pairs not cleared."""
-    threshold = tol * plm.edge_scale()
-    u, w = _star_pairs_of(plm)
-    screen = _Screen(threshold, plm.edge_scale())
-    with np.errstate(invalid="ignore", over="ignore"):
-        cones = plmap._cone_table(plm, screen)
-        left = screen.uncleared(plm.tri_values, cones, plm.stars)
-    key = np.int64(3 * len(plm.tri_values))
-    cleared = ~np.isin(u[0] * key + u[1], left[0, 0] * key + left[0, 1])
-    return u, w, cleared, threshold
-
-
-def _assert_screen_sound(plm, tol, references=12):
-    """Every pair the screen clears is at or above the threshold by the exact
-    predicate; the tightest ones also by the lstsq reference."""
-    u, w, cleared, threshold = _screened(plm, tol)
-    rows = np.nonzero(cleared)[0]
-    exact = _adjacent_distances(plm.tri_values, u[:, rows], w[:, rows])
-    assert (exact >= threshold).all()
-    for k in rows[np.argsort(exact)[:references]]:
-        i, j = (int(c) // 3 for c in u[:, k])
-        assert adjacent_distance_lstsq(plm.tri_values, plm.tri_vertex_ids, i, j) >= threshold
-    return u, w, cleared, threshold
 
 
 def _plane_mesh(chart, dim, rng, moves=(), lift=0.0):
@@ -830,24 +817,31 @@ class TestBlocks:
         assert c1 > c0 > 0.0
 
     def test_vertex_pairs_match_whole_steps(self, plm, monkeypatch):
-        # The pairs the screen leaves, with the triangle passes, the planar
-        # star test and the star pass in blocks of 12 rows: the same (u, w)
-        # columns up to order as in whole blocks, the same cone rows,
-        # differential norms and stars left.
+        # The triangle pass and the planar star test in blocks of 12 rows
+        # give the same differential norms and stars left as in whole
+        # blocks, and the predicate receives the same (u, w) columns.
         def left():
-            screen = _Screen(0.05 * plm.edge_scale(), plm.edge_scale())
+            listed = []
+
+            def recorded(vals, u, w):
+                listed.append(np.stack([u, w])[..., np.lexsort(u[::-1])])
+                return _adjacent_distances(vals, u, w)
+
+            monkeypatch.setattr(plmap, "_adjacent_distances", recorded)
+            fresh = build_pl(plm.tri)
+            threshold = 0.05 * fresh.edge_scale()
+            slack = _LEN_SLACK * (threshold + fresh.edge_scale())
             with np.errstate(invalid="ignore"):
-                cones = plmap._cone_table(plm, screen)
-                u, w = screen.uncleared(plm.tri_values, cones, plm.stars)
-                tables = (cones, *plmap._differential_norms(plm), plmap._stars_left(plm, screen))
-            return tables, np.stack([u, w])[..., np.lexsort(u[::-1])]
+                check_immersion(fresh, 0.05)
+                left = plmap._stars_left(fresh, threshold + slack, slack)
+                return (*plmap._differential_norms(fresh), left), listed
 
         got = left()
-        assert got[1].shape[-1] > 0
+        assert len(got[1]) == 1 and got[1][0].shape[-1] > 0
         for module in (plmap, adjacent):
             monkeypatch.setattr(module, "_PAIR_BLOCK", 1 << 14)
         want = left()
-        assert np.array_equal(got[1], want[1])
+        assert np.array_equal(got[1][0], want[1][0])
         for a, b in zip(got[0], want[0]):
             assert np.array_equal(a, b, equal_nan=True)
 
@@ -886,7 +880,7 @@ def _nan_plm():
     ids=["f8c-12", "f8f8-7", "hex-R4-N3", "square-R6-N12", "nan-R6"],
 )
 def test_coordinate_major_kernels_match_row_major(make, block, monkeypatch):
-    # Edge scale, isotropy residuals and cone rows, formed per block from
+    # Edge scale and isotropy residuals, formed per block from
     # coordinate-major edges, equal the row-major full-table references bit
     # for bit.
     for module in (plmap, adjacent):
@@ -897,9 +891,6 @@ def test_coordinate_major_kernels_match_row_major(make, block, monkeypatch):
         assert np.array_equal(
             pl_isotropy_residual(plm), pl_isotropy_residual_reference(plm), equal_nan=True
         )
-        screen = _Screen(0.05 * plm.edge_scale(), plm.edge_scale())
-        cones = plmap._cone_table(plm, screen)
-        assert np.array_equal(cones.T, cone_rows_reference(plm, screen), equal_nan=True)
 
 
 def test_verify_memory_is_bounded_by_the_value_table():
@@ -920,172 +911,25 @@ def test_verify_memory_is_bounded_by_the_value_table():
     assert ratio <= 6.0, f"traced peak {ratio:.2f} value tables"
 
 
-class TestScreen:
-    """The screen in front of the adjacent-pair predicate never clears a pair
-    the predicate would fail."""
-
-    @given(
-        hex_chart=st.booleans(),
-        n=st.integers(2, 3),
-        dim=st.sampled_from([4, 6]),
-        tol=st.sampled_from([1e-6, 0.02, 0.1, 0.3]),
-        lift=st.sampled_from([0.0, 1e-3, 0.3]),
-        moves=st.lists(
-            st.tuples(
-                st.integers(0, 8),
-                st.integers(0, 3),
-                st.floats(0.0, 1.0),
-                st.sampled_from([0.0, 1e-9, 1e-4, 0.3, 1.0]),
-            ),
-            max_size=3,
-        ),
-        seed=st.integers(0, 2**16),
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_sound_on_planes(self, hex_chart, n, dim, tol, lift, moves, seed):
-        # Coplanar fans (lift 0), near misses off the plane, and apexes moved
-        # to a point of a facet edge, then by a fraction of the way to the
-        # center towards it (odd sides) or away from it (even sides):
-        # slivers with H at or below the threshold, degenerate triangles and
-        # folds past the edge.
-        chart = build_chart(hex_basis() if hex_chart else np.eye(2), np.eye(2), n)
-        kc, lc = chart.all_canonical()
-        dk, dl = CORNER_STEPS.T
-        corners = chart.position(kc[:, None] + dk, lc[:, None] + dl)
-        centers = chart.facet_center(kc, lc)
-        placed = []
-        for f, s, along, back in moves:
-            f %= chart.vertex_count
-            point = (1.0 - along) * corners[f, s] + along * corners[f, (s + 1) % 4]
-            placed.append((f, point + back * (centers[f] - point) * (1 if s % 2 else -1)))
-        plm = _plane_mesh(chart, dim, np.random.default_rng(seed), placed, lift)
-        _assert_screen_sound(plm, tol)
-
-    @given(
-        dim=st.sampled_from([4, 6]),
-        n=st.integers(1, 2),
-        tol=st.sampled_from([1e-6, 0.05, 0.2]),
-        data=st.data(),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_sound_on_lifted_soups(self, dim, n, tol, data):
-        # Grid values and random target periods on tiny charts: ids repeat
-        # within a triangle, and the two triangles of a pair often read their
-        # shared vertices in different lifts (values at w that differ).
-        chart = identity_chart(n)
-        grid = st.integers(-4, 4).map(lambda k: k / 4.0)
-        shape = (2 * chart.vertex_count + 2, dim)
-        values = data.draw(arrays(float, shape, elements=grid, fill=st.nothing()))
-        count = chart.vertex_count
-        plm = build_pl(
-            TriMesh(
-                chart,
-                values[:count],
-                values[count : 2 * count],
-                target_periods=values[2 * count :],
-            )
-        )
-        _assert_screen_sound(plm, tol)
-
-    def test_sound_when_values_at_w_differ(self):
-        # Found by a random search over lifted soups: an edge pair whose
-        # values at w differ by a period meets its neighbour, and only the
-        # difference, added to the reach, keeps the screen from clearing it.
-        values = np.array([
-            [-1.0, 1.0, -0.5, -0.5], [-1.0, 1.0, -0.5, -0.5], [-0.75, 0.0, 0.75, -0.25],
-            [-0.5, 0.0, 0.25, 0.75], [0.25, 1.0, -1.0, 0.75], [-1.0, -0.25, -0.25, 0.75],
-            [-0.5, 0.5, -0.25, -1.0], [-0.5, -1.0, 1.0, 0.75], [-1.0, 0.0, 0.5, -0.5],
-            [0.5, -0.75, 1.0, 0.5],
-        ])
-        tri = TriMesh(identity_chart(2), values[:4], values[4:8], target_periods=values[8:])
-        plm = build_pl(tri)
-        _assert_screen_sound(plm, 1e-6)
-        assert not check_immersion(plm, tol=1e-6).passed
-
-    def test_sound_on_apex_fold(self):
-        # The fold of test_apex_fold_fails_immersion: its witnesses stay on
-        # the exact path.
-        chart = identity_chart(4)
-        tri = sample_tri(make_flat_plane(), chart)
-        tri.apex_values[chart.offset_of_raw(1, 1), 2] -= 0.14
-        plm = build_pl(tri)
-        u, _, cleared, _ = _assert_screen_sound(plm, 1e-6)
-        witnesses = {w[2:4] for w in check_immersion(plm, tol=1e-6).witnesses}
-        assert witnesses
-        assert not {(int(a) // 3, int(b) // 3) for a, b in u[:, cleared].T} & witnesses
-
-    def test_sliver_below_threshold_is_measured(self):
-        # An apex a quarter threshold from a facet edge: the triangle on that
-        # edge has H there below the threshold, and the pairs it forms with
-        # the opposite triangles of the facet are true witnesses.
-        chart = identity_chart(4)
-        tri = sample_tri(make_flat_plane(), chart)
-        facet = chart.offset_of_raw(1, 1)
-        plm = build_pl(tri)
-        threshold = 0.05 * plm.edge_scale()
-        corner = tri.corner_table()[facet]
-        off_edge = 0.25 * threshold * np.array([0.0, 0.0, 1.0, 0.0])
-        tri.apex_values[facet] = 0.5 * (corner[0] + corner[1]) + off_edge
-        plm = build_pl(tri)
-        u, _, cleared, _ = _assert_screen_sound(plm, 0.05)
-        got = check_immersion(plm, tol=0.05)
-        want = immersion_witnesses_brute(plm, 0.05)
-        assert [w[:4] for w in got.witnesses if w[0] == "vertex_star"] == [w[:4] for w in want]
-        assert {(4 * facet, 4 * facet + 2)} <= {w[2:4] for w in want}
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_never_cleared(self, bad):
-        chart = identity_chart(4)
-        tri = sample_tri(make_flat_plane(), chart)
-        facet = chart.offset_of_raw(2, 1)
-        tri.apex_values[facet, 1] = bad
-        with np.errstate(invalid="ignore", over="ignore"):
-            plm = build_pl(tri)
-        u, _, cleared, _ = _screened(plm, 1e-6)
-        spoiled = np.isin(u // 3, 4 * facet + np.arange(4)).any(axis=0)
-        assert spoiled.any() and not (cleared & spoiled).any()
-        assert cleared[~spoiled].all()
-
-    @pytest.mark.parametrize("spec", ["product:figure8,circle", "flat-plane"])
-    def test_few_pairs_reach_the_exact_path(self, spec, monkeypatch):
-        # Timing-free: on a curved and on a flat mesh at N = 96, fewer than
-        # 1% of the vertex-sharing pairs go through the exact predicate.
-        plm = run_pipeline(PipelineConfig(spec=spec, n=96), keys=["iso_scale"]).plm
-        measured = []
-
-        def counted(vals, u, w):
-            measured.append(u.shape[1])
-            return _adjacent_distances(vals, u, w)
-
-        monkeypatch.setattr(plmap, "_adjacent_distances", counted)
-        assert check_immersion(plm, tol=1e-6).passed
-        assert len(measured) == 1  # one predicate call per map
-        pairs = _star_pairs_of(plm)[0].shape[1]
-        assert pairs == 28 * plm.chart.vertex_count  # 22 share a vertex, 6 an edge
-        assert pairs == 258_860 or spec == "flat-plane"
-        assert sum(measured) < 0.01 * pairs
-
-
 def _tier_checked(plm, tol):
     """The planar star test's masks (``plmap._stars_left``) at ``tol``, after
     checking that no star it clears holds a pair that the predicate scores
     below the threshold, and that ``check_immersion``'s pair witnesses are
     the predicate's on every pair that shares a vertex."""
     threshold = tol * plm.edge_scale()
+    slack = _LEN_SLACK * (threshold + plm.edge_scale())
     with np.errstate(invalid="ignore", over="ignore"):
-        left = plmap._stars_left(plm, _Screen(threshold, plm.edge_scale()))
+        left = plmap._stars_left(plm, threshold + slack, slack)
     u, w = _star_pairs_of(plm)
     dist = _adjacent_distances(plm.tri_values, u, w)
     bad = np.nonzero(~(dist >= threshold))[0]
     v = plm.tri_vertex_ids.ravel()[u[0, bad]]
-    apex = (v >= plm.chart.vertex_count).astype(int)
-    assert left[apex, v - apex * plm.chart.vertex_count].all()
+    assert left[_star_of(plm, u[:, bad])].all()
     i, j = u[:, bad] // 3
-    want = [
-        ("vertex_star", int(v[k]), int(i[k]), int(j[k]), float(dist[bad[k]]))
-        for k in np.lexsort((j, i))
-    ]
-    assert [x for x in check_immersion(plm, tol).witnesses if x[0] == "vertex_star"] == want
+    order = np.lexsort((j, i))
+    got = [x for x in check_immersion(plm, tol).witnesses if x[0] == "vertex_star"]
+    assert [list(x[1:4]) for x in got] == np.stack([v, i, j])[:, order].T.tolist()
+    assert np.array_equal([x[4] for x in got], dist[bad[order]], equal_nan=True)
     return left
 
 
@@ -1112,10 +956,10 @@ def _moved_apex_plane(n, step, seed):
 
 
 class TestStarTier:
-    """The planar star test in front of the cone screen clears no star that
+    """The planar star test in front of the predicate clears no star that
     holds a witness of the predicate, and the witnesses stay the
-    predicate's own, on the built-ins, on planes with moved apexes and on
-    lifted planes."""
+    predicate's own, on the built-ins, on planes with moved apexes, on
+    lifted planes and on folds, slivers and non-finite values."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 12])
     @pytest.mark.parametrize("spec", ALL_BUILTINS)
@@ -1135,7 +979,7 @@ class TestStarTier:
         lefts = [_tier_checked(plm, tol) for tol in _TIER_TOLS]
         if n == 3:
             _assert_brute_witnesses(plm)
-        assert lefts[0].any() and not lefts[0].all()  # both tiers run
+        assert lefts[0].any() and not lefts[0].all()  # stars cleared and stars listed
 
     @pytest.mark.parametrize("n", [3, 16])
     @pytest.mark.parametrize("dim, lift", [(4, 0.5), (6, 1.0)])
@@ -1220,6 +1064,219 @@ class TestStarTier:
         assert _tier_checked(plm, 1e-6)[0, v]
 
 
+def _assert_cleared_by_reference(plm, tol, references=12):
+    """``_tier_checked`` at ``tol``, then the lstsq reference on the pairs of
+    the stars it clears that the predicate scores tightest: each is at or
+    above the threshold there too."""
+    left = _tier_checked(plm, tol)
+    u, w = _star_pairs_of(plm)
+    rows = np.nonzero(~left[_star_of(plm, u)])[0]
+    exact = _adjacent_distances(plm.tri_values, u[:, rows], w[:, rows])
+    threshold = tol * plm.edge_scale()
+    for k in rows[np.argsort(exact)[:references]]:
+        i, j = (int(c) // 3 for c in u[:, k])
+        assert adjacent_distance_lstsq(plm.tri_values, plm.tri_vertex_ids, i, j) >= threshold
+
+
+def _screened(plm, tol):
+    """(u, w, cleared, threshold) over every pair that shares a vertex id:
+    the mask of the pairs that ``adjacent._pairs_cleared``, the bounds for
+    the stars the planar test leaves, clears when run on every star."""
+    threshold = tol * plm.edge_scale()
+    slack = _LEN_SLACK * (threshold + plm.edge_scale())
+    u, w = _star_pairs_of(plm)
+    flat = plm.tri_values.reshape(-1, plm.dim)
+    return u, w, _pairs_cleared(flat, u, w, threshold + slack, slack), threshold
+
+
+def _assert_screen_sound(plm, tol, references=12):
+    """Every pair the pair bounds clear is at or above the threshold by the
+    exact predicate; the tightest ones also by the lstsq reference."""
+    u, w, cleared, threshold = _screened(plm, tol)
+    rows = np.nonzero(cleared)[0]
+    exact = _adjacent_distances(plm.tri_values, u[:, rows], w[:, rows])
+    assert (exact >= threshold).all()
+    for k in rows[np.argsort(exact)[:references]]:
+        i, j = (int(c) // 3 for c in u[:, k])
+        assert adjacent_distance_lstsq(plm.tri_values, plm.tri_vertex_ids, i, j) >= threshold
+    return u, w, cleared, threshold
+
+
+class TestScreen:
+    """The pair bounds behind the planar star test (``adjacent._pairs_cleared``)
+    never clear a pair the predicate would fail, run on every star; with the
+    planar test in front, the witnesses stay the predicate's own."""
+
+    def test_sound_when_values_at_w_differ(self):
+        # Found by a random search over lifted soups: an edge pair whose
+        # values at w differ by a period meets its neighbour, and only the
+        # difference, added to the reach, keeps the edge bound from clearing
+        # it.  At N = 2 spoke ids repeat, so the planar test leaves every star.
+        values = np.array([
+            [-1.0, 1.0, -0.5, -0.5], [-1.0, 1.0, -0.5, -0.5], [-0.75, 0.0, 0.75, -0.25],
+            [-0.5, 0.0, 0.25, 0.75], [0.25, 1.0, -1.0, 0.75], [-1.0, -0.25, -0.25, 0.75],
+            [-0.5, 0.5, -0.25, -1.0], [-0.5, -1.0, 1.0, 0.75], [-1.0, 0.0, 0.5, -0.5],
+            [0.5, -0.75, 1.0, 0.5],
+        ])
+        tri = TriMesh(identity_chart(2), values[:4], values[4:8], target_periods=values[8:])
+        plm = build_pl(tri)
+        for tol in _TIER_TOLS:
+            _tier_checked(plm, tol)
+            _assert_screen_sound(plm, tol)
+        _assert_brute_witnesses(plm)
+        assert not check_immersion(plm, tol=1e-6).passed
+
+    def test_sound_on_apex_fold(self):
+        # The fold of test_apex_fold_fails_immersion: the stars of its
+        # witnesses are left, and its witnesses stay on the exact path.
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        tri.apex_values[chart.offset_of_raw(1, 1), 2] -= 0.14
+        plm = build_pl(tri)
+        for tol in _TIER_TOLS:
+            _tier_checked(plm, tol)
+        _assert_brute_witnesses(plm)
+        u, _, cleared, _ = _assert_screen_sound(plm, 1e-6)
+        witnesses = {w[2:4] for w in check_immersion(plm, tol=1e-6).witnesses}
+        assert witnesses
+        assert not {(int(a) // 3, int(b) // 3) for a, b in u[:, cleared].T} & witnesses
+
+    def test_sliver_below_threshold_is_measured(self):
+        # An apex a quarter threshold from a facet edge: the triangle on that
+        # edge is a sliver below the threshold, and the pairs it forms with
+        # the opposite triangles of the facet are true witnesses.
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        facet = chart.offset_of_raw(1, 1)
+        plm = build_pl(tri)
+        threshold = 0.05 * plm.edge_scale()
+        corner = tri.corner_table()[facet]
+        off_edge = 0.25 * threshold * np.array([0.0, 0.0, 1.0, 0.0])
+        tri.apex_values[facet] = 0.5 * (corner[0] + corner[1]) + off_edge
+        plm = build_pl(tri)
+        for tol in _TIER_TOLS:
+            _tier_checked(plm, tol)
+            _assert_screen_sound(plm, tol)
+        _assert_brute_witnesses(plm)
+        want = immersion_witnesses_brute(plm, 0.05)
+        assert {(4 * facet, 4 * facet + 2)} <= {w[2:4] for w in want}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_never_cleared(self, bad):
+        # The stars that hold the non-finite apex, its own and those of its
+        # facet's four corners, are left, and the pair bounds clear none of
+        # their pairs that hold it; every other star and pair of the plane
+        # clears.  (The lstsq reference reads NaN as no witness, so the
+        # witnesses are checked against the predicate only.)
+        chart = identity_chart(4)
+        tri = sample_tri(make_flat_plane(), chart)
+        facet = chart.offset_of_raw(2, 1)
+        tri.apex_values[facet, 1] = bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            plm = build_pl(tri)
+            left = _tier_checked(plm, 1e-6)
+            u, _, cleared, _ = _screened(plm, 1e-6)
+        want = np.zeros_like(left)
+        want[0, plm.tri_vertex_ids[4 * facet : 4 * facet + 4, 0]] = True
+        want[1, facet] = True
+        assert np.array_equal(left, want)
+        spoiled = np.isin(u // 3, 4 * facet + np.arange(4)).any(axis=0)
+        assert spoiled.any() and not (cleared & spoiled).any()
+        assert cleared[~spoiled].all()
+
+    @given(
+        hex_chart=st.booleans(),
+        n=st.integers(2, 3),
+        dim=st.sampled_from([4, 6]),
+        tol=st.sampled_from([1e-6, 0.02, 0.1, 0.3]),
+        lift=st.sampled_from([0.0, 1e-3, 0.3]),
+        moves=st.lists(
+            st.tuples(
+                st.integers(0, 8),
+                st.integers(0, 3),
+                st.floats(0.0, 1.0),
+                st.sampled_from([0.0, 1e-9, 1e-4, 0.3, 1.0]),
+            ),
+            max_size=3,
+        ),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_sound_on_planes(self, hex_chart, n, dim, tol, lift, moves, seed):
+        # Coplanar fans (lift 0), near misses off the plane, and apexes moved
+        # to a point of a facet edge, then by a fraction of the way to the
+        # center towards it (odd sides) or away from it (even sides):
+        # slivers with H at or below the threshold, degenerate triangles and
+        # folds past the edge.
+        chart = build_chart(hex_basis() if hex_chart else np.eye(2), np.eye(2), n)
+        kc, lc = chart.all_canonical()
+        dk, dl = CORNER_STEPS.T
+        corners = chart.position(kc[:, None] + dk, lc[:, None] + dl)
+        centers = chart.facet_center(kc, lc)
+        placed = []
+        for f, s, along, back in moves:
+            f %= chart.vertex_count
+            point = (1.0 - along) * corners[f, s] + along * corners[f, (s + 1) % 4]
+            placed.append((f, point + back * (centers[f] - point) * (1 if s % 2 else -1)))
+        plm = _plane_mesh(chart, dim, np.random.default_rng(seed), placed, lift)
+        _assert_cleared_by_reference(plm, tol)
+        _assert_screen_sound(plm, tol)
+
+    @given(
+        dim=st.sampled_from([4, 6]),
+        n=st.integers(1, 2),
+        tol=st.sampled_from([1e-6, 0.05, 0.2]),
+        data=st.data(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sound_on_lifted_soups(self, dim, n, tol, data):
+        # Grid values and random target periods on tiny charts: ids repeat
+        # within a triangle, and the two triangles of a pair often read their
+        # shared vertices in different lifts (values at w that differ).
+        chart = identity_chart(n)
+        grid = st.integers(-4, 4).map(lambda k: k / 4.0)
+        shape = (2 * chart.vertex_count + 2, dim)
+        values = data.draw(arrays(float, shape, elements=grid, fill=st.nothing()))
+        count = chart.vertex_count
+        plm = build_pl(
+            TriMesh(
+                chart,
+                values[:count],
+                values[count : 2 * count],
+                target_periods=values[2 * count :],
+            )
+        )
+        _assert_cleared_by_reference(plm, tol)
+        _assert_screen_sound(plm, tol)
+
+    @pytest.mark.parametrize("n", [3, 6, 12])
+    @pytest.mark.parametrize("spec", ["clifford:1,0.01", "clifford:1,0.002"])
+    def test_sound_on_thin_tori(self, spec, n):
+        # Clifford tori with one radius far below the other: no plane shows
+        # a corner star as a fan, so the planar test leaves every corner
+        # star; at the default tol the pair bounds clear 46% to 75% of the
+        # pairs (here from N = 3 to 12).
+        plm = run_pipeline(PipelineConfig(spec=spec, n=n), keys=["iso_scale"]).plm
+        shares = []
+        for tol in _TIER_TOLS:
+            assert _tier_checked(plm, tol)[0].all()
+            shares.append(_assert_screen_sound(plm, tol)[2].mean())
+        assert shares[0] > 0.4
+
+    @pytest.mark.parametrize("spec", ["product:figure8,circle", "flat-plane"])
+    def test_few_pairs_reach_the_exact_path(self, spec, monkeypatch):
+        # Timing-free: on a curved and on a flat mesh at N = 96, fewer than
+        # 1% of the vertex-sharing pairs go through the exact predicate.
+        plm = run_pipeline(PipelineConfig(spec=spec, n=96), keys=["iso_scale"]).plm
+        measured = _measured(monkeypatch)
+        assert check_immersion(plm, tol=1e-6).passed
+        assert len(measured) == 1  # one predicate call per map
+        pairs = _star_pairs_of(plm)[0].shape[1]
+        assert pairs == 28 * plm.chart.vertex_count  # 22 share a vertex, 6 an edge
+        assert pairs == 258_860 or spec == "flat-plane"
+        assert sum(measured) < 0.01 * pairs
+
+
 def _corner_star_of(plm, k, l):
     """Corner v = (k, l) of a chart and its facets f_c = v - step_c."""
     chart = plm.chart
@@ -1247,33 +1304,78 @@ def _measured(monkeypatch):
     return measured
 
 
+#: What a PL map may cache: its fields and the chart-shape table.
+_MAP_CACHE = {"tri", "tri_values", "tri_vertex_ids", "_edge_scale", "_immersion", "shapes"}
+
+
 class TestStarTierFastPath:
     @pytest.mark.parametrize("n", [12, 96])
     @pytest.mark.parametrize("spec", ALL_BUILTINS)
     def test_smooth_maps_list_no_pairs(self, spec, n, monkeypatch):
         # Timing-free: the planar star test clears every star of a built-in,
-        # so neither the star table nor the cone table is built, and the
-        # predicate receives no pair.
+        # so no star is listed and the predicate receives no pair.
         plm = run_pipeline(PipelineConfig(spec=spec, n=n), keys=["iso_scale"]).plm
         measured = _measured(monkeypatch)
-
-        def forbidden(*args):
-            raise AssertionError("cone table built")
-
-        monkeypatch.setattr(plmap, "_cone_table", forbidden)
         assert check_immersion(plm).passed
-        assert "stars" not in plm.__dict__
+        assert set(vars(plm)) <= _MAP_CACHE
         assert measured == [0]
 
     def test_moved_apexes_measure_no_more_pairs(self, monkeypatch):
-        # On the moved-apex plane at N = 96 the cone screen alone, run on
-        # every star, left 6,502 pairs to the predicate; behind the planar
-        # star test it runs on the stars that test leaves, and no more pairs
-        # are measured.
+        # On the moved-apex plane at N = 96 the pair bounds alone, run on
+        # every star, leave 6,502 pairs to the predicate; behind the planar
+        # star test they run on the 82,494 pairs of the stars that test
+        # leaves, and no more pairs are measured.
         plm = _moved_apex_plane(96, 0.3, 3)
-        measured = _measured(monkeypatch)
-        assert check_immersion(plm).passed
-        assert len(measured) == 1 and 0 < measured[0] <= 6_502
+        passed, listed, measured = _listed_pairs_checked(plm, monkeypatch)
+        assert passed and listed == 82_494 and 0 < measured <= 6_502
+
+    def test_thin_torus_measures_few_pairs(self, monkeypatch):
+        # A Clifford torus with radii 1 and 0.01 at N = 24: the planar star
+        # test leaves every corner star (20 of the 28 pairs per facet), and
+        # the pair bounds leave a quarter of all pairs to the predicate.
+        plm = run_pipeline(PipelineConfig(spec="clifford:1,0.01", n=24), keys=["iso_scale"]).plm
+        passed, listed, measured = _listed_pairs_checked(plm, monkeypatch)
+        pairs = 28 * plm.chart.vertex_count
+        assert passed and listed >= 20 * pairs // 28 and measured < 0.3 * pairs
+
+    @pytest.mark.parametrize("n, passed", [(3, False), (4, True)])
+    def test_builtin_lists_only_the_stars_left(self, n, passed, monkeypatch):
+        # figure8 x figure8 is the built-in whose coarse meshes leave stars:
+        # the predicate measures exactly their pairs that the pair bounds
+        # leave, and its verdict is the
+        # one ``isomesh verify`` prints (fail at N = 3, pass at N = 4).
+        spec = "product:figure8,figure8"
+        plm = run_pipeline(PipelineConfig(spec=spec, n=n), keys=["iso_scale"]).plm
+        got, listed, measured = _listed_pairs_checked(plm, monkeypatch)
+        assert got == passed and listed >= measured > 0
+
+
+def _listed_pairs_checked(plm, monkeypatch):
+    """``check_immersion``'s verdict at the default tol, the number of pairs
+    in the stars that ``plmap._stars_left`` leaves and the number measured,
+    after checking that the predicate got one call with exactly those pairs
+    that ``adjacent._pairs_cleared`` does not clear, and that the map caches
+    no star table."""
+    listed = []
+
+    def recorded(vals, u, w):
+        listed.append(np.concatenate([u, w]))
+        return _adjacent_distances(vals, u, w)
+
+    monkeypatch.setattr(plmap, "_adjacent_distances", recorded)
+    passed = check_immersion(plm).passed
+    assert set(vars(plm)) <= _MAP_CACHE
+    threshold = TOPOLOGY_TOL * plm.edge_scale()
+    slack = _LEN_SLACK * (threshold + plm.edge_scale())
+    left = plmap._stars_left(plm, threshold + slack, slack)
+    u, w = _star_pairs_of(plm)
+    rows = left[_star_of(plm, u)]
+    u, w = u[:, rows], w[:, rows]
+    flat = plm.tri_values.reshape(-1, plm.dim)
+    want = np.concatenate([u, w])[:, ~_pairs_cleared(flat, u, w, threshold + slack, slack)]
+    assert len(listed) == 1 and listed[0].shape[1] == want.shape[1]
+    assert sorted(map(tuple, listed[0].T.tolist())) == sorted(map(tuple, want.T.tolist()))
+    return passed, u.shape[1], want.shape[1]
 
 
 class TestChecks:
