@@ -23,7 +23,6 @@ from .density import (
     weak_norm,
 )
 from .immersion import (
-    FIGURE_EIGHT_NODE_PARAMS,
     ImmersionSpec,
     PlaneCurve,
     circle,
@@ -45,7 +44,6 @@ from .solver import (
 from .refine import (
     NotIsotropic,
     TriMesh,
-    apex_constraints,
     apex_refine,
     barycentric_apexes,
     optimal_apexes,

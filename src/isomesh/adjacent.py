@@ -215,10 +215,11 @@ _LEN_SLACK = 2.0**-36
 _MARGIN = 2.0**-8
 
 
-def _fans_cleared(spokes, spread, reach, slack):
-    """Mask of the stars whose every pair the planar star test clears.
+def _fans_cleared(bounds, spread, reach, slack):
+    """Mask of the stars whose every pair the planar star test clears, from
+    their ``_fan_bounds``.
 
-    ``spokes`` (d, m, S), coordinate-major, holds the m spokes q_0 .. q_m-1
+    The spokes (d, m, S), coordinate-major, are the m spokes q_0 .. q_m-1
     of each of S stars in fan order, relative to the star's vertex: sector
     i is the triangle (0, q_i, q_i+1), indices mod m, and the pairs of the
     star are two sectors that share a spoke (an edge pair) or only the
@@ -282,6 +283,20 @@ def _fans_cleared(spokes, spread, reach, slack):
     half-planes, so its crossing moves to the next sector and is neither
     lost nor doubled.  A NaN or inf value never clears.
     """
+    ok, height, shortest, longest = bounds
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        reach = reach + spread
+        ok = ok & ((0.5 * height - slack) * (height / longest - _COS_SLACK) > reach)  # H s
+        height = height - slack
+        ok &= shortest * height > 2.0 * reach * (height + 6.0 * longest)
+    return ok
+
+
+def _fan_bounds(spokes):
+    """The part of the planar star test (``_fans_cleared``) that does not
+    depend on the reach, for the stars of ``spokes`` (d, m, S): whether the
+    projected fan winds once and is well conditioned, its height kappa /
+    Lambda and its shortest and longest spoke lambda, Lambda, each (S,)."""
     dim, m, _ = spokes.shape
     after = np.roll(np.arange(m), -1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
@@ -308,12 +323,7 @@ def _fans_cleared(spokes, spread, reach, slack):
         x += y
         shortest, longest = np.sqrt(x.min(axis=0)), np.sqrt(x.max(axis=0))
         ok &= kappa >= _MARGIN * _MARGIN * longest * longest
-        reach = reach + spread
-        height = kappa / longest
-        ok &= (0.5 * height - slack) * (height / longest - _COS_SLACK) > reach  # H s
-        height -= slack
-        ok &= shortest * height > 2.0 * reach * (height + 6.0 * longest)
-    return ok
+        return ok, kappa / longest, shortest, longest
 
 
 # -- the pair bounds for the stars left -----------------------------------------

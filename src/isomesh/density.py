@@ -41,18 +41,19 @@ def at_corners(table):
     return table[:, i, j]
 
 
-def corner_value_table(chart, values, periods=None):
-    """(F, 4, d) table of facet corner values A0..A3 in canonical facet order.
+def corner_value_table(chart, values, periods=None, facets=slice(None)):
+    """(F, 4, d) table of facet corner values A0..A3 in canonical facet order,
+    of the facets ``facets`` (a slice; all by default).
 
     values[o] stores the canonical representative; a corner displaced by
     M (q1, q2) picks up the target translation q1 u_1 + q2 u_2, where u_i is
     the target period attached to gamma_i.  Periodic meshes have u_i = 0, so
     their lattice shifts are never formed.
     """
-    table = values.take(at_corners(chart.neighbours), axis=0)
+    table = values.take(at_corners(chart.neighbours[facets]), axis=0)
     if periods is None or not periods.any():
         return table
-    q = at_corners(chart.shifts)
+    q = at_corners(chart.shifts[facets])
     return table + q[..., 0, None] * periods[0] + q[..., 1, None] * periods[1]
 
 
@@ -97,8 +98,8 @@ class QuadMesh:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def corner_table(self):
-        return corner_value_table(self.chart, self.values, self.target_periods)
+    def corner_table(self, facets=slice(None)):
+        return corner_value_table(self.chart, self.values, self.target_periods, facets)
 
 
 @dataclass

@@ -13,30 +13,42 @@ def dot(a, b):
     return np.einsum("...d,...d->...", a, b)
 
 
-def thin_qr(a, m, cutoff):
+def coordinate_dot(a, b):
+    """Inner products along the first axis, broadcasting over the others,
+    for coordinate-major (d, ...) data: summed coordinate by coordinate, as
+    a sum over axis 0 is, not pairwise as along a contiguous last axis."""
+    return np.einsum("k...,k...->...", a, b)
+
+
+def thin_qr(a, m, cutoff, coordinate_major=False):
     """Thin QR of the columns a[:m] by modified Gram-Schmidt, in place.
 
-    ``a`` has shape (k, ..., d): the m columns, then k - m right-hand sides.
-    Each column is orthogonalised twice against the ones before it; a column
-    whose projected norm is at most ``cutoff`` (broadcast over the batch) is
-    dropped: set to zero, with a zero diagonal.  A NaN norm is kept, so it
-    spreads.  The right-hand sides are projected once onto the complement of
-    the columns, with no cutoff.  On return a[:m] holds Q, a[m:] the
-    projected right-hand sides, and the result r, shape (m, k, ...), holds
-    R in r[:, :m] and Q^T b in r[:, m:].
+    ``a`` has shape (k, ..., d): the m columns, then k - m right-hand sides;
+    with ``coordinate_major`` it has shape (k, d, ...), and the inner
+    products are ``coordinate_dot``s.  Each column is orthogonalised twice
+    against the ones before it; a column whose projected norm is at most
+    ``cutoff`` (broadcast over the batch) is dropped: set to zero, with a
+    zero diagonal.  A NaN norm is kept, so it spreads.  The right-hand sides
+    are projected once onto the complement of the columns, with no cutoff.
+    On return a[:m] holds Q, a[m:] the projected right-hand sides, and the
+    result r, shape (m, k, ...), holds R in r[:, :m] and Q^T b in r[:, m:].
     """
-    r = np.zeros((m, a.shape[0]) + a.shape[1:-1])
+    if coordinate_major:
+        inner, batch, vector = coordinate_dot, a.shape[2:], (None,)
+    else:
+        inner, batch, vector = dot, a.shape[1:-1], (..., None)
+    r = np.zeros((m, a.shape[0]) + batch)
     for j in range(a.shape[0]):
         for _ in range(1 + (j < m)):
             for i in range(min(j, m)):
-                c = dot(a[i], a[j])
-                a[j] -= c[..., None] * a[i]
+                c = inner(a[i], a[j])
+                a[j] -= c[vector] * a[i]
                 r[i, j] += c
         if j < m:
-            norm = np.sqrt(dot(a[j], a[j]))
+            norm = np.sqrt(inner(a[j], a[j]))
             drop = norm <= cutoff
             r[j, j] = np.where(drop, 0.0, norm)
-            a[j] /= np.where(drop, np.inf, norm)[..., None]
+            a[j] /= np.where(drop, np.inf, norm)[vector]
     return r
 
 

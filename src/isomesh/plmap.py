@@ -9,12 +9,16 @@ and the PL map is the affine interpolant of the stored values on each of
 them.  The chart is linear (positions A_N (k/N, l/N)), so the chart
 triangles of every facet are translates of four fixed shapes: one
 per-chart table (``PLMap.shapes``) holds their inverse edge matrices and
-sample-grid offsets from the facet centre.  A ``PLMap`` stores only the
-triangle values and vertex ids; differentials and distance samples are
-formed from that table per block of at most ``_PAIR_BLOCK`` triangles,
-over which the distances and the degenerate-triangle test take their
-maxima.  The source metric is the flat chart metric, the target metric
-Euclidean.
+sample-grid offsets from the facet centre.  A ``PLMap`` keeps facet
+tables, each facet's own corner copies and its apex, coordinate-major;
+triangle values and vertex ids are formed from them on demand, whole or
+per block of at most ``_PAIR_BLOCK`` triangles, and so are the
+differentials and distance samples, over which the distances take their
+maxima.  One pass over blocks of facets (``_facet_pass``, kept on the
+map) reads each facet's quad edges and spokes and yields the edge
+scale, the isotropy residuals, the differential norms of the
+degenerate-triangle test and the planar star test's bounds.  The source
+metric is the flat chart metric, the target metric Euclidean.
 Per-triangle pullbacks of the symplectic form are constant, so PL isotropy
 is the finite list of residuals |omega(B - A, C - A)| over triangles, which
 equals exactly twice the Liouville integral around the triangle boundary.
@@ -27,19 +31,19 @@ Immersion judges every pair of triangles that shares a vertex id, the
 pairs within each star (the 8 triangles at a corner, the 4 at an apex),
 with one predicate, ``adjacent._adjacent_distances``, that kernel on the
 far sub-simplices of the pair.  Sound bounds go first.  The planar star
-test (``adjacent._fans_cleared``) clears whole stars, in blocks of
-facets: it projects a star onto a plane of its spokes, and on a smooth
-map it clears every star.  Only the stars it leaves are listed, from the
-chart's neighbour table (``adjacent._star_pairs``), and of their pairs
-``adjacent._pairs_cleared`` clears those whose vertex cones, or whose
-half-planes at a shared edge, lie far enough apart (on a thin torus no
-plane shows a corner star as a fan, but most of its pairs clear so).
-The rest are gathered into one predicate call, so witnesses and
-distances are those of the predicate alone.  Embedding is the map's own immersion verdict,
-memoized on the map per tol so that the adjacent pairs are judged once,
-plus the pairs that share no vertex id: a uniform-grid broadphase over
-the triangle boxes, then the kernel on the far candidates, block by
-block.  NaN fails.
+test (``adjacent._fans_cleared``) clears whole stars: it projects a star
+onto a plane of its spokes, and on a smooth map it clears every star,
+and then no triangle table is formed.  Only the stars it leaves are
+listed, from the chart's neighbour table (``adjacent._star_pairs``), and
+of their pairs ``adjacent._pairs_cleared`` clears those whose vertex
+cones, or whose half-planes at a shared edge, lie far enough apart (on a
+thin torus no plane shows a corner star as a fan, but most of its pairs
+clear so).  The rest are gathered into one predicate call, so witnesses
+and distances are those of the predicate alone.  Embedding is the map's
+own immersion verdict, memoized on the map per tol so that the adjacent
+pairs are judged once, plus the pairs that share no vertex id: a
+uniform-grid broadphase over the triangle boxes, then the kernel on the
+far candidates, block by block.  NaN fails.
 """
 
 import itertools
@@ -52,6 +56,7 @@ from .adjacent import (
     _LEN_SLACK,
     _PAIR_BLOCK,
     _adjacent_distances,
+    _fan_bounds,
     _fans_cleared,
     _pairs_cleared,
     _star_pairs,
@@ -59,7 +64,7 @@ from .adjacent import (
 )
 from .density import CORNER_STEPS, at_corners
 from .immersion import ImmersionSpec
-from .linalg import dot
+from .linalg import coordinate_dot, dot
 from .refine import TriMesh
 
 # Corner slots (A_s, A_{s+1}) of sub-triangle s; its third vertex is the apex.
@@ -79,23 +84,24 @@ def _sub_triangles(corners, apexes):
 
 @dataclass
 class PLMap:
-    """Triangular mesh with the two tables of the induced PL map: the values
-    (T, 3, d) and the vertex ids (T, 3) of its triangles.  Differentials are
-    formed for a block of whole facets on demand (``differential``), so that
-    the certificates and distances work block by block."""
+    """Triangular mesh with the facet tables of the induced PL map, copied
+    from the mesh at build, coordinate-major: ``corners`` (d, 4, F) holds
+    each facet's own copies of its corners A_0 .. A_3, lattice shifts
+    applied, and ``apexes`` (d, F) its apex z.  The triangle values and
+    vertex ids are formed on demand (``tri_values``, ``tri_vertex_ids``,
+    and ``triangles`` for a block of facets), and so are differentials
+    (``differential``), so that the certificates and distances work block
+    by block."""
 
     tri: TriMesh
-    tri_values: np.ndarray = field(init=False, repr=False)
-    tri_vertex_ids: np.ndarray = field(init=False, repr=False)
-    _edge_scale: float | None = field(default=None, init=False, repr=False, compare=False)
+    corners: np.ndarray = field(init=False, repr=False)
+    apexes: np.ndarray = field(init=False, repr=False)
+    _pass: "_FacetPass | None" = field(default=None, init=False, repr=False, compare=False)
     _immersion: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        tri = self.tri
-        nfacets = tri.chart.vertex_count
-        self.tri_values = _sub_triangles(tri.corner_table(), tri.apex_values)
-        cids = at_corners(tri.chart.neighbours)
-        self.tri_vertex_ids = _sub_triangles(cids, nfacets + np.arange(nfacets))
+        self.corners = np.ascontiguousarray(self.tri.corner_table().transpose(2, 1, 0))
+        self.apexes = np.ascontiguousarray(self.tri.apex_values.T)
 
     @property
     def chart(self):
@@ -104,6 +110,24 @@ class PLMap:
     @property
     def dim(self) -> int:
         return self.tri.dim
+
+    @property
+    def tri_values(self) -> np.ndarray:
+        """(T, 3, d) values of every triangle, formed on each access: row
+        4 f + s is sub-triangle s of facet f, (A_s, A_s+1, z)."""
+        return self.triangles()
+
+    @property
+    def tri_vertex_ids(self) -> np.ndarray:
+        """(T, 3) vertex ids of every triangle, formed on each access: the
+        canonical corners 0 .. F - 1, then the apexes F + f."""
+        nfacets = self.chart.vertex_count
+        return _sub_triangles(at_corners(self.chart.neighbours), nfacets + np.arange(nfacets))
+
+    def triangles(self, facets: slice = slice(None)) -> np.ndarray:
+        """(4 f, 3, d) values of the sub-triangles of the facets ``facets``."""
+        corners = self.corners[:, :, facets].transpose(2, 1, 0)
+        return _sub_triangles(corners, self.apexes[:, facets].T)
 
     @cached_property
     def shapes(self):
@@ -117,35 +141,29 @@ class PLMap:
         edges = np.stack([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=-1)
         return np.linalg.inv(edges), np.einsum("gk,skx->sgx", _triangle_grid(), tris)
 
+    def facets_of(self, rows: slice) -> slice:
+        """The facets of the triangle rows ``rows``, a slice of whole facets."""
+        start, stop, _ = rows.indices(4 * self.chart.vertex_count)
+        return slice(start // 4, stop // 4)
+
     def differential(self, rows: slice = slice(None)) -> np.ndarray:
         """(K, d, 2) differentials of the PL map on the triangle rows ``rows``,
         a slice of whole facets (its bounds multiples of 4); all rows by
         default.  The value edges from the first vertex times E_s^-1."""
-        vals = self.tri_values[rows]
+        vals = self.triangles(self.facets_of(rows))
         w = np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], -1)
         return (w.reshape(-1, 4, self.dim, 2) @ self.shapes[0]).reshape(w.shape)
 
-    def edges(self, rows: slice) -> np.ndarray:
-        """Value edges (d, 3, K) of the triangle rows ``rows``, coordinate-major:
-        [k, s, t] is coordinate k of edge s, slot s to s + 1, of triangle t."""
-        v = self.tri_values[rows].transpose(2, 1, 0)
-        return v.take([1, 2, 0], axis=1) - v
-
     def blocks(self, share: int = 1):
-        """Slices of ``_PAIR_BLOCK`` / ``share`` rows (whole facets) covering the map."""
-        size = _PAIR_BLOCK // share // 4 * 4
-        return (slice(lo, lo + size) for lo in range(0, len(self.tri_values), size))
+        """Slices of ``_PAIR_BLOCK`` / ``share`` triangle rows (whole facets,
+        at least one) covering the map."""
+        size = max(_PAIR_BLOCK // share // 4, 1) * 4
+        return (slice(lo, lo + size) for lo in range(0, 4 * self.chart.vertex_count, size))
 
     def edge_scale(self) -> float:
         """Max finite image edge length, the geometric scale for tolerance
-        tests: the root of the largest finite squared length, computed once."""
-        if self._edge_scale is None:
-            top = 0.0
-            for rows in self.blocks(3):
-                squares = (self.edges(rows) ** 2).sum(axis=0)
-                top = max(top, squares.max(initial=0.0, where=np.isfinite(squares)))
-            self._edge_scale = float(np.sqrt(top))
-        return self._edge_scale
+        tests: the root of the largest finite squared length (``_facet_pass``)."""
+        return float(np.sqrt(_facet_pass(self).top))
 
 
 def build_pl(tri: TriMesh) -> PLMap:
@@ -172,11 +190,11 @@ def _triangle_grid() -> np.ndarray:
 def _sample_points(plm: PLMap, rows: slice):
     """Chart points and PL values of the sample grids of the triangle rows
     (whole facets): the facet centres plus the grids of ``PLMap.shapes``."""
-    start, stop, _ = rows.indices(len(plm.tri_values))
-    kc, lc = (c[start // 4 : stop // 4] for c in plm.chart.all_canonical())
+    facets = plm.facets_of(rows)
+    kc, lc = (c[facets] for c in plm.chart.all_canonical())
     grids = plm.shapes[1]
     pts = plm.chart.facet_center(kc, lc)[:, None, None] + grids
-    vals = np.einsum("gk,tkd->tgd", _triangle_grid(), plm.tri_values[rows])
+    vals = np.einsum("gk,tkd->tgd", _triangle_grid(), plm.triangles(facets))
     return pts.reshape(-1, *grids.shape[1:]), vals
 
 
@@ -211,13 +229,9 @@ def distance_c1(plm: PLMap, spec: ImmersionSpec) -> float:
 
 
 def pl_isotropy_residual(plm: PLMap) -> np.ndarray:
-    """Per-triangle |omega(B - A, C - A)| = |omega(e0, e2)|, by blocks; all
+    """Per-triangle |omega(B - A, C - A)|, read-only (``_facet_pass``); all
     zero iff the PL map is isotropic."""
-    out = np.empty(len(plm.tri_values))
-    for rows in plm.blocks(3):
-        x, y = plm.edges(rows)[:, ::2].transpose(1, 0, 2)
-        out[rows] = np.abs((x[0::2] * y[1::2] - x[1::2] * y[0::2]).sum(axis=0))
-    return out
+    return _facet_pass(plm).residual
 
 
 # -- uniform-grid broadphase --------------------------------------------------
@@ -318,33 +332,89 @@ def _threshold(plm: PLMap, tol: float) -> float:
     return tol * plm.edge_scale()
 
 
-def _differential_norms(plm: PLMap):
-    """Each differential [x y] = [e0, -e2] E_s^-1's s_max and |x ^ y|, from
-    coordinate-major value edges in blocks of whole facets (closed-form
-    singular values: s_max as in _operator_norm, and s_max s_min = |x ^
-    y|, the root sum of squared minors, so s_min <= tol max(s_max) reads |x
-    ^ y| <= tol max(s_max) s_max)."""
-    count, _, dim = plm.tri_values.shape
-    big, area = np.empty((2, count))
-    inverse = plm.shapes[0].reshape(4, 4).T  # entry (i, j) of E_s^-1 at row 2 i + j
-    for rows in plm.blocks(3):
-        edges = plm.edges(rows)
-        c00, c01, c10, c11 = np.tile(inverse, edges.shape[-1] // 4)
-        x, y = (edges[:, 0] * a - edges[:, 2] * b for a, b in ((c00, c10), (c01, c11)))
-        xx, yy, xy = ((p * q).sum(axis=0) for p, q in ((x, x), (y, y), (x, y)))
-        big[rows] = np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy)))
-        squares = np.zeros(edges.shape[-1])
+@dataclass(frozen=True)
+class _FacetPass:
+    """What one pass over the facet tables yields, kept on the map and
+    read-only: the largest finite squared edge length; per triangle, its
+    isotropy residual and its differential's s_max and |x ^ y| (T,); per
+    star kind, corner then apex, the ``adjacent._fan_bounds`` and spreads
+    (F,) of its stars, or None where the kind's spoke ids repeat."""
+
+    top: float
+    residual: np.ndarray
+    big: np.ndarray
+    area: np.ndarray
+    fans: tuple
+
+
+def _facet_pass(plm: PLMap) -> _FacetPass:
+    """The map's ``_FacetPass``, formed on first use in blocks of whole
+    facets from the quad edges E_s = A_s+1 - A_s and the spokes S_s = A_s
+    - z, coordinate-major; sub-triangle s has edges E_s, -S_s+1 and S_s.
+
+    - The edge scale: the largest finite squared |E_s| and |S_s|.
+    - The isotropy residual of sub-triangle s: |omega(E_s, S_s)|.
+    - Its differential [x y] = [E_s, -S_s] E_s^-1: s_max and |x ^ y| in
+      closed form (s_max as in ``_operator_norm``, and s_max s_min = |x ^
+      y|, the root sum of squared minors).
+    - The planar star test's bounds (``_corner_fans`` for the corner
+      stars, the spokes S_0 .. S_3 for the apex stars).
+    """
+    if plm._pass is not None:
+        return plm._pass
+    chart, dim = plm.chart, plm.dim
+    nfacets = chart.vertex_count
+    residual, big, area = np.empty((3, nfacets, 4))
+    inverse = plm.shapes[0].reshape(4, 4).T[..., None]  # entry (i, j) of E_s^-1 at row 2 i + j
+    corner_facets = _corner_facets(chart)
+    fans = [(np.empty(nfacets, dtype=bool), *np.empty((4, nfacets))) if distinct else None
+            for distinct in _fans_distinct(chart, corner_facets[0])]
+
+    def keep(kind, facets, fan, spread):
+        """Store the bounds and spreads of a block's stars of one kind."""
+        for table, value in zip(kind, (*_fan_bounds(fan), spread)):
+            table[facets] = value
+
+    def block(facets):
+        """Fill the tables at ``facets``; their largest finite squared edge."""
+        if fans[0] is not None:
+            keep(fans[0], facets, *_corner_fans(plm, corner_facets[facets]))
+        corners = plm.corners[:, :, facets]
+        edge = corners.take([1, 2, 3, 0], axis=1)
+        edge -= corners
+        spoke = corners - plm.apexes[:, None, facets]
+        top = 0.0
+        for vec in (edge, spoke):
+            squares = coordinate_dot(vec, vec)
+            top = max(top, squares.max(initial=0.0, where=np.isfinite(squares)))
+        omega = (edge[0::2] * spoke[1::2] - edge[1::2] * spoke[0::2]).sum(axis=0)
+        residual[facets] = np.abs(omega).T
+        x, y = (edge * a - spoke * b for a, b in (inverse[0::2], inverse[1::2]))
+        xx, yy, xy = coordinate_dot(x, x), coordinate_dot(y, y), coordinate_dot(x, y)
+        big[facets] = np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy))).T
+        squares = np.zeros(xx.shape)
         for i, j in itertools.combinations(range(dim), 2):
             minor = x[i] * y[j] - x[j] * y[i]
             squares += minor * minor
-        area[rows] = np.sqrt(squares)
-    return big, area
+        area[facets] = np.sqrt(squares).T
+        if fans[1] is not None:
+            keep(fans[1], facets, spoke, 0.0)
+        return top
+
+    top = max(block(plm.facets_of(rows)) for rows in plm.blocks(4))
+    for table in (residual, big, area, *(t for kind in fans if kind for t in kind)):
+        table.flags.writeable = False
+    plm._pass = _FacetPass(top, residual.reshape(-1), big.reshape(-1), area.reshape(-1),
+                           tuple(fans))
+    return plm._pass
 
 
-#: Incidences 3 s + slot, within its facet's 12, of corner c (column c) and
-#: of its spokes: rows own value, next corner A_c+1, apex, previous corner
-#: A_c-1.
-_FAN_SLOTS = (3 * np.arange(4) + np.array([[0], [1], [2], [-3]])) % 12
+def _differential_norms(plm: PLMap):
+    """Each triangle's differential s_max and |x ^ y| (``_facet_pass``): its
+    singular values s_max and s_min read s_min <= tol max(s_max) as |x ^
+    y| <= tol max(s_max) s_max."""
+    found = _facet_pass(plm)
+    return found.big, found.area
 
 
 def _fan_distinct(ids, own) -> bool:
@@ -354,11 +424,57 @@ def _fan_distinct(ids, own) -> bool:
     return len(set(ids) | {own}) == len(ids) + 1
 
 
+def _fans_distinct(chart, facets):
+    """``_fan_distinct`` for the corner stars and the apex stars, read off
+    row 0 of each kind: corner v = 0, whose facets f_c are ``facets``, with
+    their next corners A_c+1 and apexes, and the apex of facet 0 with its
+    corners."""
+    nfacets = chart.vertex_count
+    ids = at_corners(chart.neighbours)
+    facets = facets.tolist()
+    spokes = [int(ids[f, (c + 1) % 4]) for c, f in enumerate(facets)]
+    corner = _fan_distinct(spokes + [nfacets + f for f in facets], int(ids[facets[0], 0]))
+    return corner, _fan_distinct(ids[0].tolist(), nfacets)
+
+
 def _corner_facets(chart):
-    """(F, 4): column c holds 12 f_c, f_c = v - step_c the facet whose corner
-    c is corner v, read off ``Chart.neighbours``."""
+    """(F, 4): column c holds f_c = v - step_c, the facet whose corner c is
+    corner v, read off ``Chart.neighbours``."""
     i, j = 1 - CORNER_STEPS.T
-    return 12 * chart.neighbours[:, i, j]
+    return chart.neighbours[:, i, j]
+
+
+#: Corner slots of facet f_c read by corner star v, corner c of f_c: rows
+#: its own copy of v, the next corner A_c+1 and the previous one A_c-1.
+_NEAR_CORNERS = (np.arange(4) + np.array([[0], [1], [-1]])) % 4
+
+
+def _corner_fans(plm: PLMap, facets):
+    """Spokes (d, 8, n) in fan order, and spreads (n,), of the corner stars
+    whose facets f_c are the rows of ``facets`` (n, 4).
+
+    Corner star v: corner c of facet f_c = v - step_c for c = 0..3, with the
+    spokes, in fan order, g_0, z_0, g_1, z_1, .., z_3: z_c the apex of f_c
+    and g_c (E, N, W, S) the grid neighbour after v in f_c, A_c+1, which is
+    also the one before v in f_c-1, A_c-2.  Each spoke is taken relative to
+    its facet's own copy of v; g_c is the mean of its two copies and their
+    distance is the spread (a rounding error on a map built from a mesh,
+    whose two facets read the same raw steps, both moved by one lattice
+    shift)."""
+    dim, nfacets = plm.dim, plm.chart.vertex_count
+    at = facets.T
+    near = plm.corners.reshape(dim, -1).take(_NEAR_CORNERS[..., None] * nfacets + at, axis=1)
+    own = near[:, 0]
+    apex = plm.apexes.take(at, axis=1)
+    apex -= own
+    ahead, behind = near[:, 1] - own, near[:, 2] - own  # (d, 4 c, n) each
+    behind = behind.take([3, 0, 1, 2], axis=1)  # before v in f_c-1: g_c
+    fan = np.empty((dim, 8) + at.shape[1:])
+    np.add(ahead, behind, out=fan[:, 0::2])
+    fan[:, 0::2] *= 0.5
+    fan[:, 1::2] = apex
+    ahead -= behind
+    return fan, np.sqrt(coordinate_dot(ahead, ahead)).max(axis=0)
 
 
 def _star_codes(chart):
@@ -367,7 +483,7 @@ def _star_codes(chart):
     of facet v.  Corner v is corner c of facet f_c (``_corner_facets``), at
     slot 0 of its sub-triangle c and slot 1 of c - 1; the apex of facet f is
     slot 2 of its 4."""
-    facets = _corner_facets(chart)
+    facets = 12 * _corner_facets(chart)
     corner = np.stack([facets + 3 * np.arange(4), facets + 3 * np.arange(-1, 3) % 12 + 1], -1)
     apex = 12 * np.arange(len(facets))[:, None] + 3 * np.arange(4) + 2
     return corner.reshape(-1, 8).astype(np.int32), apex.astype(np.int32)
@@ -376,45 +492,15 @@ def _star_codes(chart):
 def _stars_left(plm: PLMap, reach: float, slack: float):
     """Masks (2, F) of the stars that the planar star test,
     ``adjacent._fans_cleared``, leaves at ``reach`` and ``slack``: row 0
-    the corner stars, row 1 the apex stars, as in ``_star_codes``.  Tested
-    in blocks of whole facets from the PL map's values.
-
-    Apex star f: spokes z -> A_0 .. A_3 of facet f.  Corner star v: corner c
-    of facet f_c = v - step_c for c = 0..3, with the spokes, in fan order,
-    g_0, z_0, g_1, z_1, .., z_3: z_c the apex of f_c and g_c (E, N, W, S)
-    the grid neighbour after v in f_c, A_c+1, which is also the one before
-    v in f_c-1, A_c-2.  Each spoke is taken relative to its facet's own copy
-    of v; g_c is the mean of its two copies and their distance is the
-    spread (a rounding error on a map built from a mesh, whose two facets
-    read the same raw steps, both moved by one lattice shift).  Row 0's ids
-    decide the fan pattern of each kind; where they repeat, every star of
-    that kind is left."""
-    nfacets, dim = plm.chart.vertex_count, plm.dim
-    flat, ids = plm.tri_values.reshape(-1, dim), plm.tri_vertex_ids.ravel()
-    facets = _corner_facets(plm.chart)
-    row0 = ids[facets[0] + _FAN_SLOTS]
-    fans = (_fan_distinct(row0[1:3].ravel().tolist(), row0[0, 0]),
-            _fan_distinct(ids[3 * np.arange(4)].tolist(), nfacets))
-    left = np.ones((2, nfacets), dtype=bool)
-    for rows in plm.blocks(2):
-        stars = slice(rows.start // 4, rows.stop // 4)
-        if fans[0]:
-            at = facets[stars].T + _FAN_SLOTS[..., None]
-            near = np.take(flat, at.ravel(), axis=0).reshape(at.shape + (dim,))
-            ahead, apex, behind = near[1:] - near[0]  # (4 c, stars, d) each
-            behind = behind[[3, 0, 1, 2]]  # before v in f_c-1: g_c
-            fan = np.empty((8,) + ahead.shape[1:])
-            np.add(ahead, behind, out=fan[0::2])
-            fan[0::2] *= 0.5
-            fan[1::2] = apex
-            ahead -= behind
-            spread = np.sqrt(np.einsum("csk,csk->cs", ahead, ahead)).max(axis=0)
-            fan = np.ascontiguousarray(fan.transpose(2, 0, 1))
-            left[0, stars] = ~_fans_cleared(fan, spread, reach, slack)
-        if fans[1]:
-            vals = plm.tri_values[rows].reshape(-1, 4, 3, dim)
-            fan = np.ascontiguousarray((vals[:, :, 0] - vals[:, :1, 2]).transpose(2, 1, 0))
-            left[1, stars] = ~_fans_cleared(fan, 0.0, reach, slack)
+    the corner stars (``_corner_fans``), row 1 the apex stars (spokes z ->
+    A_0 .. A_3 of facet f), as in ``_star_codes``, decided from the bounds
+    that ``_facet_pass`` keeps.  Row 0's ids decide the fan pattern of each
+    kind; where they repeat, every star of that kind is left."""
+    left = np.ones((2, plm.chart.vertex_count), dtype=bool)
+    for row, kind in zip(left, _facet_pass(plm).fans):
+        if kind is not None:
+            *bounds, spread = kind
+            row[:] = ~_fans_cleared(bounds, spread, reach, slack)
     return left
 
 
@@ -437,7 +523,8 @@ def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     ``adjacent._star_pairs``); of their pairs, those that the cone and
     half-plane bounds do not clear (``adjacent._pairs_cleared``) are
     measured, all in one call, so witnesses and distances are the
-    predicate's own.
+    predicate's own.  The triangle tables are formed only when a star is
+    left.
     """
     threshold = _threshold(plm, tol)
     if tol in plm._immersion:
@@ -448,20 +535,19 @@ def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     witnesses = [("degenerate_triangle", int(t)) for t in degenerate]
     slack = _LEN_SLACK * (threshold + plm.edge_scale())
     left = _stars_left(plm, threshold + slack, slack)
-    u = w = np.empty((2, 0), dtype=np.int32)
     if left.any():
+        vals, vids = plm.tri_values, plm.tri_vertex_ids
         stars = [codes[rows] for codes, rows in zip(_star_codes(plm.chart), left) if rows.any()]
-        u, w = np.concatenate([_star_pairs(plm.tri_vertex_ids, c) for c in stars], axis=-1)
-        flat = plm.tri_values.reshape(-1, plm.dim)
-        kept = ~_pairs_cleared(flat, u, w, threshold + slack, slack)
+        u, w = np.concatenate([_star_pairs(vids, c) for c in stars], axis=-1)
+        kept = ~_pairs_cleared(vals.reshape(-1, plm.dim), u, w, threshold + slack, slack)
         u, w = u[:, kept], w[:, kept]
-    dist = _adjacent_distances(plm.tri_values, u, w)
-    bad = ~(dist >= threshold)  # NaN fails
-    u, dist = u[:, bad], dist[bad]
-    v = plm.tri_vertex_ids.ravel()[u[0]]
-    i, j = u // 3
-    for k in np.lexsort((j, i)):
-        witnesses.append(("vertex_star", int(v[k]), int(i[k]), int(j[k]), float(dist[k])))
+        dist = _adjacent_distances(vals, u, w)
+        bad = ~(dist >= threshold)  # NaN fails
+        u, dist = u[:, bad], dist[bad]
+        v = vids.ravel()[u[0]]
+        i, j = u // 3
+        for k in np.lexsort((j, i)):
+            witnesses.append(("vertex_star", int(v[k]), int(i[k]), int(j[k]), float(dist[k])))
     plm._immersion[tol] = CheckResult(passed=not witnesses, witnesses=witnesses)
     return plm._immersion[tol]
 

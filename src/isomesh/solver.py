@@ -5,8 +5,10 @@ The density mu is quadratic in the mesh, so its exact linearization at tau is
     J(delta) = omega(U_delta, V_tau) + omega(U_tau, V_delta),
 
 whose facet row touches exactly the four corner vertices.  J is applied
-matrix-free: J delta gathers the corners of every facet, and J^T y gathers,
-for every vertex, the four facets that have it as a corner.  The projection
+matrix-free from the two diagonal fields s J U and s J V of the mesh (its
+row is +-s J V at corners 0 and 2, +-s J U at 1 and 3): J delta gathers
+the corners of every facet, and J^T y gathers, for every vertex, the four
+facets that have it as a corner.  The projection
 is a Gauss-Newton iteration: each step solves J(delta) = -mu for the
 minimum-Euclidean-norm delta with LSQR (Paige & Saunders, ACM TOMS 8, 1982),
 whose iterates never leave the row space of J (the step is orthogonal to the
@@ -42,7 +44,8 @@ facet, taken on the input facet; so the stop scales with the map.  The
 Jacobian at an accepted mesh is built from the diagonal fields that the
 line search's density formed there (``density._diagonal_fields`` keeps them
 on the mesh), and the input's corner table gives both the stop and the
-first density, so each mesh's corner table is gathered once.
+first density, so each mesh's corner table is gathered once, and dropped
+once they are formed.
 """
 
 import math
@@ -78,6 +81,10 @@ _MAX_ITER = 50
 _HEADROOM = 1e-3
 
 
+#: Signs of the fields in the gradients of mu at corners A_0 .. A_3.
+_CORNER_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
+
+
 class MaxIterExceeded(RuntimeError):
     """Residual above the stop after the iteration budget."""
 
@@ -98,29 +105,39 @@ class SolveReport:
 class MuJacobian:
     """Linearization of mu at a mesh, (F, 2n F) in flattened vertex order.
 
-    ``blocks[f, c]`` is the gradient of mu(f) with respect to corner c of
-    facet f, which is vertex ``corners[f, c]``.  ``facets[c, v]`` is the facet
-    whose corner c is vertex v, and ``co_blocks[c, v]`` its gradient block,
-    so J^T is a gather too, summed corner by corner.  Column sums vanish
-    identically (differentiated telescoping identity): J^T 1 = 0.
+    ``fields`` (2, F, 2n) holds s J V and s J U, s = N / sqrt(2): the
+    gradient of mu(f) with respect to its corners A_0 .. A_3 is s J V,
+    -s J U, -s J V and s J U (that of omega(U, V) is -J V in U and J U in
+    V).  So J delta is fields[k] . (delta at corners[0, k] - delta at
+    corners[1, k]), summed over k, ``corners`` (2, 2, F) holding the
+    vertices at corners (0, 3) and (2, 1) of each facet.  ``co_rows[c, v]``
+    is the row of the flattened (2F, 2n) fields that facet f_c, whose
+    corner c is vertex v, weighs that vertex with, so J^T is a gather too,
+    with the same signs.  Column sums vanish identically (differentiated
+    telescoping identity): J^T 1 = 0.
     """
 
-    blocks: np.ndarray
+    fields: np.ndarray
     corners: np.ndarray
-    facets: np.ndarray
-    co_blocks: np.ndarray
+    co_rows: np.ndarray
 
     @property
     def shape(self) -> tuple[int, int]:
-        nfacets, _, dim = self.blocks.shape
+        _, nfacets, dim = self.fields.shape
         return nfacets, nfacets * dim
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = x.reshape(len(self.corners), -1)
-        return np.einsum("fcd,fcd->f", self.blocks, x.take(self.corners, axis=0))
+        near = x.reshape(-1, self.fields.shape[-1]).take(self.corners, axis=0)
+        near[0] -= near[1]
+        return np.einsum("kfd,kfd->f", self.fields, near[0])
 
     def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return np.einsum("cvd,cv->vd", self.co_blocks, y.take(self.facets)).ravel()
+        flat = (self.fields * y[:, None]).reshape(-1, self.fields.shape[-1])
+        out = flat.take(self.co_rows[0], axis=0)
+        out -= flat.take(self.co_rows[2], axis=0)
+        out += flat.take(self.co_rows[3], axis=0)
+        out -= flat.take(self.co_rows[1], axis=0)
+        return out.ravel()
 
 
 def mu_jacobian(mesh: QuadMesh) -> MuJacobian:
@@ -132,24 +149,22 @@ def mu_jacobian(mesh: QuadMesh) -> MuJacobian:
     offsets = mesh.chart.neighbours
     u, v = _diagonal_fields(mesh)
     s = mesh.chart.N / np.sqrt(2.0)
-    ju = apply_j(u)
-    jv = apply_j(v)
-    # d mu / d A_c: gradient wrt U is -J V, wrt V is J U.
-    blocks = np.stack([s * jv, -s * ju, -s * jv, s * ju], axis=1)
-    # Facet (x, y) - step_c has vertex (x, y) as its corner c.
+    corners = at_corners(offsets).T[[[0, 3], [2, 1]]]
+    # Facet (x, y) - step_c has vertex (x, y) as its corner c; its weight
+    # is field c % 2 (s J V at corners 0 and 2, s J U at 1 and 3).
     i, j = 1 - CORNER_STEPS.T
-    facets = offsets[:, i, j].T.copy()
-    co_blocks = blocks.reshape(-1, mesh.dim).take(4 * facets + np.arange(4)[:, None], axis=0)
-    return MuJacobian(blocks, at_corners(offsets), facets, co_blocks)
+    co_rows = offsets[:, i, j].T + len(offsets) * (np.arange(4) % 2)[:, None]
+    return MuJacobian(np.stack([s * apply_j(v), s * apply_j(u)]), corners, co_rows)
 
 
 def _circulant_preconditioner(chart: Chart, jac: MuJacobian):
     """(y -> C^+ y, s_max): C the facet-group average of J J^T, constant mode
     zeroed, and the largest value of its symbol.
 
-    Entry (f, f + delta) of J J^T sums blocks_c(f) . blocks_c'(f + delta)
-    over the corner pairs with step_c - step_c' = delta; its facet average
-    a(delta) is the Gram matrix of the co-blocks, summed along the pairs.
+    Entry (f, f + delta) of J J^T sums g_c(f) . g_c'(f + delta), g_c the
+    gradient of mu(f) with respect to corner c, over the corner pairs with
+    step_c - step_c' = delta; its facet average a(delta) is the Gram matrix
+    of the gradients at each vertex, summed along the pairs.
     The symbol of C is sum a(delta) cos(2 pi (p w1 / d1 + q w2 / d2)), w = W
     delta in the group's Smith coordinates, from per-axis cosines; it
     is floored at _SYMBOL_FLOOR times its maximum and inverted.  Up to
@@ -158,8 +173,11 @@ def _circulant_preconditioner(chart: Chart, jac: MuJacobian):
     """
     (d1, d2), w, order = chart.facet_group
     nfacets = len(order)
-    by_corner = jac.co_blocks.reshape(4, -1)
-    gram = by_corner @ by_corner.T / nfacets
+    # The gradients at each vertex: the fields at co_rows, with the corner signs.
+    by_corner = jac.fields.reshape(-1, jac.fields.shape[-1]).take(jac.co_rows, axis=0)
+    by_corner = by_corner.reshape(4, -1)
+    gram = by_corner @ by_corner.T / nfacets * np.outer(_CORNER_SIGNS, _CORNER_SIGNS)
+    del by_corner  # (4, F, 2n): not kept through the symbol
     # Per-axis phases of the corner pairs' delta = step_c - step_e, and
     # cos(x + y) = cos x cos y - sin x sin y.
     steps = (CORNER_STEPS[:, None] - CORNER_STEPS).reshape(16, 2) @ w.T
@@ -216,7 +234,8 @@ def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int, target: 
         if beta > 0:
             u /= beta
             anorm = math.sqrt(anorm**2 + alpha**2 + beta**2)
-            v = jac.rmatvec(z / beta) - beta * v
+            v *= -beta
+            v += jac.rmatvec(z / beta)
             alpha = np.linalg.norm(v)
             if alpha > 0:
                 v /= alpha
@@ -225,7 +244,8 @@ def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int, target: 
         theta, rhobar = sn * alpha, -cs * alpha
         phi, phibar = cs * phibar, sn * phibar
         x += (phi / rho) * w
-        w = v - (theta / rho) * w
+        w *= -(theta / rho)
+        w += v
         if phibar <= _LSQR_TOL * (bnorm + anorm * np.linalg.norm(x)) or phibar <= target:
             return x, 1, itn
         if alpha * abs(sn * phi) <= _LSQR_TOL * anorm * phibar:
@@ -249,12 +269,14 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
     values = tau0.values.copy()
     periods = tau0.target_periods.copy()
     mesh = QuadMesh(chart, values, periods)
-    # One gather of the input's corners gives the stop and the first density.
+    # One gather of the input's corners gives the stop and the first density;
+    # an overflow there is the non-finite residual reported below.
     quads = mesh.corner_table()
-    _, side = quad_edges(quads)
-    mesh._diagonals = _diagonals_of(chart, quads)
-    stop = 2.0 * _HEADROOM * chart.N**2 * isotropy_limit(side)
-    mu = symplectic_density(mesh).values
+    with np.errstate(over="ignore", invalid="ignore"):
+        stop = 2.0 * _HEADROOM * chart.N**2 * isotropy_limit(quad_edges(quads)[1])
+        mesh._diagonals = _diagonals_of(chart, quads)
+        del quads
+        mu = symplectic_density(mesh).values
     res = float(np.abs(mu).max())
     iterations = 0
     nfacets = chart.vertex_count
@@ -273,6 +295,7 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
             target = _INNER_SHARE * float(stop.min()) / math.sqrt(s_max) if s_max > 0 else 0.0
         rhs = -(mu - mu.mean())
         delta, istop, _ = lsqr(jac, rhs, precondition, iter_lim, target)
+        del jac  # the line search does not need J
         if istop == 7:
             raise LinearSolveFailure(f"lsqr stopped with istop={istop}")
         delta = delta.reshape(nfacets, dim)
@@ -280,7 +303,8 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
         for _ in range(_MAX_HALVINGS + 1):
             trial_values = values + step * delta
             trial = QuadMesh(chart, trial_values, periods)
-            trial_mu = symplectic_density(trial).values
+            with np.errstate(over="ignore", invalid="ignore"):
+                trial_mu = symplectic_density(trial).values
             trial_res = float(np.abs(trial_mu).max())
             if trial_res < res:
                 break

@@ -1,8 +1,12 @@
 """Configuration, pipeline orchestration, studies, slope fitting, exit codes."""
 
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from isomesh.cli import (
     main,
     run_pipeline,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestFitSlope:
@@ -511,6 +517,18 @@ class TestMain:
         out, err = capsys.readouterr()
         assert "pipeline error [LinearSolveFailure]" in err
         assert "pass" not in out
+
+    def test_overflowing_density_prints_one_error_line(self):
+        # At radius 1e300 the stop and the density overflow: in a fresh
+        # interpreter that shows warnings, stderr holds the one documented
+        # error line and no numpy warning.
+        env = dict(os.environ, PYTHONWARNINGS="default")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        argv = ["verify", "--spec", "clifford:1e300,1", "--n", "8"]
+        proc = subprocess.run([sys.executable, "-m", "isomesh.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3
+        assert proc.stderr == "pipeline error [LinearSolveFailure]: non-finite density residual nan\n"
 
     def test_sample_needs_no_solver(self, monkeypatch, capsys):
         monkeypatch.setattr("isomesh.solver._MAX_ITER", 0)

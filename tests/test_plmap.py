@@ -894,10 +894,11 @@ def test_coordinate_major_kernels_match_row_major(make, block, monkeypatch):
 
 
 def test_verify_memory_is_bounded_by_the_value_table():
-    # The verify keys at N=96 on figure8 x circle (36,864 triangles) hold
-    # their traced peak, all stages included, within 6 copies of the PL
-    # map's value table: the map keeps 2 mesh-sized tables and the checks
-    # work per block.
+    # The verify keys at N=96 on figure8 x circle (9,245 facets) hold their
+    # traced peak, all stages included, within 24 copies of the mesh's
+    # value table (F d floats): the Jacobian keeps two diagonal fields, the
+    # refinement and the checks work in blocks of facets, and the map keeps
+    # its facet tables, 5 F d floats.
     keys = _COMMANDS["verify"][1]
     run_pipeline(PipelineConfig(spec="product:figure8,circle", n=4), keys=keys)
     tracemalloc.start()
@@ -907,8 +908,8 @@ def test_verify_memory_is_bounded_by_the_value_table():
     finally:
         tracemalloc.stop()
     assert run.report["immersion"] == "pass"
-    ratio = peak / run.plm.tri_values.nbytes
-    assert ratio <= 6.0, f"traced peak {ratio:.2f} value tables"
+    ratio = peak / run.tau.values.nbytes
+    assert ratio <= 24.0, f"traced peak {ratio:.2f} value tables"
 
 
 def _tier_checked(plm, tol):
@@ -1044,20 +1045,20 @@ class TestStarTier:
         assert _tier_checked(plm, 1e-6)[0, v]
 
     def test_spoke_copies_that_differ_are_left(self):
-        # One triangle's copy of a grid spoke turned 60 degrees into the next
-        # sectors: the triangle then overlaps a sector it shares only the
-        # vertex with, while the fan of mean spokes still winds once.  Only
-        # the spread, the distance between the two copies, keeps the star
-        # from clearing.
+        # One facet's copy of a grid spoke turned 60 degrees into the next
+        # sectors: its triangle at v then overlaps a sector it shares only
+        # the vertex with, while the fan of mean spokes still winds once.
+        # Only the spread, the distance between the two copies, keeps the
+        # star from clearing.
         chart = identity_chart(4)
         plm = build_pl(sample_tri(make_flat_plane(), chart))
         v, facets = _corner_star_of(plm, 2, 2)
-        vals = plm.tri_values.reshape(-1, 4, 3, plm.dim)
-        own, spoke = vals[facets[3], 2, 1], vals[facets[3], 2, 0] - vals[facets[3], 2, 1]
+        corners = plm.corners[:, :, facets[3]]  # f_3's own copies of A_0 .. A_3, A_3 = v
+        own, spoke = corners[:, 3].copy(), corners[:, 2] - corners[:, 3]
         plane = plm.tri.target_periods  # the plane's unit axes on the identity chart
         x, y = plane @ spoke
         turn = np.pi / 3
-        vals[facets[3], 2, 0] = own + np.array(
+        corners[:, 2] = own + np.array(
             [np.cos(turn) * x - np.sin(turn) * y, np.sin(turn) * x + np.cos(turn) * y]
         ) @ plane
         assert v in _witness_stars(plm, 1e-6)
@@ -1265,16 +1266,15 @@ class TestScreen:
 
     @pytest.mark.parametrize("spec", ["product:figure8,circle", "flat-plane"])
     def test_few_pairs_reach_the_exact_path(self, spec, monkeypatch):
-        # Timing-free: on a curved and on a flat mesh at N = 96, fewer than
-        # 1% of the vertex-sharing pairs go through the exact predicate.
+        # Timing-free: on a curved and on a flat mesh at N = 96, none of the
+        # vertex-sharing pairs goes through the exact predicate.
         plm = run_pipeline(PipelineConfig(spec=spec, n=96), keys=["iso_scale"]).plm
         measured = _measured(monkeypatch)
         assert check_immersion(plm, tol=1e-6).passed
-        assert len(measured) == 1  # one predicate call per map
+        assert measured == []  # every star clears: no predicate call
         pairs = _star_pairs_of(plm)[0].shape[1]
         assert pairs == 28 * plm.chart.vertex_count  # 22 share a vertex, 6 an edge
         assert pairs == 258_860 or spec == "flat-plane"
-        assert sum(measured) < 0.01 * pairs
 
 
 def _corner_star_of(plm, k, l):
@@ -1304,8 +1304,18 @@ def _measured(monkeypatch):
     return measured
 
 
-#: What a PL map may cache: its fields and the chart-shape table.
-_MAP_CACHE = {"tri", "tri_values", "tri_vertex_ids", "_edge_scale", "_immersion", "shapes"}
+#: What a PL map may cache: its fields, the chart-shape table and the facet
+#: pass; not its triangle values or vertex ids.
+_MAP_CACHE = {"tri", "corners", "apexes", "_pass", "_immersion", "shapes"}
+
+
+def _assert_map_cache(plm):
+    """The map caches only ``_MAP_CACHE``, and its facet pass holds one entry
+    per triangle or per star, so no star or pair table."""
+    assert set(vars(plm)) <= _MAP_CACHE
+    found = plm._pass
+    tables = [found.residual, found.big, found.area, *(t for k in found.fans if k for t in k)]
+    assert all(np.size(t) <= 4 * plm.chart.vertex_count for t in tables)
 
 
 class TestStarTierFastPath:
@@ -1313,12 +1323,12 @@ class TestStarTierFastPath:
     @pytest.mark.parametrize("spec", ALL_BUILTINS)
     def test_smooth_maps_list_no_pairs(self, spec, n, monkeypatch):
         # Timing-free: the planar star test clears every star of a built-in,
-        # so no star is listed and the predicate receives no pair.
+        # so no star is listed and the predicate is not called.
         plm = run_pipeline(PipelineConfig(spec=spec, n=n), keys=["iso_scale"]).plm
         measured = _measured(monkeypatch)
         assert check_immersion(plm).passed
-        assert set(vars(plm)) <= _MAP_CACHE
-        assert measured == [0]
+        _assert_map_cache(plm)
+        assert measured == []
 
     def test_moved_apexes_measure_no_more_pairs(self, monkeypatch):
         # On the moved-apex plane at N = 96 the pair bounds alone, run on
@@ -1364,7 +1374,7 @@ def _listed_pairs_checked(plm, monkeypatch):
 
     monkeypatch.setattr(plmap, "_adjacent_distances", recorded)
     passed = check_immersion(plm).passed
-    assert set(vars(plm)) <= _MAP_CACHE
+    _assert_map_cache(plm)
     threshold = TOPOLOGY_TOL * plm.edge_scale()
     slack = _LEN_SLACK * (threshold + plm.edge_scale())
     left = plmap._stars_left(plm, threshold + slack, slack)
