@@ -12,7 +12,8 @@ clears whole stars whose fan, projected onto a plane, winds once with
 room to spare, so that only the pairs of the other stars are listed; of
 those, ``_pairs_cleared`` clears the pairs whose vertex cones, or whose
 half-planes at a shared edge, lie far enough apart, and the rest are
-measured.
+measured.  For the pairs that share no id, ``_pairs_separated`` clears
+those whose projections onto one of ten axes lie far enough apart.
 """
 
 import itertools
@@ -440,3 +441,44 @@ def _pairs_cleared(flat, u, w, reach, slack):
             rows = edge[lo : lo + _PAIR_BLOCK]
             out[rows] = _edges_cleared(flat, u[:, rows], w[:, rows], reach, slack)
     return out
+
+
+# -- the separating-axis bound for far pairs -----------------------------------
+
+
+def _pairs_separated(p, q, reach):
+    """Mask of the triangle pairs, values p, q (d, 3, K) coordinate-major,
+    that the separating-axis bound clears at ``reach`` t (Gottschalk, Lin
+    and Manocha, OBBTree, 1996).
+
+    For any vector n, |x - y| |n| >= |(x - y) . n|, and a triangle
+    projects onto the interval spanned by its vertices' projections.  So if
+    the two intervals lie s apart, every point of one triangle is at least
+    s / |n| from every point of the other, and the pair clears when s > t
+    |n|.  The axes: the difference of the centroids and the nine vertex
+    differences q_a - p_b.
+
+    Rounding.  ``reach`` is the threshold t raised by delta = 2^-36 (t +
+    L), L the largest edge length, as in ``_fans_cleared``.  The pairs
+    tested have boxes within t, each at most L wide on every axis, so the
+    six points lie within R = t + 2 sqrt(d) L of p's first vertex.  The
+    predicate reads a distance at most a few eps R below the true one (the
+    argument of ``_fans_cleared``), far inside delta.  The test's own: an
+    axis is whatever vector was stored, so only the projections round.  The
+    values are taken relative to p's first vertex, which moves each by at
+    most eps R; each projection is then within (d + 2) eps |n| R of its
+    exact value, s within twice that, and |n| within (d + 2) eps of itself.
+    For d <= 64 that moves the bound by under 2^-40 (t + L), inside delta.
+    A NaN or inf value never clears.
+    """
+    dim, _, count = p.shape
+    with np.errstate(invalid="ignore", over="ignore"):
+        origin = p[:, :1]
+        p, q = p - origin, q - origin
+        axes = np.empty((dim, 10, count))
+        np.subtract(q.sum(axis=1), p.sum(axis=1), out=axes[:, 0])
+        np.subtract(q[:, :, None], p[:, None], out=axes[:, 1:].reshape(dim, 3, 3, count))
+        a, b = (np.einsum("kap,ktp->tap", axes, x) for x in (p, q))
+        gap = np.maximum(np.minimum.reduce(b) - np.maximum.reduce(a),
+                         np.minimum.reduce(a) - np.maximum.reduce(b))
+        return (gap > reach * np.sqrt(np.einsum("kap,kap->ap", axes, axes))).any(axis=0)

@@ -41,9 +41,14 @@ thin torus no plane shows a corner star as a fan, but most of its pairs
 clear so).  The rest are gathered into one predicate call, so witnesses
 and distances are those of the predicate alone.  Embedding is the map's
 own immersion verdict, memoized on the map per tol so that the adjacent
-pairs are judged once, plus the pairs that share no vertex id: a
-uniform-grid broadphase over the triangle boxes, then the kernel on the
-far candidates, block by block.  NaN fails.
+pairs are judged once, plus the pairs that share no vertex id
+(``_far_pairs``): a uniform-grid broadphase over the facet boxes finds the
+facet pairs that are not chart neighbours, each giving its 16 triangle
+pairs, and the pairs between neighbours that share no id are read off
+``Chart.neighbours``.  Both pass the exact box-gap test; a separating-axis
+bound (``adjacent._pairs_separated``) clears those whose projections onto
+one axis lie apart, and the kernel measures the rest, block by block.
+NaN fails.
 """
 
 import itertools
@@ -59,6 +64,7 @@ from .adjacent import (
     _fan_bounds,
     _fans_cleared,
     _pairs_cleared,
+    _pairs_separated,
     _star_pairs,
     _tri_tri_distances,
 )
@@ -251,7 +257,7 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
     are binned as int32, the axis bits in the smallest unsigned type, and
     only the box ids, bits and group sizes outlive the binning.
     """
-    count, dim = lo.shape
+    count = len(lo)
     if count < 2:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
     boxes, later, after = _cell_entries(lo, hi, threshold)
@@ -268,16 +274,23 @@ def _box_close_pairs(lo: np.ndarray, hi: np.ndarray, threshold: float):
         own = (later[a] & later[b]) == 0
         a, b = boxes[a[own]], boxes[b[own]]
         i, j = np.minimum(a, b), np.maximum(a, b)
-        gap2 = np.zeros(i.size)
-        for k in range(dim):  # one axis at a time keeps the gathers small
-            gap = np.maximum(0.0, np.maximum(lo[i, k] - hi[j, k], lo[j, k] - hi[i, k]))
-            gap2 += gap * gap
-        close = np.sqrt(gap2) <= threshold
+        close = _gaps_close(lo.T, hi.T, i, j, threshold)
         keys.append(i[close].astype(np.int64) * count + j[close])
         start = stop
     key = np.concatenate(keys)
     key.sort()
     return key // count, key % count
+
+
+def _gaps_close(lo, hi, i, j, threshold):
+    """Mask of the box pairs (i, j), columns of lo, hi (dim, count), whose
+    gap norm, the root of the summed squares of max(0, lo_i - hi_j, lo_j -
+    hi_i) over the axes, is at most ``threshold``; NaN is never close."""
+    gap2 = np.zeros(i.size)
+    for low, high in zip(lo, hi):  # one axis at a time keeps the gathers small
+        gap = np.maximum(0.0, np.maximum(low.take(i) - high.take(j), low.take(j) - high.take(i)))
+        gap2 += gap * gap
+    return np.sqrt(gap2) <= threshold
 
 
 def _cell_entries(lo, hi, threshold):
@@ -558,30 +571,132 @@ def check_embedding(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     Passes iff ``check_immersion(plm, tol)`` passes (it judges every pair of
     triangles that shares a vertex id, and is memoized on the map) and no
     two triangles that share no vertex id come within tol times the max
-    edge length, by exact convex distance.  Candidate pairs come from a
-    uniform-grid broadphase over the triangle boxes; they are split into far
-    and adjacent, and the far ones measured, in blocks of ``_PAIR_BLOCK``
-    candidates, so the kernel's memory does not grow with their count.
-    Witnesses are the far pairs (triangle, triangle, distance), sorted; a
-    triangle t with a non-finite value cannot be placed and is (t, t, nan).
+    edge length, by exact convex distance.  The candidates are the pairs
+    that share no id and whose boxes come within that threshold
+    (``_far_pairs``).  In blocks of ``_PAIR_BLOCK`` candidates, the
+    separating-axis bound (``adjacent._pairs_separated``) clears those
+    whose projections onto one axis lie farther apart than the threshold
+    raised by a rounding slack, and the rest are measured, so the witnesses
+    and distances are the kernel's own and its memory does not grow with
+    their count.  Witnesses are the far pairs (triangle, triangle,
+    distance), sorted; a triangle t with a non-finite value cannot be
+    placed and is (t, t, nan).
     """
     threshold = _threshold(plm, tol)
-    vals, vids = plm.tri_values, plm.tri_vertex_ids
-    finite = np.isfinite(vals).all(axis=(1, 2))
-    keep = np.nonzero(finite)[0]
-    lo, hi = vals[keep].min(axis=1), vals[keep].max(axis=1)
-    pairs_i, pairs_j = (keep[k] for k in _box_close_pairs(lo, hi, threshold))
-    witnesses = [(int(t), int(t), np.nan) for t in np.nonzero(~finite)[0]]
-    for start in range(0, pairs_i.size, _PAIR_BLOCK):
-        block = slice(start, start + _PAIR_BLOCK)
-        i, j = pairs_i[block], pairs_j[block]
-        far = ~(vids[i, :, None] == vids[j, None, :]).any(axis=(1, 2))
-        i, j = i[far], j[far]
-        dist = _tri_tri_distances(vals[i], vals[j])
-        bad = np.nonzero(~(dist >= threshold))[0]  # NaN fails
-        witnesses += [(int(i[k]), int(j[k]), float(dist[k])) for k in bad]
+    reach = threshold + _LEN_SLACK * (threshold + plm.edge_scale())
+    lo, hi = _triangle_boxes(plm)
+    witnesses = [(int(t), int(t), np.nan) for t in np.flatnonzero(np.isnan(lo[0]))]
+    pairs = _far_pairs(plm, lo, hi, threshold)
+    for start in range(0, pairs.shape[1], _PAIR_BLOCK):
+        i, j = pairs[:, start : start + _PAIR_BLOCK]
+        p, q = _pair_values(plm, i), _pair_values(plm, j)
+        left = np.flatnonzero(~_pairs_separated(p, q, reach))
+        p, q = (x[..., left].transpose(2, 1, 0).copy() for x in (p, q))
+        dist = _tri_tri_distances(p, q)
+        bad = np.flatnonzero(~(dist >= threshold))  # NaN fails
+        witnesses += [(int(i[left[k]]), int(j[left[k]]), float(dist[k])) for k in bad]
     passed = check_immersion(plm, tol).passed and not witnesses
     return CheckResult(passed=passed, witnesses=sorted(witnesses))
+
+
+# -- embedding candidates -----------------------------------------------------
+
+
+def _triangle_boxes(plm: PLMap):
+    """Boxes lo, hi (d, T) of the triangles, columns in ``tri_values`` order
+    (t = 4 f + s): the least and the largest of the three values on each
+    axis, NaN for a triangle with a non-finite value."""
+    corners, apexes = plm.corners, plm.apexes[:, None]
+    after = corners.take([1, 2, 3, 0], axis=1)
+    lo = np.minimum(np.minimum(corners, after), apexes)
+    hi = np.maximum(np.maximum(corners, after), apexes)
+    finite = np.isfinite(corners) & np.isfinite(after) & np.isfinite(apexes)
+    bad = ~finite.all(axis=0)
+    lo[:, bad] = hi[:, bad] = np.nan
+    return (box.transpose(0, 2, 1).reshape(plm.dim, -1) for box in (lo, hi))
+
+
+def _pair_values(plm: PLMap, tris) -> np.ndarray:
+    """(d, 3, K) values of the triangles ``tris`` (K,), coordinate-major,
+    read from the facet tables: sub-triangle s of facet f is (A_s, A_s+1, z)."""
+    facet, sub = np.divmod(tris, 4)
+    nfacets = plm.chart.vertex_count
+    flat = plm.corners.reshape(plm.dim, -1)  # corner s of facet f at s F + f
+    out = np.empty((plm.dim, 3, len(tris)))
+    out[:, 0] = flat[:, sub * nfacets + facet]
+    out[:, 1] = flat[:, (sub + 1) % 4 * nfacets + facet]
+    out[:, 2] = plm.apexes[:, facet]
+    return out
+
+
+#: The 16 sub-triangle pairs (s, s') of two facets.
+_SLOT_PAIRS = np.indices((4, 4)).reshape(2, 16)
+
+#: The neighbour steps (dk, dl) = (0, 1), (1, -1), (1, 0), (1, 1), as flat
+#: indices 3 (1 + dk) + 1 + dl of ``Chart.neighbours``: with their
+#: opposites, all eight.
+_FORWARD_STEPS = (5, 6, 7, 8)
+
+
+def _neighbour_slots(chart) -> np.ndarray:
+    """Rows (step, s, s') (3, P) of the triangle pairs between a facet f and
+    its neighbour g = ``Chart.neighbours[f]`` at a forward step (flat 3x3
+    index) that share no vertex id: sub-triangle s of f and s' of g.  Ids
+    are translation-equivariant, so the pattern is read off facet 0 and
+    holds for every facet, as in ``adjacent._star_pairs``.  Where a step
+    reaches f itself (N <= 2) the pattern has no row: f's triangles all
+    share its apex."""
+    nfacets = chart.vertex_count
+    near = chart.neighbours[0].ravel().tolist()
+    ids = dict(zip(near, at_corners(chart.neighbours)[near].tolist()))
+
+    def sub_ids(f, s):
+        return {ids[f][s], ids[f][(s + 1) % 4], nfacets + f}
+
+    rows = [(step, s, t) for step in _FORWARD_STEPS for s, t in itertools.product(range(4), repeat=2)
+            if sub_ids(0, s).isdisjoint(sub_ids(near[step], t))]
+    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
+
+
+def _far_pairs(plm: PLMap, lo, hi, threshold: float) -> np.ndarray:
+    """(2, K) triangle pairs (i, j), i < j, that share no vertex id and
+    whose boxes ``lo``, ``hi`` (``_triangle_boxes``) come within
+    ``threshold`` by ``_gaps_close``.
+
+    Triangles of facets f and g share an id only if g is one of f's 3x3
+    neighbours (``Chart.neighbours``).  A triangle pair whose boxes are
+    that close has facets whose boxes, over their finite triangles, are
+    too, so the pairs of other facets are the 16 of every facet pair that
+    ``_box_close_pairs`` finds and that are not neighbours.  Two facets
+    neighbour each other at one step and its opposite, so the pairs of
+    neighbours are listed from each facet at the forward steps
+    (``_neighbour_slots``).  At N <= 2 two steps can reach one facet, and
+    a pair listed twice is merged.  Both kinds go through the same exact
+    box test, in blocks of about ``_PAIR_BLOCK`` pairs.
+    """
+    nfacets = plm.chart.vertex_count
+    near = plm.chart.neighbours.reshape(nfacets, 9)
+    flo = np.fmin.reduce(lo.reshape(len(lo), nfacets, 4), axis=2)
+    fhi = np.fmax.reduce(hi.reshape(len(hi), nfacets, 4), axis=2)
+    keep = np.flatnonzero(~np.isnan(flo[0]))
+    f, g = (keep[k] for k in _box_close_pairs(flo[:, keep].T, fhi[:, keep].T, threshold))
+    far = ~(near[f] == g[:, None]).any(axis=1)
+    f, g = f[far, None], g[far, None]
+    step, *slots = _neighbour_slots(plm.chart)
+    facets = np.arange(nfacets)[:, None]
+    size = max(_PAIR_BLOCK // 16, 1)
+    blocks = [(f[k : k + size], g[k : k + size], _SLOT_PAIRS) for k in range(0, len(f), size)]
+    size = max(_PAIR_BLOCK // max(len(step), 1), 1)
+    blocks += [(facets[k : k + size], near[k : k + size, step], slots)
+               for k in range(0, nfacets, size)]
+    pairs = [np.empty((2, 0), dtype=np.int64)]
+    for a, b, (s, t) in blocks:
+        i, j = 4 * a + s, 4 * b + t
+        i, j = np.minimum(i, j).ravel(), np.maximum(i, j).ravel()
+        close = _gaps_close(lo, hi, i, j, threshold)
+        pairs.append(np.stack([i[close], j[close]]))
+    pairs = np.concatenate(pairs, axis=1)
+    return np.unique(pairs, axis=1) if len(set(near[0].tolist())) < 9 else pairs
 
 
 # -- export -------------------------------------------------------------------

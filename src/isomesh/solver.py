@@ -45,7 +45,8 @@ Jacobian at an accepted mesh is built from the diagonal fields that the
 line search's density formed there (``density._diagonal_fields`` keeps them
 on the mesh), and the input's corner table gives both the stop and the
 first density, so each mesh's corner table is gathered once, and dropped
-once they are formed.
+once they are formed; the mesh drops U and V once J holds s J U and s J V,
+so they are not held through LSQR.
 """
 
 import math
@@ -234,20 +235,22 @@ def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int, target: 
         if beta > 0:
             u /= beta
             anorm = math.sqrt(anorm**2 + alpha**2 + beta**2)
+        rho = math.hypot(rhobar, beta)
+        cs, sn = rhobar / rho, beta / rho
+        phi, phibar = cs * phibar, sn * phibar
+        x += (phi / rho) * w
+        # Test 1 reads x, phibar and anorm only: it goes before v_k+1 and w.
+        if phibar <= _LSQR_TOL * (bnorm + anorm * np.linalg.norm(x)) or phibar <= target:
+            return x, 1, itn
+        if beta > 0:
             v *= -beta
             v += jac.rmatvec(z / beta)
             alpha = np.linalg.norm(v)
             if alpha > 0:
                 v /= alpha
-        rho = math.hypot(rhobar, beta)
-        cs, sn = rhobar / rho, beta / rho
         theta, rhobar = sn * alpha, -cs * alpha
-        phi, phibar = cs * phibar, sn * phibar
-        x += (phi / rho) * w
         w *= -(theta / rho)
         w += v
-        if phibar <= _LSQR_TOL * (bnorm + anorm * np.linalg.norm(x)) or phibar <= target:
-            return x, 1, itn
         if alpha * abs(sn * phi) <= _LSQR_TOL * anorm * phibar:
             return x, 2, itn
     return x, 7, iter_lim
@@ -290,6 +293,7 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
                 f"residual {res:.3e} above the stop after {iterations} iterations"
             )
         jac = mu_jacobian(mesh)
+        mesh._diagonals = None  # J holds s J U and s J V: U and V are not kept through LSQR
         if precondition is None:
             precondition, s_max = _circulant_preconditioner(chart, jac)
             target = _INNER_SHARE * float(stop.min()) / math.sqrt(s_max) if s_max > 0 else 0.0

@@ -262,17 +262,30 @@ def immersion_witnesses_brute(plm, tol):
     return witnesses
 
 
-def embedding_witnesses_brute(plm, tol):
-    """All-pairs reference for the witnesses of ``check_embedding``: brute box
-    query, then ``tri_tri_distance_lstsq`` for each pair that shares no id
-    (the others are ``check_immersion``'s)."""
-    threshold = tol * plm.edge_scale()
+def far_pairs_brute(plm, threshold):
+    """Reference far-pair candidates of ``check_embedding``: the pairs (i,
+    j), i < j, of finite triangles whose boxes come within ``threshold``
+    (``box_close_pairs_brute``) and that share no vertex id."""
     vals = plm.tri_values
     vids = plm.tri_vertex_ids
+    finite = np.nonzero(np.isfinite(vals).all(axis=(1, 2)))[0]
+    boxes = vals[finite]
+    pairs = []
+    for a, b in box_close_pairs_brute(boxes.min(axis=1), boxes.max(axis=1), threshold):
+        i, j = int(finite[a]), int(finite[b])
+        if not set(vids[i].tolist()) & set(vids[j].tolist()):
+            pairs.append((i, j))
+    return pairs
+
+
+def embedding_witnesses_brute(plm, tol):
+    """All-pairs reference for the witnesses of ``check_embedding``:
+    ``far_pairs_brute``, then ``tri_tri_distance_lstsq`` for each pair (the
+    pairs that share an id are ``check_immersion``'s)."""
+    threshold = tol * plm.edge_scale()
+    vals = plm.tri_values
     witnesses = []
-    for i, j in box_close_pairs_brute(vals.min(axis=1), vals.max(axis=1), threshold):
-        if set(vids[i].tolist()) & set(vids[j].tolist()):
-            continue
+    for i, j in far_pairs_brute(plm, threshold):
         dist = tri_tri_distance_lstsq(vals[i], vals[j])
         if dist < threshold:
             witnesses.append((i, j, dist))

@@ -530,6 +530,29 @@ class TestMain:
         assert proc.returncode == 3
         assert proc.stderr == "pipeline error [LinearSolveFailure]: non-finite density residual nan\n"
 
+    @staticmethod
+    def _run_fresh(argv):
+        """``isomesh`` in a fresh interpreter that shows warnings."""
+        env = dict(os.environ, PYTHONWARNINGS="default")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "isomesh.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_thin_clifford_refine_gate_is_one_error_line(self):
+        # At r2 / r1 = 1e-12 the optimal-apex offsets, about h^2 / r2, are so
+        # large that refine's isotropy gate reads a residual far above its
+        # limit on an isotropic torus: a pipeline error, exit 3, one line.
+        proc = self._run_fresh(["verify", "--spec", "clifford:1,1e-12", "--n", "8"])
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("pipeline error [NotIsotropic]")
+
+    def test_thin_clifford_fails_immersion(self):
+        # At r2 = 1e-4 and N = 8 the corner fans fold: immersion fails, exit 4.
+        proc = self._run_fresh(["verify", "--spec", "clifford:1,1e-4", "--n", "8"])
+        assert proc.returncode == 4
+        assert "immersion = fail\n" in proc.stdout
+
     def test_sample_needs_no_solver(self, monkeypatch, capsys):
         monkeypatch.setattr("isomesh.solver._MAX_ITER", 0)
         assert main(["sample", "--spec", "product:figure8,circle", "--n", "8"]) == 0

@@ -16,6 +16,7 @@ from helpers import (
     edge_scale_reference,
     embedding_witnesses_brute,
     eval_pl_reference,
+    far_pairs_brute,
     hex_basis,
     identity_chart,
     immersion_witnesses_brute,
@@ -40,12 +41,13 @@ from isomesh import (
     apex_refine,
     barycentric_apexes,
 )
-from isomesh.cli import _COMMANDS, PipelineConfig, run_pipeline
+from isomesh.cli import _COMMANDS, Pipeline, PipelineConfig, run_pipeline
 from isomesh import adjacent, plmap
 from isomesh.adjacent import (
     _LEN_SLACK,
     _adjacent_distances,
     _pairs_cleared,
+    _pairs_separated,
     _star_pairs,
     _tri_tri_distances,
 )
@@ -859,6 +861,19 @@ class TestBlocks:
         assert degenerate or plm.chart.vertex_count == 1  # one facet: the fold moves its apex
 
 
+    @pytest.mark.parametrize("tol", [1e-6, 0.3])
+    def test_embedding_witnesses_match_whole_blocks(self, plm, tol, monkeypatch):
+        # Far pairs box-tested, bounded and measured 12 at a time give the
+        # witnesses of whole blocks, distances bit for bit.
+        lo, hi = plmap._triangle_boxes(plm)
+        pairs = plmap._far_pairs(plm, lo, hi, tol * plm.edge_scale())
+        assert tol < 0.3 or plm.chart.N < 12 or pairs.shape[1] > 12
+        got = check_embedding(plm, tol).witnesses
+        for module in (plmap, adjacent):
+            monkeypatch.setattr(module, "_PAIR_BLOCK", 1 << 14)
+        assert got == check_embedding(build_pl(plm.tri), tol).witnesses
+
+
 def _nan_plm():
     """A random map in R^6 with one NaN and one infinite value."""
     tri = random_trimesh(rotated_chart(5), np.random.default_rng(11), dim=6)
@@ -1662,6 +1677,64 @@ class TestEmbeddingWitnesses:
         assert got.passed == (not want and immersion.passed)
         for (_, _, d_got), (_, _, d_want) in zip(got.witnesses, want):
             assert d_got == pytest.approx(d_want, rel=1e-9, abs=1e-12)
+
+
+#: Built-in maps on which the far pairs are checked against all pairs:
+#: ids repeat at N <= 2, and flat-plane's target has lattice shifts.
+_FAR_PAIR_MAPS = [
+    *(("product:figure8,circle", n) for n in (1, 2, 3, 12, 32)),
+    *(("product:figure8,figure8", n) for n in (3, 16)),
+    *(("clifford", n) for n in (2, 16)),
+    *(("flat-plane", n) for n in (1, 4)),
+]
+
+
+class TestFarPairs:
+    @pytest.mark.parametrize("spec, n", _FAR_PAIR_MAPS)
+    def test_far_pairs_match_all_pairs(self, spec, n):
+        # Far facet pairs and chart-neighbour pairs, box-tested, are the
+        # triangle pairs that share no id and whose boxes come within the
+        # threshold, each once.
+        plm = Pipeline(PipelineConfig(spec=spec, n=n)).plm
+        lo, hi = plmap._triangle_boxes(plm)
+        for tol in (1e-6, 0.1, 0.3):
+            threshold = tol * plm.edge_scale()
+            got = plmap._far_pairs(plm, lo, hi, threshold).T.tolist()
+            assert all(i < j for i, j in got)
+            assert len(set(map(tuple, got))) == len(got)
+            assert set(map(tuple, got)) == set(far_pairs_brute(plm, threshold))
+
+    @given(
+        dim=st.sampled_from([4, 6]),
+        threshold=st.sampled_from([0.0, 0.125, 0.25, 0.5]),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_separating_axis_bound_is_sound(self, dim, threshold, data):
+        # Triangle soups on a coarse grid, so that coplanar, parallel and
+        # zero-area triangles and gaps of exactly the threshold are common:
+        # every pair the bound clears is at least the threshold apart by the
+        # kernel.
+        grid = st.integers(-4, 4).map(lambda k: k / 4.0)
+        vals = data.draw(arrays(float, (8, 3, dim), elements=grid, fill=st.nothing()))
+        i, j = np.triu_indices(len(vals), 1)
+        edges = vals - vals[:, [1, 2, 0]]
+        scale = float(np.sqrt((edges * edges).sum(axis=-1).max()))
+        reach = threshold + _LEN_SLACK * (threshold + scale)
+        p, q = (vals[k].transpose(2, 1, 0).copy() for k in (i, j))
+        cleared = _pairs_separated(p, q, reach)
+        assert (_tri_tri_distances(vals[i], vals[j])[cleared] >= threshold).all()
+
+    def test_separating_axis_bound_clears_beyond_the_reach(self):
+        # A triangle and its translate by g along a normal are g apart; the
+        # bound clears them only when g exceeds the reach.
+        p = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        gaps = np.array([0.25, 0.25 * (1 + 2.0**-40), 0.25 * (1 + 2.0**-30), 0.5])
+        q = p + gaps[:, None, None] * np.array([0.0, 0.0, 1.0, 0.0])
+        reach = 0.25 + _LEN_SLACK * (0.25 + np.sqrt(2.0))
+        p = np.broadcast_to(p.T[:, :, None], (4, 3, len(gaps)))
+        cleared = _pairs_separated(p, q.transpose(2, 1, 0).copy(), reach)
+        assert cleared.tolist() == [False, False, True, True]
 
 
 class TestExport:
