@@ -2,8 +2,10 @@
 their listing by star, their distance beyond the shared simplex, and the
 sound bounds in front of that distance.
 
-Triangles are rows of a (T, 3, d) value array with a (T, 3) table of vertex
-ids; a pair is given by incidence codes 3 t + slot.  ``_tri_tri_distances``
+Values are coordinate-major, the d coordinates first: triangles are given
+as (d, 3, K) blocks, and the triangles of a map as a (d, 3T) incidence
+table, column 3 t + slot, with a (T, 3) table of vertex ids; a pair is
+given by incidence codes 3 t + slot.  ``_tri_tri_distances``
 is the one exact distance of both topology certificates.  ``_star_pairs``
 lists every pair of the given stars that shares an id, and
 ``_adjacent_distances`` measures a pair beyond its shared vertex or edge by
@@ -20,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import back_substitute, dot, thin_qr
+from .linalg import back_substitute, coordinate_dot, thin_qr
 
 
 #: Pairs handled at once (half as many in the adjacent-pair predicate, whose
@@ -60,8 +62,9 @@ _SEGMENT_SEGMENT = _face_pairs(_SEGMENT_FEATURES, _SEGMENT_FEATURES)
 
 
 def _tri_tri_distances(p, q, pairs=_FACE_PAIRS) -> np.ndarray:
-    """Exact min distances between triangle pairs p[k], q[k], each (K, 3, d),
-    over the face pairs ``pairs`` (``_face_pairs``), all 49 by default.
+    """Exact min distances between the triangle pairs p[..., k], q[..., k],
+    each (d, 3, K) coordinate-major, over the face pairs ``pairs``
+    (``_face_pairs``), all 49 by default.
 
     For every pair of faces, the least-squares minimizer between the affine
     hulls counts when its barycentric coordinates are feasible exactly: none
@@ -70,28 +73,28 @@ def _tri_tri_distances(p, q, pairs=_FACE_PAIRS) -> np.ndarray:
     those are always enumerated; the distance is the least over the face
     pairs.  Vertex-vertex pairs are plain norms.  The face pairs with m >= 1
     unknowns are solved together by one ``thin_qr`` of [columns | right-hand
-    side]: back-substitution gives the coordinates, the norm of the
-    projected right-hand side the distance.  A face pair with a column whose
-    projected norm is at most max(d, m) eps times the largest column norm
-    (the relative cutoff of ``lstsq(rcond=None)``) is rank-deficient and
-    dropped: an extreme point of the closest-pair set lies on a full-rank
-    face pair.  So (a, b, b) is the segment ab, (a, a, a) the point a, and
+    side], (m + 1, d, G, K) for the G face pairs: back-substitution gives
+    the coordinates, the norm of the projected right-hand side the
+    distance.  A face pair with a column whose projected norm is at most
+    max(d, m) eps times the largest column norm (the relative cutoff of
+    ``lstsq(rcond=None)``) is rank-deficient and dropped: an extreme point
+    of the closest-pair set lies on a full-rank face pair.  So (a, b, b) is the segment ab, (a, a, a) the point a, and
     their distinct faces' pairs suffice.  A non-finite value gives NaN.
     """
-    verts = np.concatenate([p, q], axis=1).transpose(1, 0, 2)  # (6, K, d)
-    diffs = (verts[:, None] - verts[None]).reshape((36,) + verts.shape[1:])
-    lens = np.sqrt(dot(diffs, diffs))
+    verts = np.concatenate([p, q], axis=1)  # (d, 6, K)
+    diffs = (verts[:, :, None] - verts[:, None]).reshape(len(verts), 36, -1)
+    lens = np.sqrt(coordinate_dot(diffs, diffs))
     best = lens[pairs[0][0]].min(axis=0)
     for m, group in list(pairs.items())[1:]:
-        cols = diffs[group]  # (m + 1, G, K, d), overwritten by Q
-        cutoff = max(p.shape[-1], m) * np.finfo(float).eps * lens[group[:m]].max(axis=0)
+        cols = diffs[:, group].swapaxes(0, 1)  # (m + 1, d, G, K), overwritten by Q
+        cutoff = max(len(verts), m) * np.finfo(float).eps * lens[group[:m]].max(axis=0)
         r = thin_qr(cols, m, cutoff)
         x = back_substitute(r, m)
         on_p = group[:m, :, None] < 18  # columns p_k - p_0: 6 a + b with a < 3
         drop = (r[range(m), range(m)] == 0.0).any(axis=0) | (x.min(axis=0) < 0.0)
         for side in (on_p, ~on_p):
             drop |= (x * side).sum(axis=0) > 1.0
-        dist = np.sqrt(dot(cols[m], cols[m]))
+        dist = np.sqrt(coordinate_dot(cols[m], cols[m]))
         best = np.minimum(best, np.where(drop, np.inf, dist).min(axis=0))
     return best
 
@@ -135,10 +138,11 @@ def _star_pairs(vids, codes):
 
 
 def _far_points(flat, c, d):
-    """Values at the incidences d and at the third slot of their triangles,
-    less the values at the incidences c, from the (3T, dim) values ``flat``."""
-    origin = np.take(flat, c, axis=0)
-    return [np.take(flat, x, axis=0) - origin for x in (d, 3 * (c - c % 3) + 3 - c - d)]
+    """Values (dim, K) at the incidences d and at the third slot of their
+    triangles, less the values at the incidences c, from the incidence
+    table ``flat`` (dim, 3T)."""
+    origin = flat.take(c, axis=1)
+    return [flat.take(x, axis=1) - origin for x in (d, 3 * (c - c % 3) + 3 - c - d)]
 
 
 #: The terms of ``_adjacent_distances`` as triangle pairs (P, Q) of indices
@@ -159,10 +163,11 @@ _TERMS = (
 )
 
 
-def _adjacent_distances(vals, u, w):
+def _adjacent_distances(flat, u, w):
     """Exact distances between triangles sharing a vertex beyond their
     shared simplex, for the pairs given by incidence codes (u, w), each
-    (2, K), row 0 in one triangle and row 1 in the other (w -1 if none).
+    (2, K), row 0 in one triangle and row 1 in the other (w -1 if none),
+    into the incidence table ``flat`` (d, 3T).
 
     u is the smallest vertex id the two share, w the next if any, each read
     at its first slot; both triangles are taken relative to their own value
@@ -177,7 +182,6 @@ def _adjacent_distances(vals, u, w):
     distinct faces; the terms of ``_PAIR_BLOCK`` / 2 pairs go to it at once,
     one call per kind of term.  A pair with a non-finite value scores NaN.
     """
-    flat = vals.reshape(-1, vals.shape[-1])  # one row per (triangle, slot)
     out = np.empty(u.shape[1])
     step = _PAIR_BLOCK // 2
     for lo in range(0, u.shape[1], step):
@@ -187,21 +191,22 @@ def _adjacent_distances(vals, u, w):
         for c, d in zip(cu, cw):
             far = _far_points(flat, c, np.where(edge, d, c - c % 3 + (c % 3 + 1) % 3))
             points += [np.zeros_like(far[0])] + far
-        points = np.stack(points, axis=1)  # (K, 6, dim)
+        points = np.stack(points, axis=1)  # (dim, 6, K)
         block = out[lo : lo + step]
-        block[~edge] = _term_distances(points[~edge], _TERMS[0], _SEGMENT_TRIANGLE)
+        block[~edge] = _term_distances(points[..., ~edge], _TERMS[0], _SEGMENT_TRIANGLE)
         block[edge] = np.minimum(
-            _term_distances(points[edge], _TERMS[1][:2], _POINT_TRIANGLE),
-            _term_distances(points[edge], _TERMS[1][2:], _SEGMENT_SEGMENT),
+            _term_distances(points[..., edge], _TERMS[1][:2], _POINT_TRIANGLE),
+            _term_distances(points[..., edge], _TERMS[1][2:], _SEGMENT_SEGMENT),
         )
     return out
 
 
 def _term_distances(points, terms, pairs):
     """Least distance over ``terms`` (n, 2, 3), triangle pairs of indices into
-    each row of ``points`` (K, 6, dim), on the face pairs ``pairs``."""
-    tris = points[:, terms].reshape(-1, 2, 3, points.shape[-1])
-    return _tri_tri_distances(tris[:, 0], tris[:, 1], pairs).reshape(-1, len(terms)).min(axis=1)
+    the six points of each pair, ``points`` (dim, 6, K), on the face pairs
+    ``pairs``."""
+    tris = points[:, np.moveaxis(terms, 0, -1)].reshape(len(points), 2, 3, -1)  # term-major
+    return _tri_tri_distances(tris[:, 0], tris[:, 1], pairs).reshape(len(terms), -1).min(axis=0)
 
 
 # -- the planar star test ----------------------------------------------------
@@ -331,31 +336,29 @@ def _fan_bounds(spokes):
 
 
 def _cones(tris, reach, slack):
-    """The cones at the three slots of triangles ``tris`` (K, 3, dim): unit
-    bisectors n (dim, K, 3), and cos(gamma), sin(gamma) (K, 3), gamma =
+    """The cones at the three slots of triangles ``tris`` (dim, 3, K): unit
+    bisectors n (dim, 3, K), and cos(gamma), sin(gamma) (3, K), gamma =
     alpha + asin(reach / (H - slack)), alpha the half-aperture and H the
     distance from the vertex to the line of the far edge.  An incidence
     that is not well conditioned, or has gamma >= pi / 2, gets a NaN
     cosine, so no pair with it clears."""
     after, before = [1, 2, 0], [2, 0, 1]
-    near = np.ascontiguousarray(tris.transpose(1, 2, 0))  # (3, dim, K)
-    edges = near.take(after, axis=0) - near  # edge s from slot s to s + 1
-    length2 = (edges * edges).sum(axis=1)
+    edges = tris.take(after, axis=1) - tris  # edge s from slot s to s + 1
+    length2 = coordinate_dot(edges, edges)
     length = np.sqrt(length2)
-    unit = edges / length[:, None]
-    n = unit - unit.take(before, axis=0)  # the cone at slot s spans edge s, -edge s-1
-    cos_a = 0.5 * np.sqrt((n * n).sum(axis=1))
+    unit = edges / length
+    n = unit - unit.take(before, axis=1)  # the cone at slot s spans edge s, -edge s-1
+    cos_a = 0.5 * np.sqrt(coordinate_dot(n, n))
     sin_a = np.sqrt(1.0 - np.minimum(cos_a * cos_a, 1.0))
-    n /= 2.0 * cos_a[:, None]
-    turn = (edges * edges.take(after, axis=0)).sum(axis=1)  # H at slot s: to edge s + 1
+    n /= 2.0 * cos_a
+    turn = coordinate_dot(edges, edges.take(after, axis=1))  # H at slot s: to edge s + 1
     height = np.sqrt(np.maximum(length2 - turn * turn / length2.take(after, axis=0), 0.0))
     x = reach / (height - slack)
     cos_b = np.sqrt(1.0 - x * x)
     cos_g = cos_a * cos_b - sin_a * x
     ok = (np.minimum(cos_a, sin_a) >= _MARGIN) & (x <= 1.0 - _MARGIN) & (cos_g > 0.0)
     ok &= (height >= _MARGIN * np.maximum(length, length.take(before, axis=0))) & (height > slack)
-    rows = (n.transpose(1, 2, 0), np.where(ok, cos_g, np.nan).T, (sin_a * cos_b + cos_a * x).T)
-    return tuple(np.ascontiguousarray(r) for r in rows)
+    return n, np.where(ok, cos_g, np.nan), sin_a * cos_b + cos_a * x
 
 
 def _edges_cleared(flat, u, w, reach, slack):
@@ -380,26 +383,27 @@ def _edges_cleared(flat, u, w, reach, slack):
     when h >= 2^-8 l at both sides.
     """
     (e, a), (e2, c) = (_far_points(flat, *codes) for codes in zip(u, w))
-    ee, ae, ce = dot(e, e), dot(a, e), dot(c, e)
+    ee, ae, ce = coordinate_dot(e, e), coordinate_dot(a, e), coordinate_dot(c, e)
     span = np.sqrt(ee)
-    aa, cc = dot(a, a), dot(c, c)
+    aa, cc = coordinate_dot(a, a), coordinate_dot(c, c)
     ha, hc = (np.sqrt(np.maximum(xx - xe * xe / ee, 0.0)) for xx, xe in ((aa, ae), (cc, ce)))
     la, lc = 2.0 * np.sqrt(aa) + span, 2.0 * np.sqrt(cc) + span
-    cos_phi = (dot(a, c) - ae * ce / ee) / (ha * hc)
+    cos_phi = (coordinate_dot(a, c) - ae * ce / ee) / (ha * hc)
     sin_phi = np.sqrt(np.maximum(1.0 - cos_phi * cos_phi - _COS_SLACK, 0.0))
     sin_phi[cos_phi <= 0.0] = 1.0
     ok = (ha >= _MARGIN * la) & (hc >= _MARGIN * lc)
     ha, hc = (ha - slack) * sin_phi, (hc - slack) * sin_phi
-    reach = reach + np.sqrt(dot(e - e2, e - e2))  # T2 measured with T1's value at w
+    e2 -= e
+    reach = reach + np.sqrt(coordinate_dot(e2, e2))  # T2 measured with T1's value at w
     return ok & (span * ha * hc > 2.0 * reach * (ha * hc + la * hc + lc * ha))
 
 
 def _pairs_cleared(flat, u, w, reach, slack):
-    """Mask of the pairs (u, w), as ``_adjacent_distances`` takes them, that
-    one of two bounds clears, at ``reach`` t and ``slack`` delta as in
-    ``_fans_cleared``: for the stars the planar test leaves.  A star that no
-    plane shows as a fan (a thin torus's, say) still has most of its pairs
-    far apart in angle.
+    """Mask of the pairs (u, w) into the incidence table ``flat`` (d, 3T),
+    as ``_adjacent_distances`` takes them, that one of two bounds clears, at
+    ``reach`` t and ``slack`` delta as in ``_fans_cleared``: for the stars
+    the planar test leaves.  A star that no plane shows as a fan (a thin
+    torus's, say) still has most of its pairs far apart in angle.
 
     - Vertex pairs: every point of T1 - u lies within the half-aperture
       alpha1 of the unit bisector n1 of its cone at u (``_cones``), and
@@ -423,16 +427,17 @@ def _pairs_cleared(flat, u, w, reach, slack):
     """
     out = np.empty(u.shape[1], dtype=bool)
     vertex, edge = np.flatnonzero(w[0] < 0), np.flatnonzero(w[0] >= 0)
-    at = np.zeros(len(flat) // 3, dtype=np.intp)  # a cone serves many pairs: form each once
+    at = np.zeros(flat.shape[1] // 3, dtype=np.intp)  # a cone serves many pairs: form each once
     at[u[:, vertex] // 3] = 1
     tris = np.flatnonzero(at)
-    at[tris] = 3 * np.arange(len(tris))
+    at[tris] = np.arange(len(tris))
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        n, cos, sin = _cones(flat.reshape(-1, 3, flat.shape[-1])[tris], reach, slack)
-        n, cos, sin = n.reshape(len(n), -1), cos.ravel(), sin.ravel()
+        near = flat.take(3 * tris + np.arange(3)[:, None], axis=1)  # (d, 3, K)
+        n, cos, sin = _cones(near, reach, slack)
+        n, cos, sin = n.reshape(len(n), -1), cos.ravel(), sin.ravel()  # slot s at s K + k
         for lo in range(0, len(vertex), _PAIR_BLOCK):
             codes = u[:, vertex[lo : lo + _PAIR_BLOCK]]
-            a, b = at[codes // 3] + codes % 3
+            a, b = at[codes // 3] + codes % 3 * len(tris)
             dots = n[0, a] * n[0, b]
             for k in range(1, len(n)):
                 dots += n[k, a] * n[k, b]

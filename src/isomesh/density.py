@@ -41,6 +41,13 @@ def at_corners(table):
     return table[:, i, j]
 
 
+def corner_facets(chart):
+    """(F, 4): column c holds f_c = v - step_c, the facet whose corner c is
+    vertex v, read off ``Chart.neighbours``."""
+    i, j = 1 - CORNER_STEPS.T
+    return chart.neighbours[:, i, j]
+
+
 def corner_value_table(chart, values, periods=None, facets=slice(None)):
     """(F, 4, d) table of facet corner values A0..A3 in canonical facet order,
     of the facets ``facets`` (a slice; all by default).

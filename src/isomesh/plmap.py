@@ -10,18 +10,19 @@ them.  The chart is linear (positions A_N (k/N, l/N)), so the chart
 triangles of every facet are translates of four fixed shapes: one
 per-chart table (``PLMap.shapes``) holds their inverse edge matrices and
 sample-grid offsets from the facet centre.  A ``PLMap`` keeps facet
-tables, each facet's own corner copies and its apex, coordinate-major;
-triangle values and vertex ids are formed from them on demand, whole or
-per block of at most ``_PAIR_BLOCK`` triangles, and so are the
-differentials and distance samples, over which the distances take their
-maxima.  One pass over blocks of facets (``_facet_pass``, kept on the
-map) reads each facet's quad edges and spokes and yields the edge
-scale, the isotropy residuals, the differential norms of the
-degenerate-triangle test and the planar star test's bounds.  The source
-metric is the flat chart metric, the target metric Euclidean.
-Per-triangle pullbacks of the symplectic form are constant, so PL isotropy
-is the finite list of residuals |omega(B - A, C - A)| over triangles, which
-equals exactly twice the Liouville integral around the triangle boundary.
+tables, each facet's own corner copies and its apex, coordinate-major (d
+first), and the certificates gather their values from them in that layout
+(``_pair_values``).  Differentials and distance samples, over which the
+distances take their maxima, are row-major, (..., d) as the spec's values,
+and formed per block of facets.  One pass over blocks of facets
+(``_facet_pass``, kept on the map) reads each facet's quad edges and
+spokes and yields the edge scale, the isotropy residuals, the
+differential norms of the degenerate-triangle test and the planar star
+test's bounds.  The source metric is the flat chart metric, the target
+metric Euclidean.  Per-triangle pullbacks of the symplectic form are
+constant, so PL isotropy is the finite list of residuals
+|omega(B - A, C - A)| over triangles, which equals exactly twice the
+Liouville integral around the triangle boundary.
 
 Topology checks are tolerance-based floating point, against tol * scale,
 and measure by one exact distance, ``adjacent._tri_tri_distances``: the 49
@@ -33,7 +34,7 @@ with one predicate, ``adjacent._adjacent_distances``, that kernel on the
 far sub-simplices of the pair.  Sound bounds go first.  The planar star
 test (``adjacent._fans_cleared``) clears whole stars: it projects a star
 onto a plane of its spokes, and on a smooth map it clears every star,
-and then no triangle table is formed.  Only the stars it leaves are
+and then no incidence table is formed.  Only the stars it leaves are
 listed, from the chart's neighbour table (``adjacent._star_pairs``), and
 of their pairs ``adjacent._pairs_cleared`` clears those whose vertex
 cones, or whose half-planes at a shared edge, lie far enough apart (on a
@@ -68,9 +69,9 @@ from .adjacent import (
     _star_pairs,
     _tri_tri_distances,
 )
-from .density import CORNER_STEPS, at_corners
+from .density import CORNER_STEPS, at_corners, corner_facets
 from .immersion import ImmersionSpec
-from .linalg import coordinate_dot, dot
+from .linalg import coordinate_dot
 from .refine import TriMesh
 
 # Corner slots (A_s, A_{s+1}) of sub-triangle s; its third vertex is the apex.
@@ -96,8 +97,8 @@ class PLMap:
     applied, and ``apexes`` (d, F) its apex z.  The triangle values and
     vertex ids are formed on demand (``tri_values``, ``tri_vertex_ids``,
     and ``triangles`` for a block of facets), and so are differentials
-    (``differential``), so that the certificates and distances work block
-    by block."""
+    (``differential``), so that the distances work block by block; the
+    certificates gather their values from the facet tables."""
 
     tri: TriMesh
     corners: np.ndarray = field(init=False, repr=False)
@@ -147,24 +148,19 @@ class PLMap:
         edges = np.stack([tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]], axis=-1)
         return np.linalg.inv(edges), np.einsum("gk,skx->sgx", _triangle_grid(), tris)
 
-    def facets_of(self, rows: slice) -> slice:
-        """The facets of the triangle rows ``rows``, a slice of whole facets."""
-        start, stop, _ = rows.indices(4 * self.chart.vertex_count)
-        return slice(start // 4, stop // 4)
-
-    def differential(self, rows: slice = slice(None)) -> np.ndarray:
-        """(K, d, 2) differentials of the PL map on the triangle rows ``rows``,
-        a slice of whole facets (its bounds multiples of 4); all rows by
-        default.  The value edges from the first vertex times E_s^-1."""
-        vals = self.triangles(self.facets_of(rows))
+    def differential(self, facets: slice = slice(None)) -> np.ndarray:
+        """(4 f, d, 2) differentials of the PL map on the sub-triangles of the
+        facets ``facets``; all by default.  The value edges from the first
+        vertex times E_s^-1."""
+        vals = self.triangles(facets)
         w = np.stack([vals[:, 1] - vals[:, 0], vals[:, 2] - vals[:, 0]], -1)
         return (w.reshape(-1, 4, self.dim, 2) @ self.shapes[0]).reshape(w.shape)
 
     def blocks(self, share: int = 1):
-        """Slices of ``_PAIR_BLOCK`` / ``share`` triangle rows (whole facets,
-        at least one) covering the map."""
-        size = max(_PAIR_BLOCK // share // 4, 1) * 4
-        return (slice(lo, lo + size) for lo in range(0, 4 * self.chart.vertex_count, size))
+        """Slices of f >= 1 facets covering the map, with 4 f triangles at
+        most ``_PAIR_BLOCK`` / ``share`` where f > 1."""
+        size = max(_PAIR_BLOCK // share // 4, 1)
+        return (slice(lo, lo + size) for lo in range(0, self.chart.vertex_count, size))
 
     def edge_scale(self) -> float:
         """Max finite image edge length, the geometric scale for tolerance
@@ -193,10 +189,10 @@ def _triangle_grid() -> np.ndarray:
     return np.stack([1.0 - a - b, a, b], axis=-1)  # (m^2, 3)
 
 
-def _sample_points(plm: PLMap, rows: slice):
-    """Chart points and PL values of the sample grids of the triangle rows
-    (whole facets): the facet centres plus the grids of ``PLMap.shapes``."""
-    facets = plm.facets_of(rows)
+def _sample_points(plm: PLMap, facets: slice):
+    """Chart points and PL values of the sample grids of the sub-triangles of
+    the facets ``facets``: the facet centres plus the grids of
+    ``PLMap.shapes``."""
     kc, lc = (c[facets] for c in plm.chart.all_canonical())
     grids = plm.shapes[1]
     pts = plm.chart.facet_center(kc, lc)[:, None, None] + grids
@@ -208,17 +204,17 @@ def distance_c0(plm: PLMap, spec: ImmersionSpec) -> float:
     """Sup distance max_p ||ell(p) - ell_N(p)|| over per-triangle sample
     grids, block by block."""
     worst = []
-    for rows in plm.blocks():
-        pts, vals = _sample_points(plm, rows)
+    for facets in plm.blocks():
+        pts, vals = _sample_points(plm, facets)
         worst.append(np.linalg.norm(spec.eval(pts) - vals, axis=-1).max())
     return float(np.max(worst))
 
 
-def _operator_norm(mat) -> np.ndarray:
-    """Largest singular values of (..., d, 2) matrices [x y], in closed form:
-    the root of the larger eigenvalue of the Gram matrix [[xx, xy], [xy, yy]]."""
-    x, y = mat[..., 0], mat[..., 1]
-    xx, yy, xy = dot(x, x), dot(y, y), dot(x, y)
+def _operator_norm(x, y) -> np.ndarray:
+    """Largest singular values s_max of the (d, 2) matrices [x y], columns x,
+    y (d, ...) coordinate-major, in closed form: the root of the larger
+    eigenvalue of the Gram matrix [[xx, xy], [xy, yy]]."""
+    xx, yy, xy = coordinate_dot(x, x), coordinate_dot(y, y), coordinate_dot(x, y)
     return np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy)))
 
 
@@ -226,11 +222,12 @@ def distance_c1(plm: PLMap, spec: ImmersionSpec) -> float:
     """C1 distance: distance_c0 plus the sup operator norm of d ell - d ell_N,
     over the same sample grids, block by block.  A non-finite value gives NaN."""
     c0, c1 = [], []
-    for rows in plm.blocks():
-        pts, vals = _sample_points(plm, rows)
+    for facets in plm.blocks():
+        pts, vals = _sample_points(plm, facets)
         smooth, deriv = spec.jet(pts)
         c0.append(np.linalg.norm(smooth - vals, axis=-1).max())
-        c1.append(_operator_norm(deriv - plm.differential(rows)[:, None]).max())
+        gap = np.moveaxis(deriv - plm.differential(facets)[:, None], -2, 0)  # (d, ..., 2)
+        c1.append(_operator_norm(gap[..., 0], gap[..., 1]).max())
     return float(np.max(c0)) + float(np.max(c1))
 
 
@@ -368,8 +365,8 @@ def _facet_pass(plm: PLMap) -> _FacetPass:
     - The edge scale: the largest finite squared |E_s| and |S_s|.
     - The isotropy residual of sub-triangle s: |omega(E_s, S_s)|.
     - Its differential [x y] = [E_s, -S_s] E_s^-1: s_max and |x ^ y| in
-      closed form (s_max as in ``_operator_norm``, and s_max s_min = |x ^
-      y|, the root sum of squared minors).
+      closed form (s_max by ``_operator_norm``, and s_max s_min = |x ^ y|,
+      the root sum of squared minors).
     - The planar star test's bounds (``_corner_fans`` for the corner
       stars, the spokes S_0 .. S_3 for the apex stars).
     """
@@ -379,9 +376,9 @@ def _facet_pass(plm: PLMap) -> _FacetPass:
     nfacets = chart.vertex_count
     residual, big, area = np.empty((3, nfacets, 4))
     inverse = plm.shapes[0].reshape(4, 4).T[..., None]  # entry (i, j) of E_s^-1 at row 2 i + j
-    corner_facets = _corner_facets(chart)
+    at_corner = corner_facets(chart)
     fans = [(np.empty(nfacets, dtype=bool), *np.empty((4, nfacets))) if distinct else None
-            for distinct in _fans_distinct(chart, corner_facets[0])]
+            for distinct in _fans_distinct(chart, at_corner[0])]
 
     def keep(kind, facets, fan, spread):
         """Store the bounds and spreads of a block's stars of one kind."""
@@ -391,7 +388,7 @@ def _facet_pass(plm: PLMap) -> _FacetPass:
     def block(facets):
         """Fill the tables at ``facets``; their largest finite squared edge."""
         if fans[0] is not None:
-            keep(fans[0], facets, *_corner_fans(plm, corner_facets[facets]))
+            keep(fans[0], facets, *_corner_fans(plm, at_corner[facets]))
         corners = plm.corners[:, :, facets]
         edge = corners.take([1, 2, 3, 0], axis=1)
         edge -= corners
@@ -403,9 +400,8 @@ def _facet_pass(plm: PLMap) -> _FacetPass:
         omega = (edge[0::2] * spoke[1::2] - edge[1::2] * spoke[0::2]).sum(axis=0)
         residual[facets] = np.abs(omega).T
         x, y = (edge * a - spoke * b for a, b in (inverse[0::2], inverse[1::2]))
-        xx, yy, xy = coordinate_dot(x, x), coordinate_dot(y, y), coordinate_dot(x, y)
-        big[facets] = np.sqrt(0.5 * (xx + yy + np.hypot(xx - yy, 2.0 * xy))).T
-        squares = np.zeros(xx.shape)
+        big[facets] = _operator_norm(x, y).T
+        squares = np.zeros(x.shape[1:])
         for i, j in itertools.combinations(range(dim), 2):
             minor = x[i] * y[j] - x[j] * y[i]
             squares += minor * minor
@@ -414,7 +410,7 @@ def _facet_pass(plm: PLMap) -> _FacetPass:
             keep(fans[1], facets, spoke, 0.0)
         return top
 
-    top = max(block(plm.facets_of(rows)) for rows in plm.blocks(4))
+    top = max(block(facets) for facets in plm.blocks(4))
     for table in (residual, big, area, *(t for kind in fans if kind for t in kind)):
         table.flags.writeable = False
     plm._pass = _FacetPass(top, residual.reshape(-1), big.reshape(-1), area.reshape(-1),
@@ -448,13 +444,6 @@ def _fans_distinct(chart, facets):
     spokes = [int(ids[f, (c + 1) % 4]) for c, f in enumerate(facets)]
     corner = _fan_distinct(spokes + [nfacets + f for f in facets], int(ids[facets[0], 0]))
     return corner, _fan_distinct(ids[0].tolist(), nfacets)
-
-
-def _corner_facets(chart):
-    """(F, 4): column c holds f_c = v - step_c, the facet whose corner c is
-    corner v, read off ``Chart.neighbours``."""
-    i, j = 1 - CORNER_STEPS.T
-    return chart.neighbours[:, i, j]
 
 
 #: Corner slots of facet f_c read by corner star v, corner c of f_c: rows
@@ -493,10 +482,10 @@ def _corner_fans(plm: PLMap, facets):
 def _star_codes(chart):
     """The stars' incidence codes 3 t + slot: (F, 8) for the corner stars
     and (F, 4) for the apex stars, row v the star of corner v or of the apex
-    of facet v.  Corner v is corner c of facet f_c (``_corner_facets``), at
+    of facet v.  Corner v is corner c of facet f_c (``corner_facets``), at
     slot 0 of its sub-triangle c and slot 1 of c - 1; the apex of facet f is
     slot 2 of its 4."""
-    facets = 12 * _corner_facets(chart)
+    facets = 12 * corner_facets(chart)
     corner = np.stack([facets + 3 * np.arange(4), facets + 3 * np.arange(-1, 3) % 12 + 1], -1)
     apex = 12 * np.arange(len(facets))[:, None] + 3 * np.arange(4) + 2
     return corner.reshape(-1, 8).astype(np.int32), apex.astype(np.int32)
@@ -536,8 +525,9 @@ def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     ``adjacent._star_pairs``); of their pairs, those that the cone and
     half-plane bounds do not clear (``adjacent._pairs_cleared``) are
     measured, all in one call, so witnesses and distances are the
-    predicate's own.  The triangle tables are formed only when a star is
-    left.
+    predicate's own.  Only when a star is left is the incidence table (d,
+    3T) gathered from the facet tables (``_pair_values``), column 3 t +
+    slot, with the vertex ids.
     """
     threshold = _threshold(plm, tol)
     if tol in plm._immersion:
@@ -549,12 +539,13 @@ def check_immersion(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     slack = _LEN_SLACK * (threshold + plm.edge_scale())
     left = _stars_left(plm, threshold + slack, slack)
     if left.any():
-        vals, vids = plm.tri_values, plm.tri_vertex_ids
+        vids = plm.tri_vertex_ids
+        flat = _pair_values(plm, np.arange(len(vids))).swapaxes(1, 2).reshape(plm.dim, -1)
         stars = [codes[rows] for codes, rows in zip(_star_codes(plm.chart), left) if rows.any()]
         u, w = np.concatenate([_star_pairs(vids, c) for c in stars], axis=-1)
-        kept = ~_pairs_cleared(vals.reshape(-1, plm.dim), u, w, threshold + slack, slack)
+        kept = ~_pairs_cleared(flat, u, w, threshold + slack, slack)
         u, w = u[:, kept], w[:, kept]
-        dist = _adjacent_distances(vals, u, w)
+        dist = _adjacent_distances(flat, u, w)
         bad = ~(dist >= threshold)  # NaN fails
         u, dist = u[:, bad], dist[bad]
         v = vids.ravel()[u[0]]
@@ -591,8 +582,7 @@ def check_embedding(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
         i, j = pairs[:, start : start + _PAIR_BLOCK]
         p, q = _pair_values(plm, i), _pair_values(plm, j)
         left = np.flatnonzero(~_pairs_separated(p, q, reach))
-        p, q = (x[..., left].transpose(2, 1, 0).copy() for x in (p, q))
-        dist = _tri_tri_distances(p, q)
+        dist = _tri_tri_distances(p[..., left], q[..., left])
         bad = np.flatnonzero(~(dist >= threshold))  # NaN fails
         witnesses += [(int(i[left[k]]), int(j[left[k]]), float(dist[k])) for k in bad]
     passed = check_immersion(plm, tol).passed and not witnesses

@@ -149,7 +149,7 @@ def optimal_apexes(quads, facet_label=int):
     # Q of the thin QR of e0, e1, e2, (3, 2n, F), with the rank cutoff.
     edges, scale = quad_edges(flat)
     basis = edges[:, :3].transpose(1, 0, 2).copy()
-    thin_qr(basis, 3, _RANK_CUTOFF * scale, coordinate_major=True)
+    thin_qr(basis, 3, _RANK_CUTOFF * scale)
     centred = np.ascontiguousarray(flat.transpose(2, 1, 0))
     g = centred.mean(axis=1)
     # The system of the centred quadrilateral: rows J e_i, right-hand sides
@@ -163,7 +163,7 @@ def optimal_apexes(quads, facet_label=int):
     for j, column in enumerate(basis):
         coords[j] = coordinate_dot(edges, column[:, None])
     coords[3] = shifted
-    coeff = back_substitute(thin_qr(coords, 3, 0.0, coordinate_major=True), 3)
+    coeff = back_substitute(thin_qr(coords, 3, 0.0), 3)
     # The step is J y, y = Q c; row i at it is <J e_i, J y> = <e_i, y>.
     y = coeff[0] * basis[0] + coeff[1] * basis[1] + coeff[2] * basis[2]
     nxt -= centred

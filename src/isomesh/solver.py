@@ -60,6 +60,7 @@ from .density import (
     _diagonal_fields,
     _diagonals_of,
     at_corners,
+    corner_facets,
     symplectic_density,
 )
 from .lattice import Chart
@@ -151,10 +152,9 @@ def mu_jacobian(mesh: QuadMesh) -> MuJacobian:
     u, v = _diagonal_fields(mesh)
     s = mesh.chart.N / np.sqrt(2.0)
     corners = at_corners(offsets).T[[[0, 3], [2, 1]]]
-    # Facet (x, y) - step_c has vertex (x, y) as its corner c; its weight
-    # is field c % 2 (s J V at corners 0 and 2, s J U at 1 and 3).
-    i, j = 1 - CORNER_STEPS.T
-    co_rows = offsets[:, i, j].T + len(offsets) * (np.arange(4) % 2)[:, None]
+    # Facet f_c of vertex v has v as its corner c; its weight is field
+    # c % 2 (s J V at corners 0 and 2, s J U at 1 and 3).
+    co_rows = corner_facets(mesh.chart).T + len(offsets) * (np.arange(4) % 2)[:, None]
     return MuJacobian(np.stack([s * apply_j(v), s * apply_j(u)]), corners, co_rows)
 
 

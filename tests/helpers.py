@@ -121,7 +121,7 @@ def quad_rank(quad):
     """Dimension of the affine span of a (4, 2n) quadrilateral as the apex
     solve sees it: the edges e0, e1, e2 its thin QR keeps."""
     edges, side = quad_edges(np.asarray(quad, dtype=float))
-    r = thin_qr(np.moveaxis(edges[:, :3], 0, -1).copy(), 3, _RANK_CUTOFF * side)
+    r = thin_qr(edges[:, :3].T.copy(), 3, _RANK_CUTOFF * side)
     return int(np.count_nonzero(r[range(3), range(3)]))
 
 
@@ -295,6 +295,12 @@ def embedding_witnesses_brute(plm, tol):
 # -- full-table PL map references -----------------------------------------------
 
 
+def incidence_values(plm):
+    """The (d, 3T) incidence table of a PL map, column 3 t + slot, read off
+    its (T, 3, d) ``tri_values``."""
+    return np.ascontiguousarray(plm.tri_values.reshape(-1, plm.dim).T)
+
+
 def pl_tables_reference(plm):
     """Chart triangles (T, 3, 2) and differentials (T, d, 2) of a PL map, each
     built as one full table over all facets."""
@@ -328,7 +334,8 @@ def distances_reference(plm, spec):
     c0 = float(np.linalg.norm(spec.eval(pts) - vals, axis=-1).max())
     smooth, deriv = spec.jet(pts)
     c1 = float(np.linalg.norm(smooth - vals, axis=-1).max())
-    return c0, c1 + float(_operator_norm(deriv - differentials[:, None]).max())
+    gap = np.moveaxis(deriv - differentials[:, None], -2, 0)
+    return c0, c1 + float(_operator_norm(gap[..., 0], gap[..., 1]).max())
 
 
 # -- row-major references of the coordinate-major kernels ----------------------

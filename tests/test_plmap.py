@@ -20,6 +20,7 @@ from helpers import (
     hex_basis,
     identity_chart,
     immersion_witnesses_brute,
+    incidence_values,
     distances_reference,
     load_mesh,
     pl_isotropy_residual_reference,
@@ -251,7 +252,7 @@ class TestDifferential:
         t = 4 * ch.offset_of_raw(1, 1) + 0
         lam = np.array([0.5, 0.3, 0.2])
         p = lam @ pl_tables_reference(plm)[0][t]
-        d = plm.differential(slice(t, t + 4))[0]
+        d = plm.differential(slice(t // 4, t // 4 + 1))[0]
         h = 1e-7
         for axis in range(2):
             e = np.zeros(2)
@@ -295,7 +296,8 @@ class TestDistances:
             mats[:16] = 0.0
         mats *= 10.0**exponent
         want = np.linalg.svd(mats, compute_uv=False)[..., 0]
-        np.testing.assert_allclose(_operator_norm(mats), want, rtol=1e-13, atol=0.0)
+        x, y = mats.transpose(2, 1, 0)  # coordinate-major columns (dim, 32)
+        np.testing.assert_allclose(_operator_norm(x, y), want, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_value_gives_nan(self, bad):
@@ -354,7 +356,7 @@ class TestGeometryPrimitives:
         # Segments and points as degenerate triangles (a, b, b) and (a, a, a).
         def seg_seg(p0, p1, q0, q1):
             p, q = np.stack([p0, p1, p1]), np.stack([q0, q1, q1])
-            return _tri_tri_distances(p[None], q[None])[0]
+            return _tri_tri_distances(p[None].T, q[None].T)[0]
 
         p0 = np.array([0.0, 0.0, 0.0, 0.0])
         p1 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -381,8 +383,8 @@ class TestGeometryPrimitives:
         t4 = t1 + np.array([0.5, 0.5, 0.1, 0.0])
         brute = _brute_tri_distance(t1, t4)
         for batch in (
-            [_tri_tri_distances(t1[None], t[None])[0] for t in (t2, t3, t4)],
-            _tri_tri_distances(np.stack([t1] * 3), np.stack([t2, t3, t4])),
+            [_tri_tri_distances(t1[None].T, t[None].T)[0] for t in (t2, t3, t4)],
+            _tri_tri_distances(np.stack([t1] * 3).T, np.stack([t2, t3, t4]).T),
         ):
             assert batch[0] == pytest.approx(2.0)
             assert batch[1] == pytest.approx(0.0, abs=1e-12)
@@ -395,9 +397,9 @@ class TestGeometryPrimitives:
             for _ in range(25)
         ]
         p, q = (np.stack(side) for side in zip(*pairs))
-        many = _tri_tri_distances(p, q)
+        many = _tri_tri_distances(p.T, q.T)
         for k in range(25):
-            one = _tri_tri_distances(p[k : k + 1], q[k : k + 1])[0]
+            one = _tri_tri_distances(p[k : k + 1].T, q[k : k + 1].T)[0]
             want = tri_tri_distance_lstsq(p[k], q[k])
             for exact in (one, many[k]):
                 assert exact == pytest.approx(want, rel=1e-9, abs=1e-12)
@@ -434,8 +436,8 @@ class TestGeometryPrimitives:
             p = rng.standard_normal((3, 6))
             q = rng.standard_normal((3, 6)) + 0.3
         ref = tri_tri_distance_lstsq(p, q)
-        one = _tri_tri_distances(p[None], q[None])[0]
-        many = _tri_tri_distances(np.stack([q, p, p]), np.stack([p, q, p]))
+        one = _tri_tri_distances(p[None].T, q[None].T)[0]
+        many = _tri_tri_distances(np.stack([q, p, p]).T, np.stack([p, q, p]).T)
         for exact in (one, many[0], many[1]):
             assert exact == pytest.approx(ref, rel=1e-9, abs=1e-12)
             if want is not None:
@@ -459,7 +461,7 @@ class TestGeometryPrimitives:
             q[row, 2, 3] = 1.0
             rot = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
             p[row], q[row] = p[row] @ rot.T, q[row] @ rot.T
-        assert _tri_tri_distances(p, q).max() <= 1e-12 * 2.0
+        assert _tri_tri_distances(p.T, q.T).max() <= 1e-12 * 2.0
 
     @given(dim=st.sampled_from([4, 6]), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -468,19 +470,19 @@ class TestGeometryPrimitives:
         # are common.
         grid = st.integers(-2, 2).map(lambda k: k / 2.0)
         pairs = data.draw(arrays(float, (6, 2, 3, dim), elements=grid, fill=st.nothing()))
-        got = _tri_tri_distances(pairs[:, 0], pairs[:, 1])
+        got = _tri_tri_distances(pairs[:, 0].T, pairs[:, 1].T)
         for k, (p, q) in enumerate(pairs):
             assert got[k] == pytest.approx(tri_tri_distance_lstsq(p, q), rel=1e-9, abs=1e-12)
 
     def test_tri_tri_empty_and_non_finite(self):
-        assert _tri_tri_distances(np.empty((0, 3, 4)), np.empty((0, 3, 4))).shape == (0,)
+        assert _tri_tri_distances(np.empty((4, 3, 0)), np.empty((4, 3, 0))).shape == (0,)
         base = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=float)
         p = np.stack([base] * 3)
         q = p + np.array([0, 0, 2.0, 0])
         q[0, 1, 3] = np.nan
         q[1, 2, 0] = np.inf
         with np.errstate(invalid="ignore"):
-            dist = _tri_tri_distances(p, q)
+            dist = _tri_tri_distances(p.T, q.T)
         assert np.isnan(dist[:2]).all()
         assert dist[2] == pytest.approx(2.0)
 
@@ -663,7 +665,7 @@ class TestAdjacentDistances:
         vals = np.insert(_SLIVER_FAR.reshape(2, 2, 4), 0, 0.0, axis=1)
         vids = np.array([[0, 1, 2], [0, 3, 4]])
         u, w = np.array([[0], [3]]), np.array([[-1], [-1]])
-        got = _adjacent_distances(vals, u, w)[0]
+        got = _adjacent_distances(vals.reshape(-1, 4).T, u, w)[0]
         assert got < 1e-6
         assert got == pytest.approx(adjacent_distance_lstsq(vals, vids, 0, 1), rel=1e-9, abs=1e-13)
 
@@ -679,7 +681,7 @@ class TestAdjacentDistances:
         vals, vids = _sliver_pair(np.random.default_rng(seed), dim, edge, ratio, delta)
         u, w = (np.array(c)[:, None] for c in _pair_codes(vids, 0, 1))
         assert (w[0] >= 0) == edge
-        got = _adjacent_distances(vals, u, w)[0]
+        got = _adjacent_distances(vals.reshape(-1, dim).T, u, w)[0]
         want = adjacent_distance_lstsq(vals, vids, 0, 1)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-13)
 
@@ -701,10 +703,10 @@ def test_degenerate_rows_need_only_their_distinct_faces(monkeypatch):
     plm = build_pl(TriMesh(chart, tri.corner_values, apexes, tri.target_periods))
     u, w = _star_pairs_of(plm)
     assert (w[0] >= 0).any() and (w[0] < 0).any()
-    got = _adjacent_distances(plm.tri_values, u, w)
+    got = _adjacent_distances(incidence_values(plm), u, w)
     for name in ("_SEGMENT_TRIANGLE", "_POINT_TRIANGLE", "_SEGMENT_SEGMENT"):
         monkeypatch.setattr(adjacent, name, adjacent._FACE_PAIRS)
-    want = _adjacent_distances(plm.tri_values, u, w)
+    want = _adjacent_distances(incidence_values(plm), u, w)
     assert np.all(got >= want)
     assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * plm.edge_scale()
 
@@ -807,8 +809,9 @@ class TestBlocks:
         blocks = list(any_plm.blocks())
         assert len(blocks) == -(-len(any_plm.tri_values) // 12)
         bound = 1e-10 * np.abs(differentials).max()
-        for rows in blocks:
-            assert np.abs(any_plm.differential(rows) - differentials[rows]).max() <= bound
+        for facets in blocks:
+            rows = slice(4 * facets.start, 4 * facets.stop)
+            assert np.abs(any_plm.differential(facets) - differentials[rows]).max() <= bound
         assert np.abs(any_plm.differential() - differentials).max() <= bound
 
     def test_distances_match_full_grid(self, any_plm):
@@ -825,9 +828,9 @@ class TestBlocks:
         def left():
             listed = []
 
-            def recorded(vals, u, w):
+            def recorded(flat, u, w):
                 listed.append(np.stack([u, w])[..., np.lexsort(u[::-1])])
-                return _adjacent_distances(vals, u, w)
+                return _adjacent_distances(flat, u, w)
 
             monkeypatch.setattr(plmap, "_adjacent_distances", recorded)
             fresh = build_pl(plm.tri)
@@ -937,7 +940,7 @@ def _tier_checked(plm, tol):
     with np.errstate(invalid="ignore", over="ignore"):
         left = plmap._stars_left(plm, threshold + slack, slack)
     u, w = _star_pairs_of(plm)
-    dist = _adjacent_distances(plm.tri_values, u, w)
+    dist = _adjacent_distances(incidence_values(plm), u, w)
     bad = np.nonzero(~(dist >= threshold))[0]
     v = plm.tri_vertex_ids.ravel()[u[0, bad]]
     assert left[_star_of(plm, u[:, bad])].all()
@@ -1087,7 +1090,7 @@ def _assert_cleared_by_reference(plm, tol, references=12):
     left = _tier_checked(plm, tol)
     u, w = _star_pairs_of(plm)
     rows = np.nonzero(~left[_star_of(plm, u)])[0]
-    exact = _adjacent_distances(plm.tri_values, u[:, rows], w[:, rows])
+    exact = _adjacent_distances(incidence_values(plm), u[:, rows], w[:, rows])
     threshold = tol * plm.edge_scale()
     for k in rows[np.argsort(exact)[:references]]:
         i, j = (int(c) // 3 for c in u[:, k])
@@ -1101,8 +1104,7 @@ def _screened(plm, tol):
     threshold = tol * plm.edge_scale()
     slack = _LEN_SLACK * (threshold + plm.edge_scale())
     u, w = _star_pairs_of(plm)
-    flat = plm.tri_values.reshape(-1, plm.dim)
-    return u, w, _pairs_cleared(flat, u, w, threshold + slack, slack), threshold
+    return u, w, _pairs_cleared(incidence_values(plm), u, w, threshold + slack, slack), threshold
 
 
 def _assert_screen_sound(plm, tol, references=12):
@@ -1110,7 +1112,7 @@ def _assert_screen_sound(plm, tol, references=12):
     exact predicate; the tightest ones also by the lstsq reference."""
     u, w, cleared, threshold = _screened(plm, tol)
     rows = np.nonzero(cleared)[0]
-    exact = _adjacent_distances(plm.tri_values, u[:, rows], w[:, rows])
+    exact = _adjacent_distances(incidence_values(plm), u[:, rows], w[:, rows])
     assert (exact >= threshold).all()
     for k in rows[np.argsort(exact)[:references]]:
         i, j = (int(c) // 3 for c in u[:, k])
@@ -1303,7 +1305,7 @@ def _witness_stars(plm, tol):
     """The star ids (``tri_vertex_ids`` numbering) of the predicate's
     witnesses over every pair that shares a vertex."""
     u, w = _star_pairs_of(plm)
-    dist = _adjacent_distances(plm.tri_values, u, w)
+    dist = _adjacent_distances(incidence_values(plm), u, w)
     return set(plm.tri_vertex_ids.ravel()[u[0, ~(dist >= tol * plm.edge_scale())]].tolist())
 
 
@@ -1311,9 +1313,9 @@ def _measured(monkeypatch):
     """The pair counts of the predicate's calls from ``check_immersion``."""
     measured = []
 
-    def counted(vals, u, w):
+    def counted(flat, u, w):
         measured.append(u.shape[1])
-        return _adjacent_distances(vals, u, w)
+        return _adjacent_distances(flat, u, w)
 
     monkeypatch.setattr(plmap, "_adjacent_distances", counted)
     return measured
@@ -1383,9 +1385,9 @@ def _listed_pairs_checked(plm, monkeypatch):
     no star table."""
     listed = []
 
-    def recorded(vals, u, w):
+    def recorded(flat, u, w):
         listed.append(np.concatenate([u, w]))
-        return _adjacent_distances(vals, u, w)
+        return _adjacent_distances(flat, u, w)
 
     monkeypatch.setattr(plmap, "_adjacent_distances", recorded)
     passed = check_immersion(plm).passed
@@ -1396,7 +1398,7 @@ def _listed_pairs_checked(plm, monkeypatch):
     u, w = _star_pairs_of(plm)
     rows = left[_star_of(plm, u)]
     u, w = u[:, rows], w[:, rows]
-    flat = plm.tri_values.reshape(-1, plm.dim)
+    flat = incidence_values(plm)
     want = np.concatenate([u, w])[:, ~_pairs_cleared(flat, u, w, threshold + slack, slack)]
     assert len(listed) == 1 and listed[0].shape[1] == want.shape[1]
     assert sorted(map(tuple, listed[0].T.tolist())) == sorted(map(tuple, want.T.tolist()))
@@ -1679,6 +1681,28 @@ class TestEmbeddingWitnesses:
             assert d_got == pytest.approx(d_want, rel=1e-9, abs=1e-12)
 
 
+def test_checks_form_no_triangle_table(monkeypatch):
+    # The certificates read coordinate-major values gathered from the facet
+    # tables.  With ``tri_values`` and ``triangles`` raising, the thin torus
+    # at N = 12 (whose corner stars the planar test all leaves) still passes
+    # immersion through the pair bounds and the predicate, and figure8 x
+    # circle still fails embedding with its 26 witness pairs.
+    thin = Pipeline(PipelineConfig(spec="clifford:1,0.01", n=12)).plm
+    f8c = Pipeline(PipelineConfig(spec="product:figure8,circle", n=12)).plm
+
+    def forbidden(*args):
+        raise AssertionError("a triangle table was formed")
+
+    monkeypatch.setattr(PLMap, "tri_values", property(forbidden))
+    monkeypatch.setattr(PLMap, "triangles", forbidden)
+    measured = _measured(monkeypatch)
+    assert check_immersion(thin).passed
+    assert len(measured) == 1 and measured[0] > 0
+    verdict = check_embedding(f8c)
+    assert not verdict.passed
+    assert [(i, j) for i, j, _ in verdict.witnesses] == FIGURE8_N12_WITNESS_PAIRS
+
+
 #: Built-in maps on which the far pairs are checked against all pairs:
 #: ids repeat at N <= 2, and flat-plane's target has lattice shifts.
 _FAR_PAIR_MAPS = [
@@ -1723,7 +1747,7 @@ class TestFarPairs:
         reach = threshold + _LEN_SLACK * (threshold + scale)
         p, q = (vals[k].transpose(2, 1, 0).copy() for k in (i, j))
         cleared = _pairs_separated(p, q, reach)
-        assert (_tri_tri_distances(vals[i], vals[j])[cleared] >= threshold).all()
+        assert (_tri_tri_distances(p, q)[cleared] >= threshold).all()
 
     def test_separating_axis_bound_clears_beyond_the_reach(self):
         # A triangle and its translate by g along a normal are g apart; the
