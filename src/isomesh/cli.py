@@ -40,7 +40,7 @@ from .plmap import (
     export_mesh,
     pl_isotropy_residual,
 )
-from .refine import ISO_CERT_FACTOR, NotIsotropic, apex_refine, barycentric_apexes
+from .refine import NotIsotropic, apex_refine, barycentric_apexes, isotropy_limit
 from .solver import LinearSolveFailure, MaxIterExceeded, project_isotropic
 
 #: Reference isometry angle of every chart.  A generic rotation keeps the
@@ -54,8 +54,16 @@ EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CERTIFICATION = 4
 
-#: Errors a stage raises on valid input: EXIT_SOLVER from main, a failed row in a study.
-_PIPELINE_ERRORS = (MaxIterExceeded, LinearSolveFailure, NotIsotropic, DegenerateLattice)
+#: Errors a stage raises on valid input, an N too large to allocate among them:
+#: EXIT_SOLVER from main, a failed row in a study.
+_PIPELINE_ERRORS = (MaxIterExceeded, LinearSolveFailure, NotIsotropic, DegenerateLattice,
+                    MemoryError)
+
+
+def _error_name(exc) -> str:
+    """A pipeline error's first public class name: numpy refuses an
+    allocation with a private subclass of MemoryError."""
+    return next(c.__name__ for c in type(exc).__mro__ if not c.__name__.startswith("_"))
 
 
 class ConfigError(ValueError):
@@ -226,7 +234,7 @@ class Pipeline:
     def iso_certificate(self):
         """(max per-triangle isotropy residual, edge scale, passed) of the PL map."""
         residual, scale = float(pl_isotropy_residual(self.plm).max()), self.plm.edge_scale()
-        return residual, scale, residual <= ISO_CERT_FACTOR * scale * scale
+        return residual, scale, residual <= isotropy_limit(scale)
 
     @_stage("verify")
     def immersion_check(self):
@@ -367,7 +375,7 @@ def convergence_study(cfg: PipelineConfig) -> StudyResult:
             scale = float(np.abs(res.tau.values).max())
             rows.append(StudyRow(n, res.report, res.stage_seconds, scale=scale))
         except _PIPELINE_ERRORS as exc:
-            rows.append(StudyRow(n=n, error=f"{type(exc).__name__}: {exc}"))
+            rows.append(StudyRow(n=n, error=f"{_error_name(exc)}: {exc}"))
     slopes = {}
     floor = _ROUNDING_LEVEL * max(r.scale for r in rows)
     for col in _STUDY_COLUMNS:
@@ -525,7 +533,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _PIPELINE_ERRORS as exc:
-        print(f"pipeline error [{type(exc).__name__}]: {exc}", file=sys.stderr)
+        print(f"pipeline error [{_error_name(exc)}]: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 
 

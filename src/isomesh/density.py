@@ -139,15 +139,19 @@ def _diagonal_fields(mesh: QuadMesh):
 
 
 def symplectic_density(mesh: QuadMesh) -> FacetField:
-    """Per-facet density mu(f) = omega(U(f), V(f)); zero iff the mesh is isotropic."""
-    u, v = _diagonal_fields(mesh)
-    return FacetField(mesh.chart, omega(u, v))
+    """Per-facet density mu(f) = omega(U(f), V(f)); zero iff the mesh is
+    isotropic.  An overflow gives a non-finite value, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u, v = _diagonal_fields(mesh)
+        return FacetField(mesh.chart, omega(u, v))
 
 
 def facet_liouville(mesh: QuadMesh) -> FacetField:
-    """Liouville integral around every facet quadrilateral (= N^{-2} mu)."""
+    """Liouville integral around every facet quadrilateral (= N^{-2} mu); an
+    overflow gives a non-finite value, without a warning."""
     quads = mesh.corner_table()
-    return FacetField(mesh.chart, liouville_polygon(quads))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return FacetField(mesh.chart, liouville_polygon(quads))
 
 
 # Entries of Chart.neighbours for T_u (k+1, l+1) and T_v (k-1, l+1).
@@ -206,7 +210,8 @@ def _holder_seminorm(f: FacetField, seed):
     def ratio_max(i, j):
         """Largest |phi(i) - phi(j)| / d(i, j)^alpha over index pairs (i, j), 0 for none."""
         off = chart.offset_of_raw(kc[i] - kc[j], lc[i] - lc[j])
-        ratio = _magnitudes(vals[i] - vals[j]) / table[off] ** _ALPHA
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite values give NaN
+            ratio = _magnitudes(vals[i] - vals[j]) / table[off] ** _ALPHA
         return float(ratio.max()) if ratio.size else 0.0
 
     best = 0.0

@@ -44,12 +44,11 @@ and distances are those of the predicate alone.  Embedding is the map's
 own immersion verdict, memoized on the map per tol so that the adjacent
 pairs are judged once, plus the pairs that share no vertex id
 (``_far_pairs``): a uniform-grid broadphase over the facet boxes finds the
-facet pairs that are not chart neighbours, each giving its 16 triangle
-pairs, and the pairs between neighbours that share no id are read off
-``Chart.neighbours``.  Both pass the exact box-gap test; a separating-axis
-bound (``adjacent._pairs_separated``) clears those whose projections onto
-one axis lie apart, and the kernel measures the rest, block by block.
-NaN fails.
+facet pairs within the threshold, and each gives those of its 16 triangle
+pairs that share no corner id.  They pass the exact box-gap test; a
+separating-axis bound (``adjacent._pairs_separated``) clears those whose
+projections onto one axis lie apart, and the kernel measures the rest,
+block by block.  NaN fails.
 """
 
 import itertools
@@ -410,7 +409,8 @@ def _facet_pass(plm: PLMap) -> _FacetPass:
             keep(fans[1], facets, spoke, 0.0)
         return top
 
-    top = max(block(facets) for facets in plm.blocks(4))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is an inf or NaN entry
+        top = max(block(facets) for facets in plm.blocks(4))
     for table in (residual, big, area, *(t for kind in fans if kind for t in kind)):
         table.flags.writeable = False
     plm._pass = _FacetPass(top, residual.reshape(-1), big.reshape(-1), area.reshape(-1),
@@ -563,15 +563,15 @@ def check_embedding(plm: PLMap, tol: float = TOPOLOGY_TOL) -> CheckResult:
     triangles that shares a vertex id, and is memoized on the map) and no
     two triangles that share no vertex id come within tol times the max
     edge length, by exact convex distance.  The candidates are the pairs
-    that share no id and whose boxes come within that threshold
-    (``_far_pairs``).  In blocks of ``_PAIR_BLOCK`` candidates, the
-    separating-axis bound (``adjacent._pairs_separated``) clears those
-    whose projections onto one axis lie farther apart than the threshold
-    raised by a rounding slack, and the rest are measured, so the witnesses
-    and distances are the kernel's own and its memory does not grow with
-    their count.  Witnesses are the far pairs (triangle, triangle,
-    distance), sorted; a triangle t with a non-finite value cannot be
-    placed and is (t, t, nan).
+    that share no id and whose boxes come within that threshold, listed
+    from the facet pairs of the facet-box broadphase (``_far_pairs``).  In
+    blocks of ``_PAIR_BLOCK`` candidates, the separating-axis bound
+    (``adjacent._pairs_separated``) clears those whose projections onto one
+    axis lie farther apart than the threshold raised by a rounding slack,
+    and the rest are measured, so the witnesses and distances are the
+    kernel's own and its memory does not grow with their count.  Witnesses
+    are the far pairs (triangle, triangle, distance), sorted; a triangle t
+    with a non-finite value cannot be placed and is (t, t, nan).
     """
     threshold = _threshold(plm, tol)
     reach = threshold + _LEN_SLACK * (threshold + plm.edge_scale())
@@ -619,74 +619,38 @@ def _pair_values(plm: PLMap, tris) -> np.ndarray:
     return out
 
 
-#: The 16 sub-triangle pairs (s, s') of two facets.
-_SLOT_PAIRS = np.indices((4, 4)).reshape(2, 16)
-
-#: The neighbour steps (dk, dl) = (0, 1), (1, -1), (1, 0), (1, 1), as flat
-#: indices 3 (1 + dk) + 1 + dl of ``Chart.neighbours``: with their
-#: opposites, all eight.
-_FORWARD_STEPS = (5, 6, 7, 8)
-
-
-def _neighbour_slots(chart) -> np.ndarray:
-    """Rows (step, s, s') (3, P) of the triangle pairs between a facet f and
-    its neighbour g = ``Chart.neighbours[f]`` at a forward step (flat 3x3
-    index) that share no vertex id: sub-triangle s of f and s' of g.  Ids
-    are translation-equivariant, so the pattern is read off facet 0 and
-    holds for every facet, as in ``adjacent._star_pairs``.  Where a step
-    reaches f itself (N <= 2) the pattern has no row: f's triangles all
-    share its apex."""
-    nfacets = chart.vertex_count
-    near = chart.neighbours[0].ravel().tolist()
-    ids = dict(zip(near, at_corners(chart.neighbours)[near].tolist()))
-
-    def sub_ids(f, s):
-        return {ids[f][s], ids[f][(s + 1) % 4], nfacets + f}
-
-    rows = [(step, s, t) for step in _FORWARD_STEPS for s, t in itertools.product(range(4), repeat=2)
-            if sub_ids(0, s).isdisjoint(sub_ids(near[step], t))]
-    return np.array(rows, dtype=np.int64).reshape(-1, 3).T
-
-
 def _far_pairs(plm: PLMap, lo, hi, threshold: float) -> np.ndarray:
     """(2, K) triangle pairs (i, j), i < j, that share no vertex id and
     whose boxes ``lo``, ``hi`` (``_triangle_boxes``) come within
     ``threshold`` by ``_gaps_close``.
 
-    Triangles of facets f and g share an id only if g is one of f's 3x3
-    neighbours (``Chart.neighbours``).  A triangle pair whose boxes are
-    that close has facets whose boxes, over their finite triangles, are
-    too, so the pairs of other facets are the 16 of every facet pair that
-    ``_box_close_pairs`` finds and that are not neighbours.  Two facets
-    neighbour each other at one step and its opposite, so the pairs of
-    neighbours are listed from each facet at the forward steps
-    (``_neighbour_slots``).  At N <= 2 two steps can reach one facet, and
-    a pair listed twice is merged.  Both kinds go through the same exact
-    box test, in blocks of about ``_PAIR_BLOCK`` pairs.
+    A triangle pair whose boxes are that close has facets whose boxes, over
+    their finite triangles, are too, so the pairs are among the 16
+    sub-triangle pairs (s, s') of each facet pair f < g that
+    ``_box_close_pairs`` finds.  Sub-triangle s holds corners A_s, A_s+1 and
+    its facet's own apex, so s and s' share an id exactly when they share a
+    corner id; those that share none go through the exact box test, in
+    blocks of about ``_PAIR_BLOCK`` pairs.
     """
     nfacets = plm.chart.vertex_count
-    near = plm.chart.neighbours.reshape(nfacets, 9)
+    ids = at_corners(plm.chart.neighbours)
     flo = np.fmin.reduce(lo.reshape(len(lo), nfacets, 4), axis=2)
     fhi = np.fmax.reduce(hi.reshape(len(hi), nfacets, 4), axis=2)
     keep = np.flatnonzero(~np.isnan(flo[0]))
     f, g = (keep[k] for k in _box_close_pairs(flo[:, keep].T, fhi[:, keep].T, threshold))
-    far = ~(near[f] == g[:, None]).any(axis=1)
-    f, g = f[far, None], g[far, None]
-    step, *slots = _neighbour_slots(plm.chart)
-    facets = np.arange(nfacets)[:, None]
     size = max(_PAIR_BLOCK // 16, 1)
-    blocks = [(f[k : k + size], g[k : k + size], _SLOT_PAIRS) for k in range(0, len(f), size)]
-    size = max(_PAIR_BLOCK // max(len(step), 1), 1)
-    blocks += [(facets[k : k + size], near[k : k + size, step], slots)
-               for k in range(0, nfacets, size)]
     pairs = [np.empty((2, 0), dtype=np.int64)]
-    for a, b, (s, t) in blocks:
-        i, j = 4 * a + s, 4 * b + t
-        i, j = np.minimum(i, j).ravel(), np.maximum(i, j).ravel()
+    for start in range(0, len(f), size):
+        a, b = f[start : start + size], g[start : start + size]
+        shared = ids[a][:, :, None] == ids[b][:, None, :]  # corner u of a is corner v of b
+        shared |= np.roll(shared, -1, axis=1)
+        shared |= np.roll(shared, -1, axis=2)
+        slot = np.flatnonzero(~shared)  # 16 k + 4 s + s' for facet pair k
+        k = slot >> 4
+        i, j = 4 * a[k] + (slot >> 2 & 3), 4 * b[k] + (slot & 3)
         close = _gaps_close(lo, hi, i, j, threshold)
         pairs.append(np.stack([i[close], j[close]]))
-    pairs = np.concatenate(pairs, axis=1)
-    return np.unique(pairs, axis=1) if len(set(near[0].tolist())) < 9 else pairs
+    return np.concatenate(pairs, axis=1)
 
 
 # -- export -------------------------------------------------------------------

@@ -307,8 +307,7 @@ def project_isotropic(tau0: QuadMesh) -> tuple[QuadMesh, SolveReport]:
         for _ in range(_MAX_HALVINGS + 1):
             trial_values = values + step * delta
             trial = QuadMesh(chart, trial_values, periods)
-            with np.errstate(over="ignore", invalid="ignore"):
-                trial_mu = symplectic_density(trial).values
+            trial_mu = symplectic_density(trial).values
             trial_res = float(np.abs(trial_mu).max())
             if trial_res < res:
                 break

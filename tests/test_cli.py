@@ -538,6 +538,33 @@ class TestMain:
         return subprocess.run([sys.executable, "-m", "isomesh.cli", *argv], env=env,
                               capture_output=True, text=True, timeout=120)
 
+    def test_huge_n_is_one_error_line(self):
+        # At N = 1e9 the chart asks numpy for about 1e18 entries, which it
+        # refuses at once: a pipeline error, exit 3, one line, no traceback.
+        proc = self._run_fresh(["verify", "--spec", "clifford", "--n", "1000000000"])
+        assert proc.returncode == 3
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("pipeline error [MemoryError]: ")
+
+    def test_huge_n_is_a_failed_study_row(self, capsys):
+        assert main(["study", "--spec", "clifford", "--n-list", "4,8,1000000000"]) == 0
+        out = capsys.readouterr().out
+        assert "\n1000000000,NA," in out
+        assert "\n# n=1000000000 failed: MemoryError: " in out
+
+    @pytest.mark.parametrize("argv", [
+        "sample --spec clifford:1e300,1e300 --n 4",
+        "study --spec clifford:1e300,1 --n-list 4,8,16",
+        "verify --spec clifford:1e150,1e150 --n 4 --embedding-check",
+    ])
+    def test_overflowing_values_print_no_warning(self, argv):
+        # The density, the Hoelder ratio and the facet pass's minors
+        # overflow to inf or NaN here; the runs report those values, and
+        # stderr stays empty.
+        proc = self._run_fresh(argv.split())
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+
     def test_thin_clifford_refine_gate_is_one_error_line(self):
         # At r2 / r1 = 1e-12 the optimal-apex offsets, about h^2 / r2, are so
         # large that refine's isotropy gate reads a residual far above its

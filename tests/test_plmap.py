@@ -579,6 +579,15 @@ _SWEEP_BASES = {
     "skew2": np.array([[2.0, 11.3], [0.1, 1.0]]),
     "shear": np.array([[1.0, 0.0], [5.0, 1.0]]),
 }
+
+
+def _sweep_chart(basis, turned, n):
+    """The chart of period basis ``_SWEEP_BASES[basis]``, rotated or not."""
+    if turned:
+        return rotated_chart(n, _SWEEP_BASES[basis])
+    return build_chart(_SWEEP_BASES[basis], np.eye(2), n)
+
+
 #: The 80 charts of the star sweep: five period bases, the identity and
 #: the default rotation, N = 1..8; five keep their earlier names.
 _SWEEP_NAMES = {("I", False, 1): "N1", ("I", False, 2): "N2", ("I", False, 3): "N3",
@@ -601,11 +610,7 @@ class TestAdjacentPairs:
         # once, with (u, w) at the first slots of the smallest and the next
         # shared id, row 0 in the smaller triangle; at N <= 2 ids repeat
         # within a triangle and across edges.
-        if turned:
-            chart = rotated_chart(n, _SWEEP_BASES[basis])
-        else:
-            chart = build_chart(_SWEEP_BASES[basis], np.eye(2), n)
-        plm = PLMap(random_trimesh(chart, np.random.default_rng(0)))
+        plm = PLMap(random_trimesh(_sweep_chart(basis, turned, n), np.random.default_rng(0)))
         vids = plm.tri_vertex_ids
         want = {}
         for i in range(len(vids)):
@@ -1703,23 +1708,31 @@ def test_checks_form_no_triangle_table(monkeypatch):
     assert [(i, j) for i, j, _ in verdict.witnesses] == FIGURE8_N12_WITNESS_PAIRS
 
 
-#: Built-in maps on which the far pairs are checked against all pairs:
-#: ids repeat at N <= 2, and flat-plane's target has lattice shifts.
+#: Maps on which the far pairs are checked against all pairs: built-in
+#: ones (ids repeat at N <= 2, and flat-plane's target has lattice shifts),
+#: then random values on the sweep's charts, skewed and rotated, at N <= 5.
 _FAR_PAIR_MAPS = [
-    *(("product:figure8,circle", n) for n in (1, 2, 3, 12, 32)),
-    *(("product:figure8,figure8", n) for n in (3, 16)),
-    *(("clifford", n) for n in (2, 16)),
-    *(("flat-plane", n) for n in (1, 4)),
+    *(pytest.param(spec, n, id=f"{spec}-{n}") for spec, n in [
+        *(("product:figure8,circle", n) for n in (1, 2, 3, 12, 32)),
+        *(("product:figure8,figure8", n) for n in (3, 16)),
+        *(("clifford", n) for n in (2, 16)),
+        *(("flat-plane", n) for n in (1, 4)),
+    ]),
+    *(pytest.param((basis, turned), n, id=f"random-{basis}-{'rot' if turned else 'id'}-N{n}")
+      for basis in _SWEEP_BASES for turned in (False, True) for n in range(1, 6)),
 ]
 
 
 class TestFarPairs:
     @pytest.mark.parametrize("spec, n", _FAR_PAIR_MAPS)
     def test_far_pairs_match_all_pairs(self, spec, n):
-        # Far facet pairs and chart-neighbour pairs, box-tested, are the
-        # triangle pairs that share no id and whose boxes come within the
-        # threshold, each once.
-        plm = Pipeline(PipelineConfig(spec=spec, n=n)).plm
+        # The sub-triangle pairs of the facet pairs the broadphase finds
+        # that share no corner id, box-tested, are the triangle pairs that
+        # share no id and whose boxes come within the threshold, each once.
+        if isinstance(spec, str):
+            plm = Pipeline(PipelineConfig(spec=spec, n=n)).plm
+        else:
+            plm = PLMap(random_trimesh(_sweep_chart(*spec, n), np.random.default_rng(n)))
         lo, hi = plmap._triangle_boxes(plm)
         for tol in (1e-6, 0.1, 0.3):
             threshold = tol * plm.edge_scale()
