@@ -303,7 +303,7 @@ def _fan_bounds(spokes):
     depend on the reach, for the stars of ``spokes`` (d, m, S): whether the
     projected fan winds once and is well conditioned, its height kappa /
     Lambda and its shortest and longest spoke lambda, Lambda, each (S,)."""
-    dim, m, _ = spokes.shape
+    m = spokes.shape[1]
     after = np.roll(np.arange(m), -1)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         axes = spokes[:, m // 2 :: m // 4] - spokes[:, : m // 2 : m // 4]  # (d, 2, S)
@@ -314,10 +314,7 @@ def _fan_bounds(spokes):
         kept = (e2 * e2).sum(axis=0)
         ok = kept >= _MARGIN * _MARGIN * full
         e2 /= np.sqrt(kept)
-        x, y = e1[0] * spokes[0], e2[0] * spokes[0]
-        for k in range(1, dim):
-            x += e1[k] * spokes[k]
-            y += e2[k] * spokes[k]
+        x, y = np.einsum("ds,dms->ms", e1, spokes), np.einsum("ds,dms->ms", e2, spokes)
         xn, yn = x.take(after, axis=0), y.take(after, axis=0)
         ok &= ((y < 0.0) & (yn >= 0.0)).sum(axis=0) == 1
         yn *= x

@@ -18,9 +18,10 @@ sublattice M Z^2; canonical representatives are computed from the column
 Hermite normal form H = M U (U unimodular), H = [[a, 0], [b, c]] with a, c > 0
 and 0 <= b < c, which gives exactly |det M| = a c cosets.
 
-The facet group Z^2 / M Z^2 is also kept in Smith form Z_d1 x Z_d2
-(``Chart.facet_group``), the grid on which one 2-D DFT diagonalises every
-convolution by facet steps.
+Facets are stored on the (a, c) grid of these representatives, offset
+x c + y (``Chart.storage_grid``).  The y axis is cyclic; stepping x past
+a - 1 wraps to x = 0 with y shifted by -b (the lattice vector (a, b)), so a
+2-D DFT twisted by b diagonalises every convolution by facet steps there.
 
 Every facet-local computation (facet corners, diagonal translates,
 sub-triangle vertex ids) reads one table, ``Chart.neighbours``: for each
@@ -89,36 +90,6 @@ def _column_hnf(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hnf, uni
 
 
-def _smith_form(h: np.ndarray) -> tuple[tuple[int, int], np.ndarray]:
-    """Smith form of the lattice spanned by the columns of a nonsingular 2x2
-    integer matrix h with h[0, 0] != 0.
-
-    Returns ((d1, d2), W): d1 | d2, and W is unimodular with
-    W h Z^2 = diag(d1, d2) Z^2, so z -> W z mod (d1, d2) maps Z^2 / h Z^2
-    isomorphically onto Z_d1 x Z_d2.  Row operations build W; column
-    operations only change the basis of h Z^2.  |a[0, 0]| never grows and
-    falls at least every second pass, so the loop ends.
-    """
-    a = h.astype(np.int64)
-    w = np.eye(2, dtype=np.int64)
-    while True:
-        p = int(a[0, 0])
-        if a[0, 1] % p:
-            g, s, t = _ext_gcd(p, int(a[0, 1]))
-            a = a @ np.array([[s, -int(a[0, 1]) // g], [t, p // g]])
-            continue
-        if a[1, 0] % p:
-            g, s, t = _ext_gcd(p, int(a[1, 0]))
-            row = np.array([[s, t], [-int(a[1, 0]) // g, p // g]])
-        else:
-            a = a @ np.array([[1, -int(a[0, 1]) // p], [0, 1]])
-            row = np.array([[1, 0], [-int(a[1, 0]) // p, 1]])
-            if a[1, 1] % p == 0:
-                return (abs(p), abs(int(a[1, 1]))), row @ w
-            row = np.array([[1, 1], [0, 1]]) @ row
-        a, w = row @ a, row @ w
-
-
 def _gauss_reduction(b: np.ndarray) -> np.ndarray:
     """Unimodular U with the columns of b U Lagrange-Gauss reduced: the first
     is a shortest lattice vector and |<b_1, b_2>| <= |b_1|^2 / 2."""
@@ -160,7 +131,15 @@ class Chart:
     @property
     def vertex_count(self) -> int:
         """Number of canonical vertices (= facets) per fundamental domain."""
-        return int(self._hnf[0, 0] * self._hnf[1, 1])
+        (a, c), _ = self.storage_grid
+        return a * c
+
+    @property
+    def storage_grid(self) -> tuple[tuple[int, int], int]:
+        """((a, c), b) from H = [[a, 0], [b, c]]: canonical indices (x, y)
+        fill the (a, c) grid in C order.  y is cyclic mod c, and (x + a, y)
+        is (x, y - b): (a, b) is a lattice vector."""
+        return (int(self._hnf[0, 0]), int(self._hnf[1, 1])), int(self._hnf[1, 0])
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -169,9 +148,7 @@ class Chart:
         canonical coset representative."""
         k = np.asarray(k, dtype=np.int64)
         l = np.asarray(l, dtype=np.int64)
-        a = int(self._hnf[0, 0])
-        b = int(self._hnf[1, 0])
-        c = int(self._hnf[1, 1])
+        (a, c), b = self.storage_grid
         p1 = k // a
         x = k - p1 * a
         l2 = l - p1 * b
@@ -196,7 +173,7 @@ class Chart:
 
     def offset_xy(self, x, y):
         """Flat storage offset of a canonical index (x, y)."""
-        return x * int(self._hnf[1, 1]) + y
+        return x * self.storage_grid[0][1] + y
 
     def offset_of_raw(self, k, l):
         x, y = self.canonical(k, l)
@@ -204,8 +181,7 @@ class Chart:
 
     def all_canonical(self):
         """All canonical indices in storage order (offset = x*c + y)."""
-        a = int(self._hnf[0, 0])
-        c = int(self._hnf[1, 1])
+        (a, c), _ = self.storage_grid
         x = np.repeat(np.arange(a, dtype=np.int64), c)
         y = np.tile(np.arange(c, dtype=np.int64), a)
         return x, y
@@ -231,25 +207,6 @@ class Chart:
         j] is (q1, q2) with raw neighbour = (x', y') + M (q1, q2)."""
         _, _, q1, q2 = self.canonical_with_shift(*self._around())
         return np.stack([q1, q2], axis=-1)
-
-    @cached_property
-    def facet_group(self):
-        """The facet group Z^2 / M Z^2 in Smith form, Z_d1 x Z_d2 with d1 | d2.
-
-        Returns ((d1, d2), W, order).  W is unimodular and the index (k, l)
-        has group coordinates W (k, l) mod (d1, d2), so on the 2-D DFT of a
-        facet field the facet step (dk, dl) is multiplication by the
-        character exp(2 pi i (p w1 / d1 + q w2 / d2)), w = W (dk, dl).
-        ``order`` (F,) lists the canonical offsets in C order of the
-        (d1, d2) grid: values[order].reshape(d1, d2) is the field on the
-        grid.  A cyclic group has d1 = 1.
-        """
-        (d1, d2), w = _smith_form(self._hnf)
-        x, y = self.all_canonical()
-        grid = (w[0, 0] * x + w[0, 1] * y) % d1 * d2 + (w[1, 0] * x + w[1, 1] * y) % d2
-        order = np.empty(self.vertex_count, dtype=np.int64)
-        order[grid] = self.offset_xy(x, y)
-        return (d1, d2), w, order
 
     # -- geometry -----------------------------------------------------------
 

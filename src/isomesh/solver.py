@@ -19,15 +19,16 @@ torus -- so the residual is projected onto mean zero before solving.
 LSQR runs on (P J) delta = P b with T. Chan's optimal circulant
 preconditioner (SIAM J. Sci. Stat. Comput. 9, 1988), P = C^(-1/2), where C
 is the average of J J^T over the facet group Z^2 / M Z^2.  J J^T is a 3x3
-stencil on that group, so C is a convolution, diagonalised by the 2-D DFT
-over the group's Smith form Z_d1 x Z_d2.  P zeroes the constant mode and is
-injective on the mean-zero fields, where J's range lies, so P J delta = P b
-has the solutions of J delta = -mu, and the iterates stay in
-range(J^T P) = range(J^T): the step is the same minimum-norm step.  LSQR
-carries its left vectors u = P u~ as u~, in the inner product of P^2 = C^+
-(generalized Golub-Kahan bidiagonalization, M. Arioli, SIAM J. Matrix Anal.
-Appl. 34, 2013), so each iteration applies C^+ once.  C is built once per
-projection, from the Jacobian at the input mesh.
+stencil on that group, so C is a convolution, diagonalised by a 2-D DFT on
+the chart's storage grid, twisted by the grid's wrap.  P zeroes the
+constant mode and is injective on the mean-zero fields, where J's range
+lies, so P J delta = P b has the solutions of J delta = -mu, and the
+iterates stay in range(J^T P) = range(J^T): the step is the same
+minimum-norm step.  LSQR carries its left vectors u = P u~ as u~, in the
+inner product of P^2 = C^+ (generalized Golub-Kahan bidiagonalization,
+M. Arioli, SIAM J. Matrix Anal. Appl. 34, 2013), so each iteration applies
+C^+ once.  C is built once per projection, from the Jacobian at the input
+mesh.
 
 Each step is solved only as exactly as the outer iteration needs (inexact
 Newton, Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 1982): phibar
@@ -166,42 +167,53 @@ def _circulant_preconditioner(chart: Chart, jac: MuJacobian):
     gradient of mu(f) with respect to corner c, over the corner pairs with
     step_c - step_c' = delta; its facet average a(delta) is the Gram matrix
     of the gradients at each vertex, summed along the pairs.
-    The symbol of C is sum a(delta) cos(2 pi (p w1 / d1 + q w2 / d2)), w = W
-    delta in the group's Smith coordinates, from per-axis cosines; it
-    is floored at _SYMBOL_FLOOR times its maximum and inverted.  Up to
-    _DENSE_FACETS facets, C^+ is applied as the dense matrix of its
-    convolution kernel, which costs less than the two FFT calls.
+    C is diagonalised on the chart's (a, c) storage grid, where (x + a, y)
+    is (x, y - b) (``Chart.storage_grid``): rfft along y, the twist
+    exp(2 pi i b x q / (a c)), fft along x.  There the facet step delta =
+    (dk, dl) multiplies by the character of phase 2 pi (p dk / a + q (a dl
+    - b dk) / (a c)), so the symbol of C is sum a(delta) cos(phase), from
+    per-axis cosines; it is floored at _SYMBOL_FLOOR times its maximum and
+    inverted.  Up to _DENSE_FACETS facets, C^+ is applied as the dense
+    matrix of its convolution kernel, which costs less than the FFT calls.
     """
-    (d1, d2), w, order = chart.facet_group
-    nfacets = len(order)
+    (a, c), b = chart.storage_grid
+    nfacets = a * c
     # The gradients at each vertex: the fields at co_rows, with the corner signs.
     by_corner = jac.fields.reshape(-1, jac.fields.shape[-1]).take(jac.co_rows, axis=0)
     by_corner = by_corner.reshape(4, -1)
     gram = by_corner @ by_corner.T / nfacets * np.outer(_CORNER_SIGNS, _CORNER_SIGNS)
     del by_corner  # (4, F, 2n): not kept through the symbol
-    # Per-axis phases of the corner pairs' delta = step_c - step_e, and
-    # cos(x + y) = cos x cos y - sin x sin y.
-    steps = (CORNER_STEPS[:, None] - CORNER_STEPS).reshape(16, 2) @ w.T
-    t1, t2 = (2 * np.pi * (steps[:, k, None] * np.arange(n) % d) / d
-              for k, (n, d) in enumerate(((d1, d1), (d2 // 2 + 1, d2))))
-    a = gram.reshape(16, 1)
-    symbol = (a * np.cos(t1)).T @ np.cos(t2) - (a * np.sin(t1)).T @ np.sin(t2)
+    # Per-axis phases of the corner pairs' delta = step_c - step_e, integers
+    # reduced before scaling, and cos(x + y) = cos x cos y - sin x sin y.
+    dk, dl = (CORNER_STEPS[:, None] - CORNER_STEPS).reshape(16, 2).T
+    q = np.arange(c // 2 + 1)
+    t1 = 2 * np.pi * (dk[:, None] * np.arange(a) % a) / a
+    t2 = 2 * np.pi * ((a * dl - b * dk)[:, None] * q % (a * c)) / (a * c)
+    g = gram.reshape(16, 1)
+    symbol = (g * np.cos(t1)).T @ np.cos(t2) - (g * np.sin(t1)).T @ np.sin(t2)
     s_max = float(symbol.max())
     scale = 1.0 / np.maximum(symbol, _SYMBOL_FLOOR * s_max)
     scale[0, 0] = 0.0
-    position = np.argsort(order)
-    if nfacets <= _DENSE_FACETS:
-        # C^+[f, g] = k(f - g), k the inverse transform of the scale.
-        kernel = np.fft.irfft2(scale, s=(d1, d2))
-        g1, g2 = np.divmod(position, d2)
-        dense = kernel[(g1[:, None] - g1) % d1, (g2[:, None] - g2) % d2]
-        return (lambda y: dense @ y), s_max
+    twist = np.exp(2j * np.pi * (b * np.arange(a)[:, None] * q % (a * c)) / (a * c))
+    untwist = twist.conj()
 
     def apply(y: np.ndarray) -> np.ndarray:
-        spectrum = np.fft.rfft2(y.take(order).reshape(d1, d2)) * scale
-        return np.fft.irfft2(spectrum, s=(d1, d2)).ravel().take(position)
+        spectrum = np.fft.fft(np.fft.rfft(y.reshape(a, c)) * twist, axis=0) * scale
+        return np.fft.irfft(np.fft.ifft(spectrum, axis=0) * untwist, n=c).ravel()
 
-    return apply, s_max
+    if nfacets > _DENSE_FACETS:
+        return apply, s_max
+    # C^+[f, g] = k(f - g), k = C^+ e_0: block (x, x') is the circulant
+    # i, j -> k[(x - x') mod a, (i - j + b [x < x']) mod c], read as windows
+    # of the doubled, reversed rows of k and of k rolled by b.
+    kernel = apply(np.eye(1, nfacets).ravel()).reshape(a, c)
+    rows = np.concatenate([kernel, np.roll(kernel, -b, axis=1)])[:, ::-1]
+    circulants = np.lib.stride_tricks.sliding_window_view(np.tile(rows, 2), c, axis=1)
+    x = np.arange(a)
+    block = (x[:, None] < x) * a + (x[:, None] - x) % a
+    dense = circulants[:, c - 1::-1][block[:, None], np.arange(c)[:, None]]
+    dense = dense.reshape(nfacets, nfacets)
+    return (lambda y: dense @ y), s_max
 
 
 def lsqr(jac: MuJacobian, rhs: np.ndarray, precondition, iter_lim: int, target: float = 0.0):

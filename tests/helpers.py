@@ -429,20 +429,36 @@ def mu_jacobian_sparse(mesh):
     return mat.tocsr()
 
 
+def _twist(chart):
+    (a, c), b = chart.storage_grid
+    x, q = np.ogrid[:a, :c]
+    return np.exp(2j * np.pi * (b * x * q % (a * c)) / (a * c))
+
+
+def twisted_dft(chart, values):
+    """The DFT of a facet field over the facet group, on the chart's (a, c)
+    storage grid: fft along y, the twist exp(2 pi i b x q / (a c)), fft
+    along x.  Entry (p, q) pairs the field with the character of phase
+    2 pi (p x / a + q (a y - b x) / (a c))."""
+    (a, c), _ = chart.storage_grid
+    return np.fft.fft(np.fft.fft(values.reshape(a, c)) * _twist(chart), axis=0)
+
+
+def twisted_idft(chart, spectrum):
+    """The inverse of ``twisted_dft``, a complex facet field."""
+    return np.fft.ifft(np.fft.ifft(spectrum, axis=0) / _twist(chart)).ravel()
+
+
 def root_preconditioner(chart, plus):
     """y -> P y, P^2 = ``plus``, a convolution on the facet group: P's
     symbol is the root of the symbol of ``plus``, read off its kernel (its
-    image of the group's identity)."""
-    (d1, d2), _, order = chart.facet_group
-    position = np.argsort(order)
-    identity = np.zeros(len(order))
-    identity[order[0]] = 1.0
-    symbol = np.fft.rfft2(plus(identity).take(order).reshape(d1, d2)).real
-    root = np.sqrt(np.maximum(symbol, 0.0))
+    image of the group's identity, facet 0)."""
+    identity = np.zeros(chart.vertex_count)
+    identity[0] = 1.0
+    root = np.sqrt(np.maximum(twisted_dft(chart, plus(identity)).real, 0.0))
 
     def apply(y):
-        spectrum = np.fft.rfft2(y.take(order).reshape(d1, d2)) * root
-        return np.fft.irfft2(spectrum, s=(d1, d2)).ravel().take(position)
+        return twisted_idft(chart, twisted_dft(chart, y) * root).real
 
     return apply
 

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import hex_basis, rotated_chart
+from helpers import hex_basis, rotated_chart, twisted_dft, twisted_idft
 from isomesh import Chart, DegenerateLattice, build_chart, rotation
 
 
@@ -188,41 +188,33 @@ class TestFacetGroup:
         ),
         st.integers(0, 2**32 - 1),
     )
+    @example((3, 0, 5, 7), 0)  # (a, c) = (3, 7), b = 5
     @settings(max_examples=60, deadline=None)
-    def test_smith_form_diagonalises_facet_steps(self, mvals, seed):
+    def test_twisted_dft_diagonalises_facet_steps(self, mvals, seed):
         m = np.array([[mvals[0], mvals[1]], [mvals[2], mvals[3]]])
         ch = Chart(N=4, gamma_basis=np.eye(2), m_matrix=m, a_matrix=np.eye(2))
-        (d1, d2), w, order = ch.facet_group
+        (a, c), b = ch.storage_grid
         nfacets = ch.vertex_count
-        assert d1 * d2 == nfacets and d2 % d1 == 0
-        assert d1 == np.gcd.reduce(m.ravel())
-        assert abs(round(np.linalg.det(w))) == 1
-        # The grid order is a permutation, so the transform round-trips.
-        assert np.array_equal(np.sort(order), np.arange(nfacets))
+        assert a * c == nfacets and 0 <= b < c
+        assert a == np.gcd(m[0, 0], m[0, 1])
+        # The transform round-trips.
         values = np.random.default_rng(seed).standard_normal(nfacets)
-        grid = values[order].reshape(d1, d2)
-        back = np.empty(nfacets)
-        back[order] = grid.ravel()
-        assert np.array_equal(back, values)
-        # Each facet step is multiplication of the DFT by its character.
-        spectrum = np.fft.fft2(grid)
-        p = np.arange(d1)[:, None] / d1
-        q = np.arange(d2) / d2
+        spectrum = twisted_dft(ch, values)
+        assert np.abs(twisted_idft(ch, spectrum) - values).max() <= 1e-12 * nfacets
+        # Each facet step is multiplication of the transform by its character.
+        p, q = np.ogrid[:a, :c]
         offsets = ch.neighbours
         for i, j in np.ndindex(3, 3):
-            g1, g2 = w @ (i - 1, j - 1)
-            character = np.exp(2j * np.pi * (p * g1 + q * g2))
-            stepped = np.fft.fft2(values[offsets[:, i, j]][order].reshape(d1, d2))
+            dk, dl = i - 1, j - 1
+            phase = (p * dk * c + q * (a * dl - b * dk)) % (a * c) / (a * c)
+            character = np.exp(2j * np.pi * phase)
+            stepped = twisted_dft(ch, values[offsets[:, i, j]])
             assert np.abs(stepped - character * spectrum).max() <= 1e-12 * nfacets
 
     @pytest.mark.parametrize("n, shape", [(12, (1, 146)), (96, (43, 215))])
     def test_default_rotation_groups(self, n, shape):
-        # The default chart rotation does not always give a cyclic group.
-        assert rotated_chart(n).facet_group[0] == shape
-
-    def test_computed_once(self):
-        ch = rotated_chart(6, hex_basis())
-        assert ch.facet_group is ch.facet_group
+        # The default chart rotation does not always give a cyclic grid (a = 1).
+        assert rotated_chart(n).storage_grid[0] == shape
 
 
 class TestVertexPosition:

@@ -806,7 +806,7 @@ class TestBlocks:
         canonical facets reach about F / N = 48 while its edges are 1/48."""
         kind, dim, n = request.param
         plm = _block_plm(kind, dim, n)
-        assert n < 48 or plm.chart.facet_group[0] == (1, plm.chart.vertex_count)
+        assert n < 48 or plm.chart.storage_grid[0][0] == 1
         return plm
 
     def test_block_rows_match_full_tables(self, any_plm):

@@ -127,6 +127,8 @@ def _chart_case(name):
         return sample_quad(spec, rotated_chart(12))
     if name == "figure8-rotated-96":  # Z_43 x Z_215, the benchmark's chart
         return sample_quad(spec, rotated_chart(96))
+    if name == "figure8x2-rotated-20":  # storage grid (9, 45), wrap b = 18
+        return sample_quad(make_product_torus(figure_eight(), figure_eight()), rotated_chart(20))
     if name == "identity-8-r4":  # Z_8 x Z_8
         return random_mesh(identity_chart(8), rng)
     if name == "identity-8-r6":
@@ -220,7 +222,9 @@ class TestPreconditionedStep:
             assert itn == ref_itn
             assert np.abs(step - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    @pytest.mark.parametrize("name", ["identity-8-r6", "hex-10-r4", "figure8-rotated-96"])
+    @pytest.mark.parametrize(
+        "name", ["identity-8-r6", "hex-10-r4", "figure8x2-rotated-20", "figure8-rotated-96"]
+    )
     def test_preconditioner_is_symmetric_and_kills_constants(self, name, monkeypatch):
         monkeypatch.setattr("isomesh.solver._DENSE_FACETS", 0)
         mesh = _chart_case(name)
@@ -236,6 +240,30 @@ class TestPreconditionedStep:
             monkeypatch.setattr("isomesh.solver._DENSE_FACETS", 512)
             dense, _ = _circulant_preconditioner(mesh.chart, jac)
             assert np.abs(dense(b) - pb).max() <= 1e-12 * np.abs(pb).max()
+
+    @pytest.mark.parametrize(
+        "name", ["identity-8-r6", "hex-9-r6", "figure8x2-rotated-20", "figure8-rotated-96"]
+    )
+    def test_inverts_the_facet_average_of_j_jt(self, name):
+        # C y = sum over the 3x3 facet steps delta of a(delta) y(f + delta),
+        # a(delta) the facet average of (J J^T)[f, f + delta], read off the
+        # assembled matrix: C C^+ C = C up to the floored symbol values.
+        mesh = _chart_case(name)
+        jac = mu_jacobian(mesh)
+        precondition, s_max = _circulant_preconditioner(mesh.chart, jac)
+        ref = mu_jacobian_sparse(mesh)
+        gram = (ref @ ref.T).tocsr()
+        offsets = mesh.chart.neighbours.reshape(-1, 9)
+        facets = np.arange(len(offsets))
+        assert all(len(set(row)) == 9 for row in offsets)  # 9 distinct steps
+        average = [np.asarray(gram[facets, offsets[:, k]]).mean() for k in range(9)]
+
+        def convolve(y):
+            return sum(average[k] * y[offsets[:, k]] for k in range(9))
+
+        y = np.random.default_rng(11).standard_normal(len(offsets))
+        cy = convolve(y)
+        assert np.abs(convolve(precondition(cy)) - cy).max() <= 1e-10 * s_max * np.abs(y).max()
 
     @pytest.mark.parametrize("name", ["figure8-rotated-12", "figure8-rotated-96", "hex-9-r6"])
     def test_first_stop_applies_the_transpose_once_per_iteration(self, name):
